@@ -1,182 +1,51 @@
 """The registration agent: a dapplet's lease-keeping sidecar.
 
 A :class:`RegistrationAgent` owns one dapplet's presence in the
-replicated directory. It registers the dapplet's name with one replica
-(chosen deterministically by a hash of the name, spreading load across
-the ring), then heartbeats a :class:`~repro.discovery.messages.Renew`
-every ``renew_interval``. When the chosen replica stops answering it
-**fails over** to the next replica and re-registers with a higher epoch
-hint, so the new lease supersedes the old one everywhere once gossip
-spreads it.
-
-When the owning dapplet stops — or dies silently — the heartbeats stop
-with it, the lease runs out, and every replica's failure detector turns
-it into a tombstone: exactly the liveness story the paper's static
-directory lacks. A graceful shutdown can call :meth:`deregister` to
-tombstone the lease immediately instead of waiting out the TTL.
+replicated directory: the :class:`~repro.discovery.table.LeaseAgent`
+for its name -> address row. When the dapplet stops — or dies silently
+— the heartbeats stop and the lease runs out: the liveness story the
+paper's static directory lacks.
 """
 
 from __future__ import annotations
 
-import itertools
-import zlib
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from repro.dapplet.dapplet import Dapplet
 from repro.discovery import messages as dm
 from repro.discovery.lease import LeaseConfig
-from repro.discovery.replica import DIRECTORY_INBOX
-from repro.errors import AddressError, DiscoveryError, ReceiveTimeout
-from repro.net.address import InboxAddress, NodeAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dapplet.dapplet import Dapplet
+from repro.discovery.replica import DirectoryReplica
+from repro.discovery.table import LeaseAgent
+from repro.net.address import NodeAddress
 
 
-class RegistrationAgent:
+class RegistrationAgent(LeaseAgent):
     """Keeps one dapplet's lease alive in the replicated directory."""
 
-    def __init__(self, dapplet: "Dapplet", replicas: Sequence[NodeAddress],
+    table = DirectoryReplica
+    role = "agent"
+    process_name = "lease-agent"
+    claimed_word = "register"
+    Renew = dm.Renew
+    Release = dm.Unregister
+
+    def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
                  *, config: LeaseConfig | None = None,
                  kind: str | None = None, name: str | None = None) -> None:
-        if not replicas:
-            raise DiscoveryError("RegistrationAgent needs >= 1 replica")
-        self.dapplet = dapplet
-        self.kernel = dapplet.kernel
-        self.config = config or LeaseConfig()
-        self.replicas = tuple(replicas)
         self.kind = dapplet.kind if kind is None else kind
-        self.name = dapplet.name if name is None else name
-        # Deterministic load spreading: same name -> same home replica,
-        # independent of construction order or interpreter hashing.
-        self._ix = zlib.crc32(self.name.encode()) % len(self.replicas)
-        self.epoch = 0
-        self.renewals = 0
-        self.failovers = 0
-        self._req_ids = itertools.count(1)
-        self._done = False
-        self.inbox = dapplet.create_inbox()
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(self._replica_inbox())
+        super().__init__(dapplet, replicas,
+                         dapplet.name if name is None else name,
+                         config=config)
         #: Fires (with the granting replica's address) after the first
         #: successful registration.
-        self.registered = self.kernel.event()
-        self.process = dapplet.spawn(self._run(), name="lease-agent")
-
-    @property
-    def replica(self) -> NodeAddress:
-        """The replica currently holding this agent's lease."""
-        return self.replicas[self._ix % len(self.replicas)]
+        self.registered = self.claimed
 
     def deregister(self) -> None:
-        """Tombstone the lease now instead of waiting out the TTL.
+        """Tombstone the lease now instead of waiting out the TTL
+        (fire-and-forget: safe right before ``stop()``)."""
+        self._release()
 
-        Fire-and-forget: safe to call right before ``stop()``.
-        """
-        if self._done:
-            return
-        self._done = True
-        if self.epoch and not self.dapplet.stopped:
-            try:
-                self._outbox.send(dm.Unregister(self.name, self.epoch))
-            except AddressError:
-                pass
-
-    # -- the agent process -------------------------------------------------
-
-    def _run(self):
-        granted = yield from self._register()
-        if granted:
-            yield from self._heartbeat()
-
-    def _register(self):
-        """Acquire a lease, failing over between replicas until one
-        grants it. Returns True on success, False if halted first."""
-        while not self._halted():
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(dm.Register(
-                    req_id, self.name, self.dapplet.address, self.kind,
-                    self.inbox.address, epoch_hint=self.epoch))
-            except AddressError:
-                return False
-            reply = yield from self._await_reply(req_id)
-            if self._halted():
-                return False
-            if isinstance(reply, dm.LeaseGrant):
-                self.epoch = reply.epoch
-                if not self.registered.triggered:
-                    self.registered.succeed(self.replica)
-                self._trace("register", epoch=reply.epoch)
-                return True
-            if isinstance(reply, dm.LeaseDenied) \
-                    and reply.reason == "name-taken":
-                # A previous holder's lease is still live (typically our
-                # own, pre-failover, at a stale address). It stops being
-                # renewed, so it expires within one TTL: wait and retry.
-                yield self.kernel.timeout(self.config.renew_interval)
-                continue
-            if reply is None:
-                self._failover()
-        return False
-
-    def _heartbeat(self):
-        while True:
-            yield self.kernel.timeout(self.config.renew_interval)
-            if self._halted():
-                return
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(dm.Renew(
-                    req_id, self.name, self.epoch, self.inbox.address))
-            except AddressError:
-                return
-            reply = yield from self._await_reply(req_id)
-            if self._halted():
-                return
-            if isinstance(reply, dm.LeaseGrant):
-                self.renewals += 1
-                continue
-            if reply is None:
-                self._failover()
-            # Denied (the replica lost or superseded our lease) or timed
-            # out: either way the fix is a fresh registration.
-            if not (yield from self._register()):
-                return
-
-    def _await_reply(self, req_id: int):
-        """The grant/denial matching ``req_id``, or None on timeout."""
-        deadline = self.kernel.now + self.config.request_timeout
-        while True:
-            remaining = deadline - self.kernel.now
-            if remaining <= 0:
-                return None
-            try:
-                msg = yield self.inbox.receive(timeout=remaining)
-            except (ReceiveTimeout, AddressError):
-                return None
-            if isinstance(msg, (dm.LeaseGrant, dm.LeaseDenied)) \
-                    and msg.req_id == req_id:
-                return msg
-            # A stale reply from a replica we already failed away from.
-
-    # -- failover ----------------------------------------------------------
-
-    def _failover(self) -> None:
-        old = self._replica_inbox()
-        self._ix += 1
-        self.failovers += 1
-        self._outbox.delete(old)
-        self._outbox.add(self._replica_inbox())
-        self._trace("failover", role="agent", to=str(self.replica))
-
-    def _halted(self) -> bool:
-        return self._done or self.dapplet.stopped
-
-    def _replica_inbox(self) -> InboxAddress:
-        return InboxAddress(self.replica, DIRECTORY_INBOX)
-
-    def _trace(self, event: str, **fields) -> None:
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("dir", event, node=self.dapplet.address,
-                    lease=self.name, **fields)
+    def _claim_message(self, req_id: int) -> dm.Register:
+        return dm.Register(req_id, self.name, self.dapplet.address,
+                           self.kind, self.inbox.address,
+                           epoch_hint=self.epoch)

@@ -27,6 +27,7 @@ clocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import DiscoveryError
@@ -135,10 +136,26 @@ class LeaseRecord:
 
     @classmethod
     def from_wire(cls, data: dict, now: float) -> "LeaseRecord":
-        return cls(name=data["n"], address=NodeAddress.parse(data["a"]),
-                   kind=data["k"], epoch=int(data["e"]),
-                   version=int(data["v"]), alive=bool(data["al"]),
-                   expires_at=now + float(data["tl"]))
+        """Decode strictly: a malformed entry raises ``KeyError``,
+        ``TypeError``, ``ValueError`` or ``AddressError``."""
+        return cls(**wire_fields(data, now))
+
+
+def wire_fields(data: dict, now: float) -> dict:
+    """The :class:`LeaseRecord` constructor arguments in a wire entry.
+    Entries come from outside the program, so nothing is let through
+    that could poison a store: names are sorted, deadlines compared."""
+    name, address, kind = data["n"], data["a"], data["k"]
+    if not (isinstance(name, str) and isinstance(address, str)
+            and isinstance(kind, str)):
+        raise TypeError("lease entry name/address/kind must be strings")
+    ttl_left = float(data["tl"])
+    if not math.isfinite(ttl_left):
+        raise ValueError("lease entry remaining TTL must be finite")
+    return {"name": name, "address": NodeAddress.parse(address),
+            "kind": kind, "epoch": int(data["e"]),
+            "version": int(data["v"]), "alive": bool(data["al"]),
+            "expires_at": now + ttl_left}
 
 
 def merge(existing: "LeaseRecord | None",

@@ -1,296 +1,70 @@
 """The directory replica dapplet.
 
-The directory of Figure 2, reimagined as a replicated service: each
-:class:`DirectoryReplica` is an ordinary dapplet speaking the discovery
-protocol over the reliable transport on its well-known ``_directory``
-inbox, so the directory itself survives host loss and sits at WAN
-distances from its clients — on either substrate.
-
-Each replica runs three processes:
-
-* a **server** answering registrations, renewals, unregistrations and
-  lookups (:mod:`repro.discovery.messages`);
-* a **failure detector** sweeping the store every
-  ``sweep_interval`` and tombstoning leases whose TTL ran out — this is
-  what makes ``lookup`` stop returning a dapplet that died silently;
-* a **gossiper** pushing its full version-stamped store to one peer per
-  ``gossip_interval`` (round-robin over the sorted peer ring) with a
-  pull-back reply, so replicas reconcile divergence in a bounded number
-  of rounds and any replica can answer any lookup.
-
-Every state change emits a typed ``dir`` trace event (see
-``docs/DISCOVERY.md`` for the schema); on the simulated substrate the
-whole protocol is deterministic, so repeated runs produce byte-identical
-traces.
+The directory of Figure 2 as a replicated service: each
+:class:`DirectoryReplica` is a :class:`~repro.discovery.table.
+LeaseReplica` serving :mod:`repro.discovery.messages` on its well-known
+``_directory`` inbox, with plain name -> (address, kind)
+:class:`~repro.discovery.lease.LeaseRecord` rows and ``dir`` trace
+events (``docs/DISCOVERY.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable
-
-from repro.dapplet.dapplet import Dapplet
 from repro.discovery import messages as dm
-from repro.discovery.lease import LeaseConfig, LeaseRecord, merge
-from repro.mailbox.outbox import Outbox
-from repro.net.address import InboxAddress, NodeAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.world import World
+from repro.discovery.lease import LeaseRecord
+from repro.discovery.table import LeaseReplica
+from repro.errors import DiscoveryError
+from repro.net.address import NodeAddress
 
 #: Well-known inbox name every replica serves the protocol on.
 DIRECTORY_INBOX = "_directory"
 
 
-@dataclass
-class ReplicaStats:
-    """Protocol counters for one replica (all monotonic)."""
-
-    grants: int = 0
-    renewals: int = 0
-    denials: int = 0
-    unregisters: int = 0
-    expiries: int = 0
-    lookups: int = 0
-    lookup_hits: int = 0
-    gossip_rounds: int = 0
-    gossip_merged: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
-
-
-class DirectoryReplica(Dapplet):
+class DirectoryReplica(LeaseReplica):
     """One replica of the distributed address directory."""
 
     kind = "directory"
+    inbox_name = DIRECTORY_INBOX
+    category = "dir"
+    subject = "lease"
+    words = {"grant": "lease_grant", "renew": "lease_renew",
+             "denied": "lease_denied", "release": "unregister",
+             "expire": "expire"}
+    process_prefix = "dir"
+    error = DiscoveryError
+    noun = "directory replica"
+    Grant = dm.LeaseGrant
+    Denied = dm.LeaseDenied
+    Gossip = dm.GossipSync
+    handlers = {dm.Register: LeaseReplica._on_claim,
+                dm.Renew: LeaseReplica._on_renew,
+                dm.Unregister: LeaseReplica._on_release,
+                dm.LookupRequest: LeaseReplica._on_lookup,
+                dm.GossipSync: LeaseReplica._on_gossip}
 
-    def __init__(self, world: "World", address: NodeAddress, name: str,
-                 *, config: LeaseConfig | None = None,
-                 peers: Iterable[NodeAddress] = ()) -> None:
-        # setup() runs inside Dapplet.__init__, so configuration must be
-        # in place first.
-        self.config = config or LeaseConfig()
-        self._initial_peers = tuple(peers)
-        super().__init__(world, address, name)
-
-    def setup(self) -> None:
-        #: name -> newest known :class:`LeaseRecord` (live or tombstone).
-        self.store: dict[str, LeaseRecord] = {}
-        self.stats = ReplicaStats()
-        self._peer_ring: list[NodeAddress] = []
-        self._gossip_ix = 0
-        self._gossiping = False
-        self._outboxes: dict[InboxAddress, Outbox] = {}
-        self.inbox = self.create_inbox(name=DIRECTORY_INBOX)
-        self.spawn(self._serve(), name="dir-serve")
-        self.spawn(self._sweep_loop(), name="dir-sweep")
-        if self._initial_peers:
-            self.set_peers(self._initial_peers)
-
-    # -- wiring ----------------------------------------------------------
-
-    def set_peers(self, peers: Iterable[NodeAddress]) -> None:
-        """Set the replica ring this replica gossips with.
-
-        Sorted, so the round-robin peer choice is deterministic
-        regardless of construction order. Starts the gossip process on
-        first use.
-        """
-        self._peer_ring = sorted(set(peers))
-        if self._peer_ring and not self._gossiping:
-            self._gossiping = True
-            self.spawn(self._gossip_loop(), name="dir-gossip")
-
-    @property
-    def peers(self) -> tuple[NodeAddress, ...]:
-        return tuple(self._peer_ring)
-
-    # -- views (used by tests, benchmarks and the sweep) -----------------
+    # -- views (used by tests and benchmarks) ----------------------------
 
     def live_entries(self) -> dict[str, tuple[NodeAddress, str]]:
         """The names this replica would currently resolve, with kinds."""
-        now = self.kernel.now
-        return {name: (r.address, r.kind)
-                for name, r in sorted(self.store.items()) if r.live_at(now)}
+        return {r.name: (r.address, r.kind) for r in self.live_records()}
 
     def names(self, kind: str | None = None) -> list[str]:
         """Live names, optionally filtered by kind, sorted."""
-        now = self.kernel.now
-        return sorted(r.name for r in self.store.values()
-                      if r.live_at(now) and (kind is None or r.kind == kind))
+        return [r.name for r in self.live_records()
+                if kind is None or r.kind == kind]
 
-    # -- server ----------------------------------------------------------
+    # -- what a directory row is -----------------------------------------
 
-    def _serve(self):
-        while True:
-            msg = yield self.inbox.receive()
-            if isinstance(msg, dm.Register):
-                self._on_register(msg)
-            elif isinstance(msg, dm.Renew):
-                self._on_renew(msg)
-            elif isinstance(msg, dm.Unregister):
-                self._on_unregister(msg)
-            elif isinstance(msg, dm.LookupRequest):
-                self._on_lookup(msg)
-            elif isinstance(msg, dm.GossipSync):
-                self._on_gossip(msg)
+    def _new_record(self, msg: dm.Register, epoch: int,
+                    expires_at: float) -> LeaseRecord:
+        return LeaseRecord(msg.name, msg.address, msg.kind, epoch, 0, True,
+                           expires_at)
 
-    def _send(self, to: InboxAddress, message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self._bind_outbox(to)
-        result = outbox.send(message)
-        if any(r.is_failed for r in result.receipts):
-            # The channel broke (e.g. a partition outlived the
-            # transport's retry budget). Rebind on a fresh channel and
-            # retry once; periodic traffic heals the rest.
-            self.outboxes.pop(outbox.ref, None)
-            del self._outboxes[to]
-            self._bind_outbox(to).send(message)
-
-    def _bind_outbox(self, to: InboxAddress) -> Outbox:
-        outbox = self.create_outbox()
-        outbox.add(to)
-        self._outboxes[to] = outbox
-        return outbox
-
-    # -- lease maintenance ------------------------------------------------
-
-    def _on_register(self, msg: dm.Register) -> None:
-        now = self.kernel.now
-        existing = self.store.get(msg.name)
-        if existing is not None and existing.live_at(now) \
-                and existing.address != msg.address:
-            self.stats.denials += 1
-            self._trace("lease_denied", lease=msg.name, reason="name-taken")
-            self._send(msg.reply_to,
-                       dm.LeaseDenied(msg.req_id, msg.name, "name-taken"))
-            return
-        epoch = max(existing.epoch if existing is not None else 0,
-                    msg.epoch_hint) + 1
-        self.store[msg.name] = LeaseRecord(
-            msg.name, msg.address, msg.kind, epoch, 0, True,
-            now + self.config.ttl)
-        self.stats.grants += 1
-        self._trace("lease_grant", lease=msg.name, epoch=epoch)
-        self._send(msg.reply_to, dm.LeaseGrant(
-            msg.req_id, msg.name, epoch, 0, self.config.ttl))
-
-    def _on_renew(self, msg: dm.Renew) -> None:
-        now = self.kernel.now
-        existing = self.store.get(msg.name)
-        if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
-            reason = "unknown" if existing is None else "stale-epoch"
-            self.stats.denials += 1
-            self._trace("lease_denied", lease=msg.name, reason=reason)
-            self._send(msg.reply_to,
-                       dm.LeaseDenied(msg.req_id, msg.name, reason))
-            return
-        record = replace(existing, version=existing.version + 1,
-                         expires_at=now + self.config.ttl)
-        self.store[msg.name] = record
-        self.stats.renewals += 1
-        self._trace("lease_renew", lease=msg.name, epoch=record.epoch,
-                    version=record.version)
-        self._send(msg.reply_to, dm.LeaseGrant(
-            msg.req_id, msg.name, record.epoch, record.version,
-            self.config.ttl))
-
-    def _on_unregister(self, msg: dm.Unregister) -> None:
-        existing = self.store.get(msg.name)
-        if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
-            return
-        self.store[msg.name] = existing.expired(
-            self.kernel.now, tombstone_ttl=self.config.tombstone_ttl)
-        self.stats.unregisters += 1
-        self._trace("unregister", lease=msg.name, epoch=msg.epoch)
-
-    # -- resolution --------------------------------------------------------
-
-    def _on_lookup(self, msg: dm.LookupRequest) -> None:
-        now = self.kernel.now
-        record = self.store.get(msg.name)
-        self.stats.lookups += 1
-        if record is not None and record.live_at(now):
-            self.stats.lookup_hits += 1
-            self._send(msg.reply_to, dm.LookupReply(
-                msg.req_id, msg.name, True, record.address, record.kind,
-                record.expires_at - now, record.epoch))
-        else:
-            self._send(msg.reply_to, dm.LookupReply(
-                msg.req_id, msg.name, False, None, "", 0.0, 0))
-
-    # -- failure detector ---------------------------------------------------
-
-    def _sweep_loop(self):
-        while True:
-            yield self.kernel.timeout(self.config.sweep_interval)
-            if self.stopped:
-                return
-            self.sweep()
-
-    def sweep(self) -> int:
-        """Expire overdue leases; drop overdue tombstones. Returns the
-        number of leases expired (the failure detector's detections)."""
-        now = self.kernel.now
-        expired = 0
-        for name, record in list(self.store.items()):
-            if record.alive and record.expires_at <= now:
-                self.store[name] = record.expired(
-                    now, tombstone_ttl=self.config.tombstone_ttl)
-                self.stats.expiries += 1
-                expired += 1
-                self._trace("expire", lease=name, epoch=record.epoch)
-            elif not record.alive and record.expires_at <= now:
-                del self.store[name]
-        return expired
-
-    # -- anti-entropy gossip -------------------------------------------------
-
-    def _gossip_loop(self):
-        while True:
-            yield self.kernel.timeout(self.config.gossip_interval)
-            if self.stopped:
-                return
-            if not self._peer_ring or not self.store:
-                continue
-            peer = self._peer_ring[self._gossip_ix % len(self._peer_ring)]
-            self._gossip_ix += 1
-            now = self.kernel.now
-            entries = tuple(r.to_wire(now)
-                            for _, r in sorted(self.store.items()))
-            self.stats.gossip_rounds += 1
-            self._send(InboxAddress(peer, DIRECTORY_INBOX),
-                       dm.GossipSync(self.address, entries, True))
-
-    def _on_gossip(self, msg: dm.GossipSync) -> None:
-        now = self.kernel.now
-        merged = 0
-        seen: dict[str, tuple[int, int, int]] = {}
-        for data in msg.entries:
-            incoming = LeaseRecord.from_wire(data, now)
-            seen[incoming.name] = incoming.stamp
-            updated = merge(self.store.get(incoming.name), incoming)
-            if updated is not None:
-                self.store[incoming.name] = updated
-                merged += 1
-        self.stats.gossip_merged += merged
-        self._trace("gossip_sync", peer=str(msg.origin),
-                    received=len(msg.entries), merged=merged)
-        if msg.want_reply:
-            fresher = tuple(
-                r.to_wire(now) for name, r in sorted(self.store.items())
-                if name not in seen or r.stamp > seen[name])
-            if fresher:
-                self._send(InboxAddress(msg.origin, DIRECTORY_INBOX),
-                           dm.GossipSync(self.address, fresher, False))
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _trace(self, event: str, **fields) -> None:
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("dir", event, node=self.address, **fields)
+    def _lookup_reply(self, msg: dm.LookupRequest,
+                      record: LeaseRecord | None, now: float) -> dm.LookupReply:
+        if record is None:
+            return dm.LookupReply(msg.req_id, msg.name, False, None, "",
+                                  0.0, 0)
+        return dm.LookupReply(msg.req_id, msg.name, True, record.address,
+                              record.kind, record.expires_at - now,
+                              record.epoch)

@@ -1,14 +1,13 @@
 """The client-side resolver: cached, failover-capable name lookup.
 
-A :class:`Resolver` is the discovery subsystem's read path. It asks a
-directory replica to resolve a name, caches the answer for
-``min(cache_ttl, remaining lease TTL)`` — so a cached entry can never
-outlive the lease it was derived from by more than ``cache_ttl`` — and
-rotates to the next replica whenever the current one stops answering.
-A *negative* answer from a live replica is authoritative: the name's
-lease has expired (or never existed) and :meth:`resolve` raises
-:class:`~repro.errors.LeaseExpired` so callers skip the dead participant
-instead of hanging on it.
+A :class:`Resolver` is the discovery subsystem's read path: a
+:class:`~repro.discovery.table.LeaseClient` that asks a directory
+replica to resolve a name and caches the answer for ``min(cache_ttl,
+remaining lease TTL)`` — so a cached entry can never outlive the lease
+it was derived from by more than ``cache_ttl``. A *negative* answer from
+a live replica is authoritative: the name's lease has expired (or never
+existed) and :meth:`resolve` raises :class:`~repro.errors.LeaseExpired`
+so callers skip the dead participant instead of hanging on it.
 
 ``resolve`` is a generator — call it from a process body::
 
@@ -17,19 +16,16 @@ instead of hanging on it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from repro.dapplet.dapplet import Dapplet
 from repro.discovery import messages as dm
 from repro.discovery.lease import LeaseConfig
-from repro.discovery.replica import DIRECTORY_INBOX
-from repro.errors import (AddressError, DiscoveryError, LeaseExpired,
-                          ReceiveTimeout)
-from repro.net.address import InboxAddress, NodeAddress
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dapplet.dapplet import Dapplet
+from repro.discovery.replica import DirectoryReplica
+from repro.discovery.table import LeaseClient
+from repro.errors import DiscoveryError, LeaseExpired
+from repro.net.address import NodeAddress
 
 
 @dataclass
@@ -46,30 +42,18 @@ class ResolverStats:
         return dict(vars(self))
 
 
-class Resolver:
+class Resolver(LeaseClient):
     """Resolves names against the directory replicas, with caching."""
 
-    def __init__(self, dapplet: "Dapplet", replicas: Sequence[NodeAddress],
+    table = DirectoryReplica
+    role = "resolver"
+
+    def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
                  *, config: LeaseConfig | None = None) -> None:
-        if not replicas:
-            raise DiscoveryError("Resolver needs >= 1 replica")
-        self.dapplet = dapplet
-        self.kernel = dapplet.kernel
-        self.config = config or LeaseConfig()
-        self.replicas = tuple(replicas)
+        super().__init__(dapplet, replicas, config=config)
         self.stats = ResolverStats()
-        self._ix = 0
-        self._req_ids = itertools.count(1)
         #: name -> (address, kind, fresh_until)
         self._cache: dict[str, tuple[NodeAddress, str, float]] = {}
-        self.inbox = dapplet.create_inbox()
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(self._replica_inbox())
-
-    @property
-    def replica(self) -> NodeAddress:
-        """The replica lookups currently go to."""
-        return self.replicas[self._ix % len(self.replicas)]
 
     def invalidate(self, name: str | None = None) -> None:
         """Drop one cached entry, or all of them."""
@@ -77,8 +61,6 @@ class Resolver:
             self._cache.clear()
         else:
             self._cache.pop(name, None)
-
-    # -- lookup ------------------------------------------------------------
 
     def resolve(self, name: str):
         """Resolve ``name`` to its registered :class:`NodeAddress`.
@@ -88,80 +70,38 @@ class Resolver:
         no live lease exists, or :class:`~repro.errors.DiscoveryError`
         when every replica failed to answer.
         """
-        address, _ = yield from self._resolve_entry(name)
+        address, _ = yield from self.resolve_kind(name)
         return address
 
     def resolve_kind(self, name: str):
         """Like :meth:`resolve` but returns ``(address, kind)``."""
-        return (yield from self._resolve_entry(name))
-
-    def _resolve_entry(self, name: str):
-        now = self.kernel.now
+        t0 = self.kernel.now
         cached = self._cache.get(name)
-        if cached is not None and cached[2] > now:
+        if cached is not None and cached[2] > t0:
             self.stats.hits += 1
             self._trace("cache_hit", lease=name)
             return cached[0], cached[1]
         self.stats.misses += 1
         self._trace("cache_miss", lease=name)
-        t0 = now
-        for _ in range(len(self.replicas)):
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(dm.LookupRequest(
-                    req_id, name, self.inbox.address))
-            except AddressError:
-                break
-            reply = yield from self._await_reply(req_id)
-            if reply is None:
-                self._failover()
-                continue
-            if not reply.found:
-                self.stats.failures += 1
-                self._trace("resolve_miss", lease=name)
-                raise LeaseExpired(
-                    f"no live lease for {name!r}: the dapplet is dead, "
-                    "expired, or was never registered", name=name)
-            now = self.kernel.now
-            fresh_until = now + min(self.config.cache_ttl, reply.ttl_left)
-            self._cache[name] = (reply.address, reply.kind, fresh_until)
-            self.stats.resolves += 1
-            self._trace("resolve", lease=name, rlat=now - t0)
-            return reply.address, reply.kind
-        self.stats.failures += 1
-        raise DiscoveryError(
-            f"could not resolve {name!r}: no directory replica answered "
-            f"within {self.config.request_timeout}s each "
-            f"(tried {len(self.replicas)})")
-
-    def _await_reply(self, req_id: int):
-        deadline = self.kernel.now + self.config.request_timeout
-        while True:
-            remaining = deadline - self.kernel.now
-            if remaining <= 0:
-                return None
-            try:
-                msg = yield self.inbox.receive(timeout=remaining)
-            except (ReceiveTimeout, AddressError):
-                return None
-            if isinstance(msg, dm.LookupReply) and msg.req_id == req_id:
-                return msg
-            # Stale reply from a replica we already failed away from.
-
-    # -- failover ----------------------------------------------------------
-
-    def _failover(self) -> None:
-        old = self._replica_inbox()
-        self._ix += 1
-        self.stats.failovers += 1
-        self._outbox.delete(old)
-        self._outbox.add(self._replica_inbox())
-        self._trace("failover", role="resolver", to=str(self.replica))
-
-    def _replica_inbox(self) -> InboxAddress:
-        return InboxAddress(self.replica, DIRECTORY_INBOX)
-
-    def _trace(self, event: str, **fields) -> None:
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("dir", event, node=self.dapplet.address, **fields)
+        try:
+            reply = yield from self._query(
+                lambda req_id: dm.LookupRequest(req_id, name,
+                                                self.inbox.address),
+                dm.LookupReply, f"resolve {name!r}")
+        except DiscoveryError:
+            self.stats.failures += 1
+            raise
+        finally:
+            self.stats.failovers = self.failovers
+        if not reply.found:
+            self.stats.failures += 1
+            self._trace("resolve_miss", lease=name)
+            raise LeaseExpired(
+                f"no live lease for {name!r}: the dapplet is dead, "
+                "expired, or was never registered", name=name)
+        now = self.kernel.now
+        fresh_until = now + min(self.config.cache_ttl, reply.ttl_left)
+        self._cache[name] = (reply.address, reply.kind, fresh_until)
+        self.stats.resolves += 1
+        self._trace("resolve", lease=name, rlat=now - t0)
+        return reply.address, reply.kind

@@ -6,7 +6,8 @@ identities own dapplets (``World.dapplet(..., owner=principal)``),
 session establishment, per-method RPC dispatch and per-colour token
 quotas, and the replicated :class:`DAppStoreReplica` catalogs dapplet
 manifests under hierarchical ``org/app/instance`` names with TTL'd
-manifest leases (the directory's lease/gossip machinery, reused).
+manifest leases (a second catalog on the one lease-replicated table
+of :mod:`repro.discovery.table`).
 
 Every allow/deny decision emits a ``reg`` audit trace event with a
 ``reg.check`` latency histogram; see ``docs/REGISTRY.md``.
@@ -25,7 +26,6 @@ from repro.registry.store import (
     DAppStoreReplica,
     PublishAgent,
     StoreClient,
-    StoreStats,
 )
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "Registry",
     "RegistryStats",
     "StoreClient",
-    "StoreStats",
     "TOKEN_RESOURCE",
     "pattern_matches",
     "verb_matches",

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.discovery.lease import LeaseRecord
-from repro.net.address import NodeAddress
+from repro.discovery.lease import LeaseRecord, wire_fields
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
@@ -87,8 +86,5 @@ class ManifestRecord(LeaseRecord):
 
     @classmethod
     def from_wire(cls, data: dict, now: float) -> "ManifestRecord":
-        return cls(name=data["n"], address=NodeAddress.parse(data["a"]),
-                   kind=data["k"], epoch=int(data["e"]),
-                   version=int(data["v"]), alive=bool(data["al"]),
-                   expires_at=now + float(data["tl"]),
+        return cls(**wire_fields(data, now),
                    manifest=dict(data.get("m", {})))

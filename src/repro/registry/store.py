@@ -1,304 +1,91 @@
 """The DAppStore: a replicated catalog of dapplet manifests.
 
-Each :class:`DAppStoreReplica` is an ordinary dapplet serving the
-manifest protocol on its well-known ``_dappstore`` inbox — the same
-shape as :class:`~repro.discovery.replica.DirectoryReplica`, and built
-on the same lease machinery: manifests live as TTL'd
-:class:`~repro.registry.manifest.ManifestRecord` rows, a failure
-detector tombstones the rows of silent publishers, and push-pull
-anti-entropy gossip (last-writer-wins on the ``(epoch, version,
-tombstone)`` stamp) reconciles replicas in a bounded number of rounds.
-
-A :class:`PublishAgent` is the publisher-side sidecar: it claims the
-manifest's hierarchical name with one replica (crc32 of the name picks
-the home replica), heartbeats renewals, and fails over with a higher
-epoch hint when the home replica stops answering — so a crashed-and-
-restarted dapplet's fresh agent supersedes its old manifest everywhere.
-
-A :class:`StoreClient` gives any dapplet lookup/list access to the
-catalog with replica failover.
-
-Every state change emits a typed ``reg`` trace event.
+The second catalog on the lease-replicated table of
+:mod:`repro.discovery.table` (mechanism: ``docs/DISCOVERY.md``). Rows
+are :class:`~repro.registry.manifest.ManifestRecord` — a lease plus its
+manifest — under hierarchical ``org/app/instance`` names, served on the
+``_dappstore`` inbox and traced as ``reg``; what the catalog adds is
+prefix listing. :class:`PublishAgent` keeps one manifest's lease alive;
+:class:`StoreClient` gives any dapplet lookup/list access.
 """
 
 from __future__ import annotations
 
-import itertools
-import zlib
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 from repro.dapplet.dapplet import Dapplet
-from repro.discovery.lease import LeaseConfig, merge
-from repro.errors import AddressError, ReceiveTimeout, RegistryError
-from repro.mailbox.outbox import Outbox
-from repro.net.address import InboxAddress, NodeAddress
+from repro.discovery.lease import LeaseConfig
+from repro.discovery.table import LeaseAgent, LeaseClient, LeaseReplica
+from repro.errors import RegistryError
+from repro.net.address import NodeAddress
 from repro.registry import messages as rm
 from repro.registry.manifest import Manifest, ManifestRecord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.world import World
 
 #: Well-known inbox name every store replica serves the protocol on.
 DAPPSTORE_INBOX = "_dappstore"
 
 
-@dataclass
-class StoreStats:
-    """Protocol counters for one store replica (all monotonic)."""
-
-    publishes: int = 0
-    renewals: int = 0
-    denials: int = 0
-    unpublishes: int = 0
-    expiries: int = 0
-    lookups: int = 0
-    lookup_hits: int = 0
-    lists: int = 0
-    gossip_rounds: int = 0
-    gossip_merged: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
-
-
-class DAppStoreReplica(Dapplet):
+class DAppStoreReplica(LeaseReplica):
     """One replica of the replicated manifest catalog."""
 
     kind = "dappstore"
-
-    def __init__(self, world: "World", address: NodeAddress, name: str,
-                 *, config: LeaseConfig | None = None,
-                 peers: Iterable[NodeAddress] = ()) -> None:
-        self.config = config or LeaseConfig()
-        self._initial_peers = tuple(peers)
-        super().__init__(world, address, name)
-
-    def setup(self) -> None:
-        #: store name -> newest known ManifestRecord (live or tombstone).
-        self.store: dict[str, ManifestRecord] = {}
-        self.stats = StoreStats()
-        self._peer_ring: list[NodeAddress] = []
-        self._gossip_ix = 0
-        self._gossiping = False
-        self._outboxes: dict[InboxAddress, Outbox] = {}
-        self.inbox = self.create_inbox(name=DAPPSTORE_INBOX)
-        self.spawn(self._serve(), name="store-serve")
-        self.spawn(self._sweep_loop(), name="store-sweep")
-        if self._initial_peers:
-            self.set_peers(self._initial_peers)
-
-    # -- wiring ----------------------------------------------------------
-
-    def set_peers(self, peers: Iterable[NodeAddress]) -> None:
-        """Set the replica ring this replica gossips with (sorted for a
-        deterministic round-robin); starts gossip on first use."""
-        self._peer_ring = sorted(set(peers))
-        if self._peer_ring and not self._gossiping:
-            self._gossiping = True
-            self.spawn(self._gossip_loop(), name="store-gossip")
-
-    @property
-    def peers(self) -> tuple[NodeAddress, ...]:
-        return tuple(self._peer_ring)
+    inbox_name = DAPPSTORE_INBOX
+    category = "reg"
+    subject = "manifest"
+    words = {"grant": "manifest_grant", "renew": "manifest_renew",
+             "denied": "manifest_denied", "release": "manifest_unpublish",
+             "expire": "manifest_expire"}
+    process_prefix = "store"
+    error = RegistryError
+    noun = "store replica"
+    record_type = ManifestRecord
+    Grant = rm.ManifestGrant
+    Denied = rm.ManifestDenied
+    Gossip = rm.StoreGossip
 
     # -- views -----------------------------------------------------------
 
     def live_manifests(self) -> dict[str, Manifest]:
         """The manifests this replica would currently serve, by name."""
-        now = self.kernel.now
-        return {name: Manifest.from_dict(r.manifest)
-                for name, r in sorted(self.store.items()) if r.live_at(now)}
+        return {r.name: Manifest.from_dict(r.manifest)
+                for r in self.live_records()}
 
     def names(self, prefix: str = "") -> list[str]:
         """Live store names under ``prefix``, sorted."""
-        now = self.kernel.now
-        return sorted(r.name for r in self.store.values()
-                      if r.live_at(now) and _under(prefix, r.name))
+        return [r.name for r in self.live_records()
+                if _under(prefix, r.name)]
 
-    # -- server ----------------------------------------------------------
+    # -- what a store row is ---------------------------------------------
 
-    def _serve(self):
-        while True:
-            msg = yield self.inbox.receive()
-            if isinstance(msg, rm.Publish):
-                self._on_publish(msg)
-            elif isinstance(msg, rm.RenewManifest):
-                self._on_renew(msg)
-            elif isinstance(msg, rm.Unpublish):
-                self._on_unpublish(msg)
-            elif isinstance(msg, rm.StoreLookup):
-                self._on_lookup(msg)
-            elif isinstance(msg, rm.StoreList):
-                self._on_list(msg)
-            elif isinstance(msg, rm.StoreGossip):
-                self._on_gossip(msg)
+    def _new_record(self, msg: rm.Publish, epoch: int,
+                    expires_at: float) -> ManifestRecord:
+        # The row's ``kind`` column holds the owning principal.
+        return ManifestRecord(
+            msg.name, msg.address, str(msg.manifest.get("owner", "")),
+            epoch, 0, True, expires_at, manifest=dict(msg.manifest))
 
-    def _send(self, to: InboxAddress, message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self._bind_outbox(to)
-        result = outbox.send(message)
-        if any(r.is_failed for r in result.receipts):
-            # Broken channel (e.g. the peer restarted): rebind and retry
-            # once; periodic traffic heals the rest.
-            self.outboxes.pop(outbox.ref, None)
-            del self._outboxes[to]
-            self._bind_outbox(to).send(message)
+    def _grant_fields(self, record: ManifestRecord) -> dict:
+        return {"principal": record.kind}
 
-    def _bind_outbox(self, to: InboxAddress) -> Outbox:
-        outbox = self.create_outbox()
-        outbox.add(to)
-        self._outboxes[to] = outbox
-        return outbox
-
-    # -- manifest leases -------------------------------------------------
-
-    def _on_publish(self, msg: rm.Publish) -> None:
-        now = self.kernel.now
-        existing = self.store.get(msg.name)
-        if existing is not None and existing.live_at(now) \
-                and existing.address != msg.address:
-            self.stats.denials += 1
-            self._trace("manifest_denied", manifest=msg.name,
-                        reason="name-taken")
-            self._send(msg.reply_to,
-                       rm.ManifestDenied(msg.req_id, msg.name, "name-taken"))
-            return
-        epoch = max(existing.epoch if existing is not None else 0,
-                    msg.epoch_hint) + 1
-        owner = str(msg.manifest.get("owner", ""))
-        self.store[msg.name] = ManifestRecord(
-            msg.name, msg.address, owner, epoch, 0, True,
-            now + self.config.ttl, manifest=dict(msg.manifest))
-        self.stats.publishes += 1
-        self._trace("manifest_grant", manifest=msg.name, epoch=epoch,
-                    principal=owner)
-        self._send(msg.reply_to, rm.ManifestGrant(
-            msg.req_id, msg.name, epoch, 0, self.config.ttl))
-
-    def _on_renew(self, msg: rm.RenewManifest) -> None:
-        now = self.kernel.now
-        existing = self.store.get(msg.name)
-        if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
-            reason = "unknown" if existing is None else "stale-epoch"
-            self.stats.denials += 1
-            self._trace("manifest_denied", manifest=msg.name, reason=reason)
-            self._send(msg.reply_to,
-                       rm.ManifestDenied(msg.req_id, msg.name, reason))
-            return
-        record = replace(existing, version=existing.version + 1,
-                         expires_at=now + self.config.ttl)
-        self.store[msg.name] = record
-        self.stats.renewals += 1
-        self._trace("manifest_renew", manifest=msg.name, epoch=record.epoch,
-                    version=record.version)
-        self._send(msg.reply_to, rm.ManifestGrant(
-            msg.req_id, msg.name, record.epoch, record.version,
-            self.config.ttl))
-
-    def _on_unpublish(self, msg: rm.Unpublish) -> None:
-        existing = self.store.get(msg.name)
-        if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
-            return
-        self.store[msg.name] = existing.expired(
-            self.kernel.now, tombstone_ttl=self.config.tombstone_ttl)
-        self.stats.unpublishes += 1
-        self._trace("manifest_unpublish", manifest=msg.name, epoch=msg.epoch)
-
-    # -- catalog queries -------------------------------------------------
-
-    def _on_lookup(self, msg: rm.StoreLookup) -> None:
-        now = self.kernel.now
-        record = self.store.get(msg.name)
-        self.stats.lookups += 1
-        if record is not None and record.live_at(now):
-            self.stats.lookup_hits += 1
-            self._send(msg.reply_to, rm.StoreReply(
-                msg.req_id, msg.name, True, dict(record.manifest),
-                record.expires_at - now, record.epoch))
-        else:
-            self._send(msg.reply_to,
-                       rm.StoreReply(msg.req_id, msg.name, False))
+    def _lookup_reply(self, msg: rm.StoreLookup,
+                      record: ManifestRecord | None,
+                      now: float) -> rm.StoreReply:
+        if record is None:
+            return rm.StoreReply(msg.req_id, msg.name, False)
+        return rm.StoreReply(msg.req_id, msg.name, True,
+                             dict(record.manifest),
+                             record.expires_at - now, record.epoch)
 
     def _on_list(self, msg: rm.StoreList) -> None:
-        self.stats.lists += 1
         self._send(msg.reply_to, rm.StoreListReply(
             msg.req_id, msg.prefix, tuple(self.names(msg.prefix))))
 
-    # -- failure detector ------------------------------------------------
-
-    def _sweep_loop(self):
-        while True:
-            yield self.kernel.timeout(self.config.sweep_interval)
-            if self.stopped:
-                return
-            self.sweep()
-
-    def sweep(self) -> int:
-        """Expire overdue manifest leases; drop overdue tombstones."""
-        now = self.kernel.now
-        expired = 0
-        for name, record in list(self.store.items()):
-            if record.alive and record.expires_at <= now:
-                self.store[name] = record.expired(
-                    now, tombstone_ttl=self.config.tombstone_ttl)
-                self.stats.expiries += 1
-                expired += 1
-                self._trace("manifest_expire", manifest=name,
-                            epoch=record.epoch)
-            elif not record.alive and record.expires_at <= now:
-                del self.store[name]
-        return expired
-
-    # -- anti-entropy gossip ---------------------------------------------
-
-    def _gossip_loop(self):
-        while True:
-            yield self.kernel.timeout(self.config.gossip_interval)
-            if self.stopped:
-                return
-            if not self._peer_ring or not self.store:
-                continue
-            peer = self._peer_ring[self._gossip_ix % len(self._peer_ring)]
-            self._gossip_ix += 1
-            now = self.kernel.now
-            entries = tuple(r.to_wire(now)
-                            for _, r in sorted(self.store.items()))
-            self.stats.gossip_rounds += 1
-            self._send(InboxAddress(peer, DAPPSTORE_INBOX),
-                       rm.StoreGossip(self.address, entries, True))
-
-    def _on_gossip(self, msg: rm.StoreGossip) -> None:
-        now = self.kernel.now
-        merged = 0
-        seen: dict[str, tuple[int, int, int]] = {}
-        for data in msg.entries:
-            incoming = ManifestRecord.from_wire(data, now)
-            seen[incoming.name] = incoming.stamp
-            updated = merge(self.store.get(incoming.name), incoming)
-            if updated is not None:
-                self.store[incoming.name] = updated
-                merged += 1
-        self.stats.gossip_merged += merged
-        self._trace("gossip_sync", peer=str(msg.origin),
-                    received=len(msg.entries), merged=merged)
-        if msg.want_reply:
-            fresher = tuple(
-                r.to_wire(now) for name, r in sorted(self.store.items())
-                if name not in seen or r.stamp > seen[name])
-            if fresher:
-                self._send(InboxAddress(msg.origin, DAPPSTORE_INBOX),
-                           rm.StoreGossip(self.address, fresher, False))
-
-    # -- plumbing --------------------------------------------------------
-
-    def _trace(self, event: str, **fields) -> None:
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("reg", event, node=self.address, **fields)
+    handlers = {rm.Publish: LeaseReplica._on_claim,
+                rm.RenewManifest: LeaseReplica._on_renew,
+                rm.Unpublish: LeaseReplica._on_release,
+                rm.StoreLookup: LeaseReplica._on_lookup,
+                rm.StoreList: _on_list,
+                rm.StoreGossip: LeaseReplica._on_gossip}
 
 
 def _under(prefix: str, name: str) -> bool:
@@ -307,170 +94,45 @@ def _under(prefix: str, name: str) -> bool:
     return name == prefix or name.startswith(prefix.rstrip("/") + "/")
 
 
-class PublishAgent:
-    """Keeps one dapplet's manifest lease alive in the DAppStore.
+class PublishAgent(LeaseAgent):
+    """Keeps one dapplet's manifest lease alive in the DAppStore."""
 
-    The publisher-side twin of
-    :class:`~repro.discovery.agent.RegistrationAgent`: register with
-    the home replica (crc32 of the store name), heartbeat renewals,
-    fail over with a rising epoch hint. When the owning dapplet stops —
-    or crashes — the heartbeats stop, the lease runs out, and every
-    replica tombstones the manifest.
-    """
+    table = DAppStoreReplica
+    process_name = "manifest-agent"
+    claimed_word = "publish"
+    Renew = rm.RenewManifest
+    Release = rm.Unpublish
 
     def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
                  *, manifest: Manifest | None = None,
                  config: LeaseConfig | None = None) -> None:
-        if not replicas:
-            raise RegistryError("PublishAgent needs >= 1 store replica")
-        self.dapplet = dapplet
-        self.kernel = dapplet.kernel
-        self.config = config or LeaseConfig()
-        self.replicas = tuple(replicas)
         self.manifest = manifest or Manifest.for_dapplet(dapplet)
-        self.name = self.manifest.name
-        self._ix = zlib.crc32(self.name.encode()) % len(self.replicas)
-        self.epoch = 0
-        self.renewals = 0
-        self.failovers = 0
-        self._req_ids = itertools.count(1)
-        self._done = False
-        self.inbox = dapplet.create_inbox()
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(self._replica_inbox())
+        super().__init__(dapplet, replicas, self.manifest.name,
+                         config=config)
         #: Fires (with the granting replica's address) after the first
         #: successful publication.
-        self.published = self.kernel.event()
-        self.process = dapplet.spawn(self._run(), name="manifest-agent")
-
-    @property
-    def replica(self) -> NodeAddress:
-        """The replica currently holding this agent's manifest lease."""
-        return self.replicas[self._ix % len(self.replicas)]
+        self.published = self.claimed
 
     def unpublish(self) -> None:
         """Tombstone the manifest now instead of waiting out the TTL."""
-        if self._done:
-            return
-        self._done = True
-        if self.epoch and not self.dapplet.stopped:
-            try:
-                self._outbox.send(rm.Unpublish(self.name, self.epoch))
-            except AddressError:
-                pass
+        self._release()
 
-    # -- the agent process -----------------------------------------------
-
-    def _run(self):
-        granted = yield from self._publish()
-        if granted:
-            yield from self._heartbeat()
-
-    def _publish(self):
-        while not self._halted():
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(rm.Publish(
-                    req_id, self.name, self.dapplet.address,
-                    self.manifest.to_dict(), self.inbox.address,
-                    epoch_hint=self.epoch))
-            except AddressError:
-                return False
-            reply = yield from self._await_reply(req_id)
-            if self._halted():
-                return False
-            if isinstance(reply, rm.ManifestGrant):
-                self.epoch = reply.epoch
-                if not self.published.triggered:
-                    self.published.succeed(self.replica)
-                self._trace("publish", epoch=reply.epoch)
-                return True
-            if isinstance(reply, rm.ManifestDenied) \
-                    and reply.reason == "name-taken":
-                # A predecessor's lease (typically our own, pre-restart)
-                # is still live; it expires within one TTL.
-                yield self.kernel.timeout(self.config.renew_interval)
-                continue
-            if reply is None:
-                self._failover()
-        return False
-
-    def _heartbeat(self):
-        while True:
-            yield self.kernel.timeout(self.config.renew_interval)
-            if self._halted():
-                return
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(rm.RenewManifest(
-                    req_id, self.name, self.epoch, self.inbox.address))
-            except AddressError:
-                return
-            reply = yield from self._await_reply(req_id)
-            if self._halted():
-                return
-            if isinstance(reply, rm.ManifestGrant):
-                self.renewals += 1
-                continue
-            if reply is None:
-                self._failover()
-            # Denied or timed out: the fix is a fresh publication.
-            if not (yield from self._publish()):
-                return
-
-    def _await_reply(self, req_id: int):
-        deadline = self.kernel.now + self.config.request_timeout
-        while True:
-            remaining = deadline - self.kernel.now
-            if remaining <= 0:
-                return None
-            try:
-                msg = yield self.inbox.receive(timeout=remaining)
-            except (ReceiveTimeout, AddressError):
-                return None
-            if isinstance(msg, (rm.ManifestGrant, rm.ManifestDenied)) \
-                    and msg.req_id == req_id:
-                return msg
-
-    # -- failover --------------------------------------------------------
-
-    def _failover(self) -> None:
-        old = self._replica_inbox()
-        self._ix += 1
-        self.failovers += 1
-        self._outbox.delete(old)
-        self._outbox.add(self._replica_inbox())
-        self._trace("failover", to=str(self.replica))
-
-    def _halted(self) -> bool:
-        return self._done or self.dapplet.stopped
-
-    def _replica_inbox(self) -> InboxAddress:
-        return InboxAddress(self.replica, DAPPSTORE_INBOX)
-
-    def _trace(self, event: str, **fields) -> None:
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("reg", event, node=self.dapplet.address,
-                    manifest=self.name, **fields)
+    def _claim_message(self, req_id: int) -> rm.Publish:
+        return rm.Publish(req_id, self.name, self.dapplet.address,
+                          self.manifest.to_dict(), self.inbox.address,
+                          epoch_hint=self.epoch)
 
 
-class StoreClient:
-    """Catalog queries (lookup/list) from any dapplet, with failover."""
+class StoreClient(LeaseClient):
+    """Catalog queries (lookup/list) from any dapplet, with failover.
 
-    def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
-                 *, config: LeaseConfig | None = None) -> None:
-        if not replicas:
-            raise RegistryError("StoreClient needs >= 1 store replica")
-        self.dapplet = dapplet
-        self.kernel = dapplet.kernel
-        self.config = config or LeaseConfig()
-        self.replicas = tuple(replicas)
-        self._ix = 0
-        self._req_ids = itertools.count(1)
-        self.inbox = dapplet.create_inbox()
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(self._replica_inbox())
+    Both are generators. ``None`` / ``()`` is a live replica's
+    authoritative "nothing there"; when no replica answers at all they
+    raise :class:`~repro.errors.RegistryError`.
+    """
+
+    table = DAppStoreReplica
+    role = "client"
 
     def lookup(self, name: str):
         """Resolve ``name``; returns the :class:`Manifest` or ``None``.
@@ -479,45 +141,12 @@ class StoreClient:
         """
         reply = yield from self._query(
             lambda req_id: rm.StoreLookup(req_id, name, self.inbox.address),
-            rm.StoreReply)
-        if reply is None or not reply.found:
-            return None
-        return Manifest.from_dict(reply.manifest)
+            rm.StoreReply, f"look up {name!r}")
+        return Manifest.from_dict(reply.manifest) if reply.found else None
 
     def list(self, prefix: str = ""):
         """Live store names under ``prefix`` (sorted tuple)."""
         reply = yield from self._query(
             lambda req_id: rm.StoreList(req_id, prefix, self.inbox.address),
-            rm.StoreListReply)
-        return tuple(reply.names) if reply is not None else ()
-
-    def _query(self, build, reply_type):
-        for _ in range(len(self.replicas)):
-            req_id = next(self._req_ids)
-            try:
-                self._outbox.send(build(req_id))
-            except AddressError:
-                return None
-            deadline = self.kernel.now + self.config.request_timeout
-            while True:
-                remaining = deadline - self.kernel.now
-                if remaining <= 0:
-                    break
-                try:
-                    msg = yield self.inbox.receive(timeout=remaining)
-                except (ReceiveTimeout, AddressError):
-                    break
-                if isinstance(msg, reply_type) and msg.req_id == req_id:
-                    return msg
-            self._failover()
-        return None
-
-    def _failover(self) -> None:
-        old = self._replica_inbox()
-        self._ix += 1
-        self._outbox.delete(old)
-        self._outbox.add(self._replica_inbox())
-
-    def _replica_inbox(self) -> InboxAddress:
-        return InboxAddress(self.replicas[self._ix % len(self.replicas)],
-                            DAPPSTORE_INBOX)
+            rm.StoreListReply, f"list {prefix!r}")
+        return tuple(reply.names)

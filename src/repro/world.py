@@ -109,8 +109,10 @@ class World:
         self.interference_monitor = None
         self.store = store
         self._registry = None
-        self._dappstore_replicas: list[Dapplet] = []
-        self._manifest_config = None
+        #: Hosted catalog -> (replicas, lease config); the key doubles as
+        #: display name and, lower-cased, as the ``host_*`` suffix.
+        self._hosted: dict[str, tuple[list[Dapplet], Any]] = {
+            "directory": ([], None), "DAppStore": ([], None)}
         self._auto_publish = False
         self._backends: dict[str, Any] = {}
         self._next_port: dict[str, int] = {}
@@ -119,8 +121,6 @@ class World:
         #: restart_dapplet can rebuild it after a crash.
         self._dapplet_specs: dict[str, tuple[Type[Dapplet], str,
                                              dict[str, Any]]] = {}
-        self._directory_replicas: list[Dapplet] = []
-        self._lease_config = None
         self._auto_enroll = False
         if tracer is not None:
             self.attach_tracer(tracer)
@@ -204,7 +204,7 @@ class World:
         self.directory.register(name, address, kind=cls.kind)
         if self._auto_enroll:
             self._enroll_new(instance)
-        if self._auto_publish and instance.owner is not None:
+        if self._auto_publish:
             self._publish_new(instance)
         return instance
 
@@ -236,37 +236,23 @@ class World:
 
         Call once, before :meth:`run`. Returns the replicas.
         """
-        from repro.discovery import LeaseConfig
         from repro.registry import DAppStoreReplica
-        if self._dappstore_replicas:
-            raise DappletError("this world already hosts a DAppStore")
-        if isinstance(hosts, int):
-            hosts = [f"store{i}.example.org" for i in range(hosts)]
-        if not hosts:
-            raise DappletError("host_dappstore needs >= 1 host")
-        self._manifest_config = config or LeaseConfig()
         existing = self.dapplets()
-        for i, host in enumerate(hosts):
-            replica = self.dapplet(DAppStoreReplica, host, f"_store{i}",
-                                   config=self._manifest_config)
-            self._dappstore_replicas.append(replica)
-        addresses = self.dappstore_addresses()
-        for replica in self._dappstore_replicas:
-            replica.set_peers(a for a in addresses if a != replica.address)
+        replicas = self._host_replicas("DAppStore", DAppStoreReplica,
+                                       hosts, "store", config)
         self._auto_publish = auto_publish
         for dapplet in existing:
-            if dapplet.owner is not None:
-                self._publish_new(dapplet)
-        return list(self._dappstore_replicas)
+            self._publish_new(dapplet)
+        return replicas
 
     @property
     def dappstore_replicas(self) -> list[Dapplet]:
         """The store replicas hosted by :meth:`host_dappstore`."""
-        return list(self._dappstore_replicas)
+        return list(self._hosted["DAppStore"][0])
 
     def dappstore_addresses(self) -> list["NodeAddress"]:
         """Node addresses of the hosted DAppStore replicas."""
-        return [r.address for r in self._dappstore_replicas]
+        return [r.address for r in self.dappstore_replicas]
 
     def publish(self, dapplet: Dapplet) -> Any:
         """Publish ``dapplet``'s manifest into the hosted DAppStore.
@@ -275,28 +261,58 @@ class World:
         ``dapplet.manifest_agent`` (idempotent) and returns it.
         """
         from repro.registry import PublishAgent
-        if not self._dappstore_replicas:
-            raise DappletError("no DAppStore hosted; call host_dappstore()")
-        agent = getattr(dapplet, "manifest_agent", None)
-        if agent is None:
-            agent = PublishAgent(dapplet, self.dappstore_addresses(),
-                                 config=self._manifest_config)
-            dapplet.manifest_agent = agent
-        return agent
+        return self._bind("DAppStore", PublishAgent, dapplet,
+                          "manifest_agent")
 
     def store_client_for(self, dapplet: Dapplet) -> Any:
         """A :class:`~repro.registry.StoreClient` bound to ``dapplet``."""
         from repro.registry import StoreClient
-        if not self._dappstore_replicas:
-            raise DappletError("no DAppStore hosted; call host_dappstore()")
-        return StoreClient(dapplet, self.dappstore_addresses(),
-                           config=self._manifest_config)
+        return self._bind("DAppStore", StoreClient, dapplet)
 
     def _publish_new(self, dapplet: Dapplet) -> None:
         from repro.registry import DAppStoreReplica
-        if isinstance(dapplet, DAppStoreReplica):
-            return
-        self.publish(dapplet)
+        if dapplet.owner is not None \
+                and not isinstance(dapplet, DAppStoreReplica):
+            self.publish(dapplet)
+
+    # -- hosted catalogs (one lease-replicated table, two record types) -----
+
+    def _host_replicas(self, catalog: str, cls: Type[Dapplet],
+                       hosts: "int | list[str]", stem: str,
+                       config: Any | None) -> list[Dapplet]:
+        """Deploy one ``cls`` replica per host, named ``_<stem>N``, and
+        ring them together."""
+        from repro.discovery import LeaseConfig
+        if self._hosted[catalog][0]:
+            raise DappletError(f"this world already hosts a {catalog}")
+        if isinstance(hosts, int):
+            hosts = [f"{stem}{i}.example.org" for i in range(hosts)]
+        if not hosts:
+            raise DappletError(f"host_{catalog.lower()} needs >= 1 host")
+        config = config or LeaseConfig()
+        replicas = [self.dapplet(cls, host, f"_{stem}{i}", config=config)
+                    for i, host in enumerate(hosts)]
+        addresses = [r.address for r in replicas]
+        for replica in replicas:
+            replica.set_peers(a for a in addresses if a != replica.address)
+        self._hosted[catalog] = (replicas, config)
+        return list(replicas)
+
+    def _bind(self, catalog: str, cls: type, dapplet: Dapplet,
+              attr: str | None = None) -> Any:
+        """A ``cls`` agent or client of a hosted catalog for ``dapplet``;
+        with ``attr``, created once and kept as ``dapplet.<attr>``."""
+        replicas, config = self._hosted[catalog]
+        if not replicas:
+            raise DappletError(f"no {catalog} hosted; "
+                               f"call host_{catalog.lower()}()")
+        bound = getattr(dapplet, attr, None) if attr else None
+        if bound is None:
+            bound = cls(dapplet, [r.address for r in replicas],
+                        config=config)
+            if attr:
+                setattr(dapplet, attr, bound)
+        return bound
 
     # -- durable state (repro.store) ----------------------------------------
 
@@ -415,35 +431,23 @@ class World:
 
         Call once, before :meth:`run`. Returns the replicas.
         """
-        from repro.discovery import DirectoryReplica, LeaseConfig
-        if self._directory_replicas:
-            raise DappletError("this world already hosts a directory")
-        if isinstance(hosts, int):
-            hosts = [f"dir{i}.example.org" for i in range(hosts)]
-        if not hosts:
-            raise DappletError("host_directory needs >= 1 host")
-        self._lease_config = config or LeaseConfig()
+        from repro.discovery import DirectoryReplica
         existing = self.dapplets()
-        for i, host in enumerate(hosts):
-            replica = self.dapplet(DirectoryReplica, host, f"_dir{i}",
-                                   config=self._lease_config)
-            self._directory_replicas.append(replica)
-        addresses = self.replica_addresses()
-        for replica in self._directory_replicas:
-            replica.set_peers(a for a in addresses if a != replica.address)
+        replicas = self._host_replicas("directory", DirectoryReplica,
+                                       hosts, "dir", config)
         self._auto_enroll = auto_enroll
         for dapplet in existing:
             self._enroll_new(dapplet)
-        return list(self._directory_replicas)
+        return replicas
 
     @property
     def directory_replicas(self) -> list[Dapplet]:
         """The directory replicas hosted by :meth:`host_directory`."""
-        return list(self._directory_replicas)
+        return list(self._hosted["directory"][0])
 
     def replica_addresses(self) -> list["NodeAddress"]:
         """Node addresses of the hosted directory replicas."""
-        return [r.address for r in self._directory_replicas]
+        return [r.address for r in self.directory_replicas]
 
     def enroll(self, dapplet: Dapplet) -> Any:
         """Give ``dapplet`` a lease in the replicated directory.
@@ -452,22 +456,13 @@ class World:
         ``dapplet.lease_agent`` (idempotent) and returns it.
         """
         from repro.discovery import RegistrationAgent
-        if not self._directory_replicas:
-            raise DappletError("no directory hosted; call host_directory()")
-        agent = getattr(dapplet, "lease_agent", None)
-        if agent is None:
-            agent = RegistrationAgent(dapplet, self.replica_addresses(),
-                                      config=self._lease_config)
-            dapplet.lease_agent = agent
-        return agent
+        return self._bind("directory", RegistrationAgent, dapplet,
+                          "lease_agent")
 
     def resolver_for(self, dapplet: Dapplet) -> Any:
         """A :class:`~repro.discovery.Resolver` bound to ``dapplet``."""
         from repro.discovery import Resolver
-        if not self._directory_replicas:
-            raise DappletError("no directory hosted; call host_directory()")
-        return Resolver(dapplet, self.replica_addresses(),
-                        config=self._lease_config)
+        return self._bind("directory", Resolver, dapplet)
 
     def _enroll_new(self, dapplet: Dapplet) -> None:
         from repro.discovery import DirectoryReplica

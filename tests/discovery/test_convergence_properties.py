@@ -11,6 +11,14 @@ partition window, once the system is quiescent:
   :meth:`~repro.discovery.LeaseConfig.staleness_bound` after the kill
   (the lease TTL, plus gossip lag, plus one sweep, plus the cache).
 
+* on every replica, a name's ``stamp`` never decreases, whatever mix of
+  claims, renewals, sweeps and gossip merges wrote it.
+
+The same schedules run against both catalogs of the lease-replicated
+table — the address directory and the DAppStore — through the
+:class:`~tests.discovery.catalogs.Catalog` adapter (what to host, what
+a worker's row is called, how a probe asks for it).
+
 Partition windows are kept shorter than the transport's retry budget so
 reliable channels stall and recover rather than break — a broken channel
 never heals, which is the transport's contract, not a discovery bug
@@ -19,9 +27,10 @@ never heals, which is the transport's contract, not a discovery bug
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import AsyncioSubstrate, LeaseConfig, LeaseExpired, World
+from repro import AsyncioSubstrate, LeaseConfig, World
 from repro.net import ConstantLatency, FaultPlan
 
+from tests.discovery.catalogs import DAPPSTORE, DIRECTORY
 from tests.discovery.conftest import Worker, drain, fast_config
 
 N_REPLICAS = 3
@@ -39,18 +48,50 @@ partitions = st.one_of(
               st.floats(min_value=0.3, max_value=1.5)))
 
 
-def quiesce_and_check(world, replicas, cfg, workers, killed, probe_log):
+class StampLedger(dict):
+    """A replica store that records every write lowering a name's stamp
+    (violations are collected, not raised: raising inside a replica
+    process would turn a property failure into a crash report)."""
+
+    def __init__(self, replica, violations):
+        super().__init__(replica.store)
+        self._who = replica.name
+        self._high = {}
+        self._violations = violations
+
+    def __setitem__(self, name, record):
+        high = self._high.get(name)
+        if high is not None and record.stamp < high:
+            self._violations.append((self._who, name, high, record.stamp))
+        else:
+            self._high[name] = record.stamp
+        super().__setitem__(name, record)
+
+
+def host(world, catalog, cfg):
+    """Deploy the catalog; returns (replicas, stamp violations so far)."""
+    replicas = getattr(world, catalog.host)(N_REPLICAS, config=cfg)
+    violations = []
+    for replica in replicas:
+        replica.store = StampLedger(replica, violations)
+    return replicas, violations
+
+
+def quiesce_and_check(catalog, replicas, cfg, workers, killed, probe_log,
+                      violations):
     """Post-churn assertions shared by both substrates."""
+    assert not violations, f"stamps went backwards: {violations}"
     live = [r for r in replicas if not r.stopped]
     assert live
-    contents = [r.live_entries() for r in live]
+    contents = [catalog.contents(r) for r in live]
     for other in contents[1:]:
         assert other == contents[0]
     for name, worker in workers.items():
         if name in killed:
-            assert name not in contents[0]
+            assert catalog.row(worker) not in contents[0]
         else:
-            assert contents[0][name] == (worker.address, "worker")
+            assert contents[0][catalog.row(worker)] == (worker.address,
+                                                        catalog.kind)
     # Staleness: no successful resolve of a killed name later than the
     # bound after its kill instant.
     bound = cfg.staleness_bound(N_REPLICAS)
@@ -60,13 +101,16 @@ def quiesce_and_check(world, replicas, cfg, workers, killed, probe_log):
             f"kill; bound is {bound:.2f}s")
 
 
-def churn_run(world, replicas, cfg, kill_mask, partition, *, step=0.2):
+def churn_run(world, catalog, replicas, cfg, kill_mask, partition, *,
+              step=0.2):
     """Drive the schedule; returns (workers, killed, probe_log, done)."""
-    workers = {f"w{i}": world.dapplet(Worker, f"h{i}.edu", f"w{i}")
+    owner = world.registry.principal("alice", org="acme")
+    workers = {f"w{i}": world.dapplet(Worker, f"h{i}.edu", f"w{i}",
+                                      owner=owner)
                for i in range(len(kill_mask))}
     killed = {f"w{i}" for i, dead in enumerate(kill_mask) if dead}
     prober = world.dapplet(Worker, "probe.edu", "probe")
-    resolver = world.resolver_for(prober)
+    client = getattr(world, catalog.client_for)(prober)
     probe_log = []
     kill_times = {}
     done = world.kernel.event()
@@ -88,14 +132,11 @@ def churn_run(world, replicas, cfg, kill_mask, partition, *, step=0.2):
         until = world.kernel.now + cfg.staleness_bound(N_REPLICAS) + 1.0
         while world.kernel.now < until:
             yield world.kernel.timeout(step)
-            resolver.invalidate()
             for name in sorted(killed):
-                try:
-                    yield from resolver.resolve(name)
+                row = catalog.row(workers[name])
+                if (yield from catalog.find(client, row)) is not None:
                     probe_log.append((name, kill_times[name],
                                       world.kernel.now))
-                except LeaseExpired:
-                    pass
         # A few extra gossip rounds so anti-entropy fully reconciles
         # whatever the partition delayed.
         yield world.kernel.timeout(4 * cfg.gossip_interval)
@@ -105,27 +146,34 @@ def churn_run(world, replicas, cfg, kill_mask, partition, *, step=0.2):
     return workers, killed, probe_log, done
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=2**31),
-       kill_mask=kill_masks, partition=partitions)
-def test_replicas_converge_after_churn_on_sim(seed, kill_mask, partition):
+def sim_schedules(test):
+    return settings(max_examples=15, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])(
+        given(seed=st.integers(min_value=0, max_value=2**31),
+              kill_mask=kill_masks, partition=partitions)(test))
+
+
+def asyncio_schedules(test):
+    return settings(max_examples=3, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])(
+        given(seed=st.integers(min_value=0, max_value=2**31),
+              kill_mask=kill_masks)(test))
+
+
+def converge_on_sim(catalog, seed, kill_mask, partition):
     cfg = fast_config()
     world = World(seed=seed, latency=ConstantLatency(0.01),
                   faults=FaultPlan())
-    replicas = world.host_directory(N_REPLICAS, config=cfg)
+    replicas, violations = host(world, catalog, cfg)
     workers, killed, probe_log, done = churn_run(
-        world, replicas, cfg, kill_mask, partition)
+        world, catalog, replicas, cfg, kill_mask, partition)
     world.run(until=done)
-    quiesce_and_check(world, replicas, cfg, workers, killed, probe_log)
+    quiesce_and_check(catalog, replicas, cfg, workers, killed, probe_log,
+                      violations)
     drain(world)
 
 
-@settings(max_examples=3, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(seed=st.integers(min_value=0, max_value=2**31),
-       kill_mask=kill_masks)
-def test_replicas_converge_after_churn_on_asyncio(seed, kill_mask):
+def converge_on_asyncio(catalog, seed, kill_mask):
     # Real sockets and wall-clock time: a tiny config so a full lease
     # lifecycle fits in a couple of seconds, few examples, no partition
     # (loopback UDP supplies its own timing noise).
@@ -134,10 +182,31 @@ def test_replicas_converge_after_churn_on_asyncio(seed, kill_mask):
                       request_timeout=0.4, tombstone_ttl=10.0)
     world = World(substrate=AsyncioSubstrate(seed=seed))
     try:
-        replicas = world.host_directory(N_REPLICAS, config=cfg)
+        replicas, violations = host(world, catalog, cfg)
         workers, killed, probe_log, done = churn_run(
-            world, replicas, cfg, kill_mask, None, step=0.1)
+            world, catalog, replicas, cfg, kill_mask, None, step=0.1)
         world.run(until=done, wall_timeout=60)
-        quiesce_and_check(world, replicas, cfg, workers, killed, probe_log)
+        quiesce_and_check(catalog, replicas, cfg, workers, killed,
+                          probe_log, violations)
     finally:
         world.close()
+
+
+@sim_schedules
+def test_replicas_converge_after_churn_on_sim(seed, kill_mask, partition):
+    converge_on_sim(DIRECTORY, seed, kill_mask, partition)
+
+
+@sim_schedules
+def test_dappstore_converges_after_churn_on_sim(seed, kill_mask, partition):
+    converge_on_sim(DAPPSTORE, seed, kill_mask, partition)
+
+
+@asyncio_schedules
+def test_replicas_converge_after_churn_on_asyncio(seed, kill_mask):
+    converge_on_asyncio(DIRECTORY, seed, kill_mask)
+
+
+@asyncio_schedules
+def test_dappstore_converges_after_churn_on_asyncio(seed, kill_mask):
+    converge_on_asyncio(DAPPSTORE, seed, kill_mask)

@@ -1,0 +1,245 @@
+"""One contract, two catalogs.
+
+The address directory and the DAppStore are record types on the same
+lease-replicated table (:mod:`repro.discovery.table`), so every lease
+rule must hold for both: grant, renew, the three denials, expiry of a
+silent owner, tombstone collection, agent failover, the drop-and-count
+rule for malformed gossip, and the "absent vs unreachable" rule of the
+client. Each test runs once per catalog.
+"""
+
+import pytest
+
+from repro import Tracer, World
+from repro.net import ConstantLatency
+from repro.net.address import InboxAddress
+
+from tests.discovery.catalogs import DAPPSTORE, DIRECTORY
+from tests.discovery.conftest import Worker, drain, fast_config
+
+N_REPLICAS = 3
+
+
+@pytest.fixture(params=[DIRECTORY, DAPPSTORE], ids=["directory", "dappstore"])
+def catalog(request):
+    return request.param
+
+
+class Deployment:
+    """A world hosting one catalog, with owned dapplets claiming rows."""
+
+    def __init__(self, catalog, *, seed=7, tracer=None, **overrides):
+        self.catalog = catalog
+        self.cfg = fast_config(**overrides)
+        self.world = World(seed=seed, latency=ConstantLatency(0.01),
+                           tracer=tracer)
+        self.owner = self.world.registry.principal("alice", org="acme")
+        self.replicas = getattr(self.world, catalog.host)(
+            N_REPLICAS, config=self.cfg)
+        self.addresses = [r.address for r in self.replicas]
+
+    def member(self, host, name):
+        """An owned dapplet: returns (dapplet, its agent, its row name)."""
+        dapplet = self.world.dapplet(Worker, host, name, owner=self.owner)
+        return (dapplet, getattr(dapplet, self.catalog.agent_attr),
+                self.catalog.row(dapplet))
+
+    def client(self, dapplet):
+        return getattr(self.world, self.catalog.client_for)(dapplet)
+
+    def claimed(self, agent):
+        return getattr(agent, self.catalog.claimed)
+
+    def home_of(self, agent):
+        return next(r for r in self.replicas if r.address == agent.replica)
+
+    def live(self):
+        return [r for r in self.replicas if not r.stopped]
+
+    def run(self, body):
+        self.world.run(until=self.world.process(body()))
+        drain(self.world)
+
+
+def test_grant_then_renewals_bump_the_version(catalog):
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+
+    def director():
+        yield dep.claimed(agent)
+        home = dep.home_of(agent)
+        granted = home.store[row]
+        assert (granted.epoch, granted.version, granted.alive) == (1, 0, True)
+        yield dep.world.kernel.timeout(3 * dep.cfg.ttl)
+        renewed = home.store[row]
+        assert renewed.epoch == 1 and renewed.alive
+        assert renewed.version == agent.renewals > 0
+        assert renewed.stamp > granted.stamp
+        assert sum(r.stats.grants for r in dep.replicas) == 1
+        assert home.stats.renewals == agent.renewals
+
+    dep.run(director)
+
+
+def test_name_taken_while_a_live_lease_sits_at_another_address(catalog):
+    dep = Deployment(catalog)
+    holder, agent, row = dep.member("host.edu", "alice")
+    usurper, _, _ = dep.member("other.edu", "mallory")
+    rival = catalog.rival(usurper, dep.addresses, dep.cfg, row)
+
+    def director():
+        yield dep.claimed(agent)
+        yield dep.world.kernel.timeout(2 * dep.cfg.ttl)
+        assert not dep.claimed(rival).triggered
+        assert sum(r.stats.denials for r in dep.replicas) >= 1
+        assert dep.home_of(agent).store[row].address == holder.address
+        # The holder goes silent: its lease runs out and the rival wins
+        # with a higher epoch that supersedes the old row everywhere.
+        holder.stop()
+        yield dep.claimed(rival)
+        yield dep.world.kernel.timeout(4 * dep.cfg.gossip_interval)
+        for r in dep.replicas:
+            assert r.store[row].alive
+            assert r.store[row].address == usurper.address
+            assert r.store[row].epoch == rival.epoch > agent.epoch
+
+    dep.run(director)
+
+
+def test_renew_denials_stale_epoch_and_unknown(catalog):
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    replies = probe.create_inbox()
+    out = probe.create_outbox()
+
+    def director():
+        yield dep.claimed(agent)
+        home = dep.home_of(agent)
+        out.add(InboxAddress(home.address, catalog.inbox))
+        denials = home.stats.denials
+        out.send(catalog.renew(1, row, agent.epoch + 5, replies.address))
+        out.send(catalog.renew(2, "no/such/row", 1, replies.address))
+        first = yield replies.receive(timeout=1.0)
+        second = yield replies.receive(timeout=1.0)
+        assert isinstance(first, catalog.denied)
+        assert (first.req_id, first.reason) == (1, "stale-epoch")
+        assert isinstance(second, catalog.denied)
+        assert (second.req_id, second.reason) == (2, "unknown")
+        assert home.stats.denials == denials + 2
+        assert home.store[row].epoch == agent.epoch   # untouched
+
+    dep.run(director)
+
+
+def test_silent_owner_is_tombstoned_then_forgotten(catalog):
+    dep = Deployment(catalog, tombstone_ttl=1.0)
+    owner, agent, row = dep.member("host.edu", "alice")
+    kernel = dep.world.kernel
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(2 * dep.cfg.gossip_interval)
+        owner.stop()          # silent: no release, heartbeats just cease
+        yield kernel.timeout(dep.cfg.staleness_bound(N_REPLICAS))
+        for r in dep.replicas:
+            assert not r.store[row].alive   # tombstoned, not forgotten
+        assert sum(r.stats.expiries for r in dep.replicas) >= 1
+        yield kernel.timeout(dep.cfg.tombstone_ttl
+                             + 3 * dep.cfg.gossip_interval)
+        for r in dep.replicas:
+            assert row not in r.store
+
+    dep.run(director)
+
+
+def test_agent_failover_raises_the_epoch_and_supersedes_everywhere(catalog):
+    dep = Deployment(catalog)
+    owner, agent, row = dep.member("host.edu", "alice")
+
+    def director():
+        yield dep.claimed(agent)
+        assert agent.epoch == 1
+        yield dep.world.kernel.timeout(2 * dep.cfg.gossip_interval)
+        dep.home_of(agent).stop()
+        yield dep.world.kernel.timeout(
+            dep.cfg.ttl + 4 * dep.cfg.request_timeout)
+        assert agent.failovers >= 1
+        assert agent.epoch >= 2
+        for r in dep.live():
+            assert r.store[row].alive
+            assert r.store[row].epoch == agent.epoch
+            assert r.store[row].address == owner.address
+
+    dep.run(director)
+
+
+def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
+    """Regression: one bad entry used to raise inside ``_serve`` and take
+    the replica (on the simulator, the whole world) down with it."""
+    tracer = Tracer(categories=(catalog.category,))
+    dep = Deployment(catalog, tracer=tracer)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    out = probe.create_outbox()
+
+    def director():
+        yield dep.claimed(agent)
+        home = dep.home_of(agent)
+        target = next(r for r in dep.replicas if r is not home)
+        good = home.store[row].to_wire(dep.world.kernel.now)
+        bad = ({"n": "x"},                              # missing fields
+               "junk",                                  # not a mapping
+               dict(good, n=7),                         # name not a string
+               dict(good, a="nowhere"),                 # unparsable address
+               dict(good, e="one"),                     # non-numeric epoch
+               dict(good, tl=float("nan")))             # non-finite TTL
+        fresh = dict(good, n="fresh/row")
+        out.add(InboxAddress(target.address, catalog.inbox))
+        out.send(catalog.gossip(probe.address, bad[:3] + (fresh,) + bad[3:],
+                                False))
+        yield dep.world.kernel.timeout(0.1)
+        assert target.stats.gossip_rejected == len(bad)
+        # The valid entry of the same message was merged ...
+        assert target.store["fresh/row"].address == home.store[row].address
+        assert "x" not in target.store and 7 not in target.store
+        # ... and the replica is still serving.
+        lookups = target.stats.lookups
+        client = type(dep.client(probe))(probe, [target.address],
+                                         config=dep.cfg)
+        assert (yield from catalog.find(client, "fresh/row")) is not None
+        assert target.stats.lookups == lookups + 1
+
+    dep.run(director)
+    rejects = tracer.select(catalog.category, "gossip_reject")
+    assert [(ev.fields["peer"], ev.fields["dropped"]) for ev in rejects] \
+        == [(str(probe.address), 6)]
+
+
+def test_client_tells_absent_from_unreachable(catalog):
+    """A live replica's "not found" is an answer; a silent ring is an
+    error — for lookups and (where the catalog has it) listing."""
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    client = dep.client(probe)
+
+    def director():
+        yield dep.claimed(agent)
+        yield dep.world.kernel.timeout(3 * dep.cfg.gossip_interval)
+        assert (yield from catalog.find(client, "no/such/row")) is None
+        # One replica left: failover still finds the row.
+        for r in dep.replicas[:-1]:
+            r.stop()
+        assert (yield from catalog.find(client, row)) is not None
+        # None left: the typed error, naming the ring and the timeout.
+        dep.replicas[-1].stop()
+        with pytest.raises(catalog.unreachable) as info:
+            yield from catalog.find(client, row)
+        assert f"tried {N_REPLICAS}" in str(info.value)
+        assert f"{dep.cfg.request_timeout}s" in str(info.value)
+        if hasattr(client, "list"):
+            with pytest.raises(catalog.unreachable):
+                yield from client.list("acme")
+
+    dep.run(director)

@@ -15,6 +15,10 @@ A second scan keeps ``repro.net.transport`` a pure facade: it exists
 only for external callers' backward compatibility, so nothing under
 ``src/`` may import it — in-repo code goes straight to
 ``repro.net.endpoint`` (or ``repro.net``).
+
+A third keeps the two catalogs' dependency one-way: ``repro.registry``
+builds its DAppStore on ``repro.discovery.table``, so ``repro.discovery``
+may import nothing from ``repro.registry``.
 """
 
 import ast
@@ -73,3 +77,18 @@ def test_nothing_in_src_imports_the_transport_facade(path):
     assert "repro.net.transport" not in _imported_modules(path), (
         f"{path.relative_to(SRC)} imports the repro.net.transport facade; "
         "in-repo code must import repro.net.endpoint (or repro.net) directly")
+
+
+def _discovery_files():
+    for path in sorted((SRC / "discovery").rglob("*.py")):
+        yield pytest.param(path, id=str(path.relative_to(SRC)))
+
+
+@pytest.mark.parametrize("path", _discovery_files())
+def test_discovery_imports_nothing_from_registry(path):
+    offending = sorted(m for m in _imported_modules(path)
+                       if m == "repro.registry"
+                       or m.startswith("repro.registry."))
+    assert not offending, (
+        f"{path.relative_to(SRC)} imports {offending}; the DAppStore "
+        "builds on repro.discovery.table, never the other way round")
