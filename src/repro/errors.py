@@ -190,8 +190,11 @@ class TokenError(ReproError):
 class DeadlockDetected(TokenError):
     """The token managers detected a deadlock among blocked requests.
 
-    ``cycle`` lists the dapplet identifiers on the detected wait-for
-    cycle, in order.
+    ``cycle`` names each dapplet on the detected wait-for cycle exactly
+    once, in wait-for order: the victim (the requester this exception is
+    raised in, the youngest waiter on the cycle) first, the dapplet that
+    waits for the victim last. Empty for a request naming an unknown
+    colour.
     """
 
     def __init__(self, message: str, *, cycle: tuple[str, ...] = ()) -> None:

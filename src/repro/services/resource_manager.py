@@ -13,7 +13,8 @@ pointer at the well-known inbox ``_rm``, offering
 
 * a host-local service registry (register / lookup / list),
 * on-demand hosting of shared servlets — token pools
-  (:class:`~repro.services.tokens.TokenCoordinator`) and
+  (:class:`~repro.services.tokens.TokenCoordinator`, a one-manager
+  token ring per pool, several to a machine) and
   synchronization hosts (:class:`~repro.services.sync.SyncHost`) —
   created once and shared by every requester.
 
@@ -31,7 +32,8 @@ from repro.net.address import InboxAddress
 from repro.rpc.proxy import RemoteProxy
 from repro.rpc.remote import export
 from repro.services.sync.distributed import SyncHost
-from repro.services.tokens.manager import POLICIES, TokenCoordinator
+from repro.services.tokens.manager import POLICIES
+from repro.services.tokens.shard import TokenCoordinator
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -1,24 +1,25 @@
-"""The token-manager network.
+"""The agent side of the token-manager network.
 
 "A network of token-manager objects manages tokens shared by all the
 dapplets in a session. A token is either held by a dapplet or by the
 network of token managers."
 
-The network has a star shape: one :class:`TokenCoordinator` servlet
-holds the pool and the global wait-for view, and a :class:`TokenAgent`
-runs on each participating dapplet, tracking ``holdsTokens`` locally.
-Agents and coordinator talk over ordinary channels, so the service works
-across the simulated WAN like any dapplet.
+A :class:`TokenAgent` runs on each participating dapplet, tracking the
+paper's ``holdsTokens`` locally, and talks to one manager of the
+network — a :class:`~repro.services.tokens.shard.TokenShard` on a ring
+of any size, one (:class:`~repro.services.tokens.TokenCoordinator`) or
+many — over ordinary channels, so the service works across the
+simulated WAN like any dapplet. This module also holds what both sides
+agree on: the :data:`ALL` sentinel, the grant :data:`POLICIES` and
+token-list validation.
 
 Deadlock handling follows the paper exactly: sharing "avoids deadlock if
 dapplets release all resources before next requesting resources"
 (two-phase use — nothing to detect), "and detect[s] deadlock if it does
-occur (if a dapplet holds on to some resources and then requests more)".
-Detection builds the wait-for graph (waiter -> holders of colours it
-still needs) on every blocked request; any cycle through the new request
-fails that request with :class:`DeadlockDetected`.
+occur (if a dapplet holds on to some resources and then requests more)";
+the detected request fails with :class:`~repro.errors.DeadlockDetected`.
 
-Grant policies:
+Grant policies (applied by each manager to its own wait queue):
 
 * ``"fifo"`` (default) — scan blocked requests in arrival order and
   grant every one that is now satisfiable. Simple, but a stream of
@@ -37,19 +38,13 @@ import itertools
 from typing import TYPE_CHECKING
 
 from repro.errors import CapabilityDenied, DeadlockDetected, TokenError
-from repro.mailbox.outbox import Outbox
 from repro.net.address import InboxAddress
 from repro.services.tokens import messages as tm
+from repro.services.tokens.ledger import ALL
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
-
-#: Sentinel count meaning "all tokens of this colour".
-ALL = "all"
-
-#: Well-known inbox name of the coordinator servlet.
-COORDINATOR_INBOX = "_tokens"
 
 POLICIES = ("fifo", "timestamp")
 
@@ -65,323 +60,6 @@ def _validate_tokens(tokens: dict) -> dict:
                 f"count for colour {color!r} must be a positive int or "
                 f"'all', got {n!r}")
     return dict(tokens)
-
-
-class _Blocked:
-    """Coordinator-side record of one blocked request."""
-
-    __slots__ = ("req_id", "agent", "tokens", "reply_to", "timestamp", "seq")
-
-    def __init__(self, msg: tm.Request, seq: int) -> None:
-        self.req_id = msg.req_id
-        self.agent = msg.agent
-        self.tokens = dict(msg.tokens)
-        self.reply_to = msg.reply_to
-        self.timestamp = msg.timestamp
-        self.seq = seq
-
-
-class TokenCoordinator:
-    """The pool-holding servlet of the token-manager network.
-
-    Host it on any dapplet::
-
-        coordinator = TokenCoordinator(host, {"file-a": 1, "file-b": 3})
-
-    ``initial`` fixes the total number of tokens of each colour for the
-    lifetime of the system — the paper's conservation invariant,
-    checkable at any instant with :meth:`check_conservation`.
-    """
-
-    def __init__(self, dapplet: "Dapplet", initial: dict[str, int],
-                 *, policy: str = "fifo", name: str = COORDINATOR_INBOX) -> None:
-        if policy not in POLICIES:
-            raise TokenError(f"policy must be one of {POLICIES}")
-        for color, n in initial.items():
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise TokenError(
-                    f"initial count for colour {color!r} must be an int >= 0")
-        self.dapplet = dapplet
-        self.policy = policy
-        self.totals = dict(initial)
-        self.pool = dict(initial)
-        #: agent name -> {color: held}
-        self.holders: dict[str, dict[str, int]] = {}
-        self._blocked: list[_Blocked] = []
-        self._seq = itertools.count()
-        self._agent_inboxes: dict[str, InboxAddress] = {}
-        self._outboxes: dict[InboxAddress, Outbox] = {}
-        self.inbox = dapplet.create_inbox(name=name)
-        self.grants = 0
-        self.deadlocks = 0
-        self.denials = 0
-        #: agent -> owning principal, learned from stamped requests; used
-        #: for per-principal quota accounting (see :meth:`_denied_reason`).
-        self._agent_principal: dict[str, str] = {}
-        self.server = dapplet.spawn(self._serve(), name="token-coordinator")
-
-    @property
-    def pointer(self) -> InboxAddress:
-        """Where agents connect."""
-        return self.inbox.named_address
-
-    # -- invariants ----------------------------------------------------------
-
-    def check_conservation(self) -> None:
-        """Assert the paper's invariant: totals never change."""
-        for color, total in self.totals.items():
-            held = sum(h.get(color, 0) for h in self.holders.values())
-            pending_none = self.pool.get(color, 0)
-            if held + pending_none != total:
-                raise TokenError(
-                    f"conservation violated for colour {color!r}: "
-                    f"pool={pending_none} held={held} total={total}")
-
-    # -- server ----------------------------------------------------------------
-
-    def _serve(self):
-        while True:
-            msg = yield self.inbox.receive()
-            if isinstance(msg, tm.Request):
-                self._on_request(msg)
-            elif isinstance(msg, tm.Release):
-                self._on_release(msg)
-            elif isinstance(msg, tm.Transfer):
-                self._on_transfer(msg)
-            elif isinstance(msg, tm.TotalsQuery):
-                if msg.agent:
-                    self._agent_inboxes[msg.agent] = msg.reply_to
-                self._send(msg.reply_to,
-                           tm.Totals(msg.req_id, dict(self.totals)))
-
-    def _send(self, to: InboxAddress, message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self.dapplet.create_outbox()
-            outbox.add(to)
-            self._outboxes[to] = outbox
-        outbox.send(message)
-
-    # -- request handling -----------------------------------------------------
-
-    def _need(self, blocked: _Blocked) -> dict[str, int]:
-        """Concrete counts for a request (resolving ``"all"``)."""
-        need = {}
-        for color, n in blocked.tokens.items():
-            total = self.totals.get(color, 0)
-            need[color] = total if n == ALL else n
-        return need
-
-    def _satisfiable(self, blocked: _Blocked) -> bool:
-        need = self._need(blocked)
-        return all(self.pool.get(c, 0) >= n for c, n in need.items())
-
-    def _grant(self, blocked: _Blocked) -> None:
-        need = self._need(blocked)
-        held = self.holders.setdefault(blocked.agent, {})
-        for color, n in need.items():
-            self.pool[color] = self.pool.get(color, 0) - n
-            held[color] = held.get(color, 0) + n
-        self.grants += 1
-        tr = self.dapplet.kernel.tracer
-        if tr is not None:
-            tr.emit("tokens", "grant", node=self.dapplet.address,
-                    agent=blocked.agent, tokens=dict(sorted(need.items())))
-        self._agent_inboxes[blocked.agent] = blocked.reply_to
-        self._send(blocked.reply_to, tm.Grant(blocked.req_id, need))
-
-    def _on_request(self, msg: tm.Request) -> None:
-        for color in msg.tokens:
-            if color not in self.totals:
-                self._send(msg.reply_to, tm.DeadlockNotice(msg.req_id, ()))
-                return
-        reason = self._denied_reason(msg)
-        if reason is not None:
-            self.denials += 1
-            tr = self.dapplet.kernel.tracer
-            if tr is not None:
-                tr.emit("tokens", "denied", node=self.dapplet.address,
-                        agent=msg.agent, principal=msg.principal,
-                        reason=reason)
-            self._send(msg.reply_to, tm.Denied(msg.req_id, reason))
-            return
-        blocked = _Blocked(msg, next(self._seq))
-        self._agent_inboxes[msg.agent] = msg.reply_to
-        self._blocked.append(blocked)
-        self._drain()
-        self._detect_all()
-
-    def _denied_reason(self, msg: tm.Request) -> str | None:
-        """Why an owned dapplet's request must be refused, or None.
-
-        Unstamped requests (``principal == ""``) pass untouched — the
-        pre-registry world. A stamped request needs a
-        ``token.request:<color>`` grant per colour, and must not push
-        the principal's concurrently-held count of any quota'd colour
-        past its quota. The quota check is admission-time: requests the
-        principal already has *blocked* are not counted, only grants it
-        holds — release-before-re-request (the paper's deadlock-free
-        discipline) makes the two equivalent.
-        """
-        if not msg.principal:
-            return None
-        world = getattr(self.dapplet, "world", None)
-        if world is None:
-            return None
-        from repro.registry.registry import TOKEN_RESOURCE
-        registry = world.registry
-        self._agent_principal[msg.agent] = msg.principal
-        for color in sorted(msg.tokens):
-            verb = f"token.request:{color}"
-            if not registry.check(msg.principal, TOKEN_RESOURCE, verb,
-                                  node=self.dapplet.address):
-                return f"capability:{verb}"
-        for color in sorted(msg.tokens):
-            quota = registry.quota_for(msg.principal, TOKEN_RESOURCE,
-                                       f"token.request:{color}")
-            if quota is None:
-                continue
-            n = msg.tokens[color]
-            need = self.totals.get(color, 0) if n == ALL else n
-            held = sum(h.get(color, 0)
-                       for agent, h in self.holders.items()
-                       if self._agent_principal.get(agent, "") == msg.principal)
-            if held + need > quota:
-                return f"quota:{color}"
-        return None
-
-    def _detect_all(self) -> None:
-        """Fail every blocked request on a wait-for cycle.
-
-        Cycles can appear both when a request arrives and when a grant
-        makes a colour scarce, so this sweeps after every pool change.
-        Failing a request removes its edges, which can break other
-        cycles, hence the loop-until-stable.
-        """
-        changed = True
-        while changed:
-            changed = False
-            for blocked in list(self._blocked):
-                cycle = self._find_cycle(blocked)
-                if cycle:
-                    self.deadlocks += 1
-                    self._blocked.remove(blocked)
-                    tr = self.dapplet.kernel.tracer
-                    if tr is not None:
-                        tr.emit("tokens", "deadlock",
-                                node=self.dapplet.address,
-                                agent=blocked.agent, cycle=list(cycle))
-                    self._send(blocked.reply_to,
-                               tm.DeadlockNotice(blocked.req_id, tuple(cycle)))
-                    changed = True
-                    break
-
-    def _on_release(self, msg: tm.Release) -> None:
-        held = self.holders.get(msg.agent, {})
-        for color, n in msg.tokens.items():
-            count = held.get(color, 0) if n == ALL else n
-            have = held.get(color, 0)
-            if count > have:
-                # The agent validated locally; a mismatch here means a
-                # protocol bug — surface loudly.
-                raise TokenError(
-                    f"agent {msg.agent!r} released {count} {color!r} tokens "
-                    f"but holds {have}")
-            held[color] = have - count
-            if held[color] == 0:
-                del held[color]
-            self.pool[color] = self.pool.get(color, 0) + count
-        tr = self.dapplet.kernel.tracer
-        if tr is not None:
-            tr.emit("tokens", "release", node=self.dapplet.address,
-                    agent=msg.agent, tokens=dict(sorted(msg.tokens.items())))
-        self._drain()
-        self._detect_all()  # a grant inside drain can create new scarcity
-
-    def _on_transfer(self, msg: tm.Transfer) -> None:
-        src = self.holders.get(msg.agent, {})
-        moved: dict[str, int] = {}
-        for color, n in msg.tokens.items():
-            count = src.get(color, 0) if n == ALL else n
-            if count > src.get(color, 0):
-                raise TokenError(
-                    f"agent {msg.agent!r} transferred {count} {color!r} "
-                    f"tokens but holds {src.get(color, 0)}")
-            if count == 0:
-                continue  # 'all of nothing' moves nothing
-            src[color] -= count
-            if src[color] == 0:
-                del src[color]
-            moved[color] = count
-        if not moved:
-            return
-        dst = self.holders.setdefault(msg.to_agent, {})
-        for color, count in moved.items():
-            dst[color] = dst.get(color, 0) + count
-        target = self._agent_inboxes.get(msg.to_agent)
-        if target is not None:
-            self._send(target, tm.TransferNotice(msg.agent, moved))
-        self._detect_all()  # moved holdings can close a wait-for cycle
-
-    def _drain(self) -> None:
-        """Grant blocked requests according to the policy."""
-        if self.policy == "timestamp":
-            # Strict (timestamp, agent) order: only the head may go.
-            while self._blocked:
-                head = min(self._blocked,
-                           key=lambda b: (b.timestamp, b.agent, b.seq))
-                if not self._satisfiable(head):
-                    return
-                self._blocked.remove(head)
-                self._grant(head)
-        else:
-            progressed = True
-            while progressed:
-                progressed = False
-                for blocked in list(self._blocked):
-                    if self._satisfiable(blocked):
-                        self._blocked.remove(blocked)
-                        self._grant(blocked)
-                        progressed = True
-
-    # -- deadlock detection ----------------------------------------------------
-
-    def _find_cycle(self, start: _Blocked) -> list[str] | None:
-        """A wait-for cycle through ``start``'s agent, if one exists.
-
-        Edge w -> h iff w has a blocked request needing more of some
-        colour than the pool offers while h holds at least one token of
-        that colour (AND-request model).
-        """
-        edges: dict[str, set[str]] = {}
-        for blocked in self._blocked:
-            need = self._need(blocked)
-            for color, n in need.items():
-                if self.pool.get(color, 0) >= n:
-                    continue
-                for holder, held in self.holders.items():
-                    if holder != blocked.agent and held.get(color, 0) > 0:
-                        edges.setdefault(blocked.agent, set()).add(holder)
-
-        # DFS from the requesting agent looking for a path back to it.
-        target = start.agent
-        path: list[str] = []
-        seen: set[str] = set()
-
-        def dfs(node: str) -> list[str] | None:
-            for nxt in sorted(edges.get(node, ())):
-                if nxt == target:
-                    return path + [node, target]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    path.append(node)
-                    found = dfs(nxt)
-                    path.pop()
-                    if found:
-                        return found
-            return None
-
-        return dfs(target)
 
 
 class TokenAgent:
@@ -434,23 +112,8 @@ class TokenAgent:
 
     def release(self, tokens: dict) -> None:
         """Return tokens to the managers; raises if not held."""
-        tokens = _validate_tokens(tokens)
-        resolved: dict[str, int] = {}
-        for color, n in tokens.items():
-            have = self.holds.get(color, 0)
-            count = have if n == ALL else n
-            if count > have:
-                raise TokenError(
-                    f"dapplet {self.name!r} holds {have} {color!r} tokens, "
-                    f"cannot release {count}")
-            resolved[color] = count
-        for color, count in resolved.items():
-            if count == 0:
-                continue
-            self.holds[color] -= count
-            if self.holds[color] == 0:
-                del self.holds[color]
-        self.outbox.send(tm.Release(agent=self.name, tokens=resolved))
+        self.outbox.send(tm.Release(agent=self.name,
+                                    tokens=self._debit(tokens, "release")))
 
     def transfer(self, to_agent: str, tokens: dict) -> None:
         """Hand held tokens directly to another dapplet's agent.
@@ -458,15 +121,21 @@ class TokenAgent:
         (The paper: tokens "are communicated and shared among the
         processes of a system".)
         """
-        tokens = _validate_tokens(tokens)
+        self.outbox.send(tm.Transfer(agent=self.name, to_agent=to_agent,
+                                     tokens=self._debit(tokens, "transfer")))
+
+    def _debit(self, tokens: dict, verb: str) -> dict[str, int]:
+        """Take ``tokens`` out of ``holds`` (``"all"`` = all held) and
+        return the concrete counts; raises, changing nothing, if any
+        colour is short."""
         resolved: dict[str, int] = {}
-        for color, n in tokens.items():
+        for color, n in _validate_tokens(tokens).items():
             have = self.holds.get(color, 0)
             count = have if n == ALL else n
             if count > have:
                 raise TokenError(
                     f"dapplet {self.name!r} holds {have} {color!r} tokens, "
-                    f"cannot transfer {count}")
+                    f"cannot {verb} {count}")
             resolved[color] = count
         for color, count in resolved.items():
             if count == 0:
@@ -474,8 +143,7 @@ class TokenAgent:
             self.holds[color] -= count
             if self.holds[color] == 0:
                 del self.holds[color]
-        self.outbox.send(tm.Transfer(agent=self.name, to_agent=to_agent,
-                                     tokens=resolved))
+        return resolved
 
     def total_tokens(self) -> Event:
         """The paper's ``totalTokens()``: yields ``{color: total}``."""

@@ -21,7 +21,7 @@ a process with ``yield``::
     mutex.release()
 
 The wrappers never look past the agent, so they run unchanged against
-the single :class:`~repro.services.tokens.manager.TokenCoordinator` or
+a one-manager :class:`~repro.services.tokens.TokenCoordinator` or
 a sharded ring (attach the agent via
 :meth:`~repro.services.tokens.shard.ShardedTokenService.attach`); the
 ``ALL`` write request is resolved against the colour's totals at its

@@ -1,10 +1,14 @@
-"""The sharded token service: a real *network* of token managers.
+"""The token managers: a real *network*, at any size.
 
 The paper: "A network of token-manager objects manages tokens shared by
-all the dapplets in a session." The single :class:`TokenCoordinator` is
-that network collapsed to a star; this module is the full shape — a
-consistent-hash ring of :class:`TokenShard` managers, each the *home*
-of the colours (and agents) that hash onto its arc.
+all the dapplets in a session." This module is that network — a
+consistent-hash ring (:mod:`~repro.services.tokens.ring`) of
+:class:`TokenShard` managers, each the *home* of the colours (and
+agents) that hash onto its arc, each keeping its accounting in one
+:class:`~repro.services.tokens.ledger.Ledger`. There is one manager
+class: :class:`TokenCoordinator` is a ring of one, hosted on any
+dapplet, where every manager-to-manager message below is dispatched
+inline and costs nothing.
 
 Routing
     Any shard accepts any agent request (agents attach to the shard
@@ -38,7 +42,10 @@ Distributed deadlock detection
     ``(timestamp, agent, gid)``), and meeting a younger waiter kills the
     probe and launches that waiter's own — so only the youngest waiter
     on the cycle self-detects, and its coordinator aborts it with
-    :class:`~repro.errors.DeadlockDetected`.
+    :class:`~repro.errors.DeadlockDetected`, whose ``cycle`` names each
+    agent on the cycle once, the victim first. On a ring of one the
+    whole chase runs inside the handler of the request that closed the
+    cycle, so detection costs that request's round trip and no more.
 
 Multi-tenancy (:mod:`repro.registry`)
     Requests from *owned* dapplets arrive stamped with their principal.
@@ -51,15 +58,15 @@ Multi-tenancy (:mod:`repro.registry`)
     requests behave exactly as before the registry existed.
 
 Conservation is *instantaneous*, not just quiescent: tokens move
-between ``pool``, ``reserved`` and ``holders`` ledgers inside exactly
-one home shard — no message ever carries a token in flight — so
-:meth:`ShardedTokenService.check_conservation` may be called at any
+between the ``pool``, ``reserved`` and ``holders`` columns of exactly
+one home shard's ledger — no message ever carries a token in flight —
+so :meth:`ShardedTokenService.check_conservation` may be called at any
 point of any schedule.
 
 Agents are oblivious: :class:`~repro.services.tokens.manager.TokenAgent`
 (and therefore :class:`~repro.services.tokens.protocols.TokenMutex` and
-:class:`~repro.services.tokens.protocols.ReadersWriterLock`) speak the
-exact same wire protocol to a shard as to the single coordinator.
+:class:`~repro.services.tokens.protocols.ReadersWriterLock`) attach to
+any manager of a ring of any size with the same wire protocol.
 
 Deploy via :meth:`repro.world.World.host_token_shards`, or resolve a
 shard through the replicated directory with :func:`resolve_shard` when
@@ -70,26 +77,23 @@ any other).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Mapping
-from zlib import crc32
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 from repro.dapplet.dapplet import Dapplet
 from repro.errors import TokenError
 from repro.mailbox.outbox import Outbox
 from repro.net.address import InboxAddress, NodeAddress
 from repro.services.tokens import messages as tm
-from repro.services.tokens.manager import ALL, POLICIES, TokenAgent
+from repro.services.tokens.ledger import Ledger
+from repro.services.tokens.manager import POLICIES, TokenAgent
+from repro.services.tokens.ring import ShardRing
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.discovery.resolver import Resolver
 
 #: Well-known inbox name of every token shard.
 SHARD_INBOX = "_tokshard"
-
-#: Virtual nodes per shard on the ring — enough to spread a handful of
-#: shards evenly without making the ring big.
-VNODES = 16
 
 
 class TokenShardHost(Dapplet):
@@ -98,100 +102,33 @@ class TokenShardHost(Dapplet):
     kind = "token-shard"
 
 
-class ShardRing:
-    """A consistent-hash ring over shard names.
-
-    Both colours and agent names are placed with crc32 (the same spread
-    function the discovery subsystem uses), each shard contributing
-    :data:`VNODES` points. ``home(key)`` is the owner of the first ring
-    point at or after the key's hash — stable under shard addition or
-    removal for all keys not on the moved arcs.
-    """
-
-    def __init__(self, names: Iterable[str], *, vnodes: int = VNODES) -> None:
-        self.names = tuple(sorted(set(names)))
-        if not self.names:
-            raise TokenError("a shard ring needs at least one shard")
-        self.vnodes = vnodes
-        points = []
-        for name in self.names:
-            for v in range(vnodes):
-                points.append((crc32(f"{name}#{v}".encode()), name))
-        points.sort()
-        self._points = points
-
-    def home(self, key: str) -> str:
-        """The shard name owning ``key`` (a colour or an agent name)."""
-        h = crc32(str(key).encode())
-        i = bisect_left(self._points, (h, ""))
-        return self._points[i % len(self._points)][1]
-
-    def split(self, tokens: Mapping[str, object]) -> list[tuple[str, dict]]:
-        """Group a token list by home shard, in ring-name order.
-
-        The order is the protocol's global acquisition order: every
-        coordinator prepares groups in this sequence, so reservations
-        alone can never form a wait cycle.
-        """
-        groups: dict[str, dict] = {}
-        for color in sorted(tokens):
-            groups.setdefault(self.home(color), {})[color] = tokens[color]
-        return sorted(groups.items())
-
-    def __len__(self) -> int:
-        return len(self.names)
+def _priority(prepare: tm.Prepare) -> tuple:
+    """Queue order under ``"timestamp"`` and deadlock-victim priority:
+    the youngest (largest) waiter loses."""
+    return (prepare.timestamp, prepare.agent, prepare.gid)
 
 
-class _Queued:
-    """Home-shard record of one blocked (un-reservable) prepare."""
-
-    __slots__ = ("gid", "agent", "colors", "origin", "timestamp", "seq",
-                 "principal")
-
-    def __init__(self, msg: tm.Prepare, seq: int) -> None:
-        self.gid = msg.gid
-        self.agent = msg.agent
-        self.colors = dict(msg.colors)
-        self.origin = msg.origin
-        self.timestamp = msg.timestamp
-        self.seq = seq
-        self.principal = msg.principal
-
-    @property
-    def key(self) -> tuple:
-        """Deadlock-victim priority: youngest (largest) loses."""
-        return (self.timestamp, self.agent, self.gid)
-
-
+@dataclass(slots=True)
 class _Coordinated:
     """Coordinator-side record of one in-flight multi-shard grant."""
 
-    __slots__ = ("gid", "req_id", "agent", "reply_to", "timestamp",
-                 "groups", "idx", "prepared", "t0", "principal")
-
-    def __init__(self, gid: str, msg: tm.Request,
-                 groups: list[tuple[str, dict]], t0: float) -> None:
-        self.gid = gid
-        self.req_id = msg.req_id
-        self.agent = msg.agent
-        self.reply_to = msg.reply_to
-        self.timestamp = msg.timestamp
-        self.groups = groups
-        self.idx = 0                       # next group to prepare
-        self.prepared: dict[str, dict] = {}  # shard -> resolved counts
-        self.t0 = t0
-        self.principal = msg.principal
+    gid: str
+    request: tm.Request
+    groups: list[tuple[str, dict]]
+    t0: float
+    idx: int = 0                                  # next group to prepare
+    prepared: dict[str, dict] = field(default_factory=dict)  # shard -> counts
 
 
 class TokenShard:
-    """One manager of the sharded token network.
+    """One manager of the token network.
 
-    Speaks the agent-facing protocol of
-    :class:`~repro.services.tokens.manager.TokenCoordinator` on the same
-    wire messages, plus the manager-to-manager protocol (prepare /
-    commit / abort, forwarded release and transfer, probes). ``peers``
-    maps every ring name — including this shard's own — to the node its
-    host dapplet runs on.
+    Speaks the agent-facing protocol (request / release / transfer /
+    totals) plus the manager-to-manager protocol (prepare / commit /
+    abort, forwarded release and transfer, probes). ``peers`` maps every
+    ring name — including this shard's own — to the node its host
+    dapplet runs on. The accounting lives in :attr:`ledger`; ``pool``,
+    ``holders`` and ``totals`` are read-only views of it.
     """
 
     def __init__(self, dapplet: Dapplet, ring: ShardRing, shard_name: str,
@@ -200,10 +137,6 @@ class TokenShard:
                  name: str = SHARD_INBOX) -> None:
         if policy not in POLICIES:
             raise TokenError(f"policy must be one of {POLICIES}")
-        for color, n in initial.items():
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise TokenError(
-                    f"initial count for colour {color!r} must be an int >= 0")
         if set(peers) != set(ring.names):
             raise TokenError("peers must name every shard on the ring")
         self.dapplet = dapplet
@@ -214,14 +147,12 @@ class TokenShard:
                       else a for n, a in peers.items()}
         #: The fixed world-wide totals (static: tokens are conserved).
         self.global_totals = dict(initial)
-        #: This shard's ledgers, home colours only. pool + reserved +
-        #: held == totals for every colour, at every instant.
-        self.totals = {c: n for c, n in initial.items()
-                       if ring.home(c) == shard_name}
-        self.pool = dict(self.totals)
-        self.holders: dict[str, dict[str, int]] = {}
-        self._reserved: dict[str, tuple[str, dict[str, int]]] = {}
-        self._queue: list[_Queued] = []
+        #: pool / reserved / held for this shard's home colours only
+        #: (each colour's count is validated at its home).
+        self.ledger = Ledger({c: n for c, n in initial.items()
+                              if ring.home(c) == shard_name}, name=shard_name)
+        #: Prepares the pool cannot cover yet, in arrival order.
+        self._queue: list[tm.Prepare] = []
         self._coordinating: dict[str, _Coordinated] = {}
         #: Reply inboxes of agents homed on this shard.
         self._agent_inboxes: dict[str, InboxAddress] = {}
@@ -229,13 +160,6 @@ class TokenShard:
         self._registered: set[tuple[str, InboxAddress]] = set()
         self._outboxes: dict[InboxAddress, Outbox] = {}
         self._gids = itertools.count(1)
-        self._seq = itertools.count()
-        #: principal -> {color: reserved + held} for home colours; the
-        #: ledger quota checks read (see :meth:`_quota_denial`).
-        self._principal_held: dict[str, dict[str, int]] = {}
-        #: agent -> owning principal, learned from prepares; releases
-        #: and transfers only carry the agent name.
-        self._agent_principal: dict[str, str] = {}
         self.grants = 0
         self.deadlocks = 0
         self.forwards = 0
@@ -243,10 +167,8 @@ class TokenShard:
         self.probes_sent = 0
         self.probes_received = 0
         self.inbox = dapplet.create_inbox(name=name)
-        tr = dapplet.kernel.tracer
-        if tr is not None:
-            tr.emit("tokens", "shard", node=dapplet.address, shard=shard_name,
-                    colors=len(self.totals), ring=len(ring))
+        self._trace("shard", shard=shard_name, colors=len(self.totals),
+                    ring=len(ring))
         self.server = dapplet.spawn(self._serve(), name=f"tokshard-{shard_name}")
 
     @property
@@ -254,35 +176,28 @@ class TokenShard:
         """Where agents (and peer shards) connect."""
         return self.inbox.named_address
 
+    @property
+    def totals(self) -> dict[str, int]:
+        return self.ledger.totals
+
+    @property
+    def pool(self) -> dict[str, int]:
+        return self.ledger.pool
+
+    @property
+    def holders(self) -> dict[str, dict[str, int]]:
+        return self.ledger.holders
+
     # -- invariants --------------------------------------------------------
 
-    def local_totals(self) -> dict[str, int]:
-        """Live per-colour accounting: pool + reserved + held."""
-        live = dict(self.pool)
-        for _, colors, _ in self._reserved.values():
-            for color, n in colors.items():
-                live[color] = live.get(color, 0) + n
-        for held in self.holders.values():
-            for color, n in held.items():
-                live[color] = live.get(color, 0) + n
-        return live
-
     def check_conservation(self) -> None:
-        """Assert pool + reserved + held == totals for every home colour."""
-        live = self.local_totals()
-        for color, total in self.totals.items():
-            if live.get(color, 0) != total:
-                raise TokenError(
-                    f"shard {self.name!r}: conservation violated for colour "
-                    f"{color!r}: live={live.get(color, 0)} total={total}")
-        for color in live:
-            if color not in self.totals:
-                raise TokenError(
-                    f"shard {self.name!r} holds foreign colour {color!r}")
+        """Assert pool + reserved + held == totals for every home colour
+        (and the ledger's usage invariant with it)."""
+        self.ledger.check()
 
     @property
     def quiescent(self) -> bool:
-        return not (self._queue or self._reserved or self._coordinating)
+        return not (self._queue or self.ledger.reserved or self._coordinating)
 
     # -- server ------------------------------------------------------------
 
@@ -292,38 +207,9 @@ class TokenShard:
             self._handle(msg)
 
     def _handle(self, msg) -> None:
-        if isinstance(msg, tm.Request):
-            self._on_request(msg)
-        elif isinstance(msg, tm.Release):
-            self._on_release(msg)
-        elif isinstance(msg, tm.Transfer):
-            self._on_transfer(msg)
-        elif isinstance(msg, tm.TotalsQuery):
-            self._learn_agent(msg.agent, msg.reply_to)
-            self._send(msg.reply_to,
-                       tm.Totals(msg.req_id, dict(self.global_totals)))
-        elif isinstance(msg, tm.Prepare):
-            self._on_prepare(msg)
-        elif isinstance(msg, tm.Prepared):
-            self._on_prepared(msg)
-        elif isinstance(msg, tm.PrepareDenied):
-            self._on_prepare_denied(msg)
-        elif isinstance(msg, tm.Commit):
-            self._on_commit(msg)
-        elif isinstance(msg, tm.Abort):
-            self._on_abort(msg)
-        elif isinstance(msg, tm.ReleaseApply):
-            self._on_release_apply(msg)
-        elif isinstance(msg, tm.TransferApply):
-            self._on_transfer_apply(msg)
-        elif isinstance(msg, tm.AgentRegister):
-            self._agent_inboxes[msg.agent] = msg.inbox
-        elif isinstance(msg, tm.ForwardNotice):
-            self._on_forward_notice(msg)
-        elif isinstance(msg, tm.Probe):
-            self._on_probe(msg)
-        elif isinstance(msg, tm.DeadlockFound):
-            self._on_deadlock_found(msg)
+        handler = self._handlers.get(type(msg))
+        if handler is not None:
+            handler(self, msg)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -347,10 +233,7 @@ class TokenShard:
             self._handle(message)
             return
         self.forwards += 1
-        tr = self.dapplet.kernel.tracer
-        if tr is not None:
-            tr.emit("tokens", "forward", node=self.dapplet.address,
-                    to=shard_name, kind=message.wire_name)
+        self._trace("forward", to=shard_name, kind=message.wire_name)
         self._send(self.peers[shard_name], message)
 
     def _learn_agent(self, agent: str, reply_to: InboxAddress | None) -> None:
@@ -368,7 +251,20 @@ class TokenShard:
         if tr is not None:
             tr.emit("tokens", event, node=self.dapplet.address, **fields)
 
+    def _registry(self, principal: str):
+        """The registry a request stamped ``principal`` is gated by;
+        None for unstamped requests (the pre-registry world)."""
+        world = getattr(self.dapplet, "world", None)
+        return world.registry if principal and world is not None else None
+
     # -- the coordinator role (any shard, for requests it accepted) --------
+
+    def _on_totals_query(self, msg: tm.TotalsQuery) -> None:
+        self._learn_agent(msg.agent, msg.reply_to)
+        self._send(msg.reply_to, tm.Totals(msg.req_id, dict(self.global_totals)))
+
+    def _on_agent_register(self, msg: tm.AgentRegister) -> None:
+        self._agent_inboxes[msg.agent] = msg.inbox
 
     def _on_request(self, msg: tm.Request) -> None:
         self._learn_agent(msg.agent, msg.reply_to)
@@ -384,26 +280,21 @@ class TokenShard:
             self._send(msg.reply_to, tm.Denied(msg.req_id, reason))
             return
         gid = f"{self.name}/{next(self._gids)}"
-        groups = self.ring.split(msg.tokens)
-        multi = _Coordinated(gid, msg, groups, self.dapplet.kernel.now)
-        self._coordinating[gid] = multi
+        multi = self._coordinating[gid] = _Coordinated(
+            gid, msg, self.ring.split(msg.tokens), self.dapplet.kernel.now)
         self._prepare_next(multi)
 
     def _capability_denial(self, msg: tm.Request) -> str | None:
         """Coordinator-side capability gate (quota is the home shards').
 
         A stamped request needs a ``token.request:<color>`` grant for
-        every colour it names; unstamped requests (``principal == ""``,
-        the pre-registry world) always pass. Checked before any 2PC
-        traffic, so a denied request costs no cross-shard messages.
+        every colour it names. Checked before any 2PC traffic, so a
+        denied request costs no cross-shard messages.
         """
-        if not msg.principal:
-            return None
-        world = getattr(self.dapplet, "world", None)
-        if world is None:
+        registry = self._registry(msg.principal)
+        if registry is None:
             return None
         from repro.registry.registry import TOKEN_RESOURCE
-        registry = world.registry
         for color in sorted(msg.tokens):
             verb = f"token.request:{color}"
             if not registry.check(msg.principal, TOKEN_RESOURCE, verb,
@@ -413,17 +304,18 @@ class TokenShard:
 
     def _prepare_next(self, multi: _Coordinated) -> None:
         shard, colors = multi.groups[multi.idx]
+        request = multi.request
         self._send_shard(shard, tm.Prepare(
-            gid=multi.gid, agent=multi.agent, colors=colors,
-            origin=self.name, timestamp=multi.timestamp,
-            principal=multi.principal))
+            gid=multi.gid, agent=request.agent, colors=colors,
+            origin=self.name, timestamp=request.timestamp,
+            principal=request.principal))
 
     def _on_prepared(self, msg: tm.Prepared) -> None:
         multi = self._coordinating.get(msg.gid)
         if multi is None:
             # Raced an abort: the reservation was made for a grant that
             # no longer exists — refund it at its home shard.
-            self._send_shard(msg.gid.split("/", 1)[0], tm.Abort(msg.gid))
+            self._send_shard(msg.gid.rsplit("/", 1)[0], tm.Abort(msg.gid))
             return
         shard, _ = multi.groups[multi.idx]
         multi.prepared[shard] = dict(msg.colors)
@@ -432,16 +324,17 @@ class TokenShard:
             self._prepare_next(multi)
             return
         del self._coordinating[multi.gid]
+        request = multi.request
         need: dict[str, int] = {}
         for shard, _ in multi.groups:
-            self._send_shard(shard, tm.Commit(multi.gid, multi.agent))
+            self._send_shard(shard, tm.Commit(multi.gid, request.agent))
             need.update(multi.prepared[shard])
         self.grants += 1
-        self._trace("grant", agent=multi.agent,
+        self._trace("grant", agent=request.agent,
                     tokens=dict(sorted(need.items())),
                     route=self.dapplet.kernel.now - multi.t0,
                     hops=len(multi.groups))
-        self._send(multi.reply_to, tm.Grant(multi.req_id, need))
+        self._send(request.reply_to, tm.Grant(request.req_id, need))
 
     def _on_prepare_denied(self, msg: tm.PrepareDenied) -> None:
         """A home shard refused a group on quota: fail the whole grant.
@@ -457,9 +350,10 @@ class TokenShard:
         self.denials += 1
         for shard, _ in multi.groups[:multi.idx]:
             self._send_shard(shard, tm.Abort(multi.gid))
-        self._trace("denied", agent=multi.agent, principal=multi.principal,
-                    reason=msg.reason)
-        self._send(multi.reply_to, tm.Denied(multi.req_id, msg.reason))
+        request = multi.request
+        self._trace("denied", agent=request.agent,
+                    principal=request.principal, reason=msg.reason)
+        self._send(request.reply_to, tm.Denied(request.req_id, msg.reason))
 
     def _on_deadlock_found(self, msg: tm.DeadlockFound) -> None:
         multi = self._coordinating.pop(msg.gid, None)
@@ -468,9 +362,10 @@ class TokenShard:
         self.deadlocks += 1
         for shard, _ in multi.groups[:multi.idx + 1]:
             self._send_shard(shard, tm.Abort(multi.gid))
-        self._trace("deadlock", agent=multi.agent, cycle=list(msg.cycle))
-        self._send(multi.reply_to,
-                   tm.DeadlockNotice(multi.req_id, tuple(msg.cycle)))
+        self._trace("deadlock", agent=multi.request.agent,
+                    cycle=list(msg.cycle))
+        self._send(multi.request.reply_to,
+                   tm.DeadlockNotice(multi.request.req_id, tuple(msg.cycle)))
 
     def _on_release(self, msg: tm.Release) -> None:
         self._trace("release", agent=msg.agent,
@@ -485,28 +380,18 @@ class TokenShard:
 
     # -- the home-manager role (this shard's own colours) ------------------
 
-    def _resolve(self, colors: Mapping[str, object]) -> dict[str, int]:
-        """Concrete counts for a home group (resolving ``"all"``)."""
-        return {c: (self.totals.get(c, 0) if n == ALL else n)
-                for c, n in colors.items()}
-
-    def _satisfiable(self, entry: _Queued) -> bool:
-        need = self._resolve(entry.colors)
-        return all(self.pool.get(c, 0) >= n for c, n in need.items())
+    def _satisfiable(self, entry: tm.Prepare) -> bool:
+        return self.ledger.can_reserve(entry.colors)
 
     def _on_prepare(self, msg: tm.Prepare) -> None:
-        if msg.principal:
-            self._agent_principal[msg.agent] = msg.principal
-            reason = self._quota_denial(msg)
-            if reason is not None:
-                self.denials += 1
-                self._trace("quota_denied", agent=msg.agent,
-                            principal=msg.principal, reason=reason)
-                self._send_shard(msg.origin,
-                                 tm.PrepareDenied(msg.gid, reason))
-                return
-        entry = _Queued(msg, next(self._seq))
-        self._queue.append(entry)
+        reason = self._quota_denial(msg)
+        if reason is not None:
+            self.denials += 1
+            self._trace("quota_denied", agent=msg.agent,
+                        principal=msg.principal, reason=reason)
+            self._send_shard(msg.origin, tm.PrepareDenied(msg.gid, reason))
+            return
+        self._queue.append(msg)
         if not self._drain():
             # Still queued: the wait-for graph grew an edge.
             self._probe_sweep()
@@ -515,58 +400,30 @@ class TokenShard:
         """Would reserving this group exceed the principal's quota?
 
         Home shards own the ledgers, so the quota gate lives here, not
-        at the coordinator: ``_principal_held`` counts this principal's
-        reserved + held tokens of each home colour, and a group that
-        would push any quota'd colour past its
+        at the coordinator: the ledger's ``usage`` counts this
+        principal's reserved + held tokens of each home colour, and a
+        group that would push any quota'd colour past its
         :meth:`~repro.registry.registry.Registry.quota_for` is refused
         outright (no queueing — a quota'd wait could never be granted
         by releases of *other* principals' tokens, so queueing would
         just hide the denial).
         """
-        world = getattr(self.dapplet, "world", None)
-        if world is None:
+        registry = self._registry(msg.principal)
+        if registry is None:
             return None
         from repro.registry.registry import TOKEN_RESOURCE
-        registry = world.registry
-        held = self._principal_held.get(msg.principal, {})
-        need = self._resolve(msg.colors)
+        used = self.ledger.usage.get(msg.principal, {})
+        need = self.ledger.resolve(msg.colors)
         for color in sorted(need):
             quota = registry.quota_for(msg.principal, TOKEN_RESOURCE,
                                        f"token.request:{color}")
-            if quota is not None and held.get(color, 0) + need[color] > quota:
+            if quota is not None and used.get(color, 0) + need[color] > quota:
                 return f"quota:{color}"
         return None
 
-    def _quota_charge(self, principal: str, colors: Mapping[str, int]) -> None:
-        if not principal:
-            return
-        held = self._principal_held.setdefault(principal, {})
-        for color, n in colors.items():
-            held[color] = held.get(color, 0) + n
-
-    def _quota_refund(self, principal: str, colors: Mapping[str, int]) -> None:
-        # Clamped at zero: tokens transferred in from another principal
-        # were never charged here (see _on_transfer_apply).
-        if not principal:
-            return
-        held = self._principal_held.get(principal)
-        if held is None:
-            return
-        for color, n in colors.items():
-            left = max(0, held.get(color, 0) - n)
-            if left:
-                held[color] = left
-            else:
-                held.pop(color, None)
-        if not held:
-            del self._principal_held[principal]
-
-    def _reserve(self, entry: _Queued) -> None:
-        need = self._resolve(entry.colors)
-        for color, n in need.items():
-            self.pool[color] = self.pool.get(color, 0) - n
-        self._reserved[entry.gid] = (entry.agent, need, entry.principal)
-        self._quota_charge(entry.principal, need)
+    def _reserve(self, entry: tm.Prepare) -> None:
+        need = self.ledger.reserve(entry.gid, entry.agent, entry.principal,
+                                   entry.colors)
         self._send_shard(entry.origin, tm.Prepared(entry.gid, need))
 
     def _drain(self) -> bool:
@@ -578,7 +435,7 @@ class TokenShard:
         if self.policy == "timestamp":
             # Strict (timestamp, agent, gid) order: only the head may go.
             while self._queue:
-                head = min(self._queue, key=lambda e: (e.key, e.seq))
+                head = min(self._queue, key=_priority)
                 if not self._satisfiable(head):
                     break
                 self._queue.remove(head)
@@ -599,73 +456,26 @@ class TokenShard:
         return not self._queue
 
     def _on_commit(self, msg: tm.Commit) -> None:
-        reservation = self._reserved.pop(msg.gid, None)
-        if reservation is None:
-            return  # already aborted; the refund Abort is in flight
-        agent, colors, _ = reservation  # reserved already counted to quota
-        held = self.holders.setdefault(agent, {})
-        for color, n in colors.items():
-            held[color] = held.get(color, 0) + n
-        # A committed holding can close a wait cycle the reservation
-        # already opened under a different gid ordering — re-probe.
-        self._probe_sweep()
+        # An unknown gid was already aborted; its refund Abort is in flight.
+        if self.ledger.commit(msg.gid) is not None:
+            # A committed holding can close a wait cycle the reservation
+            # already opened under a different gid ordering — re-probe.
+            self._probe_sweep()
 
     def _on_abort(self, msg: tm.Abort) -> None:
-        reservation = self._reserved.pop(msg.gid, None)
-        if reservation is not None:
-            _, colors, principal = reservation
-            for color, n in colors.items():
-                self.pool[color] = self.pool.get(color, 0) + n
-            self._quota_refund(principal, colors)
-            self._drain()
-            return
-        self._queue = [e for e in self._queue if e.gid != msg.gid]
+        if self.ledger.abort(msg.gid) is None:
+            self._queue = [e for e in self._queue if e.gid != msg.gid]
+        # Refunded tokens, or (timestamp policy) a new head of the queue.
+        self._drain()
 
     def _on_release_apply(self, msg: tm.ReleaseApply) -> None:
-        held = self.holders.get(msg.agent, {})
-        for color, n in msg.tokens.items():
-            count = held.get(color, 0) if n == ALL else n
-            have = held.get(color, 0)
-            if count > have:
-                # Agents validate locally; a mismatch is a protocol bug.
-                raise TokenError(
-                    f"agent {msg.agent!r} released {count} {color!r} tokens "
-                    f"at shard {self.name!r} but holds {have}")
-            held[color] = have - count
-            if held[color] == 0:
-                del held[color]
-            self.pool[color] = self.pool.get(color, 0) + count
-            self._quota_refund(self._agent_principal.get(msg.agent, ""),
-                               {color: count})
+        self.ledger.release(msg.agent, msg.tokens)
         self._drain()
 
     def _on_transfer_apply(self, msg: tm.TransferApply) -> None:
-        src = self.holders.get(msg.agent, {})
-        moved: dict[str, int] = {}
-        for color, n in msg.tokens.items():
-            count = src.get(color, 0) if n == ALL else n
-            if count > src.get(color, 0):
-                raise TokenError(
-                    f"agent {msg.agent!r} transferred {count} {color!r} "
-                    f"tokens at shard {self.name!r} but holds "
-                    f"{src.get(color, 0)}")
-            if count == 0:
-                continue  # 'all of nothing' moves nothing
-            src[color] -= count
-            if src[color] == 0:
-                del src[color]
-            moved[color] = count
+        moved = self.ledger.transfer(msg.agent, msg.to_agent, msg.tokens)
         if not moved:
             return
-        dst = self.holders.setdefault(msg.to_agent, {})
-        for color, count in moved.items():
-            dst[color] = dst.get(color, 0) + count
-        # Re-attribute quota usage to the receiver's principal — if this
-        # shard has never seen a prepare from the receiver, usage lands
-        # on "" (untracked): transfers are cooperative, the quota gate
-        # bounds what a principal can *request*.
-        self._quota_refund(self._agent_principal.get(msg.agent, ""), moved)
-        self._quota_charge(self._agent_principal.get(msg.to_agent, ""), moved)
         self._send_shard(self.ring.home(msg.to_agent), tm.ForwardNotice(
             msg.to_agent, msg.agent, moved))
         # Moved holdings can close a wait-for cycle.
@@ -679,30 +489,15 @@ class TokenShard:
 
     # -- edge-chasing deadlock detection -----------------------------------
 
-    def _scarce_holders(self, entry: _Queued) -> list[str]:
-        """Agents holding (or reserving) colours ``entry`` is short of."""
-        need = self._resolve(entry.colors)
-        scarce = [c for c, n in need.items() if self.pool.get(c, 0) < n]
-        holders: set[str] = set()
-        for color in scarce:
-            for agent, held in self.holders.items():
-                if held.get(color, 0) > 0:
-                    holders.add(agent)
-            for agent, colors, _ in self._reserved.values():
-                if colors.get(color, 0) > 0:
-                    holders.add(agent)
-        holders.discard(entry.agent)
-        return sorted(holders)
-
     def _probe_sweep(self) -> None:
         for entry in list(self._queue):
             self._initiate_probes(entry)
 
-    def _initiate_probes(self, entry: _Queued) -> None:
-        for holder in self._scarce_holders(entry):
+    def _initiate_probes(self, entry: tm.Prepare) -> None:
+        for holder in self.ledger.scarce_holders(entry.agent, entry.colors):
             self._broadcast_probe(tm.Probe(
                 origin_agent=entry.agent, origin_gid=entry.gid,
-                origin_key=entry.key, origin_coord=entry.origin,
+                origin_key=_priority(entry), origin_coord=entry.origin,
                 holder=holder, path=(entry.agent,)))
 
     def _broadcast_probe(self, probe: tm.Probe) -> None:
@@ -719,12 +514,13 @@ class TokenShard:
             self._trace("probe", origin=msg.origin_agent, holder=msg.holder,
                         hop=len(msg.path))
         for entry in matched:
-            if entry.key > tuple(msg.origin_key):
+            if _priority(entry) > tuple(msg.origin_key):
                 # The origin is not the youngest waiter on this chain:
                 # kill its probe, launch the younger waiter's own.
                 self._initiate_probes(entry)
                 continue
-            for holder in self._scarce_holders(entry):
+            for holder in self.ledger.scarce_holders(entry.agent,
+                                                     entry.colors):
                 if holder == msg.origin_agent:
                     self._send_shard(msg.origin_coord, tm.DeadlockFound(
                         msg.origin_gid, tuple(msg.path) + (msg.holder,)))
@@ -736,6 +532,43 @@ class TokenShard:
                         origin_coord=msg.origin_coord,
                         holder=holder,
                         path=tuple(msg.path) + (msg.holder,)))
+
+    _handlers = {
+        tm.Request: _on_request,
+        tm.Release: _on_release,
+        tm.Transfer: _on_transfer,
+        tm.TotalsQuery: _on_totals_query,
+        tm.Prepare: _on_prepare,
+        tm.Prepared: _on_prepared,
+        tm.PrepareDenied: _on_prepare_denied,
+        tm.Commit: _on_commit,
+        tm.Abort: _on_abort,
+        tm.ReleaseApply: _on_release_apply,
+        tm.TransferApply: _on_transfer_apply,
+        tm.AgentRegister: _on_agent_register,
+        tm.ForwardNotice: _on_forward_notice,
+        tm.Probe: _on_probe,
+        tm.DeadlockFound: _on_deadlock_found,
+    }
+
+
+class TokenCoordinator(TokenShard):
+    """The whole network on one dapplet: a ring of one manager.
+
+    Host it on any dapplet::
+
+        coordinator = TokenCoordinator(host, {"file-a": 1, "file-b": 3})
+
+    ``initial`` fixes the total number of tokens of each colour for the
+    lifetime of the system — the paper's conservation invariant,
+    checkable at any instant with :meth:`check_conservation`.
+    """
+
+    def __init__(self, dapplet: Dapplet, initial: Mapping[str, int],
+                 *, policy: str = "fifo", name: str = "_tokens") -> None:
+        super().__init__(dapplet, ShardRing([name]), name,
+                         {name: dapplet.address}, initial, policy=policy,
+                         name=name)
 
 
 class ShardedTokenService:
@@ -774,7 +607,7 @@ class ShardedTokenService:
         """Live accounting summed over every shard."""
         live: dict[str, int] = {}
         for shard in self.shards:
-            for color, n in shard.local_totals().items():
+            for color, n in shard.ledger.live().items():
                 live[color] = live.get(color, 0) + n
         return live
 
@@ -815,7 +648,7 @@ class ShardedTokenService:
         summed over its home-shard ledgers."""
         usage: dict[str, int] = {}
         for shard in self.shards:
-            for color, n in shard._principal_held.get(principal, {}).items():
+            for color, n in shard.ledger.usage.get(principal, {}).items():
                 usage[color] = usage.get(color, 0) + n
         return usage
 

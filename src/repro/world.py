@@ -396,9 +396,9 @@ class World:
         manager by ring position via
         :func:`~repro.services.tokens.resolve_shard`.
         """
+        from repro.services.tokens.ring import VNODES, ShardRing
         from repro.services.tokens.shard import (ShardedTokenService,
-                                                 ShardRing, TokenShard,
-                                                 TokenShardHost, VNODES)
+                                                 TokenShard, TokenShardHost)
         if isinstance(hosts, int):
             hosts = [f"tok{i}.example.org" for i in range(hosts)]
         if not hosts:

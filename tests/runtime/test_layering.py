@@ -19,6 +19,11 @@ only for external callers' backward compatibility, so nothing under
 A third keeps the two catalogs' dependency one-way: ``repro.registry``
 builds its DAppStore on ``repro.discovery.table``, so ``repro.discovery``
 may import nothing from ``repro.registry``.
+
+A fourth keeps the token ledger and ring plain data structures — the
+conservation invariant is property-tested without a world, so
+``repro.services.tokens.ledger`` and ``.ring`` may import nothing that
+could send a message or read a clock.
 """
 
 import ast
@@ -92,3 +97,15 @@ def test_discovery_imports_nothing_from_registry(path):
     assert not offending, (
         f"{path.relative_to(SRC)} imports {offending}; the DAppStore "
         "builds on repro.discovery.table, never the other way round")
+
+
+@pytest.mark.parametrize("module", ["ledger", "ring"])
+def test_token_ledger_and_ring_are_pure(module):
+    stateful = ("repro.dapplet", "repro.mailbox", "repro.sim", "repro.net",
+                "repro.runtime")
+    path = SRC / "services" / "tokens" / f"{module}.py"
+    offending = sorted(m for m in _imported_modules(path)
+                       if m.startswith(stateful))
+    assert not offending, (
+        f"{path.relative_to(SRC)} imports {offending}; the ledger and the "
+        "ring are pure — no dapplet, no kernel, no messages")

@@ -1,30 +1,22 @@
-"""Focused tests for the coordinator's wait-for-graph deadlock detector."""
+"""Focused tests for the managers' deadlock detector (edge-chasing
+probes), on a ring of one and a ring of three."""
 
 import pytest
 
-from repro.dapplet import Dapplet
 from repro.errors import DeadlockDetected
-from repro.net import ConstantLatency
-from repro.services.tokens import ALL, TokenAgent, TokenCoordinator
-from repro.world import World
+from repro.services.tokens import ALL
+
+from tests.services.test_tokens import make_world
 
 
-class Plain(Dapplet):
-    kind = "plain"
+def rig(initial, n_agents, policy="fifo", seed=93, deployment="coordinator"):
+    return make_world(initial, policy, n_agents, seed, deployment,
+                      latency=0.005)
 
 
-def rig(initial, n_agents, policy="fifo", seed=93):
-    world = World(seed=seed, latency=ConstantLatency(0.005))
-    host = world.dapplet(Plain, "caltech.edu", "host")
-    coordinator = TokenCoordinator(host, initial, policy=policy)
-    agents = [TokenAgent(world.dapplet(Plain, f"s{i}.edu", f"d{i}"),
-                         coordinator.pointer) for i in range(n_agents)]
-    return world, coordinator, agents
-
-
-def test_blocked_without_cycle_is_not_deadlock():
+def test_blocked_without_cycle_is_not_deadlock(deployment="coordinator"):
     """Waiting on a busy resource is not a deadlock."""
-    world, coordinator, (a, b) = rig({"x": 1}, 2)
+    world, coordinator, (a, b) = rig({"x": 1}, 2, deployment=deployment)
     order = []
 
     def holder():
@@ -43,10 +35,10 @@ def test_blocked_without_cycle_is_not_deadlock():
     assert coordinator.deadlocks == 0
 
 
-def test_self_wait_is_not_a_cycle():
+def test_self_wait_is_not_a_cycle(deployment="coordinator"):
     """An agent requesting more of a colour while holding some of it
     blocks (scarcity) but is not 'waiting on itself'."""
-    world, coordinator, (a, b) = rig({"x": 2}, 2)
+    world, coordinator, (a, b) = rig({"x": 2}, 2, deployment=deployment)
     outcome = []
 
     def greedy():
@@ -65,11 +57,12 @@ def test_self_wait_is_not_a_cycle():
     assert coordinator.deadlocks == 0
 
 
-def test_deadlock_formed_by_grant_not_request():
+def test_deadlock_formed_by_grant_not_request(deployment="coordinator"):
     """The cycle's last edge appears when a *grant* makes a colour
     scarce, with no new request arriving — the detector must sweep
     after grants too."""
-    world, coordinator, (a, b, c) = rig({"x": 1, "y": 1, "z": 1}, 3)
+    world, coordinator, (a, b, c) = rig({"x": 1, "y": 1, "z": 1}, 3,
+                                        deployment=deployment)
     events = []
 
     def agent_a():
@@ -98,9 +91,10 @@ def test_deadlock_formed_by_grant_not_request():
     coordinator.check_conservation()
 
 
-def test_all_request_can_deadlock():
+def test_all_request_can_deadlock(deployment="coordinator"):
     """'all of a colour' requests participate in cycles too."""
-    world, coordinator, (a, b) = rig({"x": 2, "y": 2}, 2)
+    world, coordinator, (a, b) = rig({"x": 2, "y": 2}, 2,
+                                     deployment=deployment)
     events = []
 
     def alpha():
@@ -127,10 +121,11 @@ def test_all_request_can_deadlock():
     assert any(e.endswith("deadlock") for e in events)
 
 
-def test_partial_overlap_cycle_detected_with_bystander():
+def test_partial_overlap_cycle_detected_with_bystander(deployment="coordinator"):
     """A bystander holding unrelated tokens must not appear in the
     reported cycle."""
-    world, coordinator, agents = rig({"x": 1, "y": 1, "spare": 1}, 3)
+    world, coordinator, agents = rig({"x": 1, "y": 1, "spare": 1}, 3,
+                                     deployment=deployment)
     a, b, bystander = agents
     cycles = []
 
@@ -197,3 +192,14 @@ def test_detection_breaks_cycle_others_proceed():
                               ["a-killed", "b-completed"])
     coordinator.check_conservation()
     assert coordinator.pool == {"x": 1, "y": 1}  # everything returned
+
+
+@pytest.mark.parametrize("scenario", [
+    test_blocked_without_cycle_is_not_deadlock,
+    test_self_wait_is_not_a_cycle,
+    test_deadlock_formed_by_grant_not_request,
+    test_all_request_can_deadlock,
+    test_partial_overlap_cycle_detected_with_bystander,
+], ids=lambda test: test.__name__)
+def test_same_verdict_on_a_three_shard_ring(scenario):
+    scenario(deployment="ring")

@@ -11,6 +11,7 @@ from repro.services.tokens import (
     TokenAgent,
     TokenCoordinator,
     TokenMutex,
+    TokenShard,
 )
 from repro.world import World
 
@@ -19,19 +20,28 @@ class Plain(Dapplet):
     kind = "plain"
 
 
-def make_world(initial, policy="fifo", n_agents=3, seed=3):
-    world = World(seed=seed, latency=ConstantLatency(0.01))
-    host = world.dapplet(Plain, "caltech.edu", "host")
-    coord = TokenCoordinator(host, initial, policy=policy)
-    agents = []
-    for i in range(n_agents):
-        d = world.dapplet(Plain, f"site{i}.edu", f"d{i}")
-        agents.append(TokenAgent(d, coord.pointer))
+def make_world(initial, policy="fifo", n_agents=3, seed=3,
+               deployment="coordinator", latency=0.01):
+    """A world with the token managers deployed as one
+    ``TokenCoordinator`` or (``deployment="ring"``) three shards."""
+    world = World(seed=seed, latency=ConstantLatency(latency))
+    if deployment == "coordinator":
+        host = world.dapplet(Plain, "caltech.edu", "host")
+        coord = TokenCoordinator(host, initial, policy=policy)
+
+        def attach(dapplet):
+            return TokenAgent(dapplet, coord.pointer)
+    else:
+        coord = world.host_token_shards(3, initial, policy=policy)
+        attach = coord.attach
+    agents = [attach(world.dapplet(Plain, f"site{i}.edu", f"d{i}"))
+              for i in range(n_agents)]
     return world, coord, agents
 
 
-def test_request_and_release_roundtrip():
-    world, coord, (a, b, c) = make_world({"red": 2, "blue": 1})
+def test_request_and_release_roundtrip(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 2, "blue": 1},
+                                         deployment=deployment)
     log = []
 
     def user():
@@ -48,8 +58,8 @@ def test_request_and_release_roundtrip():
     coord.check_conservation()
 
 
-def test_request_blocks_until_available():
-    world, coord, (a, b, c) = make_world({"red": 1})
+def test_request_blocks_until_available(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     times = {}
 
     def holder():
@@ -69,8 +79,8 @@ def test_request_blocks_until_available():
     coord.check_conservation()
 
 
-def test_request_all_of_color():
-    world, coord, (a, b, c) = make_world({"red": 5})
+def test_request_all_of_color(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 5}, deployment=deployment)
     log = []
 
     def user():
@@ -85,16 +95,16 @@ def test_request_all_of_color():
     coord.check_conservation()
 
 
-def test_release_unheld_tokens_raises_locally():
-    world, coord, (a, b, c) = make_world({"red": 1})
+def test_release_unheld_tokens_raises_locally(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     with pytest.raises(TokenError):
         a.release({"red": 1})
     with pytest.raises(TokenError):
         a.release({"nonexistent": 2})
 
 
-def test_request_validation():
-    world, coord, (a, b, c) = make_world({"red": 1})
+def test_request_validation(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     with pytest.raises(TokenError):
         a.request({})
     with pytest.raises(TokenError):
@@ -105,8 +115,8 @@ def test_request_validation():
         a.request({"red": True})
 
 
-def test_unknown_color_fails_request():
-    world, coord, (a, b, c) = make_world({"red": 1})
+def test_unknown_color_fails_request(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     failures = []
 
     def user():
@@ -120,8 +130,9 @@ def test_unknown_color_fails_request():
     assert failures == ["failed"]
 
 
-def test_total_tokens():
-    world, coord, (a, b, c) = make_world({"red": 2, "blue": 7})
+def test_total_tokens(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 2, "blue": 7},
+                                         deployment=deployment)
     log = []
 
     def user():
@@ -133,9 +144,10 @@ def test_total_tokens():
     assert log == [{"red": 2, "blue": 7}]
 
 
-def test_two_agent_deadlock_detected():
+def test_two_agent_deadlock_detected(deployment="coordinator"):
     """a holds red and wants blue; b holds blue and wants red."""
-    world, coord, (a, b, c) = make_world({"red": 1, "blue": 1})
+    world, coord, (a, b, c) = make_world({"red": 1, "blue": 1},
+                                         deployment=deployment)
     outcomes = []
 
     def alpha():
@@ -167,8 +179,9 @@ def test_two_agent_deadlock_detected():
     coord.check_conservation()
 
 
-def test_three_agent_cycle_detected():
-    world, coord, agents = make_world({"x": 1, "y": 1, "z": 1})
+def test_three_agent_cycle_detected(deployment="coordinator"):
+    world, coord, agents = make_world({"x": 1, "y": 1, "z": 1},
+                                      deployment=deployment)
     a, b, c = agents
     outcomes = []
 
@@ -190,9 +203,10 @@ def test_three_agent_cycle_detected():
     coord.check_conservation()
 
 
-def test_two_phase_use_never_deadlocks():
+def test_two_phase_use_never_deadlocks(deployment="coordinator"):
     """The paper: releasing all before re-requesting avoids deadlock."""
-    world, coord, agents = make_world({"x": 1, "y": 1}, n_agents=3)
+    world, coord, agents = make_world({"x": 1, "y": 1}, n_agents=3,
+                                      deployment=deployment)
     completed = []
 
     def worker(agent, tag):
@@ -210,8 +224,8 @@ def test_two_phase_use_never_deadlocks():
     coord.check_conservation()
 
 
-def test_transfer_moves_tokens_between_agents():
-    world, coord, (a, b, c) = make_world({"red": 3})
+def test_transfer_moves_tokens_between_agents(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 3}, deployment=deployment)
     log = []
 
     def giver():
@@ -296,8 +310,8 @@ def test_transfer_racing_a_release():
     coord.check_conservation()
 
 
-def test_transfer_can_unblock_deadlock_free_waiter():
-    world, coord, (a, b, c) = make_world({"red": 1})
+def test_transfer_can_unblock_deadlock_free_waiter(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     order = []
 
     def holder():
@@ -316,8 +330,9 @@ def test_transfer_can_unblock_deadlock_free_waiter():
     assert order == ["a-got", "b-got"]
 
 
-def test_mutex_protocol_mutual_exclusion():
-    world, coord, agents = make_world({"obj": 1}, n_agents=3)
+def test_mutex_protocol_mutual_exclusion(deployment="coordinator"):
+    world, coord, agents = make_world({"obj": 1}, n_agents=3,
+                                      deployment=deployment)
     in_cs = [0]
     max_in_cs = [0]
 
@@ -338,15 +353,16 @@ def test_mutex_protocol_mutual_exclusion():
     coord.check_conservation()
 
 
-def test_mutex_release_without_hold_raises():
-    world, coord, (a, b, c) = make_world({"obj": 1})
+def test_mutex_release_without_hold_raises(deployment="coordinator"):
+    world, coord, (a, b, c) = make_world({"obj": 1}, deployment=deployment)
     mutex = TokenMutex(a, "obj")
     with pytest.raises(TokenError):
         mutex.release()
 
 
-def test_readers_writer_protocol():
-    world, coord, agents = make_world({"doc": 4}, n_agents=3)
+def test_readers_writer_protocol(deployment="coordinator"):
+    world, coord, agents = make_world({"doc": 4}, n_agents=3,
+                                      deployment=deployment)
     readers_now = [0]
     writer_now = [0]
     violations = []
@@ -390,10 +406,11 @@ def test_coordinator_validation():
         TokenCoordinator(host, {"red": 1}, policy="lifo")
 
 
-def test_timestamp_policy_grants_in_order():
+def test_timestamp_policy_grants_in_order(deployment="coordinator"):
     """Under the timestamp policy the earliest request goes first even
     if a later, smaller request is satisfiable."""
-    world, coord, (a, b, c) = make_world({"red": 2}, policy="timestamp")
+    world, coord, (a, b, c) = make_world({"red": 2}, policy="timestamp",
+                                         deployment=deployment)
     order = []
 
     def big_then_release():
@@ -421,3 +438,54 @@ def test_timestamp_policy_grants_in_order():
     # FIFO-opportunistic would let "one" jump the queue at release time;
     # timestamp order must serve "two" (earlier request) first.
     assert order == ["two", "one"]
+
+
+#: Tests above that see the managers only through agents,
+#: ``check_conservation()`` and ``deadlocks`` — deployment-blind.
+ANY_DEPLOYMENT = [
+    test_request_and_release_roundtrip,
+    test_request_blocks_until_available,
+    test_request_all_of_color,
+    test_release_unheld_tokens_raises_locally,
+    test_request_validation,
+    test_unknown_color_fails_request,
+    test_total_tokens,
+    test_two_agent_deadlock_detected,
+    test_three_agent_cycle_detected,
+    test_two_phase_use_never_deadlocks,
+    test_transfer_moves_tokens_between_agents,
+    test_transfer_can_unblock_deadlock_free_waiter,
+    test_mutex_protocol_mutual_exclusion,
+    test_mutex_release_without_hold_raises,
+    test_readers_writer_protocol,
+    test_timestamp_policy_grants_in_order,
+]
+
+
+@pytest.mark.parametrize("scenario", ANY_DEPLOYMENT,
+                         ids=lambda test: test.__name__)
+def test_same_behaviour_on_a_three_shard_ring(scenario):
+    scenario(deployment="ring")
+
+
+def test_coordinator_is_a_one_shard_ring():
+    """One manager class: the coordinator is a ``TokenShard`` whose ring
+    has one name, so every manager-to-manager message is dispatched
+    inline — a contended workload never forwards."""
+    world, coord, agents = make_world({"x": 1, "y": 1}, n_agents=3)
+    assert isinstance(coord, TokenShard)
+    assert len(coord.ring) == 1
+
+    def worker(agent):
+        for _ in range(5):
+            yield agent.request({"x": 1, "y": 1})
+            yield world.kernel.timeout(0.1)
+            agent.release({"x": 1, "y": 1})
+
+    for agent in agents:
+        world.process(worker(agent))
+    world.run()
+    assert coord.grants == 15
+    assert coord.forwards == 0
+    assert coord.quiescent
+    coord.check_conservation()

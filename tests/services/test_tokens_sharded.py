@@ -326,6 +326,57 @@ def test_atomic_requests_never_deadlock():
     assert service.quiescent
 
 
+def test_aborting_a_queued_head_drains_its_followers():
+    """Timestamp policy, "only the head may go": when the deadlock
+    victim is the queued head at a shard, aborting it makes the next
+    prepare the head — which must be granted then, not at whatever
+    unrelated event next touches that shard.
+
+    w holds x and asks y; v holds y and asks x, so v queues at x's home
+    as its head and (the younger of the two) is the victim; ``late``,
+    younger still, asks the *free* colour z homed on the same shard and
+    queues behind v."""
+    latency = 0.01
+    by_home = colors_per_shard(2, per_shard=2)
+    (x, z), y = by_home["_tok0"], by_home["_tok1"][0]
+    world, service, (w, v, late) = make_sharded(
+        {x: 1, y: 1, z: 1}, n_shards=2, policy="timestamp")
+    at = {}
+
+    def hold_then_want(agent, first, second, start, tag, warm_up):
+        for _ in range(warm_up):  # each exchange ages the Lamport clock
+            yield agent.total_tokens()
+        yield agent.request({first: 1})
+        yield world.kernel.timeout(start - world.now)
+        try:
+            yield agent.request({second: 1})
+            at[tag] = ("granted", world.now)
+            yield world.kernel.timeout(5.0)
+            agent.release({second: 1})
+        except DeadlockDetected:
+            at[tag] = ("victim", world.now)
+        agent.release({first: 1})
+
+    def latecomer():
+        for _ in range(8):
+            yield late.total_tokens()
+        yield world.kernel.timeout(1.04 - world.now)
+        yield late.request({z: 1})
+        at["late"] = ("granted", world.now)
+        late.release({z: 1})
+
+    world.process(hold_then_want(w, x, y, 1.0, "w", warm_up=0))
+    world.process(hold_then_want(v, y, x, 1.03, "v", warm_up=3))
+    world.process(latecomer())
+    world.run()
+    assert at["v"][0] == "victim" and at["w"][0] == "granted"
+    # v hears of its abort one hop after its coordinator decided it; the
+    # Abort, the Prepared it frees and late's Grant are one hop each.
+    assert at["late"][1] <= at["v"][1] + 2 * latency + 1e-9
+    service.check_conservation()
+    assert service.quiescent
+
+
 # -- the paper's protocols, unchanged over shards ---------------------------
 
 
