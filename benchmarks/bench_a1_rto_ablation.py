@@ -5,7 +5,12 @@ latency (per destination, from the latency model). This ablation pits
 that choice against fixed under- and over-estimates on a jittery,
 lossy intercontinental link — and crosses the interesting arms with the
 recovery protocol: pure cumulative ACKs (the original seed protocol)
-vs the SACK + fast-retransmit default.
+vs the SACK + fast-retransmit default. Flow control is switched off
+(as in E13's ``noflow`` row): the ablation isolates the timer from the
+window. With the window on — the default since after A1 was recorded —
+every RTO also collapses ``cwnd``, so an undersized timer throttles the
+stream it was meant to hurry and the table measures congestion
+control, not RTO sizing.
 
 Measured shape (recorded in EXPERIMENTS.md), cumulative arm: spurious
 retransmits fall monotonically as the RTO grows toward the estimated
@@ -46,7 +51,8 @@ def run_rto(rto: "float | None", seed: int = 81, mode: str = "static", *,
                   faults=FaultPlan(drop_prob=DROP, reorder_jitter=0.02),
                   endpoint_options={"rto_initial": rto, "max_retries": 60,
                                     "rto_mode": mode, "sack": sack,
-                                    "ack_delay": 0.01 if sack else 0.0})
+                                    "ack_delay": 0.01 if sack else 0.0,
+                                    "flow_control": False})
     src = world.dapplet(Node, "caltech.edu", "src")
     dst = world.dapplet(Node, "sydney.edu.au", "dst")
     inbox = dst.create_inbox(name="in")

@@ -38,7 +38,7 @@ from benchmarks._util import print_table, write_results
 from repro.mailbox import Inbox, Outbox
 from repro.messages import Text
 from repro.net import ConstantLatency, NodeAddress
-from repro.net.transport import Endpoint
+from repro.net.endpoint import Endpoint
 from repro.obs import Tracer
 from repro.runtime import AsyncioSubstrate, SimSubstrate
 

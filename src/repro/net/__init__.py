@@ -5,8 +5,9 @@ package provides the synthetic equivalent (see DESIGN.md §2): an
 unreliable datagram service with configurable latency models and fault
 injection (:mod:`repro.net.datagram`), and on top of it the ordering
 layer the paper describes — per-channel FIFO, exactly-once delivery via
-sequence numbers, acknowledgements and retransmission
-(:mod:`repro.net.endpoint`), with per-channel delivery classes
+sequence numbers, acknowledgements and retransmission: the protocol as
+sans-I/O stream machines (:mod:`repro.net.stream`), hosted per node by
+:mod:`repro.net.endpoint`, with per-channel delivery classes
 (:mod:`repro.net.delivery`).
 """
 

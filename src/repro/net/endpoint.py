@@ -1,74 +1,27 @@
-"""The ordering layer: reliable FIFO channels over unreliable datagrams.
-
-The paper (§3.2): "The initial implementation uses UDP ... and it
-includes a layer to ensure that messages are delivered in the order they
-were sent" and "Messages sent along a channel are delivered in the order
-sent." This module implements that layer with the classic mechanism:
-per-channel sequence numbers, cumulative acknowledgements, retransmission
-with exponential backoff, receiver-side reordering buffers and duplicate
-suppression — yielding per-channel FIFO, exactly-once delivery over a
-network that drops, duplicates and reorders.
-
-On top of the cumulative baseline the layer speaks four refinements
-borrowed from modern TCP, all per channel:
-
-* **Selective acknowledgements** — every ACK carries a bounded ``sack``
-  list of out-of-order sequence ranges held in the receiver's reordering
-  buffer. The sender marks those packets and stops retransmitting them:
-  only true holes go back on the wire (counted in
-  ``stats.sacked_suppressed``).
-* **Fast retransmit** — ``dup_ack_threshold`` duplicate cumulative ACKs
-  retransmit the first unSACKed hole immediately instead of waiting out
-  the RTO (counted in ``stats.fast_retransmits``).
-* **Delayed / piggybacked ACKs** — in-order arrivals coalesce behind a
-  short delayed-ack window (``ack_delay``); a gap, a duplicate or a
-  hole-filling arrival always ACKs immediately so duplicate ACKs keep
-  flowing for fast retransmit. A pending delayed ACK rides outgoing DATA
-  to the same node for free (``stats.acks_piggybacked``).
-* **Flow + congestion control** (``flow_control``, default on) — every
-  ACK advertises the receiver's remaining buffer (``rwnd``, derived from
-  the destination inbox's queue occupancy plus the reordering buffer),
-  and the sender runs an AIMD congestion window with slow start (``cwnd``
-  grows per acknowledged byte below ``ssthresh`` and by ~one max-size
-  payload per round trip above it; halves on fast retransmit, collapses
-  to one payload on RTO). New packets are transmitted only while
-  bytes-in-flight stay within ``min(cwnd, rwnd)``; the excess queues in
-  the stream, and consecutive queued payloads are coalesced into batched
-  DATA frames (``parts`` framing, see :mod:`repro.net.wire`) when the
-  window reopens. A closed receive window is probed with payload-less
-  PROBE frames on a persist timer with exponential backoff, so a lost
-  window-update ACK can never deadlock a sender; the probe budget is
-  ``max_retries``, after which the channel is declared broken exactly
-  like a retry-exhausted packet. Backpressure is exposed upward through
-  :meth:`Endpoint.writable` (used by ``Outbox.send_flow``).
-
-Reliability is a per-channel **delivery class**, not an endpoint-wide
-switch (see :mod:`repro.net.delivery`): every send rides RELIABLE (all
-of the above), UNRELIABLE (fire-and-forget, sequence-stamped so the
-receiver drops duplicate and stale frames — no retransmit state, no
-reorder buffer, no window accounting) or RELIABLE_SKIP (RELIABLE until
-a skip timeout, then the sender abandons the packet, resolves its
-receipt ``skipped`` and sends a SKIP frame advancing the receiver past
-the hole, so FIFO delivery never stalls on an abandoned update). The
-classes multiplex over one socket; the endpoint's ``delivery`` option
-only sets the default.
+"""A node's attachment to the network: routing and I/O for the ordering layer.
 
 One :class:`Endpoint` exists per node (machine); every inbox of every
 dapplet on that node registers with it, and every outbox sends through
-the endpoint of its node. The *channel key* identifies one outbox→inbox
-channel, so ordering is exactly per-channel, as the paper specifies (two
-channels between the same pair of nodes are independent).
+the endpoint of its node. The protocol itself — sequence numbers,
+acknowledgements, retransmission, windows, the three delivery classes —
+lives once, in the sans-I/O stream machines of :mod:`repro.net.stream`;
+the frame layout in :mod:`repro.net.wire`. What is left here is what is
+genuinely per node: the inbox registry, delivery-class dispatch and the
+frame-ceiling check in :meth:`Endpoint.send`, delivery receipts and
+``writable`` waiters, the cross-stream jobs (piggybacking owed ACKs on
+outgoing DATA, window updates when an inbox drains, ``close``), datagram
+I/O and the wake timers: each stream half exposes ``wake_at`` and the
+endpoint keeps exactly one timer armed there (:meth:`Endpoint._arm`, the
+only place this module arms a timer).
 
 The endpoint is substrate-agnostic: it talks to a
 :class:`~repro.runtime.substrate.Scheduler` for time and timers and to a
 :class:`~repro.runtime.substrate.DatagramService` for the wire, so the
-same protocol machinery runs on the virtual-time simulator and on real
-UDP sockets (see :mod:`repro.runtime`). The frame layout lives in
-:mod:`repro.net.wire`; the per-stream RTT/RTO and window state in
-:mod:`repro.net.rto`.
+same machines run on the virtual-time simulator and on real UDP sockets
+(see :mod:`repro.runtime`).
 
-The paper also specifies: "if a message is not delivered within a
-specified time, an exception is raised" — :meth:`Endpoint.send` returns a
+The paper: "if a message is not delivered within a specified time, an
+exception is raised" — :meth:`Endpoint.send` returns a
 :class:`DeliveryReceipt` whose ``confirmed`` event fails with
 :class:`~repro.errors.DeliveryTimeout` in that case.
 """
@@ -78,16 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import AddressError, DeliveryTimeout
+from repro.errors import AddressError
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.datagram import HEADER_OVERHEAD, Datagram
 from repro.net.delivery import (RELIABLE, RELIABLE_SKIP, UNRELIABLE,
                                 validate_delivery)
-from repro.net.rto import PendingPacket, SendStream
-from repro.net.wire import (BATCH_COUNT_SIZE, BATCH_MAX_PAYLOADS,
-                            DATA_FIXED_SIZE, KIND_ACK, KIND_DATA, KIND_PROBE,
-                            KIND_SKIP, MAX_FRAME_BYTES,
-                            PART_LEN_SIZE, SACK_MAX_RANGES, frame_base_size,
+from repro.net.stream import (FreshReceiver, FreshSender, ReliableReceiver,
+                              ReliableSender)
+from repro.net.wire import (DATA_FIXED_SIZE, KIND_ACK, KIND_DATA, KIND_PROBE,
+                            KIND_SKIP, MAX_FRAME_BYTES, frame_base_size,
                             pack_entry_wire_size, payload_too_large,
                             ref_wire_size, utf8_len)
 from repro.runtime.substrate import DatagramService, Scheduler
@@ -183,48 +135,6 @@ class DeliveryReceipt:
         if not self.confirmed.triggered:
             self.confirmed.fail(exc)
             self.confirmed.defused = True
-
-
-class _RecvStream:
-    """Receiver half of one reliable channel (fixed src node + channel key)."""
-
-    __slots__ = ("expected", "buffer", "ack_pending", "ack_armed",
-                 "last_ack_at", "pending_ets", "buffered_bytes", "last_to",
-                 "advertised_rwnd")
-
-    def __init__(self) -> None:
-        self.expected = 0
-        self.buffer: dict[int, tuple["int | str", str]] = {}
-        #: An acknowledgement is owed but has not been put on the wire.
-        self.ack_pending = False
-        #: A delayed-ack timer is currently armed for this stream.
-        self.ack_armed = False
-        self.last_ack_at = float("-inf")
-        #: Echo timestamp of the earliest packet covered by the pending
-        #: ACK (RFC 7323 rule: a coalesced ACK echoes its oldest trigger,
-        #: so RTT samples account for the ack delay the sender must absorb).
-        self.pending_ets: float | None = None
-        #: Bytes held in the reordering buffer (charged against ``rwnd``).
-        self.buffered_bytes = 0
-        #: The inbox ref/name this channel last addressed; its queue
-        #: occupancy is what the advertised window is derived from.
-        self.last_to: "int | str | None" = None
-        #: The window value most recently put on the wire (``None``
-        #: before the first advertisement); window updates compare
-        #: against it.
-        self.advertised_rwnd: int | None = None
-
-    def sack_ranges(self) -> list[list[int]]:
-        """The out-of-order runs held in the buffer, as inclusive ranges."""
-        ranges: list[list[int]] = []
-        for seq in sorted(self.buffer):
-            if ranges and seq == ranges[-1][1] + 1:
-                ranges[-1][1] = seq
-            else:
-                if len(ranges) == SACK_MAX_RANGES:
-                    break
-                ranges.append([seq, seq])
-        return ranges
 
 
 DeliverFn = Callable[[str, InboxAddress], None]
@@ -337,32 +247,35 @@ class Endpoint:
         self.cwnd_initial = cwnd_initial
         self.recv_window = recv_window
         self.batch_bytes = batch_bytes
+        #: Bytes a packet is charged on top of its payload, by the flow
+        #: accounting here exactly as by the datagram layer's latency.
+        self.overhead = HEADER_OVERHEAD
         self.closed = False
         self.stats = EndpointStats()
-        self._inboxes: dict["int | str", DeliverFn] = {}
+        #: ref or name -> (deliver, the address it was registered under).
+        self._inboxes: dict["int | str", tuple[DeliverFn, InboxAddress]] = {}
         self._backlogs: dict["int | str", BacklogFn] = {}
-        self._send_streams: dict[tuple[NodeAddress, str], SendStream] = {}
-        self._recv_streams: dict[tuple[NodeAddress, str], _RecvStream] = {}
+        self._send_streams: dict[tuple[NodeAddress, str], ReliableSender] = {}
+        self._recv_streams: dict[tuple[NodeAddress, str],
+                                 ReliableReceiver] = {}
+        self._unreliable_out = FreshSender(self)
+        self._unreliable_in = FreshReceiver(self)
+        #: UNRELIABLE: next sequence stamp per (destination node, channel).
+        self._unreliable_seq = self._unreliable_out.next_seq
         self._rto_cache: dict[str, float] = {}
-        #: Per source node: how many receive streams owe it an ACK.
-        #: Index over ``_recv_streams[...].ack_pending`` so the DATA
-        #: fast path skips the piggyback scan when nothing is owed.
+        #: Per source node: how many receive streams owe it an ACK, so
+        #: the DATA fast path skips the piggyback scan when none does.
         self._acks_owed: dict[NodeAddress, int] = {}
-        #: UNRELIABLE sender half: next sequence stamp per
-        #: (destination node, channel key).
-        self._unreliable_seq: dict[tuple[NodeAddress, str], int] = {}
-        #: UNRELIABLE receiver half: latest stamp delivered per
-        #: (source node, channel key); older arrivals are stale-dropped.
-        self._unreliable_latest: dict[tuple[NodeAddress, str], int] = {}
+        #: ``writable`` events parked per (destination node, channel).
+        self._waiters: dict[tuple[NodeAddress, str], list[Event]] = {}
         network.register(address, self._on_datagram)
 
     def close(self) -> None:
         """Detach from the network (in-flight datagrams to us are lost).
 
-        Armed retransmission, delayed-ack and persist-probe timers are
-        neutralized (a closed endpoint injects no further datagrams) and
-        every outstanding delivery receipt — queued behind a closed
-        window or already in flight — fails with
+        Every stream's due times are dropped (a closed endpoint injects
+        no further datagrams) and every outstanding delivery receipt —
+        queued behind a closed window or already in flight — fails with
         :class:`DeliveryTimeout`: once we stop listening, no
         acknowledgement can ever confirm them. Blocked window waiters
         (:meth:`writable`) fail with :class:`AddressError`, so a process
@@ -379,22 +292,13 @@ class Endpoint:
                                 for s in self._send_streams.values()))
         self.network.unregister(self.address)
         for (node, channel), stream in self._send_streams.items():
-            for pending in stream.unacked.values():
-                pending.receipt._fail(DeliveryTimeout(
-                    f"endpoint {self.address} closed with message on channel "
-                    f"{channel!r} to {node} unacknowledged",
-                    destination=pending.receipt.destination))
-            stream.unacked.clear()
-            stream.queue.clear()
-            stream.in_flight = 0
-            stream.stalled = False
-            for ev in stream.waiters:
-                if not ev.triggered:
-                    ev.fail(AddressError(
-                        f"endpoint {self.address} closed while channel "
-                        f"{channel!r} to {node} was blocked on its window"))
-                    ev.defused = True
-            stream.waiters.clear()
+            stream.abort(f"endpoint {self.address} closed with message on "
+                         f"channel {channel!r} to {node} unacknowledged")
+            for ev in self._waiters.pop((node, channel), ()):
+                ev.fail(AddressError(
+                    f"endpoint {self.address} closed while channel "
+                    f"{channel!r} to {node} was blocked on its window"))
+                ev.defused = True
         for stream in self._recv_streams.values():
             stream.ack_pending = False
         self._acks_owed.clear()
@@ -412,23 +316,18 @@ class Endpoint:
         """
         if ref in self._inboxes:
             raise AddressError(f"inbox ref {ref} already registered on {self.address}")
-        self._inboxes[ref] = deliver
-        if backlog is not None:
-            self._backlogs[ref] = backlog
-        if name is not None:
-            if name in self._inboxes:
-                raise AddressError(
-                    f"inbox name {name!r} already registered on {self.address}")
-            self._inboxes[name] = deliver
+        if name is not None and name in self._inboxes:
+            raise AddressError(
+                f"inbox name {name!r} already registered on {self.address}")
+        for key in (ref,) if name is None else (ref, name):
+            self._inboxes[key] = (deliver, InboxAddress(self.address, key))
             if backlog is not None:
-                self._backlogs[name] = backlog
+                self._backlogs[key] = backlog
 
     def unregister_inbox(self, ref: int, name: str | None = None) -> None:
-        self._inboxes.pop(ref, None)
-        self._backlogs.pop(ref, None)
-        if name is not None:
-            self._inboxes.pop(name, None)
-            self._backlogs.pop(name, None)
+        for key in (ref, name):
+            self._inboxes.pop(key, None)
+            self._backlogs.pop(key, None)
 
     # -- sending ----------------------------------------------------------
 
@@ -467,28 +366,19 @@ class Endpoint:
                 raise ValueError("delivery timeout requires a reliable endpoint")
             if frame_size > MAX_FRAME_BYTES:
                 raise payload_too_large(frame_size)
-            ukey = (dst.node, channel)
-            seq = self._unreliable_seq.get(ukey, 0)
-            self._unreliable_seq[ukey] = seq + 1
-            self.stats.unreliable_sent += 1
-            tr = self.kernel.tracer
-            if tr is not None:
-                tr.emit("ep", "data", node=self.address, ch=channel,
-                        seq=seq, dst=str(dst.node), cls=UNRELIABLE)
-            self.network.send(Datagram(
-                self.address, dst.node,
-                {"kind": KIND_DATA, "to": dst.ref, "ch": channel,
-                 "seq": seq, "ts": self.kernel.now, "cls": UNRELIABLE},
-                payload))
+            self._unreliable_out.send(self.kernel.now, dst, channel, payload)
             return None
-
+        hold = None
+        if cls == RELIABLE_SKIP:
+            hold = self.skip_timeout if skip_timeout is None else skip_timeout
+            if hold <= 0:
+                raise ValueError("skip_timeout must be > 0")
         key = (dst.node, channel)
         stream = self._send_streams.get(key)
         if stream is None:
-            stream = SendStream(self._pick_rto(dst.node),
-                                cwnd_initial=float(self.cwnd_initial))
-            self._send_streams[key] = stream
-
+            stream = self._send_streams[key] = ReliableSender(
+                self, dst.node, channel, self._pick_rto(dst.node),
+                float(self.cwnd_initial))
         receipt = DeliveryReceipt(self.kernel, dst)
         if frame_size > MAX_FRAME_BYTES:
             # Failed before a sequence number is allocated, so the FIFO
@@ -499,50 +389,10 @@ class Endpoint:
                         size=frame_size)
             receipt._fail(payload_too_large(frame_size))
             return receipt
-        if stream.broken:
-            receipt._fail(DeliveryTimeout(
-                f"channel {channel!r} to {dst.node} is broken (retries exhausted)",
-                destination=dst, timeout=timeout))
-            return receipt
-
-        seq = stream.next_seq
-        stream.next_seq += 1
-        initial_rto = (stream.current_rto() if self.rto_mode == "adaptive"
-                       else stream.rto_initial)
-        pending = PendingPacket(seq=seq, to_ref=dst.ref, payload=payload,
-                                receipt=receipt, rto=initial_rto,
-                                deadline=(None if timeout is None
-                                          else self.kernel.now + timeout),
-                                first_sent_at=self.kernel.now,
-                                size=HEADER_OVERHEAD + len(payload),
-                                wire_len=wire_len)
-        stream.unacked[seq] = pending
-        self.stats.data_sent += 1
-        tr = self.kernel.tracer
-        if cls == RELIABLE_SKIP:
-            hold = self.skip_timeout if skip_timeout is None else skip_timeout
-            if hold <= 0:
-                raise ValueError("skip_timeout must be > 0")
-            pending.skip_at = self.kernel.now + hold
-            if tr is not None:
-                tr.emit("ep", "data", node=self.address, ch=channel, seq=seq,
-                        dst=str(dst.node), cls=RELIABLE_SKIP)
-            # The skip deadline has its own timer: it is typically
-            # shorter than the RTO, and abandoning must not wait for
-            # the retransmission machinery to wake up.
-            self.kernel.call_later(hold,
-                                   lambda: self._on_skip_timer(key, seq))
-        elif tr is not None:
-            tr.emit("ep", "data", node=self.address, ch=channel, seq=seq,
-                    dst=str(dst.node))
-        if self.flow_control:
-            stream.note_payload(pending.size)
-            stream.queue.append(pending)
-            self._pump(key, stream)
-        else:
-            pending.transmitted = True
-            self._transmit(dst.node, channel, pending)
-            self._arm_timer(key, pending)
+        # The receipt's clock reading is the send's ``now``.
+        stream.send(receipt.sent_at, dst.ref, payload, wire_len, receipt,
+                    timeout, hold)
+        self._arm(stream)
         return receipt
 
     def writable(self, dst_node: NodeAddress, channel: str) -> Event:
@@ -562,11 +412,10 @@ class Endpoint:
             ev.defused = True
             return ev
         stream = self._send_streams.get((dst_node, channel))
-        if (not self.flow_control or stream is None or stream.broken
-                or not stream.queue):
+        if stream is None or stream.broken or not stream.queue:
             ev.succeed(None)
         else:
-            stream.waiters.append(ev)
+            self._waiters.setdefault((dst_node, channel), []).append(ev)
         return ev
 
     def _pick_rto(self, dst: NodeAddress) -> float:
@@ -583,801 +432,143 @@ class Endpoint:
             self._rto_cache[dst.host] = cached
         return cached
 
-    # -- the send window ---------------------------------------------------
+    # -- what the stream machines ask of their host ---------------------------
 
-    def _pump(self, key: tuple[NodeAddress, str], stream: SendStream) -> None:
-        """Transmit queued packets while the window allows, coalescing
-        consecutive queued payloads into batched DATA frames; then update
-        the stall/resume state and wake or park accordingly.
+    @property
+    def tracer(self):
+        return self.kernel.tracer
 
-        The filler is size-aware in *wire* bytes, not just in the flow
-        accounting: the group stops before the encoded batch frame would
-        exceed :data:`~repro.net.wire.MAX_FRAME_BYTES`, so a run of
-        large payloads splits into several frames on every substrate
-        instead of encoding an oversized frame on the UDP one."""
-        if self.closed or stream.broken:
-            return
-        batch_base = (frame_base_size(self.address, key[0], key[1])
-                      + DATA_FIXED_SIZE + BATCH_COUNT_SIZE)
-        while stream.queue:
-            head = stream.queue[0]
-            window = stream.window()
-            if stream.in_flight + head.size > window:
-                break
-            group = [stream.queue.popleft()]
-            total = head.size
-            # Projected wire size if the group becomes a batch frame
-            # (the head's ref appears both as ``to`` and in ``parts``).
-            wire_total = (batch_base + 2 * ref_wire_size(head.to_ref)
-                          + PART_LEN_SIZE + head.wire_len)
-            while stream.queue and len(group) < BATCH_MAX_PAYLOADS:
-                nxt = stream.queue[0]
-                if total + nxt.size > self.batch_bytes:
-                    break
-                if stream.in_flight + total + nxt.size > window:
-                    break
-                nxt_wire = (ref_wire_size(nxt.to_ref) + PART_LEN_SIZE
-                            + nxt.wire_len)
-                if wire_total + nxt_wire > MAX_FRAME_BYTES:
-                    break
-                stream.queue.popleft()
-                group.append(nxt)
-                total += nxt.size
-                wire_total += nxt_wire
-            for p in group:
-                p.transmitted = True
-            stream.in_flight += total
-            if len(group) == 1:
-                self._transmit(key[0], key[1], head)
-            else:
-                self._transmit_batch(key[0], key[1], group)
-            for p in group:
-                self._arm_timer(key, p)
-        tr = self.kernel.tracer
-        if stream.queue:
-            if not stream.stalled:
-                stream.stalled = True
-                self.stats.window_stalls += 1
-                if tr is not None:
-                    tr.emit("ep", "stall", node=self.address, ch=key[1],
-                            queued=len(stream.queue),
-                            in_flight=stream.in_flight,
-                            cwnd=int(stream.cwnd), rwnd=stream.rwnd)
-            if stream.in_flight == 0 and not stream.probe_armed:
-                # Zero-window persist: nothing in flight can solicit the
-                # window-opening ACK, so probe for it.
-                self._arm_probe(key, stream)
-        else:
-            if stream.stalled:
-                stream.stalled = False
-                self.stats.window_resumes += 1
-                if tr is not None:
-                    tr.emit("ep", "resume", node=self.address, ch=key[1],
-                            in_flight=stream.in_flight,
-                            cwnd=int(stream.cwnd), rwnd=stream.rwnd)
-            if stream.waiters:
-                waiters, stream.waiters = stream.waiters, []
-                for ev in waiters:
-                    ev.succeed(None)
+    def emit(self, dst: NodeAddress, header: dict, payload: str = "",
+             parts: "tuple[str, ...] | None" = None) -> None:
+        self.network.send(Datagram(self.address, dst, header, payload, parts))
 
-    def _cwnd_cut(self, key: tuple[NodeAddress, str], stream: SendStream,
-                  reason: str) -> None:
-        before = stream.cwnd
-        if reason == "halve":
-            stream.on_loss_halve()
-        else:
-            stream.on_loss_collapse()
-        if stream.cwnd >= before:
-            return  # already at (or below) the floor; nothing happened
-        if reason == "halve":
-            self.stats.cwnd_halvings += 1
-        else:
-            self.stats.cwnd_collapses += 1
-        stream.cwnd_band = int(stream.cwnd).bit_length()
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "cwnd", node=self.address, ch=key[1],
-                    cwnd=int(stream.cwnd), reason=reason)
-
-    def _arm_probe(self, key: tuple[NodeAddress, str],
-                   stream: SendStream) -> None:
-        if stream.probe_rto <= 0.0:
-            stream.probe_rto = (stream.current_rto()
-                                if self.rto_mode == "adaptive"
-                                else stream.rto_initial)
-        stream.probe_armed = True
-        self.kernel.call_later(stream.probe_rto,
-                               lambda: self._on_probe_timer(key))
-
-    def _on_probe_timer(self, key: tuple[NodeAddress, str]) -> None:
-        if self.closed:
-            return
-        stream = self._send_streams.get(key)
-        if stream is None:
-            return
-        if stream.broken:
-            stream.probe_armed = False
-            return
-        self._sweep_deadlines(key, stream)
-        # The window may have opened while the timer was armed
-        # (probe_armed stays True through this pump so it cannot re-arm).
-        self._pump(key, stream)
-        if not stream.queue or stream.in_flight > 0:
-            stream.probe_armed = False
-            stream.probe_attempts = 0
-            stream.probe_rto = 0.0
-            return
-        stream.probe_attempts += 1
-        if stream.probe_attempts > self.max_retries:
-            stream.probe_armed = False
-            self._break_channel(key, stream, seq=stream.queue[0].seq,
-                                attempts=stream.probe_attempts)
-            return
-        self.stats.window_probes += 1
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "probe", node=self.address, ch=key[1],
-                    rwnd=stream.rwnd, attempt=stream.probe_attempts)
-        self.network.send(Datagram(
-            self.address, key[0], {"kind": KIND_PROBE, "ch": key[1]}, ""))
-        stream.probe_rto = min(stream.probe_rto * 2.0, self.rto_max)
-        self.kernel.call_later(stream.probe_rto,
-                               lambda: self._on_probe_timer(key))
-
-    def _sweep_deadlines(self, key: tuple[NodeAddress, str],
-                         stream: SendStream) -> None:
-        """Fail receipts of queued (untransmitted) packets whose delivery
-        deadline passed while the window was closed. The packets stay
-        queued: their sequence numbers are allocated, so skipping them
-        would hole the FIFO stream (same policy as timed-out in-flight
-        packets)."""
-        now = self.kernel.now
-        for pending in stream.queue:
-            if pending.deadline is not None and now >= pending.deadline \
-                    and not pending.timed_out:
-                pending.timed_out = True
-                pending.receipt._fail(DeliveryTimeout(
-                    f"message on channel {key[1]!r} to {key[0]} not delivered "
-                    f"within {pending.deadline - pending.receipt.sent_at:.3f}s",
-                    destination=pending.receipt.destination,
-                    timeout=pending.deadline - pending.receipt.sent_at))
-
-    def _break_channel(self, key: tuple[NodeAddress, str],
-                       stream: SendStream, seq: "int | None",
-                       attempts: "int | None") -> None:
-        """Give up: the channel is declared broken. All queued packets
-        fail; later sends fail immediately; blocked waiters are released
-        (their next ``send`` observes the broken channel)."""
-        self.stats.gave_up += 1
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "broken", node=self.address, ch=key[1],
-                    seq=seq, attempts=attempts)
-        stream.broken = True
-        for p in stream.unacked.values():
-            p.receipt._fail(DeliveryTimeout(
-                f"channel {key[1]!r} to {key[0]} broken after "
-                f"{self.max_retries} retries",
-                destination=p.receipt.destination))
-        stream.unacked.clear()
-        stream.queue.clear()
-        stream.in_flight = 0
-        stream.stalled = False
-        if stream.waiters:
-            waiters, stream.waiters = stream.waiters, []
-            for ev in waiters:
-                ev.succeed(None)
-
-    # -- transmission ------------------------------------------------------
-
-    def _transmit(self, dst_node: NodeAddress, channel: str,
-                  pending: PendingPacket) -> None:
-        # "ts" is echoed back in acks (TCP-timestamps style) so RTT
-        # samples stay clean even under cumulative-ack delays and
-        # retransmission ambiguity.
-        header = {"kind": KIND_DATA, "to": pending.to_ref, "ch": channel,
-                  "seq": pending.seq, "ts": self.kernel.now}
-        if pending.skip_at is not None:
-            header["cls"] = RELIABLE_SKIP
-        budget = (MAX_FRAME_BYTES
-                  - frame_base_size(self.address, dst_node, channel)
-                  - DATA_FIXED_SIZE - ref_wire_size(pending.to_ref)
-                  - pending.wire_len)
-        packs = self._collect_piggyback(dst_node, budget)
-        if packs:
-            header["pack"] = packs
-        self.network.send(Datagram(self.address, dst_node, header,
-                                   pending.payload))
-
-    def _transmit_batch(self, dst_node: NodeAddress, channel: str,
-                        group: list[PendingPacket]) -> None:
-        """One DATA frame carrying several consecutive payloads: ``seq``
-        is the first packet's, ``parts`` the per-payload inbox refs (the
-        i-th part has sequence ``seq + i``). The payload strings ride in
-        ``parts_payloads`` — the wire codec writes each exactly once
-        (length-prefixed), with no intermediate join/copy."""
-        header = {"kind": KIND_DATA, "to": group[0].to_ref, "ch": channel,
-                  "seq": group[0].seq, "ts": self.kernel.now,
-                  "parts": [p.to_ref for p in group]}
-        budget = (MAX_FRAME_BYTES
-                  - frame_base_size(self.address, dst_node, channel)
-                  - DATA_FIXED_SIZE - ref_wire_size(group[0].to_ref)
-                  - BATCH_COUNT_SIZE
-                  - sum(ref_wire_size(p.to_ref) + PART_LEN_SIZE + p.wire_len
-                        for p in group))
-        packs = self._collect_piggyback(dst_node, budget)
-        if packs:
-            header["pack"] = packs
-        self.stats.batches_sent += 1
-        self.stats.batched_payloads += len(group)
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "batch", node=self.address, ch=channel,
-                    seq=group[0].seq, n=len(group))
-        self.network.send(Datagram(
-            self.address, dst_node, header, "",
-            parts_payloads=tuple(p.payload for p in group)))
-
-    def _collect_piggyback(self, dst_node: NodeAddress,
-                           budget: "float | None" = None) -> list[dict]:
-        """Fold pending delayed ACKs owed to ``dst_node`` into an
-        outgoing DATA datagram (an ACK datagram saved per entry).
-
-        ``budget`` caps the collected packs' wire size so the carrying
-        frame stays under ``MAX_FRAME_BYTES``; an entry that does not
-        fit keeps its ``ack_pending`` flag (its own delayed-ack timer —
-        or the next outgoing frame — still flushes it). The
-        ``_acks_owed`` index makes the common nothing-owed case O(1)
-        instead of a scan over every receive stream."""
-        if not self._acks_owed.get(dst_node):
-            return []
-        packs: list[dict] = []
-        tr = self.kernel.tracer
-        for (node, channel), stream in self._recv_streams.items():
-            if node != dst_node or not stream.ack_pending:
-                continue
-            fields = self._ack_fields(stream)
-            if budget is not None:
-                cost = pack_entry_wire_size(channel, fields)
-                if cost > budget:
-                    continue
-                budget -= cost
-            packs.append({"ch": channel, **fields})
-            stream.ack_pending = False
-            self._ack_owed_dec(dst_node)
-            stream.pending_ets = None
-            stream.last_ack_at = self.kernel.now
-            self.stats.acks_piggybacked += 1
+    def route(self, to_ref: "int | str"
+              ) -> "tuple[DeliverFn, InboxAddress] | None":
+        route = self._inboxes.get(to_ref)
+        if route is None:
+            self.stats.no_such_inbox += 1
+            tr = self.kernel.tracer
             if tr is not None:
-                tr.emit("ep", "ack", node=self.address, ch=channel,
-                        cum=fields["cum"], sack=fields.get("sack"),
-                        mode="piggyback")
-        return packs
+                tr.emit("ep", "no_inbox", node=self.address, to=to_ref)
+        return route
 
-    def _ack_owed_inc(self, node: NodeAddress) -> None:
-        """A receive stream toward ``node`` newly set ``ack_pending``."""
-        self._acks_owed[node] = self._acks_owed.get(node, 0) + 1
+    def backlog(self, to_ref: "int | str | None") -> int:
+        backlog_fn = self._backlogs.get(to_ref)
+        return 0 if backlog_fn is None else backlog_fn()
 
-    def _ack_owed_dec(self, node: NodeAddress) -> None:
-        """A receive stream toward ``node`` cleared ``ack_pending``."""
-        owed = self._acks_owed.get(node, 0) - 1
+    def ack_owed(self, node: NodeAddress, delta: int) -> None:
+        owed = self._acks_owed.get(node, 0) + delta
         if owed > 0:
             self._acks_owed[node] = owed
         else:
             self._acks_owed.pop(node, None)
 
-    def _arm_timer(self, key: tuple[NodeAddress, str],
-                   pending: PendingPacket) -> None:
-        self.kernel.call_later(
-            pending.rto, lambda: self._on_timer(key, pending.seq))
+    def piggyback(self, dst_node: NodeAddress, budget: int,
+                  now: float) -> list[dict]:
+        """Fold the ACKs owed to ``dst_node`` into an outgoing DATA
+        datagram (an ACK datagram saved per entry).
 
-    def _on_timer(self, key: tuple[NodeAddress, str], seq: int) -> None:
-        if self.closed:
-            return
-        stream = self._send_streams.get(key)
-        if stream is None:
-            return
-        if self.flow_control and stream.queue:
-            # Queued packets have no timers of their own; ride this one.
-            self._sweep_deadlines(key, stream)
-        if seq not in stream.unacked:
-            return  # acknowledged in the meantime
-        pending = stream.unacked[seq]
-        now = self.kernel.now
-        if pending.deadline is not None and now >= pending.deadline \
-                and not pending.timed_out:
-            # Paper semantics: raise to the application; but keep
-            # retransmitting so the channel's FIFO stream is not holed.
-            pending.timed_out = True
-            pending.receipt._fail(DeliveryTimeout(
-                f"message on channel {key[1]!r} to {key[0]} not delivered "
-                f"within {pending.deadline - pending.receipt.sent_at:.3f}s",
-                destination=pending.receipt.destination,
-                timeout=pending.deadline - pending.receipt.sent_at))
-        if pending.sacked and any(
-                s < seq and not p.sacked for s, p in stream.unacked.items()):
-            # The receiver holds this packet; the earlier hole's own timer
-            # drives recovery. Keep the timer alive (without consuming
-            # retry budget) only for deadline accounting and the
-            # reneging-safety fallback below: if this ever becomes the
-            # lowest outstanding packet, its SACK mark is ignored and it
-            # retransmits normally, so liveness never depends on an
-            # advertisement whose ACK may have been lost.
-            self.stats.sacked_suppressed += 1
-            tr = self.kernel.tracer
-            if tr is not None:
-                tr.emit("ep", "sack_suppress", node=self.address, ch=key[1],
-                        seq=seq)
-            pending.rto = min(pending.rto * 2.0, self.rto_max)
-            self._arm_timer(key, pending)
-            return
-        if pending.attempts > self.max_retries:
-            self._break_channel(key, stream, seq=seq,
-                                attempts=pending.attempts)
-            return
-        pending.attempts += 1
-        if self.sack and any(
-                s > seq and p.sacked for s, p in stream.unacked.items()):
-            # SACKed data above this hole proves the path is alive, so
-            # the loss is random rather than congestive — and with the
-            # tail suppressed this packet is the only traffic left that
-            # can solicit an ACK. Hold its timer at the base RTO instead
-            # of backing off: a lost retransmission or ACK is repaired
-            # within ~one RTO rather than an exponentially growing stall
-            # (retry budget still bounds the attempts).
-            pending.rto = (stream.current_rto()
-                           if self.rto_mode == "adaptive"
-                           else stream.rto_initial)
-        else:
-            pending.rto = min(pending.rto * 2.0, self.rto_max)
-        pending.last_rtx_at = now
-        if self.flow_control:
-            # A retransmission timeout is the strong congestion signal:
-            # collapse to one packet and slow-start back.
-            self._cwnd_cut(key, stream, "collapse")
-        self.stats.data_retransmitted += 1
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "rtx", node=self.address, ch=key[1], seq=seq,
-                    reason="rto", attempt=pending.attempts)
-        self._transmit(key[0], key[1], pending)
-        self._arm_timer(key, pending)
+        ``budget`` caps the collected packs' wire size so the carrying
+        frame stays under ``MAX_FRAME_BYTES``; an entry that does not
+        fit stays owed (its delayed-ack wake — or the next outgoing
+        frame — still flushes it). The ``_acks_owed`` index makes the
+        common nothing-owed case O(1) instead of a scan over every
+        receive stream."""
+        packs: list[dict] = []
+        if not self._acks_owed.get(dst_node):
+            return packs
+        for (node, channel), stream in self._recv_streams.items():
+            if node != dst_node or not stream.ack_pending:
+                continue
+            fields = stream.ack_fields()
+            cost = pack_entry_wire_size(channel, fields)
+            if cost > budget:
+                continue
+            budget -= cost
+            packs.append({"ch": channel, **fields})
+            self.stats.acks_piggybacked += 1
+            stream.ack_leaves(now, fields, "piggyback")
+        return packs
 
-    # -- the RELIABLE_SKIP abandon path -------------------------------------
+    def drained(self, stream: ReliableSender) -> None:
+        for ev in self._waiters.pop((stream.peer, stream.channel), ()):
+            ev.succeed(None)
 
-    def _on_skip_timer(self, key: tuple[NodeAddress, str], seq: int) -> None:
-        """The skip deadline of one RELIABLE_SKIP packet expired: stop
-        retransmitting it, resolve its receipt ``skipped``, and tell the
-        receiver to advance past every abandoned hole."""
-        if self.closed:
-            return
-        stream = self._send_streams.get(key)
-        if stream is None or stream.broken:
-            return
-        pending = stream.unacked.get(seq)
-        if pending is None:
-            return  # acknowledged (or the channel broke) in the meantime
-        if pending.sacked:
-            # The receiver already has it (SACK proved so); the packet is
-            # only waiting for the cumulative ACK to catch up. Abandoning
-            # it would mislabel a delivered message as skipped.
-            return
-        del stream.unacked[seq]
-        if pending.transmitted:
-            stream.in_flight -= pending.size
-            if stream.in_flight < 0:
-                stream.in_flight = 0
-        else:
-            try:
-                stream.queue.remove(pending)
-            except ValueError:
-                pass
-        self.stats.skipped += 1
-        # Advance the announced bound to the first still-outstanding
-        # packet: everything below it is either acknowledged or
-        # abandoned, so the receiver may deliver past those holes.
-        upto = min(stream.unacked, default=stream.next_seq)
-        if upto > stream.skip_upto:
-            stream.skip_upto = upto
-        pending.receipt._skip()
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "skip", node=self.address, ch=key[1], seq=seq,
-                    upto=stream.skip_upto,
-                    slat=self.kernel.now - pending.receipt.sent_at)
-        if stream.last_cum < stream.skip_upto - 1:
-            self._send_skip_frame(key, stream)
-            if not stream.skip_armed:
-                stream.skip_armed = True
-                stream.skip_attempts = 0
-                stream.skip_rto = (stream.current_rto()
-                                   if self.rto_mode == "adaptive"
-                                   else stream.rto_initial)
-                self.kernel.call_later(
-                    stream.skip_rto, lambda: self._on_skip_rtx_timer(key))
-        if self.flow_control:
-            self._pump(key, stream)
+    # -- the wake timer -------------------------------------------------------
 
-    def _send_skip_frame(self, key: tuple[NodeAddress, str],
-                         stream: SendStream) -> None:
-        self.stats.skips_sent += 1
-        self.network.send(Datagram(
-            self.address, key[0],
-            {"kind": KIND_SKIP, "ch": key[1], "upto": stream.skip_upto}, ""))
+    def _arm(self, half: "ReliableSender | ReliableReceiver") -> None:
+        """Keep one live timer per stream half, at its ``wake_at``.
 
-    def _on_skip_rtx_timer(self, key: tuple[NodeAddress, str]) -> None:
-        """SKIP frames are themselves retransmitted (with backoff) until
-        an ACK at or past ``skip_upto - 1`` proves the receiver moved."""
-        if self.closed:
+        The scheduler has no cancel, so a superseded timer still fires;
+        it finds ``wake_armed`` no longer names its due time and does
+        nothing. A timer armed earlier than ``wake_at`` is left alone:
+        it wakes the half with nothing due and re-arms from there."""
+        due = half.wake_at
+        if due is None or (half.wake_armed is not None
+                           and half.wake_armed <= due):
             return
-        stream = self._send_streams.get(key)
-        if stream is None or stream.broken:
-            return
-        if stream.last_cum >= stream.skip_upto - 1:
-            stream.skip_armed = False
-            stream.skip_attempts = 0
-            stream.skip_rto = 0.0
-            return
-        stream.skip_attempts += 1
-        if stream.skip_attempts > self.max_retries:
-            stream.skip_armed = False
-            self._break_channel(key, stream, seq=stream.skip_upto,
-                                attempts=stream.skip_attempts)
-            return
-        self._send_skip_frame(key, stream)
-        stream.skip_rto = min(stream.skip_rto * 2.0, self.rto_max)
-        self.kernel.call_later(stream.skip_rto,
-                               lambda: self._on_skip_rtx_timer(key))
+        half.wake_armed = due
+
+        def wake() -> None:
+            if half.wake_armed != due or self.closed:
+                return
+            half.wake_armed = None
+            # A timer may fire a clock tick early; the agenda still says
+            # ``due``, so that is the time the half is told.
+            half.on_wake(max(self.kernel.now, due))
+            self._arm(half)
+
+        self.kernel.call_later(max(0.0, due - self.kernel.now), wake)
 
     # -- receiving ----------------------------------------------------------
 
+    def _receiver(self, src: NodeAddress, channel: str) -> ReliableReceiver:
+        stream = self._recv_streams.get((src, channel))
+        if stream is None:
+            stream = self._recv_streams[src, channel] = ReliableReceiver(
+                self, src, channel)
+        return stream
+
     def _on_datagram(self, datagram) -> None:
-        kind = datagram.header.get("kind")
-        if kind == KIND_DATA:
-            if datagram.header.get("cls") == UNRELIABLE:
-                self._on_unreliable_data(datagram)
-                return
-            for pack in datagram.header.get("pack", ()):
-                self._handle_ack_info(datagram.src, pack)
-            self._on_data(datagram)
-        elif kind == KIND_ACK:
-            self._handle_ack_info(datagram.src, datagram.header)
-        elif kind == KIND_PROBE:
-            self._on_probe(datagram)
-        elif kind == KIND_SKIP:
-            self._on_skip(datagram)
-
-    def _on_unreliable_data(self, datagram) -> None:
-        """One UNRELIABLE frame: no ACK, no reordering buffer, no rwnd.
-        The per-channel sequence stamp orders arrivals — anything at or
-        below the latest delivered stamp is dropped (duplicate or stale),
-        so the application only ever sees fresher-than-last updates."""
         header = datagram.header
-        channel: str = header["ch"]
-        seq: int = header["seq"]
-        key = (datagram.src, channel)
-        latest = self._unreliable_latest.get(key)
-        tr = self.kernel.tracer
-        if latest is not None and seq <= latest:
-            self.stats.stale_dropped += 1
-            if tr is not None:
-                tr.emit("ep", "drop_stale", node=self.address, ch=channel,
-                        seq=seq, latest=latest)
-            return
-        to_ref = header["to"]
-        deliver = self._inboxes.get(to_ref)
-        if deliver is None:
-            self.stats.no_such_inbox += 1
-            if tr is not None:
-                tr.emit("ep", "no_inbox", node=self.address, to=to_ref)
-            return
-        self._unreliable_latest[key] = seq
-        self.stats.unreliable_delivered += 1
-        if tr is not None:
-            tr.emit("ep", "deliver", node=self.address, ch=channel, seq=seq,
-                    cls=UNRELIABLE, dlat=self.kernel.now - header["ts"])
-        deliver(datagram.payload, InboxAddress(self.address, to_ref))
-
-    def _on_skip(self, datagram) -> None:
-        """A SKIP signal: the sender abandoned every sequence number
-        below ``upto``. Deliver what the reordering buffer holds below
-        the mark (in order), advance the cumulative expectation past the
-        holes, then drain the in-order tail and ACK immediately — the
-        ACK is what stops the sender's SKIP retransmissions."""
-        channel: str = datagram.header["ch"]
-        upto: int = datagram.header["upto"]
-        key = (datagram.src, channel)
-        stream = self._recv_streams.get(key)
-        if stream is None:
-            stream = _RecvStream()
-            self._recv_streams[key] = stream
-        tr = self.kernel.tracer
-        if upto > stream.expected:
-            holes = 0
-            while stream.expected < upto:
-                entry = stream.buffer.pop(stream.expected, None)
-                if entry is None:
-                    holes += 1
-                else:
-                    deliver_to, deliver_payload = entry
-                    stream.buffered_bytes -= (HEADER_OVERHEAD
-                                              + len(deliver_payload))
-                    if tr is not None:
-                        tr.emit("ep", "deliver", node=self.address,
-                                ch=channel, seq=stream.expected)
-                    self._deliver(deliver_to, deliver_payload, datagram.src)
-                stream.expected += 1
-            # The skip may have closed the gap in front of buffered
-            # packets above the mark: drain the in-order tail too.
-            while stream.expected in stream.buffer:
-                deliver_to, deliver_payload = stream.buffer.pop(
-                    stream.expected)
-                stream.buffered_bytes -= (HEADER_OVERHEAD
-                                          + len(deliver_payload))
-                if tr is not None:
-                    tr.emit("ep", "deliver", node=self.address, ch=channel,
-                            seq=stream.expected)
-                stream.expected += 1
-                self._deliver(deliver_to, deliver_payload, datagram.src)
-            self.stats.holes_skipped += holes
-            if tr is not None:
-                tr.emit("ep", "skip_advance", node=self.address, ch=channel,
-                        upto=upto, holes=holes)
-        if not stream.ack_pending:
-            stream.ack_pending = True
-            self._ack_owed_inc(key[0])
-        self._flush_ack(key, stream)
-
-    def _on_probe(self, datagram) -> None:
-        """A zero-window probe: answer with an immediate ACK whose
-        ``rwnd`` field re-advertises the current window."""
-        key = (datagram.src, datagram.header["ch"])
-        stream = self._recv_streams.get(key)
-        if stream is None:
-            stream = _RecvStream()
-            self._recv_streams[key] = stream
-        if not stream.ack_pending:
-            stream.ack_pending = True
-            self._ack_owed_inc(key[0])
-        self._flush_ack(key, stream)
-
-    def _on_data(self, datagram) -> None:
-        header = datagram.header
-        channel: str = header["ch"]
-        base: int = header["seq"]
-        key = (datagram.src, channel)
-        stream = self._recv_streams.get(key)
-        if stream is None:
-            stream = _RecvStream()
-            self._recv_streams[key] = stream
-
-        parts = header.get("parts")
-        if parts is None:
-            packets = [(base, header["to"], datagram.payload)]
-        else:
-            payloads = datagram.parts_payloads or ()
-            packets = [(base + i, to_ref, payload)
-                       for i, (to_ref, payload) in enumerate(
-                           zip(parts, payloads))]
-
-        tr = self.kernel.tracer
-        in_order_run = True
-        for seq, to_ref, payload in packets:
-            if seq < stream.expected or seq in stream.buffer:
-                in_order_run = False
-                self.stats.duplicates_discarded += 1
-                if tr is not None:
-                    tr.emit("ep", "dup_data", node=self.address, ch=channel,
-                            seq=seq)
-                continue
-            if seq != stream.expected or stream.buffer:
-                in_order_run = False
-            stream.last_to = to_ref
-            stream.buffer[seq] = (to_ref, payload)
-            stream.buffered_bytes += HEADER_OVERHEAD + len(payload)
-            if seq != stream.expected:
-                self.stats.buffered_out_of_order += 1
-                if tr is not None:
-                    tr.emit("ep", "ooo", node=self.address, ch=channel,
-                            seq=seq, expected=stream.expected)
-            while stream.expected in stream.buffer:
-                deliver_to, deliver_payload = stream.buffer.pop(
-                    stream.expected)
-                stream.buffered_bytes -= (HEADER_OVERHEAD
-                                          + len(deliver_payload))
-                if tr is not None:
-                    tr.emit("ep", "deliver", node=self.address, ch=channel,
-                            seq=stream.expected)
-                stream.expected += 1
-                self._deliver(deliver_to, deliver_payload, datagram.src)
-        # Acknowledge. Duplicates re-ack immediately (the previous ack
-        # may have been lost), gaps and hole-fills ack immediately (the
-        # sender is recovering and needs the feedback now); only clean
-        # in-order arrivals coalesce behind the delayed-ack window.
-        if not stream.ack_pending:
-            stream.ack_pending = True
-            self._ack_owed_inc(key[0])
-            stream.pending_ets = header.get("ts")
+        kind = header.get("kind")
+        src = datagram.src
         now = self.kernel.now
-        if (not in_order_run or self.ack_delay <= 0
-                or now - stream.last_ack_at >= self.ack_delay):
-            self._flush_ack(key, stream)
-        else:
-            self.stats.acks_delayed += 1
-            if not stream.ack_armed:
-                stream.ack_armed = True
-                self.kernel.call_later(
-                    self.ack_delay, lambda: self._on_ack_timer(key))
+        if kind == KIND_DATA:
+            if header.get("cls") == UNRELIABLE:
+                self._unreliable_in.on_data(now, src, header,
+                                            datagram.payload)
+                return
+            for pack in header.get("pack", ()):
+                self._on_ack(now, src, pack)
+            stream = self._receiver(src, header["ch"])
+            stream.on_data(now, header, datagram.payload,
+                           datagram.parts_payloads)
+            self._arm(stream)
+        elif kind == KIND_ACK:
+            self._on_ack(now, src, header)
+        elif kind == KIND_PROBE:
+            self._receiver(src, header["ch"]).on_probe(now)
+        elif kind == KIND_SKIP:
+            self._receiver(src, header["ch"]).on_skip(now, header["upto"])
 
-    def _compute_rwnd(self, stream: _RecvStream) -> int:
-        """Remaining receive budget: ``recv_window`` minus the addressed
-        inbox's queued bytes minus this channel's reordering buffer."""
-        backlog = 0
-        if stream.last_to is not None:
-            backlog_fn = self._backlogs.get(stream.last_to)
-            if backlog_fn is not None:
-                backlog = backlog_fn()
-        return max(0, self.recv_window - backlog - stream.buffered_bytes)
-
-    def _ack_fields(self, stream: _RecvStream) -> dict:
-        fields = {"cum": stream.expected - 1, "ets": stream.pending_ets}
-        if self.sack and stream.buffer:
-            fields["sack"] = stream.sack_ranges()
-        if self.flow_control:
-            rwnd = self._compute_rwnd(stream)
-            stream.advertised_rwnd = rwnd
-            fields["rwnd"] = rwnd
-        return fields
-
-    def _flush_ack(self, key: tuple[NodeAddress, str],
-                   stream: _RecvStream) -> None:
-        self.stats.acks_sent += 1
-        fields = self._ack_fields(stream)
-        stream.ack_pending = False
-        self._ack_owed_dec(key[0])
-        stream.pending_ets = None
-        stream.last_ack_at = self.kernel.now
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "ack", node=self.address, ch=key[1],
-                    cum=fields["cum"], sack=fields.get("sack"), mode="wire")
-        self.network.send(Datagram(
-            self.address, key[0], {"kind": KIND_ACK, "ch": key[1], **fields},
-            ""))
-
-    def _on_ack_timer(self, key: tuple[NodeAddress, str]) -> None:
-        stream = self._recv_streams.get(key)
-        if stream is None:
-            return
-        stream.ack_armed = False
-        if self.closed or not stream.ack_pending:
-            return  # flushed, piggybacked, or shut down in the meantime
-        self._flush_ack(key, stream)
+    def _on_ack(self, now: float, src: NodeAddress, fields: dict) -> None:
+        stream = self._send_streams.get((src, fields["ch"]))
+        if stream is not None:
+            stream.on_ack(now, fields)
+            self._arm(stream)
 
     def inbox_drained(self, ref: "int | str",
                       name: "str | None" = None) -> None:
         """Called by an inbox when a message leaves its queue: freed
-        receive budget may warrant a window update.
-
-        An unsolicited ACK re-advertising the window goes out only when
-        it matters — the advertised window was zero (senders are in
-        persist mode) and is now positive, or it was below half of
-        ``recv_window`` and has recovered past half (TCP's
-        silly-window-avoidance shape). Fast-draining inboxes therefore
-        cost no extra ACK traffic."""
+        receive budget may warrant a window update — an unsolicited ACK
+        re-advertising the window, sent only when it matters (see
+        :meth:`ReliableReceiver.window_update`), so fast-draining
+        inboxes cost no extra ACK traffic."""
         if self.closed or not self.flow_control:
             return
         targets = {ref} if name is None else {ref, name}
-        half = self.recv_window // 2
-        for key, stream in self._recv_streams.items():
-            if stream.last_to not in targets:
-                continue
-            advertised = stream.advertised_rwnd
-            if advertised is None:
-                continue
-            current = self._compute_rwnd(stream)
-            if (advertised <= 0 < current) or (advertised < half <= current):
-                self.stats.window_updates += 1
-                tr = self.kernel.tracer
-                if tr is not None:
-                    tr.emit("ep", "wnd_update", node=self.address, ch=key[1],
-                            rwnd=current)
-                if not stream.ack_pending:
-                    stream.ack_pending = True
-                    self._ack_owed_inc(key[0])
-                self._flush_ack(key, stream)
-
-    def _handle_ack_info(self, src: NodeAddress, fields: dict) -> None:
-        key = (src, fields["ch"])
-        stream = self._send_streams.get(key)
-        if stream is None:
-            return
-        if self.flow_control:
-            rwnd = fields.get("rwnd")
-            if rwnd is not None:
-                stream.rwnd = rwnd
-        cum: int = fields["cum"]
-        echoed = fields.get("ets")
-        if echoed is not None:
-            stream.last_rtt = self.kernel.now - echoed
-        bytes_acked = 0
-        if cum > stream.last_cum:
-            stream.last_cum = cum
-            stream.dup_acks = 0
-            if self.rto_mode == "adaptive" and echoed is not None:
-                # Karn's rule: only ACKs that advance the cumulative
-                # point yield samples; duplicate-triggered ACKs echo a
-                # retransmission's timestamp and would skew the estimate.
-                stream.observe_rtt(self.kernel.now - echoed)
-            tr = self.kernel.tracer
-            for seq in [s for s in stream.unacked if s <= cum]:
-                pending = stream.unacked.pop(seq)
-                if pending.transmitted:
-                    bytes_acked += pending.size
-                    stream.in_flight -= pending.size
-                if tr is not None:
-                    tr.emit("ep", "confirm", node=self.address, ch=key[1],
-                            seq=seq,
-                            rtt=self.kernel.now - pending.receipt.sent_at)
-                pending.receipt._ack()
-            if stream.in_flight < 0:
-                stream.in_flight = 0
-        elif cum == stream.last_cum and stream.unacked:
-            stream.dup_acks += 1
-        for start, end in fields.get("sack", ()):
-            for seq in range(start, end + 1):
-                pending = stream.unacked.get(seq)
-                if pending is not None:
-                    pending.sacked = True
-        if self.flow_control and bytes_acked > 0:
-            stream.on_bytes_acked(bytes_acked)
-            band = int(stream.cwnd).bit_length()
-            if band != stream.cwnd_band:
-                # Growth is traced per log2 band, not per ACK, to keep
-                # traces readable; reductions always trace (_cwnd_cut).
-                stream.cwnd_band = band
-                tr = self.kernel.tracer
-                if tr is not None:
-                    tr.emit("ep", "cwnd", node=self.address, ch=key[1],
-                            cwnd=int(stream.cwnd), reason="grow")
-        if self.sack and stream.dup_acks >= self.dup_ack_threshold:
-            self._fast_retransmit(key, stream)
-        if self.flow_control:
-            self._pump(key, stream)
-
-    def _fast_retransmit(self, key: tuple[NodeAddress, str],
-                         stream: SendStream) -> None:
-        hole = None
-        for seq in sorted(stream.unacked):
-            if not stream.unacked[seq].sacked:
-                hole = stream.unacked[seq]
-                break
-        if hole is None or not hole.transmitted:
-            return
-        if self.kernel.now - hole.last_rtx_at <= stream.last_rtt:
-            return  # already retransmitted within the last round trip
-        hole.last_rtx_at = self.kernel.now
-        stream.dup_acks = 0
-        if self.flow_control:
-            # Dup-ACK loss: the path still delivers, so halve rather
-            # than collapse (TCP's multiplicative decrease).
-            self._cwnd_cut(key, stream, "halve")
-        self.stats.fast_retransmits += 1
-        self.stats.data_retransmitted += 1
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("ep", "rtx", node=self.address, ch=key[1], seq=hole.seq,
-                    reason="fast", attempt=hole.attempts)
-        self._transmit(key[0], key[1], hole)
-
-    def _deliver(self, to_ref: "int | str", payload: str,
-                 src: NodeAddress) -> None:
-        deliver = self._inboxes.get(to_ref)
-        tr = self.kernel.tracer
-        if deliver is None:
-            self.stats.no_such_inbox += 1
-            if tr is not None:
-                tr.emit("ep", "no_inbox", node=self.address, to=to_ref)
-            return
-        self.stats.delivered += 1
-        deliver(payload, InboxAddress(self.address, to_ref))
+        now = self.kernel.now
+        for stream in self._recv_streams.values():
+            if stream.last_to in targets:
+                stream.window_update(now)

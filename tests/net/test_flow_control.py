@@ -15,7 +15,7 @@ from repro.net import (
     NodeAddress,
 )
 from repro.net.datagram import HEADER_OVERHEAD
-from repro.net.transport import KIND_ACK, KIND_DATA, KIND_PROBE
+from repro.net.wire import KIND_ACK, KIND_DATA, KIND_PROBE
 from repro.runtime import AsyncioSubstrate
 from repro.sim import Kernel
 

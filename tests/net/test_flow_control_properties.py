@@ -17,7 +17,8 @@ Two invariants, under randomized fault schedules and window geometries:
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net import ConstantLatency, FaultPlan, NodeAddress
-from repro.net.transport import KIND_DATA, Endpoint
+from repro.net.endpoint import Endpoint
+from repro.net.wire import KIND_DATA
 from repro.runtime import AsyncioSubstrate, SimSubstrate
 
 A = NodeAddress("a.edu", 1000)

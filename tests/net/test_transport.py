@@ -108,6 +108,51 @@ def test_delivery_receipt_timeout_raises_in_waiter():
     assert failures[0].timeout == pytest.approx(0.3)
 
 
+def failed_at(k, receipt):
+    """Virtual time at which ``receipt`` fails (None if it never does)."""
+    seen = []
+
+    def waiter():
+        try:
+            yield receipt.confirmed
+        except DeliveryTimeout as exc:
+            seen.append((k.now, exc))
+
+    k.process(waiter())
+    return seen
+
+
+def test_delivery_deadline_fires_at_the_deadline_not_the_next_rto():
+    """``timeout=`` is its own due time: with a 0.5 s RTO and total loss
+    the receipt fails at t=0.05, not when the retransmission timer
+    happens to look. The packet keeps retransmitting (FIFO not holed)."""
+    k, net, ea, eb = make_pair(faults=FaultPlan(drop_prob=1.0),
+                               rto_initial=0.5, max_retries=100)
+    collect_inbox(eb)
+    seen = failed_at(k, ea.send(B.inbox(0), "m", channel="c", timeout=0.05))
+    k.run(until=2.0)
+    assert [t for t, _ in seen] == [pytest.approx(0.05)]
+    assert "not delivered within 0.050s" in str(seen[0][1])
+    assert ea.stats.data_retransmitted >= 2
+
+
+def test_delivery_deadline_of_a_queued_packet_fires_on_time():
+    """A packet parked behind a closed window has no retransmission
+    timer of its own; its deadline must not wait for another packet's."""
+    k, net, ea, eb = make_pair(faults=FaultPlan(drop_prob=1.0),
+                               rto_initial=0.5, max_retries=100,
+                               cwnd_initial=1)
+    collect_inbox(eb)
+    ea.send(B.inbox(0), "head", channel="c")  # fills the one-packet window
+    seen = failed_at(k, ea.send(B.inbox(0), "queued", channel="c",
+                                timeout=0.05))
+    stream = ea._send_streams[(B, "c")]
+    assert [p.payload for p in stream.queue] == ["queued"]
+    k.run(until=0.4)  # before any RTO of the head
+    assert [t for t, _ in seen] == [pytest.approx(0.05)]
+    assert [p.payload for p in stream.queue] == ["queued"]  # still queued
+
+
 def test_unobserved_timeout_does_not_crash_run():
     k, net, ea, eb = make_pair(faults=FaultPlan(drop_prob=1.0),
                                rto_initial=0.05, max_retries=3)

@@ -13,7 +13,7 @@ from repro.net import (
     FaultPlan,
     NodeAddress,
 )
-from repro.net.transport import KIND_ACK, KIND_DATA, SACK_MAX_RANGES
+from repro.net.wire import KIND_ACK, KIND_DATA, SACK_MAX_RANGES
 from repro.sim import Kernel
 
 A = NodeAddress("a.edu", 1000)

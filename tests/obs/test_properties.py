@@ -11,7 +11,7 @@ so the observability layer is itself covered by the invariant.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.net import ConstantLatency, FaultPlan, NodeAddress
-from repro.net.transport import Endpoint
+from repro.net.endpoint import Endpoint
 from repro.obs import Tracer
 from repro.runtime import AsyncioSubstrate, SimSubstrate
 

@@ -11,7 +11,7 @@ import socket
 
 from repro import AsyncioSubstrate, Tracer, World
 from repro.net import NodeAddress
-from repro.net.transport import Endpoint
+from repro.net.endpoint import Endpoint
 
 A = NodeAddress("a.edu", 1000)
 B = NodeAddress("b.edu", 1000)

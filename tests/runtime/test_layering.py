@@ -11,10 +11,13 @@ statements of every module in the restricted packages.
 etc. and the endpoint in ``repro.net.endpoint`` remain fair game — they
 run on every scheduler.)
 
-A second scan keeps ``repro.net.transport`` a pure facade: it exists
-only for external callers' backward compatibility, so nothing under
-``src/`` may import it — in-repo code goes straight to
-``repro.net.endpoint`` (or ``repro.net``).
+A second scan keeps the deleted ``repro.net.transport`` facade (and the
+``repro.net.rto`` state module it re-exported) from growing back:
+nothing under ``src/`` may import either — the ordering layer is
+``repro.net.stream`` (the machines) and ``repro.net.endpoint`` (their
+host). The stream machines stay sans-I/O: they import no scheduler, no
+datagram service, no mailbox and no tracer, and the endpoint arms
+timers in exactly one place.
 
 A third keeps the two catalogs' dependency one-way: ``repro.registry``
 builds its DAppStore on ``repro.discovery.table``, so ``repro.discovery``
@@ -77,11 +80,32 @@ def _all_src_files():
 
 @pytest.mark.parametrize("path", _all_src_files())
 def test_nothing_in_src_imports_the_transport_facade(path):
-    if path == SRC / "net" / "transport.py":
-        return
-    assert "repro.net.transport" not in _imported_modules(path), (
-        f"{path.relative_to(SRC)} imports the repro.net.transport facade; "
-        "in-repo code must import repro.net.endpoint (or repro.net) directly")
+    offending = _imported_modules(path).intersection(
+        ("repro.net.transport", "repro.net.rto"))
+    assert not offending, (
+        f"{path.relative_to(SRC)} imports {sorted(offending)}, which no "
+        "longer exist; import repro.net.endpoint / repro.net.stream")
+
+
+def test_stream_machines_are_sans_io():
+    banned = ("repro.sim", "repro.runtime", "repro.net.datagram",
+              "repro.mailbox", "repro.obs")
+    path = SRC / "net" / "stream.py"
+    offending = sorted(m for m in _imported_modules(path)
+                       if m.startswith(banned))
+    assert not offending, (
+        f"net/stream.py imports {offending}; the machines take `now` as "
+        "an argument and reach the world only through their host")
+    assert "call_later" not in path.read_text()
+
+
+def test_endpoint_arms_timers_in_one_place():
+    tree = ast.parse((SRC / "net" / "endpoint.py").read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "call_later"]
+    assert len(calls) == 1, "one wake timer per stream half, one call site"
 
 
 def _discovery_files():

@@ -10,7 +10,7 @@ import pytest
 
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.faults import FaultPlan
-from repro.net.transport import Endpoint
+from repro.net.endpoint import Endpoint
 from repro.runtime import (AsyncioSubstrate, DatagramService, Scheduler,
                            SimSubstrate, Substrate, UdpDatagramService)
 
