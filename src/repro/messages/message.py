@@ -43,11 +43,8 @@ class Message:
 
     def to_fields(self) -> dict[str, Any]:
         """Shallow mapping of field name to (not yet encoded) value."""
-        if not dataclasses.is_dataclass(self):
-            raise SerializationError(
-                f"{type(self).__name__} is not a dataclass message")
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)}
+        return {name: getattr(self, name)
+                for name in field_names(type(self))}
 
     @classmethod
     def from_fields(cls: type[M], fields: dict[str, Any]) -> M:
@@ -57,6 +54,23 @@ class Message:
     @property
     def wire_name(self) -> str:
         return self._wire_name
+
+
+def field_names(cls: type[Message]) -> tuple[str, ...]:
+    """The dataclass field names of ``cls``, derived once per class.
+
+    Kept in the class's own ``__dict__`` (at :func:`message_type` time,
+    else on first use), never inherited: a subclass that adds fields
+    derives its own.
+    """
+    names = cls.__dict__.get("_field_names")
+    if names is None:
+        if not dataclasses.is_dataclass(cls):
+            raise SerializationError(
+                f"{cls.__name__} is not a dataclass message")
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        cls._field_names = names
+    return names
 
 
 def message_type(name: str) -> Callable[[type[M]], type[M]]:
@@ -81,6 +95,7 @@ def message_type(name: str) -> Callable[[type[M]], type[M]]:
                 f"message type name {name!r} already registered "
                 f"by {existing.__qualname__}")
         cls._wire_name = name
+        field_names(cls)
         _REGISTRY[name] = cls
         return cls
 

@@ -17,6 +17,13 @@ journal (:mod:`repro.store`) uses it so anything a region can hold on
 the wire can also be replayed from disk, and anything it cannot hold
 fails *typed* (:class:`~repro.errors.SerializationError`) instead of
 corrupting a log.
+
+What does not depend on the message is derived once, not per message:
+the field names per class (:func:`~repro.messages.message.field_names`)
+and the one compact JSON encoder. Values whose type is *exactly* a JSON
+scalar are their own wire form and skip the generic walk in both
+directions; everything else — containers, tagged forms, subclasses of
+the scalar types — takes the one walk below.
 """
 
 from __future__ import annotations
@@ -30,6 +37,16 @@ from repro.messages.message import Message, lookup
 from repro.net.address import InboxAddress, NodeAddress
 
 
+#: Exact types that are their own wire form.
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder object
+#: per message. It only ever sees the fresh tree ``_encode`` built, which
+#: cannot contain a cycle, so the encoder's own cycle check is off.
+_to_json = json.JSONEncoder(separators=(",", ":"),
+                            check_circular=False).encode
+
+
 def _encode(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -38,8 +55,7 @@ def _encode(value: Any) -> Any:
     if isinstance(value, InboxAddress):
         return {"$inbox": str(value)}
     if isinstance(value, Message):
-        return {"$msg": [value.wire_name,
-                         {k: _encode(v) for k, v in value.to_fields().items()}]}
+        return {"$msg": [value.wire_name, _encode_fields(value)]}
     if isinstance(value, tuple):
         return {"$tuple": [_encode(v) for v in value]}
     if isinstance(value, (bytes, bytearray, memoryview)):
@@ -80,10 +96,16 @@ def _decode(value: Any) -> Any:
     return value
 
 
+def _encode_fields(message: Message) -> dict[str, Any]:
+    return {k: v if type(v) in _SCALARS else _encode(v)
+            for k, v in message.to_fields().items()}
+
+
 def _instantiate(name: str, fields: dict[str, Any]) -> Message:
     cls = lookup(name)
     try:
-        return cls.from_fields({k: _decode(v) for k, v in fields.items()})
+        return cls.from_fields({k: v if type(v) in _SCALARS else _decode(v)
+                                for k, v in fields.items()})
     except TypeError as exc:
         raise SerializationError(
             f"cannot reconstruct {name!r} from fields {sorted(fields)}: {exc}"
@@ -98,12 +120,12 @@ def encode_value(value: Any) -> Any:
     arbitrarily); anything else raises
     :class:`~repro.errors.SerializationError` without partial effects.
     """
-    return _encode(value)
+    return value if type(value) in _SCALARS else _encode(value)
 
 
 def decode_value(data: Any) -> Any:
     """Invert :func:`encode_value` (after a ``json.loads`` round trip)."""
-    return _decode(data)
+    return data if type(data) in _SCALARS else _decode(data)
 
 
 def dumps(message: Message) -> str:
@@ -114,9 +136,7 @@ def dumps(message: Message) -> str:
     if not message.wire_name:
         raise SerializationError(
             f"{type(message).__name__} is not registered; apply @message_type")
-    fields = {k: _encode(v) for k, v in message.to_fields().items()}
-    return json.dumps({"t": message.wire_name, "f": fields},
-                      separators=(",", ":"))
+    return _to_json({"t": message.wire_name, "f": _encode_fields(message)})
 
 
 def loads(wire: str) -> Message:

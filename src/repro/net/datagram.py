@@ -12,6 +12,7 @@ exactly as the paper's layer copes with real UDP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 from typing import Any, Callable
 
 from repro.errors import AddressError
@@ -99,6 +100,10 @@ class DatagramNetwork:
         self.stats = NetworkStats()
         self.encoded = encoded
         self._handlers: dict[NodeAddress, Callable[[Datagram], None]] = {}
+        #: (src, dst) -> the link's (fault, latency) random streams, so
+        #: their names are formatted and hashed once per link.
+        self._link_rngs: dict[tuple[NodeAddress, NodeAddress],
+                              tuple[Random, Random]] = {}
         #: Taps observing every datagram put on the wire (testing aid).
         self.wire_taps: list[Callable[[float, Datagram], None]] = []
 
@@ -134,8 +139,14 @@ class DatagramNetwork:
                     seq=header.get("seq"), size=datagram.size,
                     **({"n": len(parts)} if parts else {}))
 
-        link = f"net/{datagram.src}->{datagram.dst}"
-        fault_rng = self.kernel.rng.get(link + "/faults")
+        link = (datagram.src, datagram.dst)
+        rngs = self._link_rngs.get(link)
+        if rngs is None:
+            name = f"net/{datagram.src}->{datagram.dst}"
+            rngs = self._link_rngs[link] = (
+                self.kernel.rng.get(name + "/faults"),
+                self.kernel.rng.get(name + "/latency"))
+        fault_rng, lat_rng = rngs
         extra_delays = self.faults.copies(fault_rng, datagram.src,
                                           datagram.dst, datagram)
         if not extra_delays:
@@ -154,7 +165,6 @@ class DatagramNetwork:
                         dst=str(datagram.dst), kind=header.get("kind"),
                         ch=header.get("ch"), seq=header.get("seq"))
 
-        lat_rng = self.kernel.rng.get(link + "/latency")
         if self.encoded:
             # Same boundary as the UDP substrate: one encode per send,
             # one decode per delivered copy.

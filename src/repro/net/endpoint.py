@@ -258,6 +258,13 @@ class Endpoint:
         self._send_streams: dict[tuple[NodeAddress, str], ReliableSender] = {}
         self._recv_streams: dict[tuple[NodeAddress, str],
                                  ReliableReceiver] = {}
+        #: The same receive streams per source node, in creation order:
+        #: what :meth:`piggyback` walks instead of every node's streams.
+        self._recv_from: dict[NodeAddress, list[ReliableReceiver]] = {}
+        #: Creation rank -> receive stream whose advertised window is
+        #: pinched (``ReliableReceiver.pinched``): the only streams
+        #: :meth:`inbox_drained` can have a window update for.
+        self._pinched: dict[int, ReliableReceiver] = {}
         self._unreliable_out = FreshSender(self)
         self._unreliable_in = FreshReceiver(self)
         #: UNRELIABLE: next sequence stamp per (destination node, channel).
@@ -300,8 +307,9 @@ class Endpoint:
                     f"{channel!r} to {node} was blocked on its window"))
                 ev.defused = True
         for stream in self._recv_streams.values():
-            stream.ack_pending = False
+            stream.ack_pending = stream.pinched = False
         self._acks_owed.clear()
+        self._pinched.clear()
 
     # -- inbox registry ---------------------------------------------------
 
@@ -472,14 +480,16 @@ class Endpoint:
         frame stays under ``MAX_FRAME_BYTES``; an entry that does not
         fit stays owed (its delayed-ack wake — or the next outgoing
         frame — still flushes it). The ``_acks_owed`` index makes the
-        common nothing-owed case O(1) instead of a scan over every
-        receive stream."""
+        common nothing-owed case O(1), and ``_recv_from`` bounds the
+        rest by the channels from ``dst_node``, not by every receive
+        stream of the node."""
         packs: list[dict] = []
         if not self._acks_owed.get(dst_node):
             return packs
-        for (node, channel), stream in self._recv_streams.items():
-            if node != dst_node or not stream.ack_pending:
+        for stream in self._recv_from[dst_node]:
+            if not stream.ack_pending:
                 continue
+            channel = stream.channel
             fields = stream.ack_fields()
             cost = pack_entry_wire_size(channel, fields)
             if cost > budget:
@@ -489,6 +499,13 @@ class Endpoint:
             self.stats.acks_piggybacked += 1
             stream.ack_leaves(now, fields, "piggyback")
         return packs
+
+    def window_pinched(self, stream: ReliableReceiver,
+                       pinched: bool) -> None:
+        if pinched:
+            self._pinched[stream.order] = stream
+        else:
+            del self._pinched[stream.order]
 
     def drained(self, stream: ReliableSender) -> None:
         for ev in self._waiters.pop((stream.peer, stream.channel), ()):
@@ -526,7 +543,8 @@ class Endpoint:
         stream = self._recv_streams.get((src, channel))
         if stream is None:
             stream = self._recv_streams[src, channel] = ReliableReceiver(
-                self, src, channel)
+                self, src, channel, len(self._recv_streams))
+            self._recv_from.setdefault(src, []).append(stream)
         return stream
 
     def _on_datagram(self, datagram) -> None:
@@ -564,11 +582,15 @@ class Endpoint:
         receive budget may warrant a window update — an unsolicited ACK
         re-advertising the window, sent only when it matters (see
         :meth:`ReliableReceiver.window_update`), so fast-draining
-        inboxes cost no extra ACK traffic."""
-        if self.closed or not self.flow_control:
+        inboxes cost no extra ACK traffic. Only a pinched stream can
+        have one, so the cost is independent of how many peers have ever
+        sent here — and nil while no window is pinched."""
+        if self.closed or not self._pinched:
             return
         targets = {ref} if name is None else {ref, name}
         now = self.kernel.now
-        for stream in self._recv_streams.values():
+        # Creation order; a snapshot, because an update that re-opens
+        # the window takes its stream out of the index.
+        for _, stream in sorted(self._pinched.items()):
             if stream.last_to in targets:
                 stream.window_update(now)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from random import Random
+from types import MappingProxyType
 
 
 class LatencyModel(ABC):
@@ -124,6 +125,10 @@ class GeoLatency(LatencyModel):
           + lognormal queueing jitter
     plus a LAN floor when the two hosts are co-located (same site), which
     models "two processes in the same building in Pasadena".
+
+    ``sites`` is copied and frozen at construction: the distance between
+    two hosts is a pure function of their names, looked up and computed
+    once per host pair rather than once per datagram.
     """
 
     def __init__(self, sites: dict[str, tuple[float, float]] | None = None,
@@ -131,7 +136,10 @@ class GeoLatency(LatencyModel):
                  bandwidth_bytes_per_s: float = 1.25e6,
                  jitter_median: float = 0.004, jitter_sigma: float = 0.8,
                  lan_delay: float = 0.0005) -> None:
-        self.sites = dict(WAN_SITES if sites is None else sites)
+        self.sites = MappingProxyType(
+            dict(WAN_SITES if sites is None else sites))
+        #: (src_host, dst_host) -> great-circle km between their sites.
+        self._km: dict[tuple[str, str], float] = {}
         self.routing_factor = routing_factor
         self.bandwidth = bandwidth_bytes_per_s
         self.jitter_median = jitter_median
@@ -149,10 +157,12 @@ class GeoLatency(LatencyModel):
 
     def propagation(self, src_host: str, dst_host: str) -> float:
         """Deterministic propagation component between two hosts."""
-        a, b = self.site_of(src_host), self.site_of(dst_host)
-        if a == b:
-            return self.lan_delay
-        km = great_circle_km(a, b)
+        pair = (src_host, dst_host)
+        km = self._km.get(pair)
+        if km is None:
+            # Co-located hosts are 0.0 km apart: the LAN floor alone.
+            km = self._km[pair] = great_circle_km(self.site_of(src_host),
+                                                  self.site_of(dst_host))
         return self.lan_delay + self.routing_factor * km / _FIBER_KM_PER_S
 
     def sample(self, rng: Random, src_host: str, dst_host: str,

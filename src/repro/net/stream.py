@@ -53,13 +53,13 @@ armed at ``wake_at``. Outputs go, in protocol order, to an injected
 ``host`` (:class:`~repro.net.endpoint.Endpoint` in the stack, a fake in
 ``tests/net/test_stream_machines.py``): frames through ``emit``,
 payloads through ``route``, the cross-stream and per-node jobs through
-``piggyback`` / ``ack_owed`` / ``backlog`` / ``drained``, counters on
-``host.stats``, trace events on ``host.tracer`` (``None`` = off), and
-receipts through the ``_ack`` / ``_skip`` / ``_fail`` of the object
-handed to :meth:`ReliableSender.send`. The host also carries the knobs,
-its ``address`` and ``overhead``, the bytes charged per packet on top of
-its payload. ``docs/PROTOCOLS.md`` spells the interface out, next to the
-timer table and the field glossary.
+``piggyback`` / ``ack_owed`` / ``window_pinched`` / ``backlog`` /
+``drained``, counters on ``host.stats``, trace events on ``host.tracer``
+(``None`` = off), and receipts through the ``_ack`` / ``_skip`` /
+``_fail`` of the object handed to :meth:`ReliableSender.send`. The host
+also carries the knobs, its ``address`` and ``overhead``, the bytes
+charged per packet on top of its payload. ``docs/PROTOCOLS.md`` spells
+the interface out, next to the timer table and the field glossary.
 """
 
 from __future__ import annotations
@@ -710,13 +710,17 @@ class ReliableReceiver:
 
     __slots__ = ("host", "peer", "channel", "expected", "buffer",
                  "ack_pending", "last_ack_at", "pending_ets",
-                 "buffered_bytes", "last_to", "advertised_rwnd", "wake_at",
-                 "wake_armed")
+                 "buffered_bytes", "last_to", "advertised_rwnd", "pinched",
+                 "order", "wake_at", "wake_armed")
 
-    def __init__(self, host: Any, peer: Any, channel: str) -> None:
+    def __init__(self, host: Any, peer: Any, channel: str,
+                 order: int = 0) -> None:
         self.host = host
         self.peer = peer
         self.channel = channel
+        #: Creation rank among the host's receive streams; cross-stream
+        #: jobs visit streams in this order.
+        self.order = order
         self.expected = 0
         self.buffer: dict[int, tuple["int | str", str]] = {}
         #: An acknowledgement is owed but has not been put on the wire.
@@ -735,6 +739,11 @@ class ReliableReceiver:
         #: before the first advertisement); window updates compare
         #: against it.
         self.advertised_rwnd: int | None = None
+        #: ``advertised_rwnd`` is zero or below half of ``recv_window`` —
+        #: the only state in which :meth:`window_update` can have anything
+        #: to say. Kept by :meth:`ack_fields`, reported to the host through
+        #: ``window_pinched`` on every change.
+        self.pinched = False
         #: When the delayed ACK falls due. Set by the first coalesced
         #: arrival and cleared only by the wake itself: an ACK that left
         #: earlier by other means does not move it.
@@ -890,7 +899,11 @@ class ReliableReceiver:
                     ranges.append([seq, seq])
             fields["sack"] = ranges
         if host.flow_control:
-            fields["rwnd"] = self.advertised_rwnd = self._rwnd()
+            fields["rwnd"] = self.advertised_rwnd = rwnd = self._rwnd()
+            pinched = rwnd <= 0 or rwnd < host.recv_window // 2
+            if pinched != self.pinched:
+                self.pinched = pinched
+                host.window_pinched(self, pinched)
         return fields
 
     def ack_leaves(self, now: float, fields: dict, mode: str) -> None:

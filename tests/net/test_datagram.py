@@ -133,3 +133,25 @@ def test_byte_counters():
     k.run()
     assert net.stats.bytes_sent == 69
     assert net.stats.bytes_delivered == 69
+
+
+def test_link_streams_are_the_named_ones_resolved_once():
+    """The network looks a link's fault and latency streams up once per
+    (src, dst); they are the same named streams as ever, so the draws —
+    and every seeded run — are unchanged."""
+    k = Kernel(seed=9)
+    net = make_net(k, latency=UniformLatency(0.01, 0.02),
+                   faults=FaultPlan(drop_prob=0.5))
+    net.register(B, lambda d: None)
+    net.register(A, lambda d: None)
+    faults = k.rng.get(f"net/{A}->{B}/faults")
+    latency = k.rng.get(f"net/{A}->{B}/latency")
+    back = k.rng.get(f"net/{B}->{A}/faults")
+    states = (faults.getstate(), latency.getstate(), back.getstate())
+    for _ in range(20):
+        net.send(dgram())
+    assert faults.getstate() != states[0]
+    assert latency.getstate() != states[1]
+    assert back.getstate() == states[2]      # directional
+    net.send(dgram(src=B, dst=A))
+    assert back.getstate() != states[2]

@@ -1,5 +1,6 @@
 """Unit tests for latency models."""
 
+import math
 import random
 
 import pytest
@@ -85,6 +86,43 @@ def test_geo_latency_charges_transmission_for_size():
     small = m.sample(r, "caltech.edu", "rice.edu", 100)
     big = m.sample(r, "caltech.edu", "rice.edu", 100_000)
     assert big - small == pytest.approx(99_900 / 1e6)
+
+
+def test_geo_latency_memo_draws_the_same_delays_as_recomputing():
+    """The per-host-pair distance memo changes no delay: every sample
+    equals the unmemoised formula, jitter and size terms included."""
+    m = GeoLatency()
+    pairs = [("cs.caltech.edu", "owlnet.rice.edu"), ("mit.edu", "ethz.ch"),
+             ("caltech.edu", "x.caltech.edu"), ("ethz.ch", "mit.edu")]
+    r, ref = rng(), rng()
+    for _ in range(3):
+        for src, dst in pairs:
+            for size in (64, 1500):
+                a, b = m.site_of(src), m.site_of(dst)
+                prop = m.lan_delay if a == b else (
+                    m.lan_delay + m.routing_factor * great_circle_km(a, b)
+                    / 2.0e5)
+                jitter = m.jitter_median * math.exp(
+                    ref.gauss(0.0, m.jitter_sigma))
+                assert m.sample(r, src, dst, size) == (
+                    prop + size / m.bandwidth + jitter)
+
+
+def test_geo_latency_sites_are_frozen_at_construction():
+    """The memo is keyed on host names only, so the site table it was
+    computed from must not move underneath it."""
+    mine = {"a.edu": (0.0, 0.0), "b.edu": (0.0, 90.0)}
+    m = GeoLatency(mine, jitter_median=0.0)
+    before = m.propagation("a.edu", "b.edu")
+    mine["b.edu"] = (0.0, 1.0)          # the caller's dict is a copy
+    assert m.propagation("a.edu", "b.edu") == before
+    with pytest.raises(TypeError):      # ours cannot be edited
+        m.sites["b.edu"] = (0.0, 1.0)
+    assert m.site_of("b.edu") == (0.0, 90.0)
+    # The scalar knobs are not memoised.
+    m.routing_factor *= 2
+    assert m.propagation("a.edu", "b.edu") == pytest.approx(
+        2 * before - m.lan_delay)
 
 
 def test_per_link_latency_overrides():

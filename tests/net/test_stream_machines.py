@@ -72,6 +72,7 @@ class Host:
         self.inbox: list[str] = []     # delivered, not yet consumed
         self.delivered: list[int] = []
         self.owed = 0
+        self.pinched: set = set()
 
     def emit(self, dst, header, payload="", parts=None):
         self.wire.append((dst, header, payload, parts))
@@ -86,6 +87,10 @@ class Host:
 
     def ack_owed(self, node, delta):
         self.owed += delta
+
+    def window_pinched(self, stream, pinched):
+        assert (stream in self.pinched) != pinched  # changes only
+        (self.pinched.add if pinched else self.pinched.discard)(stream)
 
     def backlog(self, to_ref):
         return sum(OVERHEAD + len(p) for p in self.inbox)
@@ -212,6 +217,14 @@ class StreamPair(RuleBasedStateMachine):
     @invariant()
     def acks_owed_index_matches_the_receiver(self):
         assert self.host_b.owed == int(self.receiver.ack_pending)
+
+    @invariant()
+    def pinched_index_matches_the_advertised_window(self):
+        r = self.receiver
+        rwnd = r.advertised_rwnd
+        pinched = rwnd is not None and (
+            rwnd <= 0 or rwnd < self.host_b.recv_window // 2)
+        assert r.pinched == pinched == (r in self.host_b.pinched)
 
     @invariant()
     def no_timer_is_lost(self):
