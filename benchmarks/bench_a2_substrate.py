@@ -70,7 +70,7 @@ def test_store_handoff_throughput(benchmark):
 
 
 def test_end_to_end_message_throughput(benchmark):
-    """Full stack: serialize -> transport (reliable) -> deliver."""
+    """Full stack: serialize -> transport (reliable) -> deliver -> receive."""
     def run(n=1_000):
         world = World(seed=0, latency=ConstantLatency(0.01))
         a = world.dapplet(Node, "caltech.edu", "a")
@@ -78,9 +78,18 @@ def test_end_to_end_message_throughput(benchmark):
         inbox = b.create_inbox(name="in")
         out = a.create_outbox()
         out.add(inbox.named_address)
+        got = []
+
+        # Somebody has to drain the inbox: with flow control an unread
+        # backlog closes the receive window and the rest never arrives.
+        def consumer():
+            while True:
+                got.append((yield inbox.receive()))
+
+        b.spawn(consumer())
         for i in range(n):
             out.send(Text(str(i)))
         world.run()
-        return len(inbox.queued())
+        return len(got)
 
     assert benchmark(run) == 1_000

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.dapplet.acl import AccessControlList
 from repro.dapplet.state import PersistentState
-from repro.errors import DappletError
+from repro.errors import DappletError, DeliveryTimeout
 from repro.mailbox.inbox import Inbox
 from repro.mailbox.outbox import Outbox
-from repro.net.address import NodeAddress
+from repro.messages.message import Message
+from repro.net.address import InboxAddress, NodeAddress
 from repro.net.endpoint import Endpoint
 from repro.sim.process import Process
 
@@ -81,6 +82,8 @@ class Dapplet:
         self.inboxes: dict[int, Inbox] = {}
         self.outboxes: dict[int, Outbox] = {}
         self._named_inboxes: dict[str, Inbox] = {}
+        #: Destination inbox -> the one-target outbox :meth:`post` uses.
+        self._posts: dict[InboxAddress, Outbox] = {}
         self._processes: list[Process] = []
         #: Called with every newly created Inbox/Outbox; services (e.g.
         #: logical clocks) use this to hook all of a dapplet's ports.
@@ -99,9 +102,9 @@ class Dapplet:
         self.setup()
         # Every dapplet listens for link requests from the moment it is
         # installed (the paper's model: dapplets are installed first,
-        # sessions arrive later).
-        from repro.session.manager import SessionManager
-        self._session_manager = SessionManager(self)
+        # sessions arrive later); the property creates the manager here
+        # unless setup() already used it.
+        self.sessions  # noqa: B018
 
     @property
     def manifest_name(self) -> str:
@@ -171,6 +174,36 @@ class Dapplet:
         for hook in self.port_hooks:
             hook(outbox)
         return outbox
+
+    def post(self, to: InboxAddress, message: Message) -> None:
+        """Send ``message`` to the inbox ``to`` — the paper's asynchronous
+        RPC to a global pointer, for servlets answering whoever wrote in.
+
+        The dapplet keeps one channel per destination inbox, created on
+        the first post. A channel the transport has declared broken (a
+        fault outlived its retry budget) is replaced, once, and the
+        message resent on the fresh one, so replies resume when the
+        network heals. Any other failure — a payload over the frame
+        ceiling, say — says nothing about the channel, which stays.
+        """
+        outbox = self._posts.get(to)
+        if outbox is not None:
+            receipts = outbox.send(message).receipts
+            if not any(r.is_failed and isinstance(r.confirmed.value,
+                                                  DeliveryTimeout)
+                       for r in receipts):
+                return
+            self.unpost(to)
+        outbox = self._posts[to] = self.create_outbox()
+        outbox.add(to)
+        outbox.send(message)
+
+    def unpost(self, to: InboxAddress) -> None:
+        """Forget the channel :meth:`post` keeps to ``to`` (a later post
+        opens a new one)."""
+        outbox = self._posts.pop(to, None)
+        if outbox is not None:
+            self.outboxes.pop(outbox.ref, None)
 
     def inbox_named(self, name: str) -> Inbox:
         try:

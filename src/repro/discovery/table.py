@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from repro.dapplet.dapplet import Dapplet
 from repro.discovery.lease import LeaseConfig, LeaseRecord, merge
 from repro.errors import AddressError, ReceiveTimeout
-from repro.mailbox.outbox import Outbox
 from repro.messages.message import Message
 from repro.net.address import InboxAddress, NodeAddress
 
@@ -82,7 +81,6 @@ class LeaseReplica(Dapplet):
         self._peer_ring: list[NodeAddress] = []
         self._gossip_ix = 0
         self._gossiping = False
-        self._outboxes: dict[InboxAddress, Outbox] = {}
         self.inbox = self.create_inbox(name=self.inbox_name)
         self.spawn(self._serve(), name=f"{self.process_prefix}-serve")
         self.spawn(self._sweep_loop(), name=f"{self.process_prefix}-sweep")
@@ -114,25 +112,6 @@ class LeaseReplica(Dapplet):
             if handler is not None:
                 handler(self, msg)
 
-    def _send(self, to: InboxAddress, message: Message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self._bind_outbox(to)
-        result = outbox.send(message)
-        if any(r.is_failed for r in result.receipts):
-            # The channel broke (a partition outlived the transport's
-            # retry budget, or the peer restarted). Rebind on a fresh
-            # channel and retry once; periodic traffic heals the rest.
-            self.outboxes.pop(outbox.ref, None)
-            del self._outboxes[to]
-            self._bind_outbox(to).send(message)
-
-    def _bind_outbox(self, to: InboxAddress) -> Outbox:
-        outbox = self.create_outbox()
-        outbox.add(to)
-        self._outboxes[to] = outbox
-        return outbox
-
     def _grant_fields(self, record: LeaseRecord) -> dict:
         """Extra fields of the grant trace event (a catalog hook)."""
         return {}
@@ -153,7 +132,7 @@ class LeaseReplica(Dapplet):
         self.stats.grants += 1
         self._trace_row("grant", msg.name, epoch=epoch,
                         **self._grant_fields(record))
-        self._send(msg.reply_to, self.Grant(
+        self.post(msg.reply_to, self.Grant(
             msg.req_id, msg.name, epoch, 0, self.config.ttl))
 
     def _on_renew(self, msg) -> None:
@@ -168,14 +147,14 @@ class LeaseReplica(Dapplet):
         self.stats.renewals += 1
         self._trace_row("renew", msg.name, epoch=record.epoch,
                         version=record.version)
-        self._send(msg.reply_to, self.Grant(
+        self.post(msg.reply_to, self.Grant(
             msg.req_id, msg.name, record.epoch, record.version,
             self.config.ttl))
 
     def _deny(self, msg, reason: str) -> None:
         self.stats.denials += 1
         self._trace_row("denied", msg.name, reason=reason)
-        self._send(msg.reply_to, self.Denied(msg.req_id, msg.name, reason))
+        self.post(msg.reply_to, self.Denied(msg.req_id, msg.name, reason))
 
     def _on_release(self, msg) -> None:
         existing = self.store.get(msg.name)
@@ -195,7 +174,7 @@ class LeaseReplica(Dapplet):
             self.stats.lookup_hits += 1
         else:
             record = None
-        self._send(msg.reply_to, self._lookup_reply(msg, record, now))
+        self.post(msg.reply_to, self._lookup_reply(msg, record, now))
 
     # -- failure detector ---------------------------------------------------
 
@@ -237,8 +216,8 @@ class LeaseReplica(Dapplet):
             entries = tuple(r.to_wire(now)
                             for _, r in sorted(self.store.items()))
             self.stats.gossip_rounds += 1
-            self._send(InboxAddress(peer, self.inbox_name),
-                       self.Gossip(self.address, entries, True))
+            self.post(InboxAddress(peer, self.inbox_name),
+                      self.Gossip(self.address, entries, True))
 
     def _on_gossip(self, msg) -> None:
         now = self.kernel.now
@@ -269,8 +248,8 @@ class LeaseReplica(Dapplet):
                 r.to_wire(now) for name, r in sorted(self.store.items())
                 if name not in seen or r.stamp > seen[name])
             if fresher:
-                self._send(InboxAddress(msg.origin, self.inbox_name),
-                           self.Gossip(self.address, fresher, False))
+                self.post(InboxAddress(msg.origin, self.inbox_name),
+                          self.Gossip(self.address, fresher, False))
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.kernel.tracer

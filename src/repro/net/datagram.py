@@ -19,7 +19,7 @@ from repro.errors import AddressError
 from repro.net.address import NodeAddress
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, LatencyModel
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, SchedulerCore
 
 #: Fixed per-datagram header overhead charged to the latency model, in
 #: bytes (stands in for UDP/IP headers plus our layer's framing).
@@ -73,32 +73,27 @@ class NetworkStats:
         return dict(vars(self))
 
 
-class DatagramNetwork:
-    """Best-effort datagram delivery between registered nodes.
+# Down here because the codec builds Datagrams: wire.py imports the class
+# above from this module, so it can only load once that exists.
+from repro.net.wire import FrameError, decode_frame, encode_frame  # noqa: E402
 
-    One instance models the whole internetwork of a run. Nodes register
-    a handler for their address; ``send`` applies the fault plan, draws a
-    latency per surviving copy, and schedules handler invocation on the
-    kernel. Sending to an unregistered address silently drops the
-    datagram (as UDP does), counted in ``stats.undeliverable``.
 
-    ``encoded=True`` (opt-in) round-trips every surviving datagram
-    through the binary wire codec (:mod:`repro.net.wire`) at the same
-    boundaries the real UDP substrate does — encode once at send, decode
-    per delivered copy, bad frames dropped and counted — so a
-    deterministic simulated run can prove sim/asyncio byte-parity (the
-    golden trace corpus runs identically in both modes).
+class DatagramFrontEnd:
+    """What every datagram substrate does around its carrier.
+
+    Membership, the counters, the wire taps, the ``net`` trace events and
+    the fault draw are the same whether a datagram then rides a kernel
+    timer or a UDP socket: :meth:`_admit` on the way out,
+    :meth:`_deliver_bytes` / :meth:`_deliver` on the way in.
+    :class:`DatagramNetwork` and
+    :class:`repro.runtime.aio.UdpDatagramService` add only the carrier.
     """
 
-    def __init__(self, kernel: Kernel, *,
-                 latency: LatencyModel | None = None,
-                 faults: FaultPlan | None = None,
-                 encoded: bool = False) -> None:
+    def __init__(self, kernel: SchedulerCore,
+                 faults: FaultPlan | None) -> None:
         self.kernel = kernel
-        self.latency = latency if latency is not None else ConstantLatency(0.05)
         self.faults = faults if faults is not None else FaultPlan()
         self.stats = NetworkStats()
-        self.encoded = encoded
         self._handlers: dict[NodeAddress, Callable[[Datagram], None]] = {}
         #: (src, dst) -> the link's (fault, latency) random streams, so
         #: their names are formatted and hashed once per link.
@@ -122,17 +117,23 @@ class DatagramNetwork:
     def is_registered(self, address: NodeAddress) -> bool:
         return address in self._handlers
 
-    # -- sending --------------------------------------------------------
+    # -- on the way out ---------------------------------------------------
 
-    def send(self, datagram: Datagram) -> None:
-        """Fire-and-forget transmission of one datagram."""
+    def _admit(self, datagram: Datagram) -> tuple[list[float], Random]:
+        """Count, tap and trace one outgoing datagram and draw its fate.
+
+        Returns the extra delay of each copy the fault plan lets through
+        (none: dropped; several: duplicated) and the link's latency
+        stream. Same plan, same named streams, same draws on every
+        substrate, so loss-recovery scenarios translate verbatim.
+        """
         self.stats.sent += 1
         self.stats.bytes_sent += datagram.size
         for tap in self.wire_taps:
             tap(self.kernel.now, datagram)
         tr = self.kernel.tracer
+        header = datagram.header
         if tr is not None:
-            header = datagram.header
             parts = header.get("parts")
             tr.emit("net", "send", node=datagram.src, dst=str(datagram.dst),
                     kind=header.get("kind"), ch=header.get("ch"),
@@ -142,50 +143,30 @@ class DatagramNetwork:
         link = (datagram.src, datagram.dst)
         rngs = self._link_rngs.get(link)
         if rngs is None:
-            name = f"net/{datagram.src}->{datagram.dst}"
-            rngs = self._link_rngs[link] = (
-                self.kernel.rng.get(name + "/faults"),
-                self.kernel.rng.get(name + "/latency"))
-        fault_rng, lat_rng = rngs
-        extra_delays = self.faults.copies(fault_rng, datagram.src,
+            stream = self.kernel.rng.get
+            name = f"net/{datagram.src}->{datagram.dst}/"
+            rngs = self._link_rngs[link] = (stream(name + "faults"),
+                                            stream(name + "latency"))
+        extra_delays = self.faults.copies(rngs[0], datagram.src,
                                           datagram.dst, datagram)
+        fate = None
         if not extra_delays:
             self.stats.dropped += 1
-            if tr is not None:
-                header = datagram.header
-                tr.emit("net", "drop", node=datagram.src,
-                        dst=str(datagram.dst), kind=header.get("kind"),
-                        ch=header.get("ch"), seq=header.get("seq"))
-            return
-        if len(extra_delays) > 1:
+            fate = "drop"
+        elif len(extra_delays) > 1:
             self.stats.duplicated += 1
-            if tr is not None:
-                header = datagram.header
-                tr.emit("net", "dup", node=datagram.src,
-                        dst=str(datagram.dst), kind=header.get("kind"),
-                        ch=header.get("ch"), seq=header.get("seq"))
+            fate = "dup"
+        if fate is not None and tr is not None:
+            tr.emit("net", fate, node=datagram.src, dst=str(datagram.dst),
+                    kind=header.get("kind"), ch=header.get("ch"),
+                    seq=header.get("seq"))
+        return extra_delays, rngs[1]
 
-        if self.encoded:
-            # Same boundary as the UDP substrate: one encode per send,
-            # one decode per delivered copy.
-            from repro.net.wire import encode_frame
-            data = encode_frame(datagram)
-            for extra in extra_delays:
-                delay = extra + self.latency.sample(
-                    lat_rng, datagram.src.host, datagram.dst.host,
-                    datagram.size)
-                self.kernel.call_later(
-                    delay, lambda b=data: self._deliver_bytes(b))
-            return
-        for extra in extra_delays:
-            delay = extra + self.latency.sample(
-                lat_rng, datagram.src.host, datagram.dst.host, datagram.size)
-            self.kernel.call_later(delay, lambda d=datagram: self._deliver(d))
+    # -- on the way in ------------------------------------------------------
 
     def _deliver_bytes(self, data: bytes) -> None:
-        """Decode one encoded copy and deliver it; drop bad frames with a
-        ``net``-category trace event and a counter (UDP-substrate parity)."""
-        from repro.net.wire import FrameError, decode_frame
+        """Decode one wire copy and deliver it; a bad frame is dropped
+        with a counter and a ``net`` trace event, never raised."""
         try:
             datagram = decode_frame(data)
         except FrameError as exc:
@@ -198,16 +179,12 @@ class DatagramNetwork:
 
     def _deliver(self, datagram: Datagram) -> None:
         handler = self._handlers.get(datagram.dst)
-        tr = self.kernel.tracer
         if handler is None:
-            self.stats.undeliverable += 1
-            if tr is not None:
-                tr.emit("net", "undeliverable", node=datagram.dst,
-                        src=str(datagram.src),
-                        kind=datagram.header.get("kind"))
+            self._undeliverable(datagram)
             return
         self.stats.delivered += 1
         self.stats.bytes_delivered += datagram.size
+        tr = self.kernel.tracer
         if tr is not None:
             header = datagram.header
             parts = header.get("parts")
@@ -217,3 +194,53 @@ class DatagramNetwork:
                     size=datagram.size,
                     **({"n": len(parts)} if parts else {}))
         handler(datagram)
+
+    def _undeliverable(self, datagram: Datagram) -> None:
+        """Nobody there: drop silently (as UDP does), counted and traced."""
+        self.stats.undeliverable += 1
+        tr = self.kernel.tracer
+        if tr is not None:
+            tr.emit("net", "undeliverable", node=datagram.dst,
+                    src=str(datagram.src), kind=datagram.header.get("kind"))
+
+
+class DatagramNetwork(DatagramFrontEnd):
+    """Best-effort datagram delivery between registered nodes.
+
+    One instance models the whole internetwork of a run. Nodes register
+    a handler for their address; ``send`` applies the fault plan, draws a
+    latency per surviving copy, and schedules handler invocation on the
+    kernel. Sending to an unregistered address silently drops the
+    datagram (as UDP does), counted in ``stats.undeliverable``.
+
+    ``encoded=True`` (opt-in) round-trips every surviving datagram
+    through the binary wire codec (:mod:`repro.net.wire`) at the same
+    boundaries the real UDP substrate does — encode once at send, decode
+    per delivered copy, bad frames dropped and counted — so a
+    deterministic simulated run can prove sim/asyncio byte-parity (the
+    golden trace corpus runs identically in both modes).
+    """
+
+    def __init__(self, kernel: Kernel, *,
+                 latency: LatencyModel | None = None,
+                 faults: FaultPlan | None = None,
+                 encoded: bool = False) -> None:
+        super().__init__(kernel, faults)
+        self.latency = latency if latency is not None else ConstantLatency(0.05)
+        self.encoded = encoded
+
+    def send(self, datagram: Datagram) -> None:
+        """Fire-and-forget transmission of one datagram."""
+        extra_delays, lat_rng = self._admit(datagram)
+        if not extra_delays:
+            return
+        if self.encoded:
+            # Same boundary as the UDP substrate: one encode per send,
+            # one decode per delivered copy.
+            deliver, copy = self._deliver_bytes, encode_frame(datagram)
+        else:
+            deliver, copy = self._deliver, datagram
+        for extra in extra_delays:
+            delay = extra + self.latency.sample(
+                lat_rng, datagram.src.host, datagram.dst.host, datagram.size)
+            self.kernel.call_later(delay, lambda: deliver(copy))

@@ -77,7 +77,7 @@ class DAppStoreReplica(LeaseReplica):
                              record.expires_at - now, record.epoch)
 
     def _on_list(self, msg: rm.StoreList) -> None:
-        self._send(msg.reply_to, rm.StoreListReply(
+        self.post(msg.reply_to, rm.StoreListReply(
             msg.req_id, msg.prefix, tuple(self.names(msg.prefix))))
 
     handlers = {rm.Publish: LeaseReplica._on_claim,

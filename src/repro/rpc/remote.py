@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.mailbox.outbox import Outbox
 from repro.net.address import InboxAddress
 from repro.rpc.messages import Invoke, Reply
 
@@ -31,7 +30,6 @@ class RemoteObject:
         self.dapplet = dapplet
         self.obj = obj
         self.inbox = dapplet.create_inbox(name=name)
-        self._reply_outboxes: dict[InboxAddress, Outbox] = {}
         self.invocations = 0
         self.errors = 0
         self.server = dapplet.spawn(self._serve(), name=f"export:{name or id(obj)}")
@@ -49,7 +47,7 @@ class RemoteObject:
             self.invocations += 1
             reply = self._apply(msg)
             if msg.reply_to is not None:
-                self._send_reply(msg.reply_to, reply)
+                self.dapplet.post(msg.reply_to, reply)
 
     def _apply(self, msg: Invoke) -> Reply:
         if msg.method.startswith("_"):
@@ -82,14 +80,6 @@ class RemoteObject:
                          error_type=type(exc).__name__,
                          error_message=str(exc))
         return Reply(msg.call_id, ok=True, value=value)
-
-    def _send_reply(self, to: InboxAddress, reply: Reply) -> None:
-        outbox = self._reply_outboxes.get(to)
-        if outbox is None:
-            outbox = self.dapplet.create_outbox()
-            outbox.add(to)
-            self._reply_outboxes[to] = outbox
-        outbox.send(reply)
 
     def unexport(self) -> None:
         """Withdraw the object; the pointer dangles from then on."""

@@ -8,11 +8,11 @@ wall-clock time, timers are asyncio timers, and every
 :class:`~repro.net.datagram.Datagram` is encoded by
 :mod:`repro.net.wire` and put on a real UDP socket.
 
-Scheduling semantics mirror the kernel's: an event is *triggered*
-(``succeed``/``fail``), then its callbacks run in a loop callback; an
-unhandled failed event aborts the run with
-:class:`~repro.errors.ProcessCrashed`, exactly as
-:meth:`repro.sim.Kernel.step` would. What changes is only what must:
+Scheduling semantics are the kernel's, by construction: both inherit
+:class:`~repro.sim.kernel.SchedulerCore`, so an event is *triggered*
+(``succeed``/``fail``), then processed by the one ``_fire`` — here in a
+loop callback — and an unhandled failed event aborts the run with
+:class:`~repro.errors.ProcessCrashed`. What changes is only what must:
 time is real so same-instant ordering is best-effort, and quiescence is
 a heuristic (an idle grace window) because real packets are invisible
 until they arrive.
@@ -21,33 +21,34 @@ until they arrive.
 addresses (``host:port`` in paper terms) to the real socket addresses
 they are bound to. In-process nodes are routed automatically on
 ``register``; peers in other processes can be wired in with
-:meth:`UdpDatagramService.add_route`. An optional
-:class:`~repro.net.faults.FaultPlan` injects loss/duplication/jitter at
-the sender — same plan object, same named RNG streams as the simulated
-network — so loss-recovery behaviour is testable on real sockets.
+:meth:`UdpDatagramService.add_route`. Counters, wire taps, ``net`` trace
+events and fault injection (an optional
+:class:`~repro.net.faults.FaultPlan`: same plan object, same named RNG
+streams as the simulated network) are the shared
+:class:`~repro.net.datagram.DatagramFrontEnd`, so loss-recovery
+behaviour is testable on real sockets.
 """
 
 from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from repro.errors import ProcessCrashed, SimulationError
+from repro.errors import SimulationError
 from repro.net.address import NodeAddress
-from repro.net.datagram import Datagram, NetworkStats
+from repro.net.datagram import Datagram, DatagramFrontEnd
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency
-from repro.net.wire import FrameError, decode_frame, encode_frame
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process, ProcessBody
-from repro.sim.rng import RandomStreams
+from repro.net.wire import encode_frame
+from repro.sim.events import Event
+from repro.sim.kernel import SchedulerCore
 
 #: Assumed one-way loopback delay; only used to size initial RTOs.
 LOOPBACK_LATENCY_HINT = 0.005
 
 
-class AsyncioSubstrate:
+class AsyncioSubstrate(SchedulerCore):
     """Wall-clock substrate over an asyncio event loop and UDP sockets.
 
     Parameters
@@ -68,21 +69,16 @@ class AsyncioSubstrate:
     def __init__(self, seed: int = 0, *, bind_host: str = "127.0.0.1",
                  faults: FaultPlan | None = None,
                  loop: asyncio.AbstractEventLoop | None = None) -> None:
-        self.rng = RandomStreams(seed)
+        super().__init__(seed)
         self._loop = loop if loop is not None else asyncio.new_event_loop()
         self._owns_loop = loop is None
         self._epoch = self._loop.time()
-        self._processes: set[Process] = set()
         self._pending = 0
         self._crash: BaseException | None = None
         self._run_future: asyncio.Future | None = None
         self._quiescing = False
         self._idle_grace = 0.05
         self.closed = False
-        #: Monitors notified of every processed event (kernel parity).
-        self.trace_hooks: list[Callable[[float, Event], None]] = []
-        #: Optional :class:`repro.obs.Tracer` (kernel parity).
-        self.tracer = None
         #: Armed timer handles, cancelled by :meth:`close` so a closed
         #: substrate never leaks timers into a caller-owned loop.
         self._handles: set[asyncio.TimerHandle] = set()
@@ -101,33 +97,7 @@ class AsyncioSubstrate:
     def loop(self) -> asyncio.AbstractEventLoop:
         return self._loop
 
-    # -- event constructors (kernel-identical API) -----------------------
-
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` real seconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, body: ProcessBody, name: str | None = None) -> Process:
-        """Start a generator coroutine as a process."""
-        return Process(self, body, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` real seconds (fire-and-forget)."""
-        ev = self.timeout(delay)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
-
-    # -- plumbing used by Event/Process ----------------------------------
+    # -- scheduling ------------------------------------------------------
 
     def _enqueue(self, event: Event, delay: float) -> None:
         if self.closed:
@@ -151,45 +121,17 @@ class AsyncioSubstrate:
         handle = self._loop.call_later(max(0.0, delay), run)
         self._handles.add(handle)
 
-    def _register_process(self, process: Process) -> None:
-        self._processes.add(process)
-
-    def _unregister_process(self, process: Process) -> None:
-        self._processes.discard(process)
-
-    @property
-    def active_process_count(self) -> int:
-        """Number of processes that have not yet finished."""
-        return len(self._processes)
-
     # -- the loop --------------------------------------------------------
 
     def _process_event(self, event: Event) -> None:
         self._pending -= 1
         if self._crash is not None:
             return
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("kernel", "fire", kind=type(event).__name__)
-        callbacks, event.callbacks = event.callbacks, None
         try:
-            for callback in callbacks:
-                callback(event)
+            self._fire(event)
         except BaseException as exc:  # noqa: BLE001 - surfaced to run()
             self._report_crash(exc)
             return
-        if not event.ok and not event.defused:
-            exc = event.value
-            if isinstance(exc, ProcessCrashed):
-                self._report_crash(exc)
-            else:
-                crash = ProcessCrashed(
-                    f"unhandled failure at t={self.now:.6f}: {exc!r}")
-                crash.__cause__ = exc
-                self._report_crash(crash)
-            return
-        for hook in self.trace_hooks:
-            hook(self.now, event)
         self._maybe_quiesce()
 
     def _report_crash(self, exc: BaseException) -> None:
@@ -322,29 +264,27 @@ class AsyncioSubstrate:
                 f"processes={len(self._processes)}>")
 
 
-class UdpDatagramService:
+class UdpDatagramService(DatagramFrontEnd):
     """Real UDP datagram delivery between registered node addresses.
 
     Implements the same :class:`~repro.runtime.substrate.DatagramService`
-    contract as the simulated :class:`~repro.net.datagram.DatagramNetwork`:
-    best-effort, unordered, silent loss. Each registered node gets its
-    own non-blocking UDP socket on ``bind_host``; frames carry the
-    virtual source/destination addresses (see :mod:`repro.net.wire`), so
-    node identity is independent of the ephemeral port the OS assigns.
+    contract as the simulated :class:`~repro.net.datagram.DatagramNetwork`
+    — best-effort, unordered, silent loss — around the same
+    :class:`~repro.net.datagram.DatagramFrontEnd`; the carrier is a
+    non-blocking UDP socket per registered node on ``bind_host``. Frames
+    carry the virtual source/destination addresses (see
+    :mod:`repro.net.wire`), so node identity is independent of the
+    ephemeral port the OS assigns.
     """
 
     def __init__(self, substrate: AsyncioSubstrate, *,
                  bind_host: str = "127.0.0.1",
                  faults: FaultPlan | None = None) -> None:
+        super().__init__(substrate, faults)
         self.substrate = substrate
         self.bind_host = bind_host
-        self.faults = faults if faults is not None else FaultPlan()
-        self.stats = NetworkStats()
         #: RTO-sizing hint only — real packets move at real speed.
         self.latency = ConstantLatency(LOOPBACK_LATENCY_HINT)
-        #: Taps observing every datagram put on the wire (testing aid).
-        self.wire_taps: list[Callable[[float, Datagram], None]] = []
-        self._handlers: dict[NodeAddress, Callable[[Datagram], None]] = {}
         self._socks: dict[NodeAddress, socket.socket] = {}
         self._routes: dict[NodeAddress, tuple[str, int]] = {}
         self._tx_sock: socket.socket | None = None
@@ -354,28 +294,21 @@ class UdpDatagramService:
     def register(self, address: NodeAddress,
                  handler: Callable[[Datagram], None]) -> None:
         """Bind a real UDP socket for ``address`` and attach ``handler``."""
-        from repro.errors import AddressError
-        if address in self._handlers:
-            raise AddressError(f"address {address} is already registered")
+        super().register(address, handler)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((self.bind_host, 0))
         sock.setblocking(False)
-        self._handlers[address] = handler
         self._socks[address] = sock
         self._routes[address] = sock.getsockname()
-        self.substrate.loop.add_reader(
-            sock.fileno(), self._on_readable, address, sock)
+        self.substrate.loop.add_reader(sock.fileno(), self._on_readable, sock)
 
     def unregister(self, address: NodeAddress) -> None:
-        self._handlers.pop(address, None)
+        super().unregister(address)
         sock = self._socks.pop(address, None)
         self._routes.pop(address, None)
         if sock is not None:
             self.substrate.loop.remove_reader(sock.fileno())
             sock.close()
-
-    def is_registered(self, address: NodeAddress) -> bool:
-        return address in self._handlers
 
     def add_route(self, address: NodeAddress,
                   real_address: tuple[str, int]) -> None:
@@ -394,58 +327,23 @@ class UdpDatagramService:
 
     def send(self, datagram: Datagram) -> None:
         """Fire-and-forget transmission of one datagram."""
-        self.stats.sent += 1
-        self.stats.bytes_sent += datagram.size
-        for tap in self.wire_taps:
-            tap(self.substrate.now, datagram)
-        tr = self.substrate.tracer
-        if tr is not None:
-            header = datagram.header
-            parts = header.get("parts")
-            tr.emit("net", "send", node=datagram.src, dst=str(datagram.dst),
-                    kind=header.get("kind"), ch=header.get("ch"),
-                    seq=header.get("seq"), size=datagram.size,
-                    **({"n": len(parts)} if parts else {}))
-
+        extra_delays, _ = self._admit(datagram)
+        if not extra_delays:
+            return
+        # The route is looked up after the fault draw, where the
+        # simulated network finds out nobody is there: a lost datagram to
+        # nowhere counts as dropped on both.
         route = self._routes.get(datagram.dst)
         if route is None:
-            self.stats.undeliverable += 1
-            if tr is not None:
-                tr.emit("net", "undeliverable", node=datagram.dst,
-                        src=str(datagram.src),
-                        kind=datagram.header.get("kind"))
+            self._undeliverable(datagram)
             return
-
-        # Same fault model and stream naming as the simulated network,
-        # so loss-recovery tests translate across substrates verbatim.
-        link = f"net/{datagram.src}->{datagram.dst}"
-        fault_rng = self.substrate.rng.get(link + "/faults")
-        extra_delays = self.faults.copies(fault_rng, datagram.src,
-                                          datagram.dst, datagram)
-        if not extra_delays:
-            self.stats.dropped += 1
-            if tr is not None:
-                header = datagram.header
-                tr.emit("net", "drop", node=datagram.src,
-                        dst=str(datagram.dst), kind=header.get("kind"),
-                        ch=header.get("ch"), seq=header.get("seq"))
-            return
-        if len(extra_delays) > 1:
-            self.stats.duplicated += 1
-            if tr is not None:
-                header = datagram.header
-                tr.emit("net", "dup", node=datagram.src,
-                        dst=str(datagram.dst), kind=header.get("kind"),
-                        ch=header.get("ch"), seq=header.get("seq"))
-
         data = encode_frame(datagram)
         for extra in extra_delays:
             if extra <= 0:
                 self._sendto(datagram.src, data, route)
             else:
                 self.substrate.call_later(
-                    extra, lambda d=data, r=route, s=datagram.src:
-                    self._sendto(s, d, r))
+                    extra, lambda: self._sendto(datagram.src, data, route))
 
     def _sendto(self, src: NodeAddress, data: bytes,
                 route: tuple[str, int]) -> None:
@@ -465,16 +363,8 @@ class UdpDatagramService:
 
     # -- receiving ------------------------------------------------------
 
-    def _on_readable(self, address: NodeAddress,
-                     sock: socket.socket) -> None:
-        # Hot path: every lookup that is loop-invariant is hoisted out of
-        # the drain loop (the handler, the stats record, the tracer and
-        # the bound recvfrom), so per-datagram work is the codec plus the
-        # protocol machinery itself.
-        recvfrom = sock.recvfrom
-        handler = self._handlers.get(address)
-        stats = self.stats
-        tr = self.substrate.tracer
+    def _on_readable(self, sock: socket.socket) -> None:
+        recvfrom, deliver = sock.recvfrom, self._deliver_bytes
         while True:
             try:
                 data, _peer = recvfrom(65536)
@@ -483,28 +373,7 @@ class UdpDatagramService:
             except OSError:
                 return  # socket closed under us
             try:
-                datagram = decode_frame(data)
-            except FrameError as exc:
-                stats.bad_frames += 1
-                if tr is not None:
-                    tr.emit("net", "bad_frame", size=len(data),
-                            err=str(exc))
-                continue
-            if handler is None:
-                stats.undeliverable += 1
-                continue
-            stats.delivered += 1
-            stats.bytes_delivered += datagram.size
-            if tr is not None:
-                header = datagram.header
-                parts = header.get("parts")
-                tr.emit("net", "deliver", node=datagram.dst,
-                        src=str(datagram.src), kind=header.get("kind"),
-                        ch=header.get("ch"), seq=header.get("seq"),
-                        size=datagram.size,
-                        **({"n": len(parts)} if parts else {}))
-            try:
-                handler(datagram)
+                deliver(data)
             except BaseException as exc:  # noqa: BLE001 - kernel parity
                 self.substrate._report_crash(exc)
                 return

@@ -17,13 +17,13 @@ surface as :class:`~repro.errors.SynchronizationError`.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SingleAssignmentError, SynchronizationError
-from repro.mailbox.outbox import Outbox
 from repro.net.address import InboxAddress
 from repro.services.sync import messages as ym
+from repro.services.sync.local import (Barrier, BoundedChannel, Semaphore,
+                                       SingleAssignment)
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,215 +33,120 @@ if TYPE_CHECKING:  # pragma: no cover
 SYNC_INBOX = "_sync"
 
 
-class _HostBarrier:
-    __slots__ = ("parties", "generation", "waiting")
-
-    def __init__(self, parties: int) -> None:
-        self.parties = parties
-        self.generation = 0
-        #: (reply_to, req_id) pairs of the current generation.
-        self.waiting: list[tuple[InboxAddress, int]] = []
-
-
-class _HostSemaphore:
-    __slots__ = ("permits", "waiters")
-
-    def __init__(self, permits: int) -> None:
-        self.permits = permits
-        self.waiters: deque[tuple[InboxAddress, int]] = deque()
-
-
-class _HostSingle:
-    __slots__ = ("value", "is_set", "readers")
-
-    def __init__(self) -> None:
-        self.value: Any = None
-        self.is_set = False
-        self.readers: list[tuple[InboxAddress, int]] = []
-
-
-class _HostChannel:
-    __slots__ = ("capacity", "items", "putters", "getters")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.items: deque[Any] = deque()
-        #: blocked puts: (reply_to, req_id, value)
-        self.putters: deque[tuple[InboxAddress, int, Any]] = deque()
-        self.getters: deque[tuple[InboxAddress, int]] = deque()
-
-
 class SyncHost:
-    """The servlet hosting named synchronization constructs."""
+    """The servlet hosting named synchronization constructs.
+
+    The constructs are the thread-level ones of
+    :mod:`repro.services.sync.local`, each created by the first message
+    that names it. A request is applied to its construct and answered
+    when the event the construct returned fires, so replies leave in the
+    order the construct releases its waiters.
+    """
 
     def __init__(self, dapplet: "Dapplet", name: str = SYNC_INBOX) -> None:
         self.dapplet = dapplet
         self.inbox = dapplet.create_inbox(name=name)
-        self._barriers: dict[str, _HostBarrier] = {}
-        self._semaphores: dict[str, _HostSemaphore] = {}
-        self._singles: dict[str, _HostSingle] = {}
-        self._channels: dict[str, _HostChannel] = {}
-        self._outboxes: dict[InboxAddress, Outbox] = {}
+        #: (class, name) -> the hosted construct.
+        self._constructs: dict[tuple[type, str], Any] = {}
         self.server = dapplet.spawn(self._serve(), name="sync-host")
 
     @property
     def pointer(self) -> InboxAddress:
         return self.inbox.named_address
 
-    def _send(self, to: InboxAddress, message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self.dapplet.create_outbox()
-            outbox.add(to)
-            self._outboxes[to] = outbox
-        outbox.send(message)
-
     def _serve(self):
         while True:
             msg = yield self.inbox.receive()
-            if isinstance(msg, ym.BarrierArrive):
-                self._on_barrier_arrive(msg)
-            elif isinstance(msg, ym.SemAcquire):
-                self._on_sem_acquire(msg)
-            elif isinstance(msg, ym.SemRelease):
-                self._on_sem_release(msg)
-            elif isinstance(msg, ym.SaSet):
-                self._on_sa_set(msg)
-            elif isinstance(msg, ym.SaGet):
-                self._on_sa_get(msg)
-            elif isinstance(msg, ym.ChPut):
-                self._on_ch_put(msg)
-            elif isinstance(msg, ym.ChGet):
-                self._on_ch_get(msg)
+            handler = self._handlers.get(type(msg))
+            if handler is not None:
+                handler(self, msg)
 
-    # -- barrier ------------------------------------------------------------
+    def _named(self, msg, cls, *params):
+        """The ``cls`` construct ``msg`` names, built from ``params`` by
+        the first message to name it; ``None``, the requester told why,
+        if they are invalid."""
+        key = (cls, msg.name)
+        construct = self._constructs.get(key)
+        if construct is None:
+            try:
+                construct = cls(self.dapplet.kernel, *params)
+            except SynchronizationError as exc:
+                self._refuse(msg, str(exc))
+                return None
+            self._constructs[key] = construct
+        return construct
+
+    def _refuse(self, msg, error: str) -> None:
+        self.dapplet.post(msg.reply_to,
+                          ym.SyncError(msg.req_id, msg.name, error))
+
+    def _answer(self, msg, event: Event, reply) -> None:
+        """Send ``reply(value)`` to the requester when ``event`` fires."""
+        event.callbacks.append(
+            lambda ev: self.dapplet.post(msg.reply_to, reply(ev.value)))
 
     def _on_barrier_arrive(self, msg: ym.BarrierArrive) -> None:
-        barrier = self._barriers.get(msg.name)
+        barrier = self._named(msg, Barrier, msg.parties)
         if barrier is None:
-            if msg.parties < 1:
-                self._send(msg.reply_to, ym.SyncError(
-                    msg.req_id, msg.name, "barrier needs at least one party"))
-                return
-            barrier = _HostBarrier(msg.parties)
-            self._barriers[msg.name] = barrier
-        elif barrier.parties != msg.parties:
-            self._send(msg.reply_to, ym.SyncError(
-                msg.req_id, msg.name,
-                f"barrier {msg.name!r} has {barrier.parties} parties, "
-                f"not {msg.parties}"))
             return
-        barrier.waiting.append((msg.reply_to, msg.req_id))
-        if len(barrier.waiting) == barrier.parties:
-            generation = barrier.generation
-            barrier.generation += 1
-            waiting, barrier.waiting = barrier.waiting, []
-            for reply_to, req_id in waiting:
-                self._send(reply_to, ym.BarrierRelease(
-                    req_id, msg.name, generation))
-
-    # -- semaphore ------------------------------------------------------------
+        if barrier.parties != msg.parties:
+            self._refuse(msg, f"barrier {msg.name!r} has {barrier.parties} "
+                              f"parties, not {msg.parties}")
+            return
+        self._answer(msg, barrier.arrive(), lambda generation:
+                     ym.BarrierRelease(msg.req_id, msg.name, generation))
 
     def _on_sem_acquire(self, msg: ym.SemAcquire) -> None:
-        sem = self._semaphores.get(msg.name)
-        if sem is None:
-            if msg.permits < 0:
-                self._send(msg.reply_to, ym.SyncError(
-                    msg.req_id, msg.name, "permit count must be >= 0"))
-                return
-            sem = _HostSemaphore(msg.permits)
-            self._semaphores[msg.name] = sem
-        if sem.permits > 0 and not sem.waiters:
-            sem.permits -= 1
-            self._send(msg.reply_to, ym.SemGrant(msg.req_id, msg.name))
-        else:
-            sem.waiters.append((msg.reply_to, msg.req_id))
+        sem = self._named(msg, Semaphore, msg.permits)
+        if sem is not None:
+            self._answer(msg, sem.acquire(),
+                         lambda _: ym.SemGrant(msg.req_id, msg.name))
 
     def _on_sem_release(self, msg: ym.SemRelease) -> None:
-        sem = self._semaphores.get(msg.name)
-        if sem is None:
-            return  # releasing an unknown semaphore: drop
-        if sem.waiters:
-            reply_to, req_id = sem.waiters.popleft()
-            self._send(reply_to, ym.SemGrant(req_id, msg.name))
-        else:
-            sem.permits += 1
-
-    # -- single assignment -----------------------------------------------------
+        sem = self._constructs.get((Semaphore, msg.name))
+        if sem is not None:  # releasing an unknown semaphore: drop
+            sem.release()
 
     def _on_sa_set(self, msg: ym.SaSet) -> None:
-        single = self._singles.setdefault(msg.name, _HostSingle())
-        if single.is_set:
-            self._send(msg.reply_to, ym.SaSetAck(
-                msg.req_id, msg.name, ok=False,
-                error="single-assignment variable written twice"))
-            return
-        single.is_set = True
-        single.value = msg.value
-        self._send(msg.reply_to, ym.SaSetAck(msg.req_id, msg.name, ok=True))
-        readers, single.readers = single.readers, []
-        for reply_to, req_id in readers:
-            self._send(reply_to, ym.SaValue(req_id, msg.name, single.value))
+        try:
+            self._named(msg, SingleAssignment).set(msg.value)
+        except SingleAssignmentError as exc:
+            ack = ym.SaSetAck(msg.req_id, msg.name, ok=False, error=str(exc))
+        else:
+            ack = ym.SaSetAck(msg.req_id, msg.name, ok=True)
+        self.dapplet.post(msg.reply_to, ack)
 
     def _on_sa_get(self, msg: ym.SaGet) -> None:
-        single = self._singles.setdefault(msg.name, _HostSingle())
-        if single.is_set:
-            self._send(msg.reply_to,
-                       ym.SaValue(msg.req_id, msg.name, single.value))
-        else:
-            single.readers.append((msg.reply_to, msg.req_id))
+        self._answer(msg, self._named(msg, SingleAssignment).get(),
+                     lambda value: ym.SaValue(msg.req_id, msg.name, value))
 
-    # -- bounded channel -----------------------------------------------------
-
-    def _channel(self, msg) -> "_HostChannel | None":
-        chan = self._channels.get(msg.name)
-        if chan is None:
-            if msg.capacity < 0:
-                self._send(msg.reply_to, ym.SyncError(
-                    msg.req_id, msg.name, "capacity must be >= 0"))
-                return None
-            chan = _HostChannel(msg.capacity)
-            self._channels[msg.name] = chan
-        elif chan.capacity != msg.capacity:
-            self._send(msg.reply_to, ym.SyncError(
-                msg.req_id, msg.name,
-                f"channel {msg.name!r} has capacity {chan.capacity}, "
-                f"not {msg.capacity}"))
+    def _channel(self, msg) -> "BoundedChannel | None":
+        chan = self._named(msg, BoundedChannel, msg.capacity)
+        if chan is not None and chan.capacity != msg.capacity:
+            self._refuse(msg, f"channel {msg.name!r} has capacity "
+                              f"{chan.capacity}, not {msg.capacity}")
             return None
         return chan
 
     def _on_ch_put(self, msg: ym.ChPut) -> None:
         chan = self._channel(msg)
-        if chan is None:
-            return
-        if chan.getters:
-            reply_to, req_id = chan.getters.popleft()
-            self._send(reply_to, ym.ChItem(req_id, msg.name, msg.value))
-            self._send(msg.reply_to, ym.ChPutOk(msg.req_id, msg.name))
-        elif len(chan.items) < chan.capacity:
-            chan.items.append(msg.value)
-            self._send(msg.reply_to, ym.ChPutOk(msg.req_id, msg.name))
-        else:
-            chan.putters.append((msg.reply_to, msg.req_id, msg.value))
+        if chan is not None:
+            self._answer(msg, chan.put(msg.value),
+                         lambda _: ym.ChPutOk(msg.req_id, msg.name))
 
     def _on_ch_get(self, msg: ym.ChGet) -> None:
         chan = self._channel(msg)
-        if chan is None:
-            return
-        if chan.items:
-            value = chan.items.popleft()
-            self._send(msg.reply_to, ym.ChItem(msg.req_id, msg.name, value))
-            if chan.putters:
-                reply_to, req_id, pending = chan.putters.popleft()
-                chan.items.append(pending)
-                self._send(reply_to, ym.ChPutOk(req_id, msg.name))
-        elif chan.putters:
-            reply_to, req_id, pending = chan.putters.popleft()
-            self._send(msg.reply_to,
-                       ym.ChItem(msg.req_id, msg.name, pending))
-            self._send(reply_to, ym.ChPutOk(req_id, msg.name))
-        else:
-            chan.getters.append((msg.reply_to, msg.req_id))
+        if chan is not None:
+            self._answer(msg, chan.get(),
+                         lambda item: ym.ChItem(msg.req_id, msg.name, item))
+
+    _handlers = {ym.BarrierArrive: _on_barrier_arrive,
+                 ym.SemAcquire: _on_sem_acquire,
+                 ym.SemRelease: _on_sem_release,
+                 ym.SaSet: _on_sa_set,
+                 ym.SaGet: _on_sa_get,
+                 ym.ChPut: _on_ch_put,
+                 ym.ChGet: _on_ch_get}
 
 
 class _Client:

@@ -82,7 +82,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.dapplet.dapplet import Dapplet
 from repro.errors import TokenError
-from repro.mailbox.outbox import Outbox
 from repro.net.address import InboxAddress, NodeAddress
 from repro.services.tokens import messages as tm
 from repro.services.tokens.ledger import Ledger
@@ -158,7 +157,6 @@ class TokenShard:
         self._agent_inboxes: dict[str, InboxAddress] = {}
         #: (agent, inbox) pairs this shard already pushed to their home.
         self._registered: set[tuple[str, InboxAddress]] = set()
-        self._outboxes: dict[InboxAddress, Outbox] = {}
         self._gids = itertools.count(1)
         self.grants = 0
         self.deadlocks = 0
@@ -213,14 +211,6 @@ class TokenShard:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _send(self, to: InboxAddress, message) -> None:
-        outbox = self._outboxes.get(to)
-        if outbox is None:
-            outbox = self.dapplet.create_outbox()
-            outbox.add(to)
-            self._outboxes[to] = outbox
-        outbox.send(message)
-
     def _send_shard(self, shard_name: str, message) -> None:
         """Route a manager-to-manager message by ring name.
 
@@ -234,7 +224,7 @@ class TokenShard:
             return
         self.forwards += 1
         self._trace("forward", to=shard_name, kind=message.wire_name)
-        self._send(self.peers[shard_name], message)
+        self.dapplet.post(self.peers[shard_name], message)
 
     def _learn_agent(self, agent: str, reply_to: InboxAddress | None) -> None:
         """Push (agent, inbox) to the agent's home shard, once."""
@@ -261,7 +251,8 @@ class TokenShard:
 
     def _on_totals_query(self, msg: tm.TotalsQuery) -> None:
         self._learn_agent(msg.agent, msg.reply_to)
-        self._send(msg.reply_to, tm.Totals(msg.req_id, dict(self.global_totals)))
+        self.dapplet.post(msg.reply_to,
+                          tm.Totals(msg.req_id, dict(self.global_totals)))
 
     def _on_agent_register(self, msg: tm.AgentRegister) -> None:
         self._agent_inboxes[msg.agent] = msg.inbox
@@ -270,14 +261,15 @@ class TokenShard:
         self._learn_agent(msg.agent, msg.reply_to)
         for color in msg.tokens:
             if color not in self.global_totals:
-                self._send(msg.reply_to, tm.DeadlockNotice(msg.req_id, ()))
+                self.dapplet.post(msg.reply_to,
+                                  tm.DeadlockNotice(msg.req_id, ()))
                 return
         reason = self._capability_denial(msg)
         if reason is not None:
             self.denials += 1
             self._trace("denied", agent=msg.agent, principal=msg.principal,
                         reason=reason)
-            self._send(msg.reply_to, tm.Denied(msg.req_id, reason))
+            self.dapplet.post(msg.reply_to, tm.Denied(msg.req_id, reason))
             return
         gid = f"{self.name}/{next(self._gids)}"
         multi = self._coordinating[gid] = _Coordinated(
@@ -334,7 +326,7 @@ class TokenShard:
                     tokens=dict(sorted(need.items())),
                     route=self.dapplet.kernel.now - multi.t0,
                     hops=len(multi.groups))
-        self._send(request.reply_to, tm.Grant(request.req_id, need))
+        self.dapplet.post(request.reply_to, tm.Grant(request.req_id, need))
 
     def _on_prepare_denied(self, msg: tm.PrepareDenied) -> None:
         """A home shard refused a group on quota: fail the whole grant.
@@ -353,7 +345,8 @@ class TokenShard:
         request = multi.request
         self._trace("denied", agent=request.agent,
                     principal=request.principal, reason=msg.reason)
-        self._send(request.reply_to, tm.Denied(request.req_id, msg.reason))
+        self.dapplet.post(request.reply_to,
+                          tm.Denied(request.req_id, msg.reason))
 
     def _on_deadlock_found(self, msg: tm.DeadlockFound) -> None:
         multi = self._coordinating.pop(msg.gid, None)
@@ -364,8 +357,8 @@ class TokenShard:
             self._send_shard(shard, tm.Abort(multi.gid))
         self._trace("deadlock", agent=multi.request.agent,
                     cycle=list(msg.cycle))
-        self._send(multi.request.reply_to,
-                   tm.DeadlockNotice(multi.request.req_id, tuple(msg.cycle)))
+        self.dapplet.post(multi.request.reply_to, tm.DeadlockNotice(
+            multi.request.req_id, tuple(msg.cycle)))
 
     def _on_release(self, msg: tm.Release) -> None:
         self._trace("release", agent=msg.agent,
@@ -484,8 +477,8 @@ class TokenShard:
     def _on_forward_notice(self, msg: tm.ForwardNotice) -> None:
         target = self._agent_inboxes.get(msg.to_agent)
         if target is not None:
-            self._send(target, tm.TransferNotice(msg.from_agent,
-                                                 dict(msg.tokens)))
+            self.dapplet.post(target, tm.TransferNotice(msg.from_agent,
+                                                        dict(msg.tokens)))
 
     # -- edge-chasing deadlock detection -----------------------------------
 

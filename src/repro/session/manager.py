@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import BindingError
 from repro.mailbox.inbox import Inbox
-from repro.mailbox.outbox import Outbox
-from repro.messages.message import Message
 from repro.net.address import InboxAddress
 from repro.session import messages as sm
 from repro.session.interference import regions_conflict
@@ -85,19 +83,10 @@ class SessionManager:
         #: session id -> last known reply address (survives teardown so
         #: duplicate terminations still get acknowledged).
         self._reply_addresses: dict[str, InboxAddress] = {}
-        self._reply_outboxes: dict[InboxAddress, Outbox] = {}
         self.inbox = dapplet.create_inbox(name=CONTROL_INBOX)
         self.server = dapplet.spawn(self._serve(), name="session-manager")
 
     # -- helpers ----------------------------------------------------------
-
-    def _reply(self, to: InboxAddress, message: Message) -> None:
-        outbox = self._reply_outboxes.get(to)
-        if outbox is None:
-            outbox = self.dapplet.create_outbox()
-            outbox.add(to)
-            self._reply_outboxes[to] = outbox
-        outbox.send(message)
 
     def active_sessions(self) -> list[str]:
         return sorted(sid for sid, e in self._entries.items() if e.active)
@@ -184,7 +173,7 @@ class SessionManager:
         if existing is not None:
             # Duplicate prepare (initiator retry): re-accept idempotently.
             self.stats.accepts += 1
-            self._reply(msg.reply_to, sm.Accept(
+            self.dapplet.post(msg.reply_to, sm.Accept(
                 msg.session_id, existing.member,
                 {n: ib.named_address for n, ib in existing.inboxes.items()}))
             return
@@ -194,7 +183,7 @@ class SessionManager:
             if tr is not None:
                 tr.emit("session", "reject", node=self.dapplet.address,
                         sid=msg.session_id, member=msg.member, reason="acl")
-            self._reply(msg.reply_to, sm.Reject(
+            self.dapplet.post(msg.reply_to, sm.Reject(
                 msg.session_id, msg.member, reason="acl"))
             return
         if self.dapplet.owner is not None:
@@ -208,7 +197,7 @@ class SessionManager:
                     tr.emit("session", "reject", node=self.dapplet.address,
                             sid=msg.session_id, member=msg.member,
                             reason=reason)
-                self._reply(msg.reply_to, sm.Reject(
+                self.dapplet.post(msg.reply_to, sm.Reject(
                     msg.session_id, msg.member, reason=reason))
                 return
         if not from_queue and any(q.session_id == msg.session_id
@@ -228,7 +217,7 @@ class SessionManager:
                 tr.emit("session", "reject", node=self.dapplet.address,
                         sid=msg.session_id, member=msg.member,
                         reason="interference")
-            self._reply(msg.reply_to, sm.Reject(
+            self.dapplet.post(msg.reply_to, sm.Reject(
                 msg.session_id, msg.member, reason="interference"))
             return
 
@@ -248,7 +237,7 @@ class SessionManager:
                     del self._reply_addresses[sid]
                     break
         self.stats.accepts += 1
-        self._reply(msg.reply_to, sm.Accept(
+        self.dapplet.post(msg.reply_to, sm.Accept(
             msg.session_id, msg.member,
             {n: ib.named_address for n, ib in entry.inboxes.items()}))
 
@@ -257,7 +246,8 @@ class SessionManager:
         if entry is None:
             return  # committed after abort/teardown: drop
         if entry.ctx is not None:
-            self._reply(entry.reply_to, sm.Ready(msg.session_id, entry.member))
+            self.dapplet.post(entry.reply_to,
+                              sm.Ready(msg.session_id, entry.member))
             return  # duplicate commit
         self.stats.commits += 1
         ctx = SessionContext(
@@ -278,7 +268,8 @@ class SessionManager:
         monitor = getattr(self.dapplet.world, "interference_monitor", None)
         if monitor is not None:
             monitor.activated(self.dapplet.name, msg.session_id, entry.regions)
-        self._reply(entry.reply_to, sm.Ready(msg.session_id, entry.member))
+        self.dapplet.post(entry.reply_to,
+                          sm.Ready(msg.session_id, entry.member))
         body = self.dapplet.on_session_start(ctx)
         if body is not None:
             ctx.process = self.dapplet.spawn(
@@ -298,7 +289,7 @@ class SessionManager:
                     sid=entry.session_id, member=entry.member)
         for inbox in entry.inboxes.values():
             self.dapplet.close_inbox(inbox)
-        self._drop_reply_outbox(entry.reply_to)
+        self.dapplet.unpost(entry.reply_to)
         self._admit_queued()
 
     def _on_unlink(self, msg: sm.Unlink) -> None:
@@ -308,7 +299,7 @@ class SessionManager:
             # Ack first: teardown drops the cached reply outbox, and the
             # transmission is already handed to the endpoint by then.
             member = entry.member if entry is not None else msg.member
-            self._reply(reply_to, sm.UnlinkAck(msg.session_id, member))
+            self.dapplet.post(reply_to, sm.UnlinkAck(msg.session_id, member))
         if entry is not None:
             self._teardown(entry)
 
@@ -323,8 +314,8 @@ class SessionManager:
             entry.ctx._outboxes[msg.outbox] = outbox
         for target in msg.targets:
             outbox.add(target)
-        self._reply(entry.reply_to,
-                    sm.BindAck(msg.session_id, entry.member, msg.outbox))
+        self.dapplet.post(entry.reply_to, sm.BindAck(
+            msg.session_id, entry.member, msg.outbox))
 
     def _on_bind_remove(self, msg: sm.BindRemove) -> None:
         entry = self._entries.get(msg.session_id)
@@ -366,20 +357,15 @@ class SessionManager:
         # inbox is); drop it so long-lived dapplets do not accumulate
         # one per past session. A late duplicate unlink transparently
         # recreates it via the tombstone in _reply_addresses.
-        self._drop_reply_outbox(entry.reply_to)
+        self.dapplet.unpost(entry.reply_to)
         # Freed regions may unblock queued admissions.
         self._admit_queued()
-
-    def _drop_reply_outbox(self, to: InboxAddress) -> None:
-        outbox = self._reply_outboxes.pop(to, None)
-        if outbox is not None:
-            self.dapplet.outboxes.pop(outbox.ref, None)
 
     def _member_leave(self, ctx: SessionContext, reason: str) -> None:
         """Called by :meth:`SessionContext.leave`."""
         entry = self._entries.get(ctx.session_id)
         if entry is None:
             return
-        self._reply(entry.reply_to, sm.Leave(ctx.session_id, ctx.member,
-                                             reason=reason))
+        self.dapplet.post(entry.reply_to, sm.Leave(
+            ctx.session_id, ctx.member, reason=reason))
         self._teardown(entry)

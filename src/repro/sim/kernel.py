@@ -26,7 +26,88 @@ _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class Kernel:
+class SchedulerCore:
+    """What the two schedulers share: everything but the clock.
+
+    Named random streams, the tracer and monitor hooks, the process
+    registry, the event constructors, and :meth:`_fire` — what processing
+    one event means. :class:`Kernel` adds a virtual clock and a heap;
+    :class:`repro.runtime.AsyncioSubstrate` adds the wall clock and an
+    asyncio loop. Each supplies ``now``, ``_enqueue`` and ``run``.
+    """
+
+    def __init__(self, seed: int = 0) -> None:
+        self.rng = RandomStreams(seed)
+        self._processes: set[Process] = set()
+        #: Monitors notified of every processed event (used by tests and
+        #: by execution monitors such as the interference checker).
+        self.trace_hooks: list[Callable[[float, Event], None]] = []
+        #: Optional :class:`repro.obs.Tracer`; every layer's emit sites
+        #: are guarded by ``tracer is not None`` so the unattached fast
+        #: path costs one attribute load and a branch.
+        self.tracer = None
+
+    # -- event constructors ---------------------------------------------
+
+    def event(self) -> Event:
+        """A fresh untriggered event."""
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """An event firing ``delay`` seconds from now."""
+        return Timeout(self, delay, value)
+
+    def process(self, body: ProcessBody, name: str | None = None) -> Process:
+        """Start a generator coroutine as a process."""
+        return Process(self, body, name)
+
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
+        """Run ``fn()`` after ``delay`` seconds (fire-and-forget)."""
+        ev = self.timeout(delay)
+        ev.callbacks.append(lambda _ev: fn())
+        return ev
+
+    # -- plumbing used by Event/Process ----------------------------------
+
+    def _register_process(self, process: Process) -> None:
+        self._processes.add(process)
+
+    def _unregister_process(self, process: Process) -> None:
+        self._processes.discard(process)
+
+    @property
+    def active_process_count(self) -> int:
+        """Number of processes that have not yet finished."""
+        return len(self._processes)
+
+    def _fire(self, event: Event) -> None:
+        """Process one triggered event: run its callbacks, then the
+        monitors. An unhandled failed event aborts the run with
+        :class:`~repro.errors.ProcessCrashed`."""
+        tr = self.tracer
+        if tr is not None:
+            tr.emit("kernel", "fire", kind=type(event).__name__)
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if not event.ok and not event.defused:
+            exc = event.value
+            if isinstance(exc, ProcessCrashed):
+                raise exc
+            crash = ProcessCrashed(
+                f"unhandled failure at t={self.now:.6f}: {exc!r}")
+            raise crash from exc
+        for hook in self.trace_hooks:
+            hook(self.now, event)
+
+
+class Kernel(SchedulerCore):
     """Virtual-time event loop.
 
     Parameters
@@ -46,40 +127,12 @@ class Kernel:
 
     def __init__(self, seed: int = 0, *, realtime: bool = False,
                  realtime_factor: float = 1.0) -> None:
+        super().__init__(seed)
         self.now: float = 0.0
-        self.rng = RandomStreams(seed)
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self._processes: set[Process] = set()
         self._realtime = realtime
         self._realtime_factor = realtime_factor
-        #: Monitors notified of every processed event (used by tests and
-        #: by execution monitors such as the interference checker).
-        self.trace_hooks: list[Callable[[float, Event], None]] = []
-        #: Optional :class:`repro.obs.Tracer`; every layer's emit sites
-        #: are guarded by ``tracer is not None`` so the unattached fast
-        #: path costs one attribute load and a branch.
-        self.tracer = None
-
-    # -- event constructors ---------------------------------------------
-
-    def event(self) -> Event:
-        """A fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` virtual seconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, body: ProcessBody, name: str | None = None) -> Process:
-        """Start a generator coroutine as a process."""
-        return Process(self, body, name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
 
@@ -91,23 +144,6 @@ class Kernel:
             tr.emit("kernel", "schedule", at=self.now + delay,
                     kind=type(event).__name__)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
-        """Run ``fn()`` after ``delay`` virtual seconds (fire-and-forget)."""
-        ev = self.timeout(delay)
-        ev.callbacks.append(lambda _ev: fn())
-        return ev
-
-    def _register_process(self, process: Process) -> None:
-        self._processes.add(process)
-
-    def _unregister_process(self, process: Process) -> None:
-        self._processes.discard(process)
-
-    @property
-    def active_process_count(self) -> int:
-        """Number of processes that have not yet finished."""
-        return len(self._processes)
-
     # -- the loop --------------------------------------------------------
 
     def step(self) -> None:
@@ -118,21 +154,7 @@ class Kernel:
             if lag > 0:
                 _wallclock.sleep(lag)
         self.now = at
-        tr = self.tracer
-        if tr is not None:
-            tr.emit("kernel", "fire", kind=type(event).__name__)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event.ok and not event.defused:
-            exc = event.value
-            if isinstance(exc, ProcessCrashed):
-                raise exc
-            crash = ProcessCrashed(
-                f"unhandled failure in simulation at t={self.now:.6f}: {exc!r}")
-            raise crash from exc
-        for hook in self.trace_hooks:
-            hook(self.now, event)
+        self._fire(event)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.

@@ -146,6 +146,38 @@ def test_every_dapplet_has_session_manager_and_clock(world):
     assert d.inbox_named("_session") is d.sessions.inbox
 
 
+def test_sessions_may_be_used_in_setup(world):
+    """``sessions`` is created on first use — including a first use
+    inside ``setup()``, which the constructor must not repeat."""
+    class Early(Dapplet):
+        def setup(self):
+            self.seen = self.sessions
+
+    d = world.dapplet(Early, "caltech.edu", "d")
+    assert d.sessions is d.seen
+    assert d.inbox_named("_session") is d.sessions.inbox
+
+
+def test_post_keeps_one_channel_per_destination(world):
+    a = world.dapplet(Plain, "caltech.edu", "a")
+    b = world.dapplet(Greeter, "rice.edu", "b")
+    b.start()
+    before = len(a.outboxes)
+    a.post(b.inbox.named_address, Text("one"))
+    a.post(b.inbox.named_address, Text("two"))
+    world.run()
+    assert b.greeted == ["one", "two"]
+    assert len(a.outboxes) == before + 1
+    # A payload over the frame ceiling fails its send but says nothing
+    # about the channel, which is kept.
+    channel = a._posts[b.inbox.named_address]
+    a.post(b.inbox.named_address, Text("x" * 70_000))
+    assert a._posts[b.inbox.named_address] is channel
+    assert len(a.outboxes) == before + 1
+    a.unpost(b.inbox.named_address)
+    assert len(a.outboxes) == before
+
+
 def test_world_run_until_and_process(world):
     log = []
 

@@ -27,6 +27,13 @@ A fourth keeps the token ledger and ring plain data structures — the
 conservation invariant is property-tested without a world, so
 ``repro.services.tokens.ledger`` and ``.ring`` may import nothing that
 could send a message or read a clock.
+
+A fifth holds the two substrates to one definition each of what they
+share: the scheduler core (event constructors, process registry,
+``_fire``) and the datagram front end (admit, deliver, membership) are
+the *same function objects* on both — a re-copied method fails here —
+while the methods the E20 span recorder patches by name stay defined in
+their own class bodies, where it looks them up.
 """
 
 import ast
@@ -133,3 +140,37 @@ def test_token_ledger_and_ring_are_pure(module):
     assert not offending, (
         f"{path.relative_to(SRC)} imports {offending}; the ledger and the "
         "ring are pure — no dapplet, no kernel, no messages")
+
+
+def test_the_two_schedulers_share_one_core():
+    from repro.runtime import AsyncioSubstrate
+    from repro.sim.kernel import Kernel
+    for name in ("event", "timeout", "process", "any_of", "all_of",
+                 "call_later", "_register_process", "_unregister_process",
+                 "_fire"):
+        assert getattr(AsyncioSubstrate, name) is getattr(Kernel, name), name
+
+
+def test_the_two_datagram_services_share_one_front_end():
+    from repro.net.datagram import DatagramNetwork
+    from repro.runtime import UdpDatagramService
+    for name in ("_admit", "_deliver", "_deliver_bytes", "_undeliverable",
+                 "is_registered"):
+        assert getattr(UdpDatagramService, name) \
+            is getattr(DatagramNetwork, name), name
+    # Shared through a common base, not by one serving as the other's
+    # parent: E20 patches ``register`` on both, and a ``super()`` call
+    # through a patched parent would span every handler twice.
+    assert not issubclass(UdpDatagramService, DatagramNetwork)
+
+
+def test_span_patch_targets_stay_in_their_own_class_bodies():
+    from repro.net.datagram import DatagramNetwork
+    from repro.runtime import AsyncioSubstrate, UdpDatagramService
+    from repro.sim.kernel import Kernel
+    for cls, name in ((Kernel, "step"),
+                      (AsyncioSubstrate, "_process_event"),
+                      (DatagramNetwork, "send"),
+                      (UdpDatagramService, "send"),
+                      (UdpDatagramService, "_on_readable")):
+        assert name in vars(cls), f"{cls.__name__}.{name}"

@@ -41,5 +41,5 @@ def test_manager_entries_do_not_accumulate(world, initiator):
     world.run()
     assert a.sessions.active_sessions() == []
     assert len(a.sessions._entries) == 0
-    assert len(a.sessions._reply_outboxes) == 0
+    assert len(a._posts) == 0
     assert len(initiator._records) == 0

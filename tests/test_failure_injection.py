@@ -145,6 +145,76 @@ def test_rpc_server_crash_times_out_client():
     assert log == ["pong", "timeout"]
 
 
+def _world_that_can_mute(seed):
+    """A world whose fault plan loses every DATA frame of one node at a
+    time, on a transport that gives a channel up within a second."""
+    muted = []
+    faults = FaultPlan(drop_filter=lambda d: d.src in muted
+                       and d.header.get("kind") == "DATA")
+    world = World(seed=seed, latency=ConstantLatency(0.01), faults=faults,
+                  endpoint_options={"max_retries": 3, "rto_max": 0.2})
+    return world, muted
+
+
+def test_rpc_export_answers_again_after_its_reply_channel_broke():
+    """A fault that outlives the retry budget breaks the server's reply
+    channel; once the network recovers the export must answer again."""
+    world, muted = _world_that_can_mute(68)
+    server = world.dapplet(Plain, "caltech.edu", "server")
+    client = world.dapplet(Plain, "rice.edu", "client")
+
+    class Counter:
+        n = 0
+
+        def bump(self):
+            self.n += 1
+            return self.n
+
+    proxy = RemoteProxy(client, export(server, Counter(), name="svc").pointer)
+    log = []
+
+    def caller():
+        log.append((yield proxy.call("bump", timeout=1.0)))
+        muted.append(server.address)
+        try:
+            yield proxy.call("bump", timeout=1.0)
+        except RpcTimeout:
+            log.append("timeout")
+        yield world.kernel.timeout(5.0)
+        muted.clear()
+        log.append((yield proxy.call("bump", timeout=1.0)))
+        log.append((yield proxy.call("bump", timeout=1.0)))
+
+    world.run(until=world.process(caller()))
+    assert server.endpoint.stats.gave_up == 1
+    assert log == [1, "timeout", 3, 4]
+
+
+def test_token_manager_answers_again_after_its_reply_channel_broke():
+    world, muted = _world_that_can_mute(69)
+    host = world.dapplet(Plain, "caltech.edu", "host")
+    coordinator = TokenCoordinator(host, {"obj": 3})
+    agent = TokenAgent(world.dapplet(Plain, "rice.edu", "d0"),
+                       coordinator.pointer)
+    log = []
+
+    def holder():
+        log.append((yield agent.request({"obj": 1})))
+        muted.append(host.address)
+        lost = agent.request({"obj": 1})
+        yield lost | world.kernel.timeout(5.0)
+        log.append(lost.triggered)
+        muted.clear()
+        granted = agent.request({"obj": 1})
+        yield granted | world.kernel.timeout(5.0)
+        log.append(granted.triggered and granted.value)
+
+    world.run(until=world.process(holder()))
+    assert host.endpoint.stats.gave_up == 1
+    assert log == [{"obj": 1}, False, {"obj": 1}]
+    coordinator.check_conservation()
+
+
 def test_token_holder_crash_coordinator_keeps_accounting():
     """A crashed holder's tokens stay checked out — the coordinator's
     books remain consistent (recovery policy is the application's
