@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.dapplet.acl import AccessControlList
 from repro.dapplet.state import PersistentState
-from repro.errors import DappletError, DeliveryTimeout
+from repro.errors import AddressError, DappletError, DeliveryTimeout
+from repro.mailbox.channel import channel_key
 from repro.mailbox.inbox import Inbox
 from repro.mailbox.outbox import Outbox
 from repro.messages.message import Message
@@ -117,6 +118,12 @@ class Dapplet:
         namespace = self.owner.namespace if self.owner is not None else "_"
         return f"{namespace}/{self.kind or 'app'}/{self.name}"
 
+    @property
+    def principal(self) -> str:
+        """The owning principal's name, stamped on every gated request
+        this dapplet sends ("" when unowned — never gated)."""
+        return self.owner.name if self.owner is not None else ""
+
     # -- subclass hooks ---------------------------------------------------
 
     def setup(self) -> None:
@@ -177,14 +184,17 @@ class Dapplet:
 
     def post(self, to: InboxAddress, message: Message) -> None:
         """Send ``message`` to the inbox ``to`` — the paper's asynchronous
-        RPC to a global pointer, for servlets answering whoever wrote in.
+        RPC to a global pointer. Every servlet's requests and replies
+        leave through here, so the rule below is stated once.
 
         The dapplet keeps one channel per destination inbox, created on
         the first post. A channel the transport has declared broken (a
         fault outlived its retry budget) is replaced, once, and the
-        message resent on the fresh one, so replies resume when the
+        message resent on the fresh one, so traffic resumes when the
         network heals. Any other failure — a payload over the frame
         ceiling, say — says nothing about the channel, which stays.
+        On a stopped dapplet it raises :class:`AddressError`, as a send
+        on its closed endpoint does, whether or not a channel was open.
         """
         outbox = self._posts.get(to)
         if outbox is not None:
@@ -194,16 +204,22 @@ class Dapplet:
                        for r in receipts):
                 return
             self.unpost(to)
+        if self._stopped:
+            raise AddressError(f"endpoint {self.address} is closed")
         outbox = self._posts[to] = self.create_outbox()
         outbox.add(to)
         outbox.send(message)
 
     def unpost(self, to: InboxAddress) -> None:
         """Forget the channel :meth:`post` keeps to ``to`` (a later post
-        opens a new one)."""
+        opens a new one). Outbox refs are never reused, so the channel
+        can never be sent on again: if the transport had given it up,
+        the endpoint drops its stream too."""
         outbox = self._posts.pop(to, None)
         if outbox is not None:
             self.outboxes.pop(outbox.ref, None)
+            self.endpoint.forget_broken(
+                to.node, channel_key(self.address, outbox.ref, to))
 
     def inbox_named(self, name: str) -> Inbox:
         try:

@@ -286,8 +286,6 @@ class LeaseClient:
         self._ix = first % len(self.replicas)
         self._req_ids = itertools.count(1)
         self.inbox = dapplet.create_inbox()
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(self._replica_inbox())
 
     @property
     def replica(self) -> NodeAddress:
@@ -317,7 +315,7 @@ class LeaseClient:
         ``req_id``, or None on timeout. Raises :class:`AddressError` once
         the owning dapplet has stopped."""
         req_id = next(self._req_ids)
-        self._outbox.send(request(req_id))
+        self.dapplet.post(self._replica_inbox(), request(req_id))
         return (yield from self._await_reply(req_id, reply_types))
 
     def _await_reply(self, req_id: int, reply_types):
@@ -335,11 +333,8 @@ class LeaseClient:
             # A stale reply from a replica we already failed away from.
 
     def _failover(self) -> None:
-        old = self._replica_inbox()
         self._ix += 1
         self.failovers += 1
-        self._outbox.delete(old)
-        self._outbox.add(self._replica_inbox())
         role = {"role": self.role} if self.role else {}
         self._trace("failover", **role, to=str(self.replica))
 
@@ -389,7 +384,8 @@ class LeaseAgent(LeaseClient):
         self._done = True
         if self.epoch and not self.dapplet.stopped:
             try:
-                self._outbox.send(self.Release(self.name, self.epoch))
+                self.dapplet.post(self._replica_inbox(),
+                                  self.Release(self.name, self.epoch))
             except AddressError:
                 pass
 

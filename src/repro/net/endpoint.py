@@ -426,6 +426,15 @@ class Endpoint:
             self._waiters.setdefault((dst_node, channel), []).append(ev)
         return ev
 
+    def forget_broken(self, dst_node: NodeAddress, channel: str) -> None:
+        """Drop the send stream of a channel its owner will never send
+        on again, if it is broken: nothing is outstanding on it, and a
+        late ACK for it finds no stream and is ignored. A healthy stream
+        stays — it may still owe retransmissions."""
+        stream = self._send_streams.get((dst_node, channel))
+        if stream is not None and stream.broken:
+            del self._send_streams[dst_node, channel]
+
     def _pick_rto(self, dst: NodeAddress) -> float:
         if self.rto_initial is not None:
             return self.rto_initial

@@ -27,8 +27,6 @@ class RemoteProxy:
         self.dapplet = dapplet
         self.kernel = dapplet.kernel
         self.pointer = pointer
-        self._outbox = dapplet.create_outbox()
-        self._outbox.add(pointer)
         self._reply_inbox = dapplet.create_inbox()
         self._call_ids = itertools.count(1)
         self._pending: dict[int, Event] = {}
@@ -36,19 +34,12 @@ class RemoteProxy:
         self._dispatcher = dapplet.spawn(self._dispatch(),
                                          name=f"rpc-proxy:{pointer}")
 
-    @property
-    def _principal(self) -> str:
-        """The owning principal every Invoke is stamped with ("" when
-        the calling dapplet is unowned)."""
-        owner = self.dapplet.owner
-        return owner.name if owner is not None else ""
-
     def invoke(self, method: str, *args: Any, **kwargs: Any) -> None:
         """Asynchronous RPC: send and forget."""
         self.calls_sent += 1
-        self._outbox.send(Invoke(call_id=next(self._call_ids), method=method,
-                                 args=args, kwargs=kwargs, reply_to=None,
-                                 principal=self._principal))
+        self.dapplet.post(self.pointer, Invoke(
+            call_id=next(self._call_ids), method=method, args=args,
+            kwargs=kwargs, reply_to=None, principal=self.dapplet.principal))
 
     def call(self, method: str, *args: Any, timeout: float | None = None,
              **kwargs: Any) -> Event:
@@ -60,12 +51,13 @@ class RemoteProxy:
         """
         call_id = next(self._call_ids)
         self.calls_sent += 1
-        result = self.kernel.event()
-        self._pending[call_id] = result
-        self._outbox.send(Invoke(call_id=call_id, method=method, args=args,
-                                 kwargs=kwargs,
-                                 reply_to=self._reply_inbox.address,
-                                 principal=self._principal))
+        # Registered only once the Invoke has left: a send that raises
+        # (un-encodable argument, stopped dapplet) leaves nothing pending.
+        self.dapplet.post(self.pointer, Invoke(
+            call_id=call_id, method=method, args=args, kwargs=kwargs,
+            reply_to=self._reply_inbox.address,
+            principal=self.dapplet.principal))
+        result = self._pending[call_id] = self.kernel.event()
         if timeout is not None:
             def expire() -> None:
                 pending = self._pending.pop(call_id, None)

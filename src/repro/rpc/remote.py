@@ -8,14 +8,23 @@ get the paper's monitor-like mutual exclusion for free within one
 export. A callee exception is reported back to synchronous callers (and
 counted but dropped for one-way invocations, matching fire-and-forget
 semantics).
+
+A method may *block* by returning an event: the serve loop moves on at
+once and the caller is answered with the event's value — or its failure,
+typed like any callee exception — when it fires. Methods still run one
+at a time; only the waiting overlaps, so replies to blocked callers
+leave in the order their events fire.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
+from repro.errors import SerializationError
 from repro.net.address import InboxAddress
 from repro.rpc.messages import Invoke, Reply
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
@@ -45,15 +54,12 @@ class RemoteObject:
             if not isinstance(msg, Invoke):
                 continue  # stray message; global pointers ignore noise
             self.invocations += 1
-            reply = self._apply(msg)
-            if msg.reply_to is not None:
-                self.dapplet.post(msg.reply_to, reply)
+            self._answer(msg, self._apply(msg))
 
-    def _apply(self, msg: Invoke) -> Reply:
+    def _apply(self, msg: Invoke) -> "Reply | Event":
         if msg.method.startswith("_"):
-            self.errors += 1
-            return Reply(msg.call_id, ok=False, error_type="PermissionError",
-                         error_message=f"method {msg.method!r} is not public")
+            return self._refusal(msg, "PermissionError",
+                                 f"method {msg.method!r} is not public")
         owner = self.dapplet.owner
         if owner is not None:
             # Owned exporter: the calling principal needs a per-method
@@ -62,24 +68,49 @@ class RemoteObject:
             if not self.dapplet.world.registry.check(
                     msg.principal, self.dapplet.manifest_name, verb,
                     owner=owner.name, node=self.dapplet.address):
-                self.errors += 1
-                return Reply(
-                    msg.call_id, ok=False, error_type="PermissionError",
-                    error_message=f"capability:{verb} denied for "
-                                  f"principal {msg.principal!r}")
+                return self._refusal(
+                    msg, "PermissionError", f"capability:{verb} denied for "
+                                            f"principal {msg.principal!r}")
         method = getattr(self.obj, msg.method, None)
         if method is None or not callable(method):
-            self.errors += 1
-            return Reply(msg.call_id, ok=False, error_type="AttributeError",
-                         error_message=f"no remote method {msg.method!r}")
+            return self._refusal(msg, "AttributeError",
+                                 f"no remote method {msg.method!r}")
         try:
             value = method(*msg.args, **msg.kwargs)
         except Exception as exc:  # noqa: BLE001 - reported to the caller
-            self.errors += 1
-            return Reply(msg.call_id, ok=False,
-                         error_type=type(exc).__name__,
-                         error_message=str(exc))
-        return Reply(msg.call_id, ok=True, value=value)
+            return self._refusal(msg, type(exc).__name__, str(exc))
+        return value if isinstance(value, Event) \
+            else Reply(msg.call_id, ok=True, value=value)
+
+    def _refusal(self, msg: Invoke, error_type: str, text: str) -> Reply:
+        self.errors += 1
+        return Reply(msg.call_id, ok=False, error_type=error_type,
+                     error_message=text)
+
+    def _answer(self, msg: Invoke, outcome: "Reply | Event") -> None:
+        """Send ``msg``'s reply: ``outcome`` — or, for a method that
+        blocked, what the event it returned fires with, once it has."""
+        if isinstance(outcome, Event):
+            if not outcome.processed:
+                outcome.callbacks.append(partial(self._answer, msg))
+                return
+            if outcome.ok:
+                outcome = Reply(msg.call_id, ok=True, value=outcome.value)
+            else:
+                outcome.defused = True  # reported, not left to crash the run
+                outcome = self._refusal(msg, type(outcome.value).__name__,
+                                        str(outcome.value))
+        # One-way invocations drop the outcome; so does an event that
+        # fires after the exporter stopped (nothing can leave it).
+        if msg.reply_to is None or self.dapplet.stopped:
+            return
+        try:
+            self.dapplet.post(msg.reply_to, outcome)
+        except SerializationError as exc:
+            # The method returned something the wire cannot carry: the
+            # caller is told, and the serve loop lives to take the next.
+            self.dapplet.post(msg.reply_to, self._refusal(
+                msg, "SerializationError", str(exc)))
 
     def unexport(self) -> None:
         """Withdraw the object; the pointer dangles from then on."""

@@ -9,9 +9,8 @@ in different address spaces."
 :mod:`repro.services.sync.local` provides the intra-dapplet constructs
 (threads within a dapplet are kernel processes);
 :mod:`repro.services.sync.distributed` provides the extension the paper
-announces: the same four constructs across dapplets, each implemented as
-a small servlet hosted on one dapplet plus message-speaking client
-handles on the others.
+announces: the same four constructs across dapplets — hosted on one
+dapplet behind a global pointer, reached from the others by RPC.
 """
 
 from repro.services.sync.local import (

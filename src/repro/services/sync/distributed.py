@@ -2,26 +2,27 @@
 
 The extension the paper announces in §4.3: barriers, semaphores and
 single-assignment variables "between threads in different dapplets in
-different address spaces". Each construct is a named entity living on a
-:class:`SyncHost` servlet; client handles on other dapplets speak the
-message protocol of :mod:`repro.services.sync.messages`, correlating
-replies by request id so one client may have several operations in
-flight.
+different address spaces". They are the thread-level constructs of
+:mod:`repro.services.sync.local` behind a global pointer: a
+:class:`SyncHost` exports one method per operation, a blocking operation
+returns the construct's event (see :mod:`repro.rpc.remote`), and the
+client handles on other dapplets are RPC proxies — so one client may
+have several operations in flight, correlated by call id.
 
-A construct's parameters (barrier parties, semaphore permits) are fixed
-by the first message that names it; later messages with conflicting
-parameters are answered with a protocol error, which client handles
-surface as :class:`~repro.errors.SynchronizationError`.
+A construct's parameters (barrier parties, semaphore permits, channel
+capacity) are fixed by the first call that names it; a later call with
+conflicting parameters fails at the host, which client handles surface
+as :class:`~repro.errors.SynchronizationError`.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import SingleAssignmentError, SynchronizationError
 from repro.net.address import InboxAddress
-from repro.services.sync import messages as ym
+from repro.rpc.proxy import RemoteProxy
+from repro.rpc.remote import export
 from repro.services.sync.local import (Barrier, BoundedChannel, Semaphore,
                                        SingleAssignment)
 from repro.sim.events import Event
@@ -36,164 +37,102 @@ SYNC_INBOX = "_sync"
 class SyncHost:
     """The servlet hosting named synchronization constructs.
 
-    The constructs are the thread-level ones of
-    :mod:`repro.services.sync.local`, each created by the first message
-    that names it. A request is applied to its construct and answered
-    when the event the construct returned fires, so replies leave in the
-    order the construct releases its waiters.
+    It exports itself: its public methods are the seven remote
+    operations, each applied to the named construct (created by the
+    first call that names it) and returning that construct's event, so
+    callers are answered in the order the construct releases its
+    waiters. Everything else is private or not callable, hence not
+    remotely invocable.
     """
 
     def __init__(self, dapplet: "Dapplet", name: str = SYNC_INBOX) -> None:
         self.dapplet = dapplet
-        self.inbox = dapplet.create_inbox(name=name)
         #: (class, name) -> the hosted construct.
         self._constructs: dict[tuple[type, str], Any] = {}
-        self.server = dapplet.spawn(self._serve(), name="sync-host")
+        self._remote = export(dapplet, self, name=name)
 
     @property
     def pointer(self) -> InboxAddress:
-        return self.inbox.named_address
+        return self._remote.pointer
 
-    def _serve(self):
-        while True:
-            msg = yield self.inbox.receive()
-            handler = self._handlers.get(type(msg))
-            if handler is not None:
-                handler(self, msg)
+    def _named(self, cls, name: str, *params):
+        """The ``cls`` construct called ``name``, built from ``params``
+        by the first call to name it (raises if they are invalid)."""
+        key = (cls, name)
+        if key not in self._constructs:
+            self._constructs[key] = cls(self.dapplet.kernel, *params)
+        return self._constructs[key]
 
-    def _named(self, msg, cls, *params):
-        """The ``cls`` construct ``msg`` names, built from ``params`` by
-        the first message to name it; ``None``, the requester told why,
-        if they are invalid."""
-        key = (cls, msg.name)
-        construct = self._constructs.get(key)
-        if construct is None:
-            try:
-                construct = cls(self.dapplet.kernel, *params)
-            except SynchronizationError as exc:
-                self._refuse(msg, str(exc))
-                return None
-            self._constructs[key] = construct
-        return construct
+    def barrier_arrive(self, name: str, parties: int) -> Event:
+        barrier = self._named(Barrier, name, parties)
+        if barrier.parties != parties:
+            raise SynchronizationError(
+                f"barrier {name!r} has {barrier.parties} parties, "
+                f"not {parties}")
+        return barrier.arrive()
 
-    def _refuse(self, msg, error: str) -> None:
-        self.dapplet.post(msg.reply_to,
-                          ym.SyncError(msg.req_id, msg.name, error))
+    def sem_acquire(self, name: str, permits: int) -> Event:
+        return self._named(Semaphore, name, permits).acquire()
 
-    def _answer(self, msg, event: Event, reply) -> None:
-        """Send ``reply(value)`` to the requester when ``event`` fires."""
-        event.callbacks.append(
-            lambda ev: self.dapplet.post(msg.reply_to, reply(ev.value)))
-
-    def _on_barrier_arrive(self, msg: ym.BarrierArrive) -> None:
-        barrier = self._named(msg, Barrier, msg.parties)
-        if barrier is None:
-            return
-        if barrier.parties != msg.parties:
-            self._refuse(msg, f"barrier {msg.name!r} has {barrier.parties} "
-                              f"parties, not {msg.parties}")
-            return
-        self._answer(msg, barrier.arrive(), lambda generation:
-                     ym.BarrierRelease(msg.req_id, msg.name, generation))
-
-    def _on_sem_acquire(self, msg: ym.SemAcquire) -> None:
-        sem = self._named(msg, Semaphore, msg.permits)
-        if sem is not None:
-            self._answer(msg, sem.acquire(),
-                         lambda _: ym.SemGrant(msg.req_id, msg.name))
-
-    def _on_sem_release(self, msg: ym.SemRelease) -> None:
-        sem = self._constructs.get((Semaphore, msg.name))
+    def sem_release(self, name: str) -> None:
+        sem = self._constructs.get((Semaphore, name))
         if sem is not None:  # releasing an unknown semaphore: drop
             sem.release()
 
-    def _on_sa_set(self, msg: ym.SaSet) -> None:
-        try:
-            self._named(msg, SingleAssignment).set(msg.value)
-        except SingleAssignmentError as exc:
-            ack = ym.SaSetAck(msg.req_id, msg.name, ok=False, error=str(exc))
-        else:
-            ack = ym.SaSetAck(msg.req_id, msg.name, ok=True)
-        self.dapplet.post(msg.reply_to, ack)
+    def sa_set(self, name: str, value: Any) -> None:
+        self._named(SingleAssignment, name).set(value)
 
-    def _on_sa_get(self, msg: ym.SaGet) -> None:
-        self._answer(msg, self._named(msg, SingleAssignment).get(),
-                     lambda value: ym.SaValue(msg.req_id, msg.name, value))
+    def sa_get(self, name: str) -> Event:
+        return self._named(SingleAssignment, name).get()
 
-    def _channel(self, msg) -> "BoundedChannel | None":
-        chan = self._named(msg, BoundedChannel, msg.capacity)
-        if chan is not None and chan.capacity != msg.capacity:
-            self._refuse(msg, f"channel {msg.name!r} has capacity "
-                              f"{chan.capacity}, not {msg.capacity}")
-            return None
+    def _channel(self, name: str, capacity: int) -> BoundedChannel:
+        chan = self._named(BoundedChannel, name, capacity)
+        if chan.capacity != capacity:
+            raise SynchronizationError(
+                f"channel {name!r} has capacity {chan.capacity}, "
+                f"not {capacity}")
         return chan
 
-    def _on_ch_put(self, msg: ym.ChPut) -> None:
-        chan = self._channel(msg)
-        if chan is not None:
-            self._answer(msg, chan.put(msg.value),
-                         lambda _: ym.ChPutOk(msg.req_id, msg.name))
+    def ch_put(self, name: str, capacity: int, value: Any) -> Event:
+        return self._channel(name, capacity).put(value)
 
-    def _on_ch_get(self, msg: ym.ChGet) -> None:
-        chan = self._channel(msg)
-        if chan is not None:
-            self._answer(msg, chan.get(),
-                         lambda item: ym.ChItem(msg.req_id, msg.name, item))
-
-    _handlers = {ym.BarrierArrive: _on_barrier_arrive,
-                 ym.SemAcquire: _on_sem_acquire,
-                 ym.SemRelease: _on_sem_release,
-                 ym.SaSet: _on_sa_set,
-                 ym.SaGet: _on_sa_get,
-                 ym.ChPut: _on_ch_put,
-                 ym.ChGet: _on_ch_get}
+    def ch_get(self, name: str, capacity: int) -> Event:
+        return self._channel(name, capacity).get()
 
 
-class _Client:
-    """Shared plumbing of the client handles: req-id correlation."""
+#: Host-side failures the handles re-raise under their own type.
+_ERRORS = {cls.__name__: cls
+           for cls in (SynchronizationError, SingleAssignmentError)}
+
+
+class _Handle:
+    """Shared plumbing of the client handles: a proxy on the host."""
 
     def __init__(self, dapplet: "Dapplet", host: InboxAddress,
                  name: str) -> None:
         self.dapplet = dapplet
-        self.kernel = dapplet.kernel
         self.name = name
-        self.inbox = dapplet.create_inbox()
-        self.outbox = dapplet.create_outbox()
-        self.outbox.add(host)
-        self._req_ids = itertools.count(1)
-        self._pending: dict[int, Event] = {}
-        self.dispatcher = dapplet.spawn(
-            self._dispatch(), name=f"sync:{name}")
+        self.proxy = RemoteProxy(dapplet, host)
 
-    def _issue(self) -> tuple[int, Event]:
-        req_id = next(self._req_ids)
-        event = Event(self.kernel)
-        self._pending[req_id] = event
-        return req_id, event
+    def _call(self, method: str, *args: Any) -> Event:
+        """Call ``method`` on this handle's construct; a misuse the host
+        reported is re-raised under its own type, not as ``RpcError``."""
+        result = self.dapplet.kernel.event()
 
-    def _dispatch(self):
-        while True:
-            msg = yield self.inbox.receive()
-            req_id = getattr(msg, "req_id", None)
-            waiter = self._pending.pop(req_id, None)
-            if waiter is None or waiter.triggered:
-                continue
-            if isinstance(msg, ym.SyncError):
-                waiter.fail(SynchronizationError(msg.error))
-            elif isinstance(msg, ym.SaSetAck):
-                if msg.ok:
-                    waiter.succeed(None)
-                else:
-                    waiter.fail(SingleAssignmentError(msg.error))
-            elif isinstance(msg, ym.BarrierRelease):
-                waiter.succeed(msg.generation)
-            elif isinstance(msg, (ym.SaValue, ym.ChItem)):
-                waiter.succeed(msg.value)
-            else:
-                waiter.succeed(None)
+        def settle(call: Event) -> None:
+            if call.ok:
+                result.succeed(call.value)
+                return
+            call.defused = True
+            error = call.value
+            cls = _ERRORS.get(error.remote_type)
+            result.fail(error if cls is None else cls(error.remote_message))
+
+        self.proxy.call(method, self.name, *args).callbacks.append(settle)
+        return result
 
 
-class DistributedBarrier(_Client):
+class DistributedBarrier(_Handle):
     """A named barrier across dapplets."""
 
     def __init__(self, dapplet: "Dapplet", host: InboxAddress, name: str,
@@ -203,31 +142,26 @@ class DistributedBarrier(_Client):
 
     def arrive(self) -> Event:
         """Blocks until all parties arrive; yields the generation."""
-        req_id, event = self._issue()
-        self.outbox.send(ym.BarrierArrive(
-            req_id, self.name, self.parties, reply_to=self.inbox.address))
-        return event
+        return self._call("barrier_arrive", self.parties)
 
 
-class DistributedSemaphore(_Client):
+class DistributedSemaphore(_Handle):
     """A named counting semaphore across dapplets."""
 
     def __init__(self, dapplet: "Dapplet", host: InboxAddress, name: str,
                  permits: int = 1) -> None:
         super().__init__(dapplet, host, name)
+        #: Initial permit count, fixed by the first acquire to arrive.
         self.permits = permits
 
     def acquire(self) -> Event:
-        req_id, event = self._issue()
-        self.outbox.send(ym.SemAcquire(
-            req_id, self.name, self.permits, reply_to=self.inbox.address))
-        return event
+        return self._call("sem_acquire", self.permits)
 
     def release(self) -> None:
-        self.outbox.send(ym.SemRelease(self.name))
+        self.proxy.invoke("sem_release", self.name)
 
 
-class DistributedChannel(_Client):
+class DistributedChannel(_Handle):
     """A named CSP-style bounded channel across dapplets.
 
     ``put`` blocks while the channel is full; ``get`` blocks while it
@@ -241,32 +175,19 @@ class DistributedChannel(_Client):
         self.capacity = capacity
 
     def put(self, value: Any) -> Event:
-        req_id, event = self._issue()
-        self.outbox.send(ym.ChPut(req_id, self.name, self.capacity,
-                                  value=value,
-                                  reply_to=self.inbox.address))
-        return event
+        return self._call("ch_put", self.capacity, value)
 
     def get(self) -> Event:
-        req_id, event = self._issue()
-        self.outbox.send(ym.ChGet(req_id, self.name, self.capacity,
-                                  reply_to=self.inbox.address))
-        return event
+        return self._call("ch_get", self.capacity)
 
 
-class DistributedSingleAssignment(_Client):
+class DistributedSingleAssignment(_Handle):
     """A named write-once variable across dapplets."""
 
     def set(self, value: Any) -> Event:
         """Write; fails with :class:`SingleAssignmentError` if already set."""
-        req_id, event = self._issue()
-        self.outbox.send(ym.SaSet(req_id, self.name, value=value,
-                                  reply_to=self.inbox.address))
-        return event
+        return self._call("sa_set", value)
 
     def get(self) -> Event:
         """Read; blocks until some dapplet sets the variable."""
-        req_id, event = self._issue()
-        self.outbox.send(ym.SaGet(req_id, self.name,
-                                  reply_to=self.inbox.address))
-        return event
+        return self._call("sa_get")

@@ -77,18 +77,10 @@ class TokenAgent:
         self.holds: dict[str, int] = {}
         self._req_ids = itertools.count(1)
         self._pending: dict[int, Event] = {}
+        self.coordinator = coordinator
         self.inbox = dapplet.create_inbox()
-        self.outbox = dapplet.create_outbox()
-        self.outbox.add(coordinator)
         self.transfers_received: list[tuple[str, dict[str, int]]] = []
         self.dispatcher = dapplet.spawn(self._dispatch(), name="token-agent")
-
-    @property
-    def _principal(self) -> str:
-        """The owning principal every request is stamped with ("" when
-        the dapplet is unowned — such requests are never gated)."""
-        owner = self.dapplet.owner
-        return owner.name if owner is not None else ""
 
     def request(self, tokens: dict) -> Event:
         """Block until the requested tokens are granted.
@@ -104,16 +96,16 @@ class TokenAgent:
         req_id = next(self._req_ids)
         event = self.kernel.event()
         self._pending[req_id] = event
-        self.outbox.send(tm.Request(
+        self.dapplet.post(self.coordinator, tm.Request(
             req_id=req_id, agent=self.name, tokens=tokens,
             reply_to=self.inbox.address, timestamp=self._timestamp(),
-            principal=self._principal))
+            principal=self.dapplet.principal))
         return event
 
     def release(self, tokens: dict) -> None:
         """Return tokens to the managers; raises if not held."""
-        self.outbox.send(tm.Release(agent=self.name,
-                                    tokens=self._debit(tokens, "release")))
+        self.dapplet.post(self.coordinator, tm.Release(
+            agent=self.name, tokens=self._debit(tokens, "release")))
 
     def transfer(self, to_agent: str, tokens: dict) -> None:
         """Hand held tokens directly to another dapplet's agent.
@@ -121,8 +113,9 @@ class TokenAgent:
         (The paper: tokens "are communicated and shared among the
         processes of a system".)
         """
-        self.outbox.send(tm.Transfer(agent=self.name, to_agent=to_agent,
-                                     tokens=self._debit(tokens, "transfer")))
+        self.dapplet.post(self.coordinator, tm.Transfer(
+            agent=self.name, to_agent=to_agent,
+            tokens=self._debit(tokens, "transfer")))
 
     def _debit(self, tokens: dict, verb: str) -> dict[str, int]:
         """Take ``tokens`` out of ``holds`` (``"all"`` = all held) and
@@ -150,8 +143,8 @@ class TokenAgent:
         req_id = next(self._req_ids)
         event = self.kernel.event()
         self._pending[req_id] = event
-        self.outbox.send(tm.TotalsQuery(req_id=req_id, agent=self.name,
-                                        reply_to=self.inbox.address))
+        self.dapplet.post(self.coordinator, tm.TotalsQuery(
+            req_id=req_id, agent=self.name, reply_to=self.inbox.address))
         return event
 
     def _timestamp(self) -> int:
@@ -180,7 +173,7 @@ class TokenAgent:
                     waiter.fail(CapabilityDenied(
                         f"token request of {self.name!r} denied: "
                         f"{msg.reason}",
-                        principal=self._principal,
+                        principal=self.dapplet.principal,
                         verb=msg.reason.removeprefix("capability:"),
                         target="tokens"))
             elif isinstance(msg, tm.TransferNotice):

@@ -64,12 +64,6 @@ class Initiator(Dapplet):
         """Resolve member names through ``resolver`` from now on."""
         self.resolver = resolver
 
-    @property
-    def _principal(self) -> str:
-        """The owning principal every Prepare is stamped with ("" when
-        this initiator is unowned — the pre-registry open mode)."""
-        return self.owner.name if self.owner is not None else ""
-
     def _resolve_address(self, mspec: MemberSpec) -> Generator:
         """One member's node address: explicit > resolver > static dict.
 
@@ -127,7 +121,11 @@ class Initiator(Dapplet):
             self._dispose(session_id)
             raise
 
-        # Phase 1: prepare.
+        # Phase 1: prepare. The control outboxes are this session's own,
+        # not Dapplet.post channels: abort relies on per-channel FIFO
+        # (a manager sees Prepare before Abort), and two sessions
+        # sharing a post channel to a common member would have the
+        # first to dispose unpost it, splitting the other's FIFO.
         for member, mspec in spec.members.items():
             address = record.member_addresses[member]
             outbox = self.create_outbox()
@@ -137,7 +135,7 @@ class Initiator(Dapplet):
                 session_id=session_id, app=spec.app, member=member,
                 initiator=self.address, reply_to=control.named_address,
                 inboxes=mspec.inboxes, regions=dict(mspec.regions),
-                queue=wait_for_regions, principal=self._principal))
+                queue=wait_for_regions, principal=self.principal))
 
         ports: dict[str, dict[str, InboxAddress]] = {}
         rejection: sm.Reject | None = None
@@ -229,7 +227,7 @@ class Initiator(Dapplet):
             member=mspec.member, initiator=self.address,
             reply_to=record.control.named_address,
             inboxes=mspec.inboxes, regions=dict(mspec.regions),
-            principal=self._principal))
+            principal=self.principal))
 
         msg = yield from self._await_matching(
             record, deadline,

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.dapplet import Dapplet
-from repro.errors import DappletError
+from repro.errors import AddressError, DappletError
 from repro.messages import Text
-from repro.net import ConstantLatency
+from repro.net import ConstantLatency, FaultPlan
 from repro.world import World
 
 
@@ -176,6 +176,54 @@ def test_post_keeps_one_channel_per_destination(world):
     assert len(a.outboxes) == before + 1
     a.unpost(b.inbox.named_address)
     assert len(a.outboxes) == before
+
+
+def test_post_on_a_stopped_dapplet_fails_like_its_closed_endpoint(world):
+    """One error type whether or not a channel was already open — the
+    one servlets catch around a send on a closed endpoint."""
+    a = world.dapplet(Plain, "caltech.edu", "a")
+    b = world.dapplet(Greeter, "rice.edu", "b")
+    c = world.dapplet(Greeter, "utk.edu", "c")
+    a.post(b.inbox.named_address, Text("one"))
+    a.stop()
+    for target in (b, c):  # an open channel; none yet
+        with pytest.raises(AddressError, match="is closed"):
+            a.post(target.inbox.named_address, Text("late"))
+    assert c.inbox.named_address not in a._posts
+
+
+def test_a_replaced_channel_leaves_the_endpoint_with_it():
+    """post replaces a channel the transport gave up, and the endpoint
+    forgets the dead stream; unposting a healthy channel forgets only
+    the outbox (its stream may still owe retransmissions)."""
+    lost = []
+    world = World(seed=2, latency=ConstantLatency(0.01),
+                  faults=FaultPlan(drop_filter=lambda d: bool(lost)),
+                  endpoint_options={"max_retries": 2, "rto_max": 0.1})
+    a = world.dapplet(Plain, "caltech.edu", "a")
+    b = world.dapplet(Greeter, "rice.edu", "b")
+    b.start()
+    to = b.inbox.named_address
+    lost.append(True)
+    a.post(to, Text("lost"))
+    world.run()
+    (broken,) = a.endpoint._send_streams.values()
+    assert broken.broken
+    lost.clear()
+    a.post(to, Text("found"))
+    world.run()
+    assert b.greeted == ["found"]
+    (fresh,) = a.endpoint._send_streams.values()
+    assert fresh is not broken and not fresh.broken
+    a.unpost(to)
+    assert list(a.endpoint._send_streams.values()) == [fresh]
+
+
+def test_principal_is_the_owner_name_or_empty(world):
+    alice = world.registry.principal("alice", "acme")
+    assert world.dapplet(Plain, "caltech.edu", "a", owner=alice).principal \
+        == "alice"
+    assert world.dapplet(Plain, "caltech.edu", "b").principal == ""
 
 
 def test_world_run_until_and_process(world):

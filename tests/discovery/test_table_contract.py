@@ -243,3 +243,35 @@ def test_client_tells_absent_from_unreachable(catalog):
                 yield from client.list("acme")
 
     dep.run(director)
+
+
+def test_owner_stopping_mid_query_is_the_typed_error_not_a_port_error(catalog):
+    """Every replica silent and the asking dapplet stopped between two
+    tries: the next request has no channel to its replica yet, and must
+    fail like a send on the closed endpoint — which the query loop
+    turns into the catalog's error — not as a dapplet lifecycle error.
+    The stopped dapplet's own agent ends quietly."""
+    dep = Deployment(catalog)
+    probe, agent, _ = dep.member("probe.edu", "probe")
+    client = dep.client(probe)
+    failures = []
+
+    def asker():
+        try:
+            yield from catalog.find(client, "no/such/row")
+        except Exception as exc:  # noqa: BLE001 - the type is the assertion
+            failures.append(type(exc))
+
+    def director():
+        yield dep.claimed(agent)
+        for r in dep.replicas:
+            r.stop()
+        dep.world.process(asker())
+        # Inside the first try's wait (request_timeout is 0.5).
+        yield dep.world.kernel.timeout(0.3)
+        probe.stop()
+        yield dep.world.kernel.timeout(2.0)
+
+    dep.run(director)
+    assert failures == [catalog.unreachable]
+    assert agent.process.processed and agent.process.ok

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import Tracer
 from repro.dapplet import Dapplet
-from repro.errors import RpcError, RpcTimeout
+from repro.errors import RpcError, RpcTimeout, SerializationError
 from repro.net import ConstantLatency, FaultPlan
 from repro.rpc import RemoteProxy, export
+from repro.services.sync import DistributedSemaphore, SyncHost
 from repro.world import World
 
 
@@ -214,3 +216,247 @@ def test_two_proxies_one_object(world, nodes):
     world.run()
     assert sorted(results) == [1, 2]
     assert counter.value == 2
+
+
+# -- blocking methods: a method may return an event --------------------------
+
+
+class Gate:
+    """An object whose methods block on events it hands back."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.doors = {}
+
+    def wait(self, door):
+        return self.doors.setdefault(door, self.kernel.event())
+
+    def open(self, door, value):
+        self.doors[door].succeed(value)
+        return "opened"
+
+    def slam(self, door):
+        self.doors[door].fail(KeyError(door))
+        return "slammed"
+
+    def later(self, delay):
+        return self.kernel.timeout(delay, value="late")
+
+
+def test_method_returning_a_pending_event_answers_when_it_fires(world, nodes):
+    server, client = nodes
+    remote = export(server, Gate(world.kernel), name="gate")
+    proxy = RemoteProxy(client, remote.pointer)
+    log = []
+
+    def waiter():
+        log.append(("waited", (yield proxy.call("wait", "a")), world.now))
+
+    def opener():
+        yield world.kernel.timeout(1.0)
+        # Served while the first call is still blocked at the host.
+        log.append(("opener", (yield proxy.call("open", "a", 42)), world.now))
+
+    world.process(waiter())
+    world.process(opener())
+    world.run()
+    # One reply channel, FIFO: open's own answer left before the event
+    # it triggered was processed.
+    assert [entry[:2] for entry in log] == [("opener", "opened"),
+                                            ("waited", 42)]
+    assert all(t > 1.0 for _, _, t in log)
+    assert remote.invocations == 2 and remote.errors == 0
+
+
+def test_failing_event_reaches_the_caller_as_a_typed_rpc_error(world, nodes):
+    server, client = nodes
+    remote = export(server, Gate(world.kernel), name="gate")
+    proxy = RemoteProxy(client, remote.pointer)
+    caught = []
+
+    def waiter():
+        try:
+            yield proxy.call("wait", "a")
+        except RpcError as exc:
+            caught.append((exc.remote_type, exc.remote_message))
+
+    def slammer():
+        yield world.kernel.timeout(0.5)
+        yield proxy.call("slam", "a")
+
+    world.process(waiter())
+    world.process(slammer())
+    world.run()  # the failed event was defused: nothing crashes the run
+    assert caught == [("KeyError", "'a'")]
+    assert remote.errors == 1
+
+
+def test_already_processed_event_is_answered_at_once(world, nodes):
+    server, client = nodes
+    gate = Gate(world.kernel)
+    gate.wait("done").succeed("now")
+    world.run()
+    assert gate.doors["done"].processed
+    proxy = RemoteProxy(client, export(server, gate, name="gate").pointer)
+    got = []
+
+    def caller():
+        got.append(((yield proxy.call("wait", "done")), world.now))
+
+    world.run(until=world.process(caller()))
+    assert got == [("now", pytest.approx(0.02))]
+
+
+def test_one_way_invoke_of_a_blocking_method_drops_the_outcome(world, nodes):
+    server, client = nodes
+    gate = Gate(world.kernel)
+    remote = export(server, gate, name="gate")
+    proxy = RemoteProxy(client, remote.pointer)
+    proxy.invoke("wait", "ok")
+    proxy.invoke("wait", "bad")
+    world.run()
+    gate.doors["ok"].succeed("ignored")
+    gate.doors["bad"].fail(RuntimeError("nobody is told"))
+    world.run()  # the failure is defused, not raised out of the run
+    assert proxy._pending == {}
+    assert remote.errors == 1
+    assert server.endpoint.stats.data_sent == 0  # nothing was answered
+
+
+def test_blocked_callers_are_answered_in_firing_order(world, nodes):
+    server, client = nodes
+    proxy = RemoteProxy(client, export(server, Gate(world.kernel),
+                                       name="gate").pointer)
+    order = []
+
+    def caller(delay):
+        yield proxy.call("later", delay)
+        order.append(delay)
+
+    for delay in (3.0, 1.0, 2.0):
+        world.process(caller(delay))
+    world.run()
+    assert order == [1.0, 2.0, 3.0]
+
+
+def test_event_firing_after_the_exporter_stopped_is_dropped(world, nodes):
+    server, client = nodes
+    remote = export(server, Gate(world.kernel), name="gate")
+    proxy = RemoteProxy(client, remote.pointer)
+    outcome = []
+
+    def caller():
+        try:
+            yield proxy.call("later", 2.0, timeout=3.0)
+        except RpcTimeout:
+            outcome.append("timeout")
+
+    world.process(caller())
+    world.kernel.call_later(1.0, server.stop)
+    world.run()  # posting from a stopped dapplet would raise AddressError
+    assert outcome == ["timeout"]
+
+
+# -- values the wire cannot carry ---------------------------------------------
+
+
+def test_unencodable_return_value_is_an_error_reply_not_a_crash(world, nodes):
+    server, client = nodes
+
+    class Svc:
+        def bad(self):
+            return object()
+
+        def worse(self):
+            return {1, 2}
+
+        def good(self):
+            return "fine"
+
+    remote = export(server, Svc(), name="svc")
+    proxy = RemoteProxy(client, remote.pointer)
+    log = []
+
+    def caller():
+        for method in ("bad", "worse"):
+            try:
+                yield proxy.call(method)
+            except RpcError as exc:
+                log.append(exc.remote_type)
+        log.append((yield proxy.call("good")))  # the server still serves
+
+    world.run(until=world.process(caller()))
+    world.run()
+    assert log == ["SerializationError", "SerializationError", "fine"]
+    assert remote.errors == 2 and remote.server.is_alive
+
+    # Caller-side mirror: the call raises where it is made, and leaves
+    # no call id waiting for a reply that will never come.
+    with pytest.raises(SerializationError):
+        proxy.call("good", object())
+    assert proxy._pending == {}
+
+
+# -- a sync host is an export like any other ---------------------------------
+
+
+def test_only_the_seven_operations_of_a_sync_host_are_callable(world, nodes):
+    server, client = nodes
+    host = SyncHost(server)
+    proxy = RemoteProxy(client, host.pointer)
+    refused = {}
+
+    def caller():
+        for method in ("unexport", "_named", "_channel", "pointer",
+                       "dapplet"):
+            try:
+                yield proxy.call(method)
+            except RpcError as exc:
+                refused[method] = exc.remote_type
+        assert (yield proxy.call("sem_acquire", "s", 1)) is None
+
+    world.run(until=world.process(caller()))
+    assert refused == {"unexport": "AttributeError",
+                       "_named": "PermissionError",
+                       "_channel": "PermissionError",
+                       "pointer": "AttributeError",
+                       "dapplet": "AttributeError"}
+    public = {name for name in dir(host)
+              if not name.startswith("_") and callable(getattr(host, name))}
+    assert public == {"barrier_arrive", "sem_acquire", "sem_release",
+                      "sa_set", "sa_get", "ch_put", "ch_get"}
+
+
+def test_sync_host_on_an_owned_dapplet_passes_the_rpc_gate():
+    tracer = Tracer(categories=("reg",))
+    world = World(seed=2, latency=ConstantLatency(0.01), tracer=tracer)
+    alice = world.registry.principal("alice", "acme")
+    carol = world.registry.principal("carol", "acme")
+    mallory = world.registry.principal("mallory", "evil")
+    host = SyncHost(world.dapplet(Plain, "caltech.edu", "host", owner=alice))
+    handles = {
+        who.name: DistributedSemaphore(
+            world.dapplet(Plain, f"{who.name}.edu", who.name, owner=who),
+            host.pointer, "s", permits=3)
+        for who in (alice, carol, mallory)}
+    world.registry.grant(carol, "acme/**", ("rpc.call:*",))
+    outcomes = {}
+
+    def worker(name, sem):
+        try:
+            yield sem.acquire()
+            outcomes[name] = "acquired"
+        except RpcError as exc:
+            outcomes[name] = (exc.remote_type, exc.remote_message)
+
+    for name, sem in handles.items():
+        world.process(worker(name, sem))
+    world.run()
+    assert outcomes["alice"] == "acquired"      # same owner
+    assert outcomes["carol"] == "acquired"      # rpc.call:* grant
+    assert outcomes["mallory"] == (
+        "PermissionError",
+        "capability:rpc.call:sem_acquire denied for principal 'mallory'")
+    denied = [e.fields for e in tracer.events if e.name == "deny"]
+    assert [(f["principal"], f["verb"]) for f in denied] == \
+        [("mallory", "rpc.call:sem_acquire")]

@@ -34,6 +34,12 @@ share: the scheduler core (event constructors, process registry,
 the *same function objects* on both — a re-copied method fails here —
 while the methods the E20 span recorder patches by name stay defined in
 their own class bodies, where it looks them up.
+
+A sixth holds "one way out, one way to call": only code that owns real
+ports opens an outbox (everything else writes to a pointer with
+``Dapplet.post``), id-keyed pending-call tables exist in the RPC proxy
+and the token agent only, and ``services/sync`` has no message family,
+no id counter and no process of its own — it is an exported object.
 """
 
 import ast
@@ -174,3 +180,86 @@ def test_span_patch_targets_stay_in_their_own_class_bodies():
                       (UdpDatagramService, "send"),
                       (UdpDatagramService, "_on_readable")):
         assert name in vars(cls), f"{cls.__name__}.{name}"
+
+
+# -- one way out, one way to call ---------------------------------------------
+#
+# Every write to a global pointer leaves through ``Dapplet.post`` (which
+# owns the "replace a channel the transport gave up" rule), and every
+# request/reply correlation is the RPC's. Code that owns real ports —
+# the dapplet itself, session wiring, the termination ring — is the only
+# code that may open an outbox.
+
+PORT_OWNERS = {"dapplet/dapplet.py", "session/manager.py",
+               "session/initiator.py", "services/termination.py"}
+
+
+def _calls_to(path: pathlib.Path, name: str) -> int:
+    """How many calls in ``path`` are spelled ``name(...)`` or
+    ``something.name(...)`` (decorator calls included)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            count += called == name
+    return count
+
+
+def test_only_port_owners_open_outboxes():
+    openers = {str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+               if _calls_to(path, "create_outbox")}
+    assert openers == PORT_OWNERS, (
+        "servlets and their clients write to a pointer with Dapplet.post; "
+        f"unexpected create_outbox( in {sorted(openers - PORT_OWNERS)}")
+    for client in ("rpc/proxy.py", "services/tokens/manager.py",
+                   "services/sync/distributed.py", "discovery/table.py"):
+        assert client not in openers
+    # Failover is "advance the index": no rebind of a private outbox.
+    assert _calls_to(SRC / "discovery" / "table.py", "delete") == 0
+
+
+def test_pending_call_tables_exist_in_the_proxy_and_the_token_agent_only():
+    holders = sorted(str(path.relative_to(SRC))
+                     for path in SRC.rglob("*.py")
+                     if "_pending: dict[int, Event]" in path.read_text())
+    assert holders == ["rpc/proxy.py", "services/tokens/manager.py"]
+
+
+def test_sync_rides_rpc_and_adds_no_protocol_of_its_own():
+    from repro.messages import registered_types
+    import repro.services.sync  # noqa: F401 - the import is the subject
+    assert not [tag for tag in registered_types() if tag.startswith("sync.")]
+    for path in sorted((SRC / "services" / "sync").glob("*.py")):
+        assert path.name != "messages.py"
+        assert not _calls_to(path, "message_type"), path.name
+        assert not _calls_to(path, "spawn"), path.name
+        assert "itertools" not in _imported_modules(path), path.name
+    # No generator means no serve loop and no dispatcher. By syntax tree:
+    # local.py's docstring legitimately says "yield".
+    tree = ast.parse(
+        (SRC / "services" / "sync" / "distributed.py").read_text())
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   for node in ast.walk(tree))
+
+
+def test_rpc_span_targets_keep_the_shape_e20_patches():
+    """E20 patches these methods by class and name, and attributes a
+    process slice to the file its generator is defined in."""
+    import inspect
+
+    from repro.discovery.resolver import Resolver
+    from repro.registry.store import StoreClient
+    from repro.rpc import proxy, remote
+    from repro.services.tokens.manager import TokenAgent
+    for cls, name in ((proxy.RemoteProxy, "call"), (TokenAgent, "request"),
+                      (TokenAgent, "release"), (Resolver, "resolve"),
+                      (StoreClient, "lookup")):
+        assert name in vars(cls), f"{cls.__name__}.{name}"
+    for module, cls, name in ((remote, remote.RemoteObject, "_serve"),
+                              (proxy, proxy.RemoteProxy, "_dispatch")):
+        loop = vars(cls)[name]
+        assert inspect.isgeneratorfunction(loop)
+        assert loop.__code__.co_filename == module.__file__

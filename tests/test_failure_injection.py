@@ -11,7 +11,9 @@ import pytest
 from repro.dapplet import Dapplet
 from repro.errors import (
     DeliveryTimeout,
+    DiscoveryError,
     ReceiveTimeout,
+    RegistryError,
     RpcTimeout,
     SessionError,
     SessionRejected,
@@ -21,6 +23,7 @@ from repro.net import ConstantLatency, FaultPlan
 from repro.rpc import RemoteProxy, export
 from repro.runtime import AsyncioSubstrate
 from repro.services.clocks import CheckpointService
+from repro.services.sync import DistributedSemaphore, SyncHost
 from repro.services.tokens import TokenAgent, TokenCoordinator
 from repro.session import Initiator, SessionSpec
 from repro.store import FileBackend, MemoryBackend
@@ -213,6 +216,179 @@ def test_token_manager_answers_again_after_its_reply_channel_broke():
     assert host.endpoint.stats.gave_up == 1
     assert log == [{"obj": 1}, False, {"obj": 1}]
     coordinator.check_conservation()
+
+
+# The same fault on the other side: the *client's* DATA is lost until its
+# request channel breaks. Requests leave through Dapplet.post like
+# replies do, so each client below must work again once the mute lifts.
+
+
+def test_rpc_proxy_calls_again_after_its_request_channel_broke():
+    world, muted = _world_that_can_mute(71)
+    server = world.dapplet(Plain, "caltech.edu", "server")
+    client = world.dapplet(Plain, "rice.edu", "client")
+
+    class Counter:
+        n = 0
+
+        def bump(self):
+            self.n += 1
+            return self.n
+
+    proxy = RemoteProxy(client, export(server, Counter(), name="svc").pointer)
+    log = []
+
+    def attempt():
+        try:
+            log.append((yield proxy.call("bump", timeout=1.0)))
+        except RpcTimeout:
+            log.append("timeout")
+
+    def caller():
+        yield from attempt()
+        muted.append(client.address)
+        yield from attempt()
+        yield world.kernel.timeout(5.0)
+        muted.clear()
+        yield from attempt()
+        yield from attempt()
+
+    world.run(until=world.process(caller()))
+    assert client.endpoint.stats.gave_up == 1
+    assert log == [1, "timeout", 2, 3]
+    assert not any(s.broken for s in client.endpoint._send_streams.values())
+
+
+def test_token_agent_requests_again_after_its_request_channel_broke():
+    world, muted = _world_that_can_mute(72)
+    host = world.dapplet(Plain, "caltech.edu", "host")
+    coordinator = TokenCoordinator(host, {"obj": 3})
+    d0 = world.dapplet(Plain, "rice.edu", "d0")
+    agent = TokenAgent(d0, coordinator.pointer)
+    log = []
+
+    def holder():
+        log.append((yield agent.request({"obj": 1})))
+        muted.append(d0.address)
+        lost = agent.request({"obj": 1})
+        yield lost | world.kernel.timeout(5.0)
+        log.append(lost.triggered)
+        muted.clear()
+        granted = agent.request({"obj": 1})
+        yield granted | world.kernel.timeout(5.0)
+        log.append(granted.triggered and granted.value)
+
+    world.run(until=world.process(holder()))
+    assert d0.endpoint.stats.gave_up == 1
+    assert log == [{"obj": 1}, False, {"obj": 1}]
+    coordinator.check_conservation()
+
+
+def test_sync_handle_acquires_again_after_its_request_channel_broke():
+    world, muted = _world_that_can_mute(73)
+    host = SyncHost(world.dapplet(Plain, "caltech.edu", "host"))
+    d0 = world.dapplet(Plain, "rice.edu", "d0")
+    sem = DistributedSemaphore(d0, host.pointer, "s", permits=3)
+    log = []
+
+    def worker():
+        yield sem.acquire()
+        muted.append(d0.address)
+        lost = sem.acquire()
+        yield lost | world.kernel.timeout(5.0)
+        log.append(lost.triggered)
+        muted.clear()
+        again = sem.acquire()
+        yield again | world.kernel.timeout(5.0)
+        log.append(again.triggered)
+
+    world.run(until=world.process(worker()))
+    assert d0.endpoint.stats.gave_up == 1
+    assert log == [False, True]
+
+
+def test_lease_rows_come_back_after_a_four_minute_outage():
+    """Default endpoint options: a channel survives ~120 s of silence, so
+    240 s breaks the channel to every replica of both catalogs. The
+    dapplet must re-register by itself once its link is back."""
+    muted = []
+    world = World(seed=74, latency=ConstantLatency(0.01),
+                  faults=FaultPlan(drop_filter=lambda d: d.src in muted))
+    alice = world.registry.principal("alice", "acme")
+    directory = world.host_directory(3)
+    dappstore = world.host_dappstore(3)
+    d0 = world.dapplet(Plain, "rice.edu", "d0", owner=alice)
+    other = world.dapplet(Plain, "utk.edu", "other", owner=alice)
+    resolver = world.resolver_for(d0)
+    client = world.store_client_for(d0)
+    agents = (d0.lease_agent, d0.manifest_agent)
+
+    def replicas_serving():
+        now = world.now
+        return tuple(
+            sum(1 for r in ring
+                if row in r.store and r.store[row].live_at(now))
+            for ring, row in ((directory, "d0"),
+                              (dappstore, d0.manifest_name)))
+
+    def body():
+        yield d0.lease_agent.registered
+        yield d0.manifest_agent.published
+        yield world.kernel.timeout(5.0)
+        assert replicas_serving() == (3, 3)
+        muted.append(d0.address)
+        # Asked during the outage, so the resolver's and the client's
+        # channels break along with the agents'.
+        with pytest.raises(DiscoveryError):
+            yield from resolver.resolve("other")
+        with pytest.raises(RegistryError):
+            yield from client.lookup(other.manifest_name)
+        yield world.kernel.timeout(240.0)
+        assert replicas_serving() == (0, 0)
+        assert d0.endpoint.stats.gave_up >= 6
+        muted.clear()
+        yield world.kernel.timeout(30.0)
+        assert replicas_serving() == (3, 3)
+        before = [agent.renewals for agent in agents]
+        yield world.kernel.timeout(10.0)
+        assert all(agent.renewals > was
+                   for agent, was in zip(agents, before))
+        assert (yield from resolver.resolve("other")) == other.address
+        manifest = yield from client.lookup(other.manifest_name)
+        assert manifest.dapplet == "other"
+
+    world.run(until=world.process(body()))
+    # Every channel post replaced was forgotten by the endpoint too.
+    streams = d0.endpoint._send_streams
+    assert len(streams) <= len(directory) + len(dappstore) + 1
+    assert not any(s.broken for s in streams.values())
+
+
+def test_broken_request_channels_do_not_pile_up_in_the_endpoint():
+    """One lease agent, 60 s cut off on a transport that gives up in a
+    second: it opens a channel per failover, and each one it replaces
+    must leave the endpoint's stream table with it."""
+    world, muted = _world_that_can_mute(75)
+    directory = world.host_directory(3)
+    d0 = world.dapplet(Plain, "rice.edu", "d0")
+
+    def body():
+        yield d0.lease_agent.registered
+        muted.append(d0.address)
+        yield world.kernel.timeout(60.0)
+        assert d0.endpoint.stats.gave_up > 30
+        muted.clear()
+        yield world.kernel.timeout(10.0)
+
+    world.run(until=world.process(body()))
+    streams = d0.endpoint._send_streams
+    assert len(streams) <= len(directory) + 1
+    assert len(d0.outboxes) <= len(directory) + 1
+    # Replacement is lazy, so a replica not written to since the outage
+    # may still hold its last broken channel — one per destination at
+    # most, never one per failover; the replica in use has a live one.
+    assert sum(s.broken for s in streams.values()) < len(directory)
+    assert d0.lease_agent.renewals > 0
 
 
 def test_token_holder_crash_coordinator_keeps_accounting():
