@@ -12,10 +12,17 @@ Scheduling semantics are the kernel's, by construction: both inherit
 :class:`~repro.sim.kernel.SchedulerCore`, so an event is *triggered*
 (``succeed``/``fail``), then processed by the one ``_fire`` — here in a
 loop callback — and an unhandled failed event aborts the run with
-:class:`~repro.errors.ProcessCrashed`. What changes is only what must:
-time is real so same-instant ordering is best-effort, and quiescence is
-a heuristic (an idle grace window) because real packets are invisible
-until they arrive.
+:class:`~repro.errors.ProcessCrashed`. Same-instant events (zero delay)
+are FIFO, as on the kernel: they join a queue the substrate owns, which
+the loop callback that filled it (a datagram arrival, a timer) drains in
+scheduling order before returning, so a request–reply hop costs one loop
+pass rather than one asyncio timer and one ``select()`` per event. A
+drain yields to the loop after :data:`DRAIN_SLICE` seconds, so
+``wall_timeout`` and ``until=<float>`` still fire under a zero-delay
+livelock. What changes is only what must: time is real, so events with
+a delay are asyncio timers and interleave with arrivals as the OS
+delivers them, and quiescence is a heuristic (an idle grace window)
+because real packets are invisible until they arrive.
 
 :class:`UdpDatagramService` keeps a local route table from virtual node
 addresses (``host:port`` in paper terms) to the real socket addresses
@@ -33,6 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import time
+from collections import deque
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -47,9 +56,20 @@ from repro.sim.kernel import SchedulerCore
 #: Assumed one-way loopback delay; only used to size initial RTOs.
 LOOPBACK_LATENCY_HINT = 0.005
 
+#: Wall seconds one drain of the same-instant queue may run before it
+#: yields to the loop (and to ``run``'s deadlines) and resumes next pass.
+DRAIN_SLICE = 0.002
+
+_monotonic = time.monotonic
+
 
 class AsyncioSubstrate(SchedulerCore):
     """Wall-clock substrate over an asyncio event loop and UDP sockets.
+
+    Events with a delay are asyncio timers; same-instant events run FIFO
+    from the substrate's own queue, drained at the end of the loop
+    callback that filled it — within a drain, in the kernel's order.
+    Quiescence (``run()`` with no ``until``) is still a heuristic.
 
     Parameters
     ----------
@@ -82,6 +102,11 @@ class AsyncioSubstrate(SchedulerCore):
         #: Armed timer handles, cancelled by :meth:`close` so a closed
         #: substrate never leaks timers into a caller-owned loop.
         self._handles: set[asyncio.TimerHandle] = set()
+        #: Same-instant events in scheduling order, and the ``call_soon``
+        #: that drains them when no draining callback is running.
+        self._ready: deque[Event] = deque()
+        self._drain_handle: asyncio.Handle | None = None
+        self._draining = False
         #: The datagram half of the substrate.
         self.datagrams = UdpDatagramService(self, bind_host=bind_host,
                                             faults=faults)
@@ -112,14 +137,44 @@ class AsyncioSubstrate(SchedulerCore):
         if tr is not None:
             tr.emit("kernel", "schedule", at=self.now + delay,
                     kind=type(event).__name__)
+        if delay <= 0:
+            self._ready.append(event)
+            if not self._draining and self._drain_handle is None:
+                self._drain_handle = self._loop.call_soon(self._drain_soon)
+            return
         handle: asyncio.TimerHandle | None = None
 
         def run() -> None:
             self._handles.discard(handle)
-            self._process_event(event)
+            # Behind any same-instant work still queued: it is older.
+            self._ready.append(event)
+            self._drain()
 
-        handle = self._loop.call_later(max(0.0, delay), run)
+        handle = self._loop.call_later(delay, run)
         self._handles.add(handle)
+
+    def _drain(self) -> None:
+        """Process queued same-instant events in scheduling order — and
+        any they trigger — until none is left, the running ``run()`` has
+        its result, or :data:`DRAIN_SLICE` is spent; the rest resumes on
+        the next loop pass."""
+        ready, fut = self._ready, self._run_future
+        process = self._process_event
+        deadline = _monotonic() + DRAIN_SLICE
+        self._draining = True
+        try:
+            while ready and not (fut is not None and fut.done()):
+                process(ready.popleft())
+                if _monotonic() > deadline:
+                    break
+        finally:
+            self._draining = False
+        if ready and self._drain_handle is None:
+            self._drain_handle = self._loop.call_soon(self._drain_soon)
+
+    def _drain_soon(self) -> None:
+        self._drain_handle = None
+        self._drain()
 
     # -- the loop --------------------------------------------------------
 
@@ -179,6 +234,7 @@ class AsyncioSubstrate(SchedulerCore):
         fut: asyncio.Future = loop.create_future()
         result_of_event = False
         target: Event | None = None
+        deadline_handle = None
 
         if isinstance(until, Event):
             target = until
@@ -206,8 +262,9 @@ class AsyncioSubstrate(SchedulerCore):
             if deadline < self.now:
                 raise ValueError(
                     f"until={deadline} is in the past (now={self.now})")
-            loop.call_later(deadline - self.now,
-                            lambda: fut.done() or fut.set_result(None))
+            deadline_handle = loop.call_later(
+                deadline - self.now,
+                lambda: fut.done() or fut.set_result(None))
 
         timeout_handle = None
         if wall_timeout is not None:
@@ -229,6 +286,8 @@ class AsyncioSubstrate(SchedulerCore):
             self._quiescing = False
             if timeout_handle is not None:
                 timeout_handle.cancel()
+            if deadline_handle is not None:
+                deadline_handle.cancel()
             if target is not None and not target.processed \
                     and target.callbacks is not None:
                 # A timed-out wait must not leave the capture armed.
@@ -249,6 +308,10 @@ class AsyncioSubstrate(SchedulerCore):
         for handle in self._handles:
             handle.cancel()
         self._handles.clear()
+        if self._drain_handle is not None:
+            self._drain_handle.cancel()
+            self._drain_handle = None
+        self._ready.clear()
         self._pending = 0
         if self._owns_loop and not self._loop.is_closed():
             self._loop.close()
@@ -364,19 +427,23 @@ class UdpDatagramService(DatagramFrontEnd):
     # -- receiving ------------------------------------------------------
 
     def _on_readable(self, sock: socket.socket) -> None:
+        substrate = self.substrate
         recvfrom, deliver = sock.recvfrom, self._deliver_bytes
+        # What the arrivals trigger runs below, in this same loop pass.
+        substrate._draining = True
         while True:
             try:
                 data, _peer = recvfrom(65536)
             except (BlockingIOError, InterruptedError):
-                return
+                break
             except OSError:
-                return  # socket closed under us
+                break  # socket closed under us
             try:
                 deliver(data)
             except BaseException as exc:  # noqa: BLE001 - kernel parity
-                self.substrate._report_crash(exc)
-                return
+                substrate._report_crash(exc)
+                break
+        substrate._drain()
 
     def _close(self) -> None:
         for address in list(self._socks):

@@ -63,6 +63,10 @@ def test_close_on_caller_owned_loop_disarms_timers():
         fired = []
         substrate.call_later(0.05, lambda: fired.append("boom"))
         assert substrate._handles
+        # ...and same-instant work triggered just before the close.
+        zero = substrate.event()
+        zero.callbacks.append(lambda ev: fired.append("zero"))
+        zero.succeed()
         substrate.close()
         assert not loop.is_closed()  # caller's loop untouched...
 
@@ -71,6 +75,27 @@ def test_close_on_caller_owned_loop_disarms_timers():
         assert fired == []                            # ...but disarmed
         assert len(tracer.events) == events_at_close  # and silent
         assert asyncio.all_tasks(loop) == set()       # and no tasks left
+    finally:
+        loop.close()
+
+
+def test_a_time_bounded_run_leaves_no_timer_behind():
+    """``run(until=<float>)`` arms a deadline on the loop; a run that
+    ends another way (here: its wall timeout) must disarm it."""
+    import pytest
+
+    from repro.errors import SimulationError
+
+    loop = asyncio.new_event_loop()
+    try:
+        substrate = AsyncioSubstrate(loop=loop)
+        with pytest.raises(SimulationError, match="wall_timeout"):
+            substrate.run(until=30.0, wall_timeout=0.1)
+        substrate.close()
+        # BaseEventLoop keeps its timers in ``_scheduled``; cancelled
+        # ones linger there until popped.
+        live = [h for h in loop._scheduled if not h.cancelled()]
+        assert live == []
     finally:
         loop.close()
 
