@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.dapplet.dapplet import Dapplet
-from repro.discovery import messages as dm
 from repro.discovery.lease import LeaseConfig
 from repro.discovery.replica import DirectoryReplica
 from repro.discovery.table import LeaseAgent
@@ -26,8 +25,6 @@ class RegistrationAgent(LeaseAgent):
     role = "agent"
     process_name = "lease-agent"
     claimed_word = "register"
-    Renew = dm.Renew
-    Release = dm.Unregister
 
     def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
                  *, config: LeaseConfig | None = None,
@@ -45,7 +42,5 @@ class RegistrationAgent(LeaseAgent):
         (fire-and-forget: safe right before ``stop()``)."""
         self._release()
 
-    def _claim_message(self, req_id: int) -> dm.Register:
-        return dm.Register(req_id, self.name, self.dapplet.address,
-                           self.kind, self.inbox.address,
-                           epoch_hint=self.epoch)
+    def _row_fields(self) -> str:
+        return self.kind

@@ -2,7 +2,7 @@
 
 The directory of Figure 2 as a replicated service: each
 :class:`DirectoryReplica` is a :class:`~repro.discovery.table.
-LeaseReplica` serving :mod:`repro.discovery.messages` on its well-known
+LeaseReplica` exporting the table's facet on its well-known
 ``_directory`` inbox, with plain name -> (address, kind)
 :class:`~repro.discovery.lease.LeaseRecord` rows and ``dir`` trace
 events (``docs/DISCOVERY.md``).
@@ -10,7 +10,6 @@ events (``docs/DISCOVERY.md``).
 
 from __future__ import annotations
 
-from repro.discovery import messages as dm
 from repro.discovery.lease import LeaseRecord
 from repro.discovery.table import LeaseReplica
 from repro.errors import DiscoveryError
@@ -33,14 +32,6 @@ class DirectoryReplica(LeaseReplica):
     process_prefix = "dir"
     error = DiscoveryError
     noun = "directory replica"
-    Grant = dm.LeaseGrant
-    Denied = dm.LeaseDenied
-    Gossip = dm.GossipSync
-    handlers = {dm.Register: LeaseReplica._on_claim,
-                dm.Renew: LeaseReplica._on_renew,
-                dm.Unregister: LeaseReplica._on_release,
-                dm.LookupRequest: LeaseReplica._on_lookup,
-                dm.GossipSync: LeaseReplica._on_gossip}
 
     # -- views (used by tests and benchmarks) ----------------------------
 
@@ -55,16 +46,12 @@ class DirectoryReplica(LeaseReplica):
 
     # -- what a directory row is -----------------------------------------
 
-    def _new_record(self, msg: dm.Register, epoch: int,
-                    expires_at: float) -> LeaseRecord:
-        return LeaseRecord(msg.name, msg.address, msg.kind, epoch, 0, True,
-                           expires_at)
+    def _new_record(self, name: str, address: NodeAddress, kind: str,
+                    epoch: int, expires_at: float) -> LeaseRecord:
+        return LeaseRecord(name, address, kind, epoch, 0, True, expires_at)
 
-    def _lookup_reply(self, msg: dm.LookupRequest,
-                      record: LeaseRecord | None, now: float) -> dm.LookupReply:
-        if record is None:
-            return dm.LookupReply(msg.req_id, msg.name, False, None, "",
-                                  0.0, 0)
-        return dm.LookupReply(msg.req_id, msg.name, True, record.address,
-                              record.kind, record.expires_at - now,
-                              record.epoch)
+    def _row(self, record: LeaseRecord,
+             now: float) -> tuple[NodeAddress, str, float]:
+        """A lookup's answer: address, kind and the lease's remaining
+        TTL (which bounds how long the caller may cache it)."""
+        return record.address, record.kind, record.expires_at - now

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.dapplet.dapplet import Dapplet
-from repro.discovery import messages as dm
 from repro.discovery.lease import LeaseConfig
 from repro.discovery.replica import DirectoryReplica
 from repro.discovery.table import LeaseClient
@@ -84,24 +83,23 @@ class Resolver(LeaseClient):
         self.stats.misses += 1
         self._trace("cache_miss", lease=name)
         try:
-            reply = yield from self._query(
-                lambda req_id: dm.LookupRequest(req_id, name,
-                                                self.inbox.address),
-                dm.LookupReply, f"resolve {name!r}")
+            row = yield from self._call_any(f"resolve {name!r}", "lookup",
+                                            name)
         except DiscoveryError:
             self.stats.failures += 1
             raise
         finally:
             self.stats.failovers = self.failovers
-        if not reply.found:
+        if row is None:
             self.stats.failures += 1
             self._trace("resolve_miss", lease=name)
             raise LeaseExpired(
                 f"no live lease for {name!r}: the dapplet is dead, "
                 "expired, or was never registered", name=name)
+        address, kind, ttl_left = row
         now = self.kernel.now
-        fresh_until = now + min(self.config.cache_ttl, reply.ttl_left)
-        self._cache[name] = (reply.address, reply.kind, fresh_until)
+        fresh_until = now + min(self.config.cache_ttl, ttl_left)
+        self._cache[name] = (address, kind, fresh_until)
         self.stats.resolves += 1
         self._trace("resolve", lease=name, rlat=now - t0)
-        return reply.address, reply.kind
+        return address, kind

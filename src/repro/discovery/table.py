@@ -7,24 +7,46 @@ is a lease its owner must keep renewing (:mod:`repro.discovery.lease`).
 This is the single implementation of that table — replica, owner-side
 agent, client; ``docs/DISCOVERY.md`` describes the protocol. A catalog
 subclasses each, supplying class attributes (inbox name, trace words,
-message classes, record type) and the hooks that build its rows.
+facet and record type) and the hooks that build its rows.
+
+Clients reach a replica the paper's way (§3.2): each replica exports a
+:class:`LeaseFacet` behind its well-known inbox, and a client calls its
+methods through one :class:`~repro.rpc.RemoteProxy`. Only replica to
+replica anti-entropy is a message of its own, :class:`Gossip`.
 """
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.dapplet.dapplet import Dapplet
 from repro.discovery.lease import LeaseConfig, LeaseRecord, merge
-from repro.errors import AddressError, ReceiveTimeout
-from repro.messages.message import Message
+from repro.errors import AddressError, LeaseDenied, RpcError, RpcTimeout
+from repro.messages.message import Message, message_type
 from repro.net.address import InboxAddress, NodeAddress
+from repro.rpc import RemoteProxy, export
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.world import World
+
+
+@message_type("lease.gossip")
+@dataclass(frozen=True)
+class Gossip(Message):
+    """One anti-entropy exchange between two replicas of a catalog.
+
+    ``entries`` is a tuple of wire-encoded rows
+    (:meth:`~repro.discovery.lease.LeaseRecord.to_wire`). With
+    ``want_reply`` the receiver answers with every row it holds that is
+    strictly newer than (or absent from) what it was sent — push-pull,
+    so one round reconciles both directions.
+    """
+
+    origin: NodeAddress
+    entries: tuple
+    want_reply: bool
 
 
 @dataclass
@@ -46,24 +68,56 @@ class ReplicaStats:
         return dict(vars(self))
 
 
+class LeaseFacet:
+    """What a replica exports: the table's requests, and nothing else.
+
+    The replica dapplet itself is not exported, so its own public
+    methods (``stop``, ``sweep``, ``set_peers``) cannot be invoked from
+    the network. A refused claim or renewal raises
+    :class:`~repro.errors.LeaseDenied`, which the caller sees as an
+    :class:`~repro.errors.RpcError` with that ``remote_type`` and the
+    reason as its message.
+    """
+
+    def __init__(self, replica: "LeaseReplica") -> None:
+        self._replica = replica
+
+    def claim(self, name: str, address: NodeAddress, row_fields,
+              epoch_hint: int) -> int:
+        """Grant ``name`` to ``address``; returns the lease's epoch."""
+        return self._replica._claim(name, address, row_fields, epoch_hint)
+
+    def renew(self, name: str, epoch: int) -> None:
+        """Extend the lease ``name`` holds under ``epoch`` by one TTL."""
+        self._replica._renew(name, epoch)
+
+    def release(self, name: str, epoch: int) -> None:
+        """Tombstone the lease now (callers ``invoke`` it, one-way)."""
+        self._replica._release(name, epoch)
+
+    def lookup(self, name: str) -> "tuple | None":
+        """The live row for ``name`` (the catalog's tuple), or None."""
+        return self._replica._lookup(name)
+
+
 class LeaseReplica(Dapplet):
     """One replica of a lease-replicated table.
 
-    Three processes: a server on the catalog's well-known inbox, a
+    Serves its :class:`LeaseFacet` on the catalog's well-known inbox,
+    merges :class:`Gossip` on a second one, and runs two processes: a
     failure detector sweeping out leases whose TTL ran out, and a
     gossiper pushing the version-stamped store to one peer per round.
 
     A catalog sets ``inbox_name``, ``category`` and ``subject`` (trace
     category; field naming a row), ``words`` (trace event per grant /
     renew / denied / release / expire), ``process_prefix``,
-    ``record_type``, the ``Grant`` / ``Denied`` / ``Gossip`` messages,
-    ``handlers`` (request class -> unbound handler), ``error`` and
-    ``noun`` (what its clients raise and call a replica); and defines
-    ``_new_record(msg, epoch, expires_at)`` and
-    ``_lookup_reply(msg, live_record_or_None, now)``.
+    ``record_type``, ``facet``, ``error`` and ``noun`` (what its clients
+    raise and call a replica); and defines ``_new_record(name, address,
+    row_fields, epoch, expires_at)`` and ``_row(live_record, now)``.
     """
 
     record_type = LeaseRecord
+    facet = LeaseFacet
 
     def __init__(self, world: "World", address: NodeAddress, name: str,
                  *, config: LeaseConfig | None = None,
@@ -81,8 +135,9 @@ class LeaseReplica(Dapplet):
         self._peer_ring: list[NodeAddress] = []
         self._gossip_ix = 0
         self._gossiping = False
-        self.inbox = self.create_inbox(name=self.inbox_name)
-        self.spawn(self._serve(), name=f"{self.process_prefix}-serve")
+        export(self, self.facet(self), name=self.inbox_name)
+        self.gossip_inbox = self.create_inbox(name=f"{self.inbox_name}:gossip")
+        self.spawn(self._merge_loop(), name=f"{self.process_prefix}-merge")
         self.spawn(self._sweep_loop(), name=f"{self.process_prefix}-sweep")
         if self._initial_peers:
             self.set_peers(self._initial_peers)
@@ -105,76 +160,70 @@ class LeaseReplica(Dapplet):
         now = self.kernel.now
         return [r for _, r in sorted(self.store.items()) if r.live_at(now)]
 
-    def _serve(self):
-        while True:
-            msg = yield self.inbox.receive()
-            handler = self.handlers.get(type(msg))
-            if handler is not None:
-                handler(self, msg)
-
     def _grant_fields(self, record: LeaseRecord) -> dict:
         """Extra fields of the grant trace event (a catalog hook)."""
         return {}
 
-    # -- lease maintenance ------------------------------------------------
+    # -- lease maintenance (reached through the facet) ----------------------
 
-    def _on_claim(self, msg) -> None:
+    def _claim(self, name: str, address: NodeAddress, row_fields,
+               epoch_hint: int) -> int:
         now = self.kernel.now
-        existing = self.store.get(msg.name)
+        existing = self.store.get(name)
         if existing is not None and existing.live_at(now) \
-                and existing.address != msg.address:
-            self._deny(msg, "name-taken")
-            return
+                and existing.address != address:
+            raise self._denial(name, "name-taken")
         epoch = max(existing.epoch if existing is not None else 0,
-                    msg.epoch_hint) + 1
-        record = self._new_record(msg, epoch, now + self.config.ttl)
-        self.store[msg.name] = record
+                    epoch_hint) + 1
+        record = self._new_record(name, address, row_fields, epoch,
+                                  now + self.config.ttl)
+        self.store[name] = record
         self.stats.grants += 1
-        self._trace_row("grant", msg.name, epoch=epoch,
+        self._trace_row("grant", name, epoch=epoch,
                         **self._grant_fields(record))
-        self.post(msg.reply_to, self.Grant(
-            msg.req_id, msg.name, epoch, 0, self.config.ttl))
+        return epoch
 
-    def _on_renew(self, msg) -> None:
-        existing = self.store.get(msg.name)
-        if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
-            self._deny(msg, "unknown" if existing is None else "stale-epoch")
-            return
+    def _renew(self, name: str, epoch: int) -> None:
+        now = self.kernel.now
+        existing = self.store.get(name)
+        if existing is None:
+            raise self._denial(name, "unknown")
+        if not existing.alive or existing.epoch != epoch:
+            raise self._denial(name, "stale-epoch")
+        # Past its TTL but not yet swept: a lookup already answers
+        # "absent", and a peer's tombstone would outrank this renewal.
+        if not existing.live_at(now):
+            raise self._denial(name, "expired")
         record = replace(existing, version=existing.version + 1,
-                         expires_at=self.kernel.now + self.config.ttl)
-        self.store[msg.name] = record
+                         expires_at=now + self.config.ttl)
+        self.store[name] = record
         self.stats.renewals += 1
-        self._trace_row("renew", msg.name, epoch=record.epoch,
+        self._trace_row("renew", name, epoch=record.epoch,
                         version=record.version)
-        self.post(msg.reply_to, self.Grant(
-            msg.req_id, msg.name, record.epoch, record.version,
-            self.config.ttl))
 
-    def _deny(self, msg, reason: str) -> None:
+    def _denial(self, name: str, reason: str) -> LeaseDenied:
         self.stats.denials += 1
-        self._trace_row("denied", msg.name, reason=reason)
-        self.post(msg.reply_to, self.Denied(msg.req_id, msg.name, reason))
+        self._trace_row("denied", name, reason=reason)
+        return LeaseDenied(reason)
 
-    def _on_release(self, msg) -> None:
-        existing = self.store.get(msg.name)
+    def _release(self, name: str, epoch: int) -> None:
+        existing = self.store.get(name)
         if existing is None or not existing.alive \
-                or existing.epoch != msg.epoch:
+                or existing.epoch != epoch:
             return
-        self.store[msg.name] = existing.expired(
+        self.store[name] = existing.expired(
             self.kernel.now, tombstone_ttl=self.config.tombstone_ttl)
         self.stats.unregisters += 1
-        self._trace_row("release", msg.name, epoch=msg.epoch)
+        self._trace_row("release", name, epoch=epoch)
 
-    def _on_lookup(self, msg) -> None:
+    def _lookup(self, name: str) -> "tuple | None":
         now = self.kernel.now
-        record = self.store.get(msg.name)
+        record = self.store.get(name)
         self.stats.lookups += 1
-        if record is not None and record.live_at(now):
-            self.stats.lookup_hits += 1
-        else:
-            record = None
-        self.post(msg.reply_to, self._lookup_reply(msg, record, now))
+        if record is None or not record.live_at(now):
+            return None
+        self.stats.lookup_hits += 1
+        return self._row(record, now)
 
     # -- failure detector ---------------------------------------------------
 
@@ -216,16 +265,22 @@ class LeaseReplica(Dapplet):
             entries = tuple(r.to_wire(now)
                             for _, r in sorted(self.store.items()))
             self.stats.gossip_rounds += 1
-            self.post(InboxAddress(peer, self.inbox_name),
-                      self.Gossip(self.address, entries, True))
+            self.post(peer.inbox(self.gossip_inbox.name),
+                      Gossip(self.address, entries, True))
 
-    def _on_gossip(self, msg) -> None:
+    def _merge_loop(self):
+        while True:
+            msg = yield self.gossip_inbox.receive()
+            if isinstance(msg, Gossip):
+                self._on_gossip(msg)
+
+    def _on_gossip(self, msg: Gossip) -> None:
         now = self.kernel.now
         merged = dropped = 0
         seen: dict[str, tuple[int, int, int]] = {}
         for data in msg.entries:
             # Entries arrive from outside the program: one that does not
-            # decode is dropped and counted, never raised into _serve.
+            # decode is dropped and counted, never raised into the loop.
             try:
                 incoming = self.record_type.from_wire(data, now)
             except (KeyError, TypeError, ValueError, AddressError):
@@ -248,8 +303,8 @@ class LeaseReplica(Dapplet):
                 r.to_wire(now) for name, r in sorted(self.store.items())
                 if name not in seen or r.stamp > seen[name])
             if fresher:
-                self.post(InboxAddress(msg.origin, self.inbox_name),
-                          self.Gossip(self.address, fresher, False))
+                self.post(msg.origin.inbox(self.gossip_inbox.name),
+                          Gossip(self.address, fresher, False))
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.kernel.tracer
@@ -261,11 +316,13 @@ class LeaseReplica(Dapplet):
 
 
 class LeaseClient:
-    """One dapplet's request/reply port onto a catalog's replica ring.
+    """One dapplet's port onto a catalog's replica ring.
 
-    Talks to one replica at a time and rotates to the next on silence.
-    ``table`` is the catalog's replica class (inbox name, trace category,
-    error type, message classes); ``role`` tags ``failover`` events.
+    Calls one replica's facet at a time through one
+    :class:`~repro.rpc.RemoteProxy`, and rotates to the next replica on
+    silence by re-pointing it. ``table`` is the catalog's replica class
+    (inbox name, trace category, error type); ``role`` tags
+    ``failover`` events.
     """
 
     table: type[LeaseReplica]
@@ -284,62 +341,44 @@ class LeaseClient:
         self.replicas = tuple(replicas)
         self.failovers = 0
         self._ix = first % len(self.replicas)
-        self._req_ids = itertools.count(1)
-        self.inbox = dapplet.create_inbox()
+        self.proxy = RemoteProxy(dapplet, self._pointer())
 
     @property
     def replica(self) -> NodeAddress:
         """The replica requests currently go to."""
         return self.replicas[self._ix % len(self.replicas)]
 
-    def _query(self, request: Callable[[int], Message], reply_type,
-               what: str):
-        """Ask each replica in turn until one answers. A negative answer
-        from a live replica is an answer; only when every replica stayed
-        silent is the catalog's typed error raised."""
+    def _pointer(self) -> InboxAddress:
+        return self.replica.inbox(self.table.inbox_name)
+
+    def _call(self, method: str, *args):
+        """Call the current replica; RpcTimeout after request_timeout."""
+        return self.proxy.call(method, *args,
+                               timeout=self.config.request_timeout)
+
+    def _call_any(self, what: str, method: str, *args):
+        """Call ``method`` on each replica in turn until one answers. A
+        negative answer from a live replica is an answer; only when
+        every replica stayed silent is the catalog's typed error
+        raised."""
         for _ in self.replicas:
             try:
-                reply = yield from self._ask(request, reply_type)
+                return (yield self._call(method, *args))
+            except RpcTimeout:
+                self._failover()
             except AddressError:
                 break
-            if reply is not None:
-                return reply
-            self._failover()
         raise self.table.error(
             f"could not {what}: no {self.table.noun} answered within "
             f"{self.config.request_timeout}s each "
             f"(tried {len(self.replicas)})")
 
-    def _ask(self, request: Callable[[int], Message], reply_types):
-        """One request to the current replica: the reply echoing its
-        ``req_id``, or None on timeout. Raises :class:`AddressError` once
-        the owning dapplet has stopped."""
-        req_id = next(self._req_ids)
-        self.dapplet.post(self._replica_inbox(), request(req_id))
-        return (yield from self._await_reply(req_id, reply_types))
-
-    def _await_reply(self, req_id: int, reply_types):
-        deadline = self.kernel.now + self.config.request_timeout
-        while True:
-            remaining = deadline - self.kernel.now
-            if remaining <= 0:
-                return None
-            try:
-                msg = yield self.inbox.receive(timeout=remaining)
-            except (ReceiveTimeout, AddressError):
-                return None
-            if isinstance(msg, reply_types) and msg.req_id == req_id:
-                return msg
-            # A stale reply from a replica we already failed away from.
-
     def _failover(self) -> None:
         self._ix += 1
         self.failovers += 1
+        self.proxy.pointer = self._pointer()
         role = {"role": self.role} if self.role else {}
         self._trace("failover", **role, to=str(self.replica))
-
-    def _replica_inbox(self) -> InboxAddress:
-        return InboxAddress(self.replica, self.table.inbox_name)
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.kernel.tracer
@@ -354,9 +393,9 @@ class LeaseAgent(LeaseClient):
     On silence it re-claims at the next replica with a higher epoch
     hint, so the new lease supersedes the old one everywhere; when the
     owning dapplet stops or dies the heartbeats stop and the lease runs
-    out. A catalog sets ``process_name``, ``claimed_word`` (trace event
-    of a granted claim), the ``Renew`` / ``Release`` messages, and
-    defines ``_claim_message(req_id)``.
+    out. A catalog sets ``process_name`` and ``claimed_word`` (trace
+    event of a granted claim), and defines ``_row_fields()`` (the
+    catalog's columns of the claimed row).
     """
 
     def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
@@ -370,7 +409,6 @@ class LeaseAgent(LeaseClient):
         self.renewals = 0
         self._done = False
         self._trace_fields = {self.table.subject: name}
-        self._replies = (self.table.Grant, self.table.Denied)
         #: Fires (with the granting replica's address) after the first
         #: successful claim.
         self.claimed = self.kernel.event()
@@ -384,8 +422,7 @@ class LeaseAgent(LeaseClient):
         self._done = True
         if self.epoch and not self.dapplet.stopped:
             try:
-                self.dapplet.post(self._replica_inbox(),
-                                  self.Release(self.name, self.epoch))
+                self.proxy.invoke("release", self.name, self.epoch)
             except AddressError:
                 pass
 
@@ -398,26 +435,30 @@ class LeaseAgent(LeaseClient):
         grants it. Returns True on success, False if halted first."""
         while not self._halted():
             try:
-                reply = yield from self._ask(self._claim_message,
-                                             self._replies)
+                epoch = yield self._call("claim", self.name,
+                                         self.dapplet.address,
+                                         self._row_fields(), self.epoch)
             except AddressError:
                 return False
+            except RpcError as exc:
+                if self._halted():
+                    return False
+                if isinstance(exc, RpcTimeout):
+                    self._failover()
+                elif exc.remote_message == "name-taken":
+                    # A previous holder's lease is still live (typically
+                    # our own, pre-failover or pre-restart, at a stale
+                    # address). It stops being renewed, so it expires
+                    # within one TTL: wait and retry.
+                    yield self.kernel.timeout(self.config.renew_interval)
+                continue
             if self._halted():
                 return False
-            if isinstance(reply, self.table.Grant):
-                self.epoch = reply.epoch
-                if not self.claimed.triggered:
-                    self.claimed.succeed(self.replica)
-                self._trace(self.claimed_word, epoch=reply.epoch)
-                return True
-            if reply is None:
-                self._failover()
-            elif reply.reason == "name-taken":
-                # A previous holder's lease is still live (typically our
-                # own, pre-failover or pre-restart, at a stale address).
-                # It stops being renewed, so it expires within one TTL:
-                # wait and retry.
-                yield self.kernel.timeout(self.config.renew_interval)
+            self.epoch = epoch
+            if not self.claimed.triggered:
+                self.claimed.succeed(self.replica)
+            self._trace(self.claimed_word, epoch=epoch)
+            return True
         return False
 
     def _heartbeat(self):
@@ -426,23 +467,20 @@ class LeaseAgent(LeaseClient):
             if self._halted():
                 return
             try:
-                reply = yield from self._ask(
-                    lambda req_id: self.Renew(req_id, self.name, self.epoch,
-                                              self.inbox.address),
-                    self._replies)
+                yield self._call("renew", self.name, self.epoch)
             except AddressError:
                 return
+            except RpcError as exc:
+                if isinstance(exc, RpcTimeout) and not self._halted():
+                    self._failover()
+                # Denied (the replica lost, superseded or let lapse our
+                # lease) or timed out: either way the fix is a fresh claim.
+                if not (yield from self._claim()):
+                    return
+                continue
             if self._halted():
                 return
-            if isinstance(reply, self.table.Grant):
-                self.renewals += 1
-                continue
-            if reply is None:
-                self._failover()
-            # Denied (the replica lost or superseded our lease) or timed
-            # out: either way the fix is a fresh claim.
-            if not (yield from self._claim()):
-                return
+            self.renewals += 1
 
     def _halted(self) -> bool:
         return self._done or self.dapplet.stopped

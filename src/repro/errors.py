@@ -219,6 +219,19 @@ class LeaseExpired(DiscoveryError):
         self.name = name
 
 
+class LeaseDenied(ReproError):
+    """A lease replica refused a claim or renewal.
+
+    Raised inside a replica's exported facet, so callers see an
+    :class:`RpcError` with ``remote_type == "LeaseDenied"``; the message
+    is the reason: ``"name-taken"`` (a live lease at another address),
+    ``"stale-epoch"`` (the renewal's epoch was superseded),
+    ``"unknown"`` (no such row) or ``"expired"`` (the lease ran past
+    its TTL before this renewal). The owning agent re-claims on any
+    denial.
+    """
+
+
 class RegistryError(ReproError):
     """A registry-subsystem configuration or protocol error."""
 

@@ -5,7 +5,8 @@ The second catalog on the lease-replicated table of
 are :class:`~repro.registry.manifest.ManifestRecord` — a lease plus its
 manifest — under hierarchical ``org/app/instance`` names, served on the
 ``_dappstore`` inbox and traced as ``reg``; what the catalog adds is
-prefix listing. :class:`PublishAgent` keeps one manifest's lease alive;
+prefix listing, one more method on the exported facet.
+:class:`PublishAgent` keeps one manifest's lease alive;
 :class:`StoreClient` gives any dapplet lookup/list access.
 """
 
@@ -15,14 +16,23 @@ from typing import Sequence
 
 from repro.dapplet.dapplet import Dapplet
 from repro.discovery.lease import LeaseConfig
-from repro.discovery.table import LeaseAgent, LeaseClient, LeaseReplica
+from repro.discovery.table import (LeaseAgent, LeaseClient, LeaseFacet,
+                                   LeaseReplica)
 from repro.errors import RegistryError
 from repro.net.address import NodeAddress
-from repro.registry import messages as rm
 from repro.registry.manifest import Manifest, ManifestRecord
 
 #: Well-known inbox name every store replica serves the protocol on.
 DAPPSTORE_INBOX = "_dappstore"
+
+
+class StoreFacet(LeaseFacet):
+    """The DAppStore replica's exported face: the table's requests plus
+    prefix listing."""
+
+    def list(self, prefix: str) -> tuple:
+        """Live store names under ``prefix``, sorted."""
+        return tuple(self._replica.names(prefix))
 
 
 class DAppStoreReplica(LeaseReplica):
@@ -39,9 +49,7 @@ class DAppStoreReplica(LeaseReplica):
     error = RegistryError
     noun = "store replica"
     record_type = ManifestRecord
-    Grant = rm.ManifestGrant
-    Denied = rm.ManifestDenied
-    Gossip = rm.StoreGossip
+    facet = StoreFacet
 
     # -- views -----------------------------------------------------------
 
@@ -57,35 +65,21 @@ class DAppStoreReplica(LeaseReplica):
 
     # -- what a store row is ---------------------------------------------
 
-    def _new_record(self, msg: rm.Publish, epoch: int,
-                    expires_at: float) -> ManifestRecord:
+    def _new_record(self, name: str, address: NodeAddress, manifest: dict,
+                    epoch: int, expires_at: float) -> ManifestRecord:
         # The row's ``kind`` column holds the owning principal.
         return ManifestRecord(
-            msg.name, msg.address, str(msg.manifest.get("owner", "")),
-            epoch, 0, True, expires_at, manifest=dict(msg.manifest))
+            name, address, str(manifest.get("owner", "")),
+            epoch, 0, True, expires_at, manifest=dict(manifest))
 
     def _grant_fields(self, record: ManifestRecord) -> dict:
         return {"principal": record.kind}
 
-    def _lookup_reply(self, msg: rm.StoreLookup,
-                      record: ManifestRecord | None,
-                      now: float) -> rm.StoreReply:
-        if record is None:
-            return rm.StoreReply(msg.req_id, msg.name, False)
-        return rm.StoreReply(msg.req_id, msg.name, True,
-                             dict(record.manifest),
-                             record.expires_at - now, record.epoch)
-
-    def _on_list(self, msg: rm.StoreList) -> None:
-        self.post(msg.reply_to, rm.StoreListReply(
-            msg.req_id, msg.prefix, tuple(self.names(msg.prefix))))
-
-    handlers = {rm.Publish: LeaseReplica._on_claim,
-                rm.RenewManifest: LeaseReplica._on_renew,
-                rm.Unpublish: LeaseReplica._on_release,
-                rm.StoreLookup: LeaseReplica._on_lookup,
-                rm.StoreList: _on_list,
-                rm.StoreGossip: LeaseReplica._on_gossip}
+    def _row(self, record: ManifestRecord,
+             now: float) -> tuple[dict, float]:
+        """A lookup's answer: the manifest and the lease's remaining
+        TTL."""
+        return dict(record.manifest), record.expires_at - now
 
 
 def _under(prefix: str, name: str) -> bool:
@@ -100,8 +94,6 @@ class PublishAgent(LeaseAgent):
     table = DAppStoreReplica
     process_name = "manifest-agent"
     claimed_word = "publish"
-    Renew = rm.RenewManifest
-    Release = rm.Unpublish
 
     def __init__(self, dapplet: Dapplet, replicas: Sequence[NodeAddress],
                  *, manifest: Manifest | None = None,
@@ -117,10 +109,8 @@ class PublishAgent(LeaseAgent):
         """Tombstone the manifest now instead of waiting out the TTL."""
         self._release()
 
-    def _claim_message(self, req_id: int) -> rm.Publish:
-        return rm.Publish(req_id, self.name, self.dapplet.address,
-                          self.manifest.to_dict(), self.inbox.address,
-                          epoch_hint=self.epoch)
+    def _row_fields(self) -> dict:
+        return self.manifest.to_dict()
 
 
 class StoreClient(LeaseClient):
@@ -139,14 +129,9 @@ class StoreClient(LeaseClient):
 
         A generator — ``manifest = yield from client.lookup(name)``.
         """
-        reply = yield from self._query(
-            lambda req_id: rm.StoreLookup(req_id, name, self.inbox.address),
-            rm.StoreReply, f"look up {name!r}")
-        return Manifest.from_dict(reply.manifest) if reply.found else None
+        row = yield from self._call_any(f"look up {name!r}", "lookup", name)
+        return None if row is None else Manifest.from_dict(row[0])
 
     def list(self, prefix: str = ""):
         """Live store names under ``prefix`` (sorted tuple)."""
-        reply = yield from self._query(
-            lambda req_id: rm.StoreList(req_id, prefix, self.inbox.address),
-            rm.StoreListReply, f"list {prefix!r}")
-        return tuple(reply.names)
+        return (yield from self._call_any(f"list {prefix!r}", "list", prefix))

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import DiscoveryError, LeaseExpired, RegistryError
-from repro.discovery import DIRECTORY_INBOX, RegistrationAgent
-from repro.discovery import messages as dm
-from repro.registry import DAPPSTORE_INBOX, Manifest, PublishAgent
-from repro.registry import messages as rm
+from repro.discovery import DIRECTORY_INBOX, DirectoryReplica, RegistrationAgent
+from repro.registry import (DAPPSTORE_INBOX, DAppStoreReplica, Manifest,
+                            PublishAgent)
 
 
 @dataclass(frozen=True)
@@ -24,10 +23,8 @@ class Catalog:
     agent_attr: str           # where World hangs a dapplet's agent
     claimed: str              # the agent's "first grant" event
     inbox: str
+    table: type               # the catalog's replica class
     category: str
-    renew: type
-    denied: type
-    gossip: type
     unreachable: type         # the client's "every replica silent" error
     kind: str                 # the kind column of an alice-owned Worker row
     row: Callable[[Any], str]             # dapplet -> its row's name
@@ -47,8 +44,7 @@ def _resolve(resolver, name):
 DIRECTORY = Catalog(
     host="host_directory", client_for="resolver_for",
     agent_attr="lease_agent", claimed="registered",
-    inbox=DIRECTORY_INBOX, category="dir",
-    renew=dm.Renew, denied=dm.LeaseDenied, gossip=dm.GossipSync,
+    inbox=DIRECTORY_INBOX, table=DirectoryReplica, category="dir",
     unreachable=DiscoveryError, kind="worker",
     row=lambda d: d.name,
     rival=lambda host, addresses, cfg, row: RegistrationAgent(
@@ -59,8 +55,7 @@ DIRECTORY = Catalog(
 DAPPSTORE = Catalog(
     host="host_dappstore", client_for="store_client_for",
     agent_attr="manifest_agent", claimed="published",
-    inbox=DAPPSTORE_INBOX, category="reg",
-    renew=rm.RenewManifest, denied=rm.ManifestDenied, gossip=rm.StoreGossip,
+    inbox=DAPPSTORE_INBOX, table=DAppStoreReplica, category="reg",
     unreachable=RegistryError, kind="alice",     # a manifest row's kind
     row=lambda d: d.manifest_name,               # column holds its owner
     rival=lambda host, addresses, cfg, row: PublishAgent(

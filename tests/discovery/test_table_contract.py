@@ -4,15 +4,18 @@ The address directory and the DAppStore are record types on the same
 lease-replicated table (:mod:`repro.discovery.table`), so every lease
 rule must hold for both: grant, renew, the three denials, expiry of a
 silent owner, tombstone collection, agent failover, the drop-and-count
-rule for malformed gossip, and the "absent vs unreachable" rule of the
-client. Each test runs once per catalog.
+rule for malformed gossip, the "absent vs unreachable" rule of the
+client, and the hygiene of the one RPC proxy every client calls the
+replicas through. Each test runs once per catalog.
 """
 
 import pytest
 
 from repro import Tracer, World
+from repro.discovery.table import Gossip
+from repro.errors import RpcError
 from repro.net import ConstantLatency
-from repro.net.address import InboxAddress
+from repro.rpc import RemoteProxy
 
 from tests.discovery.catalogs import DAPPSTORE, DIRECTORY
 from tests.discovery.conftest import Worker, drain, fast_config
@@ -106,30 +109,125 @@ def test_name_taken_while_a_live_lease_sits_at_another_address(catalog):
     dep.run(director)
 
 
+def _denial(call):
+    """Yield ``call`` (an RPC event) and return the remote error's
+    ``(remote_type, reason)``."""
+    with pytest.raises(RpcError) as info:
+        yield call
+    return info.value.remote_type, info.value.remote_message
+
+
 def test_renew_denials_stale_epoch_and_unknown(catalog):
-    dep = Deployment(catalog)
-    _, agent, row = dep.member("host.edu", "alice")
+    """The three renewal denials, as the facet's caller sees them. A
+    slow sweeper leaves a lease past its TTL in the store for the third."""
+    dep = Deployment(catalog, sweep_interval=5.0)
+    owner, agent, row = dep.member("host.edu", "alice")
     probe = dep.world.dapplet(Worker, "probe.edu", "probe")
-    replies = probe.create_inbox()
-    out = probe.create_outbox()
 
     def director():
         yield dep.claimed(agent)
         home = dep.home_of(agent)
-        out.add(InboxAddress(home.address, catalog.inbox))
+        proxy = RemoteProxy(probe, home.address.inbox(catalog.inbox))
         denials = home.stats.denials
-        out.send(catalog.renew(1, row, agent.epoch + 5, replies.address))
-        out.send(catalog.renew(2, "no/such/row", 1, replies.address))
-        first = yield replies.receive(timeout=1.0)
-        second = yield replies.receive(timeout=1.0)
-        assert isinstance(first, catalog.denied)
-        assert (first.req_id, first.reason) == (1, "stale-epoch")
-        assert isinstance(second, catalog.denied)
-        assert (second.req_id, second.reason) == (2, "unknown")
-        assert home.stats.denials == denials + 2
+        assert (yield from _denial(proxy.call(
+            "renew", row, agent.epoch + 5, timeout=1.0))) \
+            == ("LeaseDenied", "stale-epoch")
+        assert (yield from _denial(proxy.call(
+            "renew", "no/such/row", 1, timeout=1.0))) \
+            == ("LeaseDenied", "unknown")
         assert home.store[row].epoch == agent.epoch   # untouched
+        owner.stop()
+        yield dep.world.kernel.timeout(dep.cfg.ttl + 0.1)
+        assert home.store[row].alive                  # not swept yet
+        assert (yield from _denial(proxy.call(
+            "renew", row, agent.epoch, timeout=1.0))) \
+            == ("LeaseDenied", "expired")
+        assert home.stats.denials == denials + 3
 
     dep.run(director)
+
+
+def test_renew_after_the_ttl_but_before_the_sweep_does_not_revive(catalog):
+    """Regression: renewal tested ``alive`` where lookup and claim test
+    ``live_at(now)``, so a replica answered "absent" and then granted a
+    renewal of the same lapsed lease — which a peer holding the swept
+    tombstone at an equal stamp would roll back by gossip."""
+    dep = Deployment(catalog, sweep_interval=5.0)
+    owner, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    kernel = dep.world.kernel
+
+    def director():
+        yield dep.claimed(agent)
+        owner.stop()                          # the agent is halted
+        home = dep.home_of(agent)
+        proxy = RemoteProxy(probe, home.address.inbox(catalog.inbox))
+        t0 = kernel.now
+        yield kernel.timeout(dep.cfg.ttl + 0.1)
+        assert (yield proxy.call("lookup", row, timeout=1.0)) is None
+        yield kernel.timeout(t0 + dep.cfg.ttl + 0.2 - kernel.now)
+        assert (yield from _denial(proxy.call(
+            "renew", row, agent.epoch, timeout=1.0))) \
+            == ("LeaseDenied", "expired")
+        assert (yield proxy.call("lookup", row, timeout=1.0)) is None
+        assert home.stats.renewals == agent.renewals == 0
+
+    dep.run(director)
+
+
+def test_a_late_reply_after_failover_is_dropped(catalog):
+    """The first replica hears the lookup but its answer is held past
+    ``request_timeout``: the client fails over, the second replica's
+    answer resolves the call, and the late one is dropped on arrival."""
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    client = type(dep.client(probe))(probe, dep.addresses, config=dep.cfg)
+    first, second = dep.replicas[:2]
+    faults = dep.world.network.faults
+    kernel = dep.world.kernel
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        lookups = first.stats.lookups, second.stats.lookups
+        faults.partition(first.address, probe.address, bidirectional=False)
+        kernel.call_later(dep.cfg.request_timeout + 0.1,
+                          lambda: faults.heal(first.address, probe.address))
+        assert (yield from catalog.find(client, row)) is not None
+        assert client.failovers == 1 and client.replica == second.address
+        assert (first.stats.lookups, second.stats.lookups) \
+            == (lookups[0] + 1, lookups[1] + 1)
+        replies = client.proxy._reply_inbox
+        yield kernel.timeout(10.0)            # the held reply gets through
+        assert replies.messages_received == 2
+        assert client.proxy._pending == {}
+
+    dep.run(director)
+
+
+def test_no_call_is_left_pending_at_quiescence(catalog):
+    """Every call the agent and the client make is answered or timed
+    out: nothing waits in their proxies once the ring is quiet."""
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    client = dep.client(probe)
+    kernel = dep.world.kernel
+
+    def director():
+        yield dep.claimed(agent)
+        assert agent.proxy._pending == {}
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        assert (yield from catalog.find(client, row)) is not None
+        assert (yield from catalog.find(client, "no/such/row")) is None
+        assert client.proxy._pending == {}
+        dep.home_of(agent).stop()             # one call times out
+        yield kernel.timeout(dep.cfg.ttl + 4 * dep.cfg.request_timeout)
+        assert agent.failovers >= 1
+
+    dep.run(director)
+    assert agent.proxy._pending == {} and client.proxy._pending == {}
 
 
 def test_silent_owner_is_tombstoned_then_forgotten(catalog):
@@ -175,7 +273,7 @@ def test_agent_failover_raises_the_epoch_and_supersedes_everywhere(catalog):
 
 
 def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
-    """Regression: one bad entry used to raise inside ``_serve`` and take
+    """Regression: one bad entry used to raise inside the merge loop and take
     the replica (on the simulator, the whole world) down with it."""
     tracer = Tracer(categories=(catalog.category,))
     dep = Deployment(catalog, tracer=tracer)
@@ -195,9 +293,8 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
                dict(good, e="one"),                     # non-numeric epoch
                dict(good, tl=float("nan")))             # non-finite TTL
         fresh = dict(good, n="fresh/row")
-        out.add(InboxAddress(target.address, catalog.inbox))
-        out.send(catalog.gossip(probe.address, bad[:3] + (fresh,) + bad[3:],
-                                False))
+        out.add(target.gossip_inbox.named_address)
+        out.send(Gossip(probe.address, bad[:3] + (fresh,) + bad[3:], False))
         yield dep.world.kernel.timeout(0.1)
         assert target.stats.gossip_rejected == len(bad)
         # The valid entry of the same message was merged ...

@@ -245,6 +245,21 @@ def test_sync_rides_rpc_and_adds_no_protocol_of_its_own():
                    for node in ast.walk(tree))
 
 
+def test_lease_table_rides_rpc_and_keeps_one_message_of_its_own():
+    from repro.messages import registered_types
+    import repro.discovery  # noqa: F401 - the imports are the subject
+    import repro.registry  # noqa: F401
+    tags = registered_types()
+    assert not [t for t in tags if t.startswith(("dir.", "reg."))]
+    assert [t for t in tags if t.startswith("lease.")] == ["lease.gossip"]
+    for package in ("discovery", "registry"):
+        for path in sorted((SRC / package).glob("*.py")):
+            assert path.name != "messages.py", package
+            # Call ids are the proxy's; the table correlates nothing.
+            assert "req_id" not in path.read_text(), path.name
+    assert "itertools" not in _imported_modules(SRC / "discovery" / "table.py")
+
+
 def test_rpc_span_targets_keep_the_shape_e20_patches():
     """E20 patches these methods by class and name, and attributes a
     process slice to the file its generator is defined in."""
