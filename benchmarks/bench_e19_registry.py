@@ -6,7 +6,7 @@ Three measurements over ``repro.registry`` enforcement:
   same establish/terminate workload run in an unowned world (no
   registry checks anywhere — the pre-registry baseline) and in an
   owned world (initiator and member stamped with principals, one grant
-  covering the member). Every Prepare on the owned path pays the
+  covering the member). Every prepare on the owned path pays the
   session gate's cached ``registry.check``; the acceptance bound is
   that the cached check costs <= 10% of establish throughput. Rates
   are best-of-``REPS`` to shave scheduler noise; the guarded metric is

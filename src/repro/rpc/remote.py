@@ -14,6 +14,11 @@ once and the caller is answered with the event's value — or its failure,
 typed like any callee exception — when it fires. Methods still run one
 at a time; only the waiting overlaps, so replies to blocked callers
 leave in the order their events fire.
+
+An exported class that sets ``authorizes_callers = True`` checks its own
+callers: no ``rpc.call:<method>`` gate applies, and each method is
+handed the calling :class:`~repro.rpc.messages.Invoke` (its
+``principal``, its ``reply_to``) before the call's own arguments.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ class RemoteObject:
         self.inbox = dapplet.create_inbox(name=name)
         self.invocations = 0
         self.errors = 0
+        self._authorizes_callers = getattr(obj, "authorizes_callers", False)
         self.server = dapplet.spawn(self._serve(), name=f"export:{name or id(obj)}")
 
     @property
@@ -61,7 +67,7 @@ class RemoteObject:
             return self._refusal(msg, "PermissionError",
                                  f"method {msg.method!r} is not public")
         owner = self.dapplet.owner
-        if owner is not None:
+        if owner is not None and not self._authorizes_callers:
             # Owned exporter: the calling principal needs a per-method
             # grant (audited as a reg allow/deny event either way).
             verb = f"rpc.call:{msg.method}"
@@ -75,8 +81,9 @@ class RemoteObject:
         if method is None or not callable(method):
             return self._refusal(msg, "AttributeError",
                                  f"no remote method {msg.method!r}")
+        args = (msg, *msg.args) if self._authorizes_callers else msg.args
         try:
-            value = method(*msg.args, **msg.kwargs)
+            value = method(*args, **msg.kwargs)
         except Exception as exc:  # noqa: BLE001 - reported to the caller
             return self._refusal(msg, type(exc).__name__, str(exc))
         return value if isinstance(value, Event) \

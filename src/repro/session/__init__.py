@@ -11,11 +11,14 @@ The pieces:
   build: members, each member's session ports and state regions, and
   the outbox→inbox bindings (Figure 1's arrowed lines).
 * :class:`Initiator` — a dapplet that executes the two-phase link-up
-  protocol of Figure 2 (prepare/accept → commit/ready), with abort on
-  rejection, and owns the session afterwards (grow, shrink, terminate).
-* :class:`SessionManager` — the servlet every dapplet runs; checks the
-  access-control list and session interference, builds ports, and hands
-  the application a :class:`SessionContext`.
+  of Figure 2 (prepare, then commit), with abort on rejection, and owns
+  the session afterwards (grow, shrink, terminate). Every step is an RPC
+  call (:mod:`repro.rpc`) on the members' session facets; the link-up
+  has no message type of its own.
+* :class:`SessionManager` — the servlet every dapplet runs; exports the
+  session facet on its ``_session`` inbox, checks the access-control
+  list, capability grants and session interference, builds ports, and
+  hands the application a :class:`SessionContext`.
 * :mod:`repro.session.interference` — the region-conflict relation and
   an execution monitor asserting the paper's mutual-exclusion
   requirement.

@@ -3,10 +3,18 @@
 Figure 2 of the paper: "An initiator uses the invoker's address
 directory to set up a session between existing dapplets." The initiator
 resolves each member's node address from the directory, runs the
-two-phase link-up (prepare/accept, then commit/ready), aborts cleanly if
-any member rejects, and afterwards owns the session: it can grow it,
-shrink it, and terminate it ("when a session terminates, component
-dapplets unlink themselves from each other").
+two-phase link-up (prepare, then commit), aborts cleanly if any member
+rejects, and afterwards owns the session: it can grow it, shrink it, and
+terminate it ("when a session terminates, component dapplets unlink
+themselves from each other").
+
+Every step is a call on the members' session facets
+(:class:`~repro.session.manager.SessionFacet`), made through one
+:class:`~repro.rpc.RemoteProxy` per member node that the initiator keeps
+for its lifetime. A phase waits for all of its calls and stops at the
+first failure. An ``abort`` rides the same proxy, hence the same
+channel, as the ``prepare`` it undoes, so per-channel FIFO delivers it
+second.
 
 All protocol steps are generators: run them from a process, e.g.::
 
@@ -22,29 +30,14 @@ import itertools
 from typing import Generator
 
 from repro.dapplet.dapplet import Dapplet
-from repro.errors import (ReceiveTimeout, ReproError, SessionError,
-                          SessionRejected)
-from repro.mailbox.inbox import Inbox
-from repro.mailbox.outbox import Outbox
+from repro.errors import ReproError, RpcError, SessionError, SessionRejected
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.delivery import RELIABLE
-from repro.session import messages as sm
+from repro.rpc.proxy import RemoteProxy
 from repro.session.manager import CONTROL_INBOX
 from repro.session.session import Session
 from repro.session.spec import Binding, MemberSpec, SessionSpec
-
-
-class _Record:
-    """Initiator-side state for one live session."""
-
-    def __init__(self, control: Inbox) -> None:
-        self.control = control
-        self.member_outboxes: dict[str, Outbox] = {}
-        self.member_addresses: dict[str, NodeAddress] = {}
-        self.departed: set[str] = set()
-        #: Control messages received while waiting for something else;
-        #: later waits consult these before the inbox.
-        self.strays: list = []
+from repro.sim.events import Event
 
 
 class Initiator(Dapplet):
@@ -54,7 +47,12 @@ class Initiator(Dapplet):
 
     def setup(self) -> None:
         self._session_ids = itertools.count(1)
-        self._records: dict[str, _Record] = {}
+        #: Live session id -> member -> the member's node address.
+        self._records: dict[str, dict[str, NodeAddress]] = {}
+        #: Member node -> the proxy on its session facet. Bounded by the
+        #: distinct members ever linked: a proxy per session would leave
+        #: every member one reply channel per past session.
+        self._proxies: dict[NodeAddress, RemoteProxy] = {}
         #: Optional :class:`repro.discovery.Resolver`; when set, member
         #: names resolve through the replicated directory (with caching
         #: and failover) instead of the world's static dict.
@@ -105,9 +103,7 @@ class Initiator(Dapplet):
         spec.validate()
         spec = _copy_spec(spec)
         session_id = f"{self.name}#s{next(self._session_ids)}"
-        control = self.create_inbox(name=f"_ctl:{session_id}")
-        record = _Record(control)
-        self._records[session_id] = record
+        addresses = self._records[session_id] = {}
         deadline = self.kernel.now + timeout
 
         # Resolve every member before preparing any: a dead or
@@ -115,85 +111,48 @@ class Initiator(Dapplet):
         # with no dapplet left half-linked.
         try:
             for member, mspec in spec.members.items():
-                record.member_addresses[member] = \
-                    yield from self._resolve_address(mspec)
+                addresses[member] = yield from self._resolve_address(mspec)
         except ReproError:
-            self._dispose(session_id)
+            del self._records[session_id]
             raise
 
-        # Phase 1: prepare. The control outboxes are this session's own,
-        # not Dapplet.post channels: abort relies on per-channel FIFO
-        # (a manager sees Prepare before Abort), and two sessions
-        # sharing a post channel to a common member would have the
-        # first to dispose unpost it, splitting the other's FIFO.
-        for member, mspec in spec.members.items():
-            address = record.member_addresses[member]
-            outbox = self.create_outbox()
-            outbox.add(InboxAddress(address, CONTROL_INBOX))
-            record.member_outboxes[member] = outbox
-            outbox.send(sm.Prepare(
-                session_id=session_id, app=spec.app, member=member,
-                initiator=self.address, reply_to=control.named_address,
-                inboxes=mspec.inboxes, regions=dict(mspec.regions),
-                queue=wait_for_regions, principal=self.principal))
-
-        ports: dict[str, dict[str, InboxAddress]] = {}
-        rejection: sm.Reject | None = None
-        awaiting = set(spec.members)
-        while awaiting and rejection is None:
-            msg = yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, (sm.Accept, sm.Reject))
-                and m.member in awaiting)
-            if msg is None:
-                break  # timed out
-            awaiting.discard(msg.member)
-            if isinstance(msg, sm.Accept):
-                ports[msg.member] = dict(msg.ports)
-            else:
-                rejection = msg
-
-        if rejection is not None or awaiting:
+        # Phase 1: prepare.
+        prepares = {member: self._prepare(addresses[member], session_id,
+                                          spec.app, mspec, wait_for_regions,
+                                          deadline)
+                    for member, mspec in spec.members.items()}
+        error = yield from self._all(prepares)
+        if error is not None:
             # Abort goes to every member, not just those that accepted:
-            # a slow member may accept after we give up, and per-channel
-            # FIFO guarantees its manager sees Prepare before Abort, so
-            # the abort always cleans up. Aborting a rejector is a
-            # no-op (it never created an entry).
+            # a slow member may accept after we give up, and the abort
+            # follows the prepare on the one channel to its node, so it
+            # always cleans up. Aborting a rejector is a no-op.
             for member in spec.members:
-                record.member_outboxes[member].send(
-                    sm.Abort(session_id, member))
-            self._dispose(session_id)
-            if rejection is not None:
+                self._proxy(addresses[member]).invoke("abort", session_id)
+            del self._records[session_id]
+            rejector = _rejector(prepares, error)
+            if rejector is not None:
                 raise SessionRejected(
-                    f"member {rejection.member!r} rejected session "
-                    f"{session_id!r}: {rejection.reason}",
-                    participant=rejection.member, reason=rejection.reason)
+                    f"member {rejector!r} rejected session {session_id!r}: "
+                    f"{error.remote_message}",
+                    participant=rejector, reason=error.remote_message)
             raise SessionError(
-                f"session {session_id!r}: no reply from {sorted(awaiting)} "
-                f"within {timeout}s")
+                f"session {session_id!r}: no reply from "
+                f"{_unanswered(prepares)} within {timeout}s") from error
+        ports = {member: call.value for member, call in prepares.items()}
 
         # Phase 2: commit with resolved bindings.
-        for member in spec.members:
-            outbox_map = _resolve_outboxes(spec, member, ports)
-            record.member_outboxes[member].send(sm.Commit(
-                session_id, member, outboxes=outbox_map,
-                params=dict(spec.params),
-                deliveries=_resolve_deliveries(spec, member)))
-
-        awaiting = set(spec.members)
-        while awaiting:
-            msg = yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, sm.Ready) and m.member in awaiting)
-            if msg is None:
-                # Members that accepted are active; unwind via unlink.
-                for member in spec.members:
-                    record.member_outboxes[member].send(
-                        sm.Unlink(session_id, member))
-                self._dispose(session_id)
-                raise SessionError(
-                    f"session {session_id!r}: not ready: {sorted(awaiting)}")
-            awaiting.discard(msg.member)
+        commits = {member: self._commit(addresses[member], session_id,
+                                        spec, member, ports, deadline)
+                   for member in spec.members}
+        error = yield from self._all(commits)
+        if error is not None:
+            # Members that committed are active; unwind via unlink.
+            for member in spec.members:
+                self._proxy(addresses[member]).invoke("unlink", session_id)
+            del self._records[session_id]
+            raise SessionError(f"session {session_id!r}: not ready: "
+                               f"{_unanswered(commits)}") from error
 
         return Session(self, spec, session_id, ports)
 
@@ -215,93 +174,59 @@ class Initiator(Dapplet):
                 raise SessionError(
                     f"growth binding {b} references unknown member {other!r}")
 
-        record = self._records[session.session_id]
+        sid, member = session.session_id, mspec.member
+        addresses = self._records[sid]
         deadline = self.kernel.now + timeout
         address = yield from self._resolve_address(mspec)
-        outbox = self.create_outbox()
-        outbox.add(InboxAddress(address, CONTROL_INBOX))
-        record.member_outboxes[mspec.member] = outbox
-        record.member_addresses[mspec.member] = address
-        outbox.send(sm.Prepare(
-            session_id=session.session_id, app=session.spec.app,
-            member=mspec.member, initiator=self.address,
-            reply_to=record.control.named_address,
-            inboxes=mspec.inboxes, regions=dict(mspec.regions),
-            principal=self.principal))
-
-        msg = yield from self._await_matching(
-            record, deadline,
-            lambda m: isinstance(m, (sm.Accept, sm.Reject))
-            and m.member == mspec.member)
-        if msg is None:
-            # A late accept must not leave the member prepared forever;
-            # FIFO puts this abort after the prepare on its channel.
-            outbox.send(sm.Abort(session.session_id, mspec.member))
-            self._drop_member_outbox(record, mspec.member)
-            raise SessionError(
-                f"growth of {session.session_id!r}: no reply from "
-                f"{mspec.member!r} within {timeout}s")
-        if isinstance(msg, sm.Reject):
-            self._drop_member_outbox(record, mspec.member)
-            raise SessionRejected(
-                f"member {mspec.member!r} rejected joining "
-                f"{session.session_id!r}: {msg.reason}",
-                participant=mspec.member, reason=msg.reason)
-        accept = msg
-
-        session.ports[mspec.member] = dict(accept.ports)
-        session.spec.members[mspec.member] = mspec
-        session.spec.bindings.extend(bindings)
-
         try:
-            # Commit the new member's own outboxes.
-            outbox_map = _resolve_outboxes(session.spec, mspec.member,
-                                           session.ports, only=bindings)
-            outbox.send(sm.Commit(session.session_id, mspec.member,
-                                  outboxes=outbox_map,
-                                  params=dict(session.spec.params),
-                                  deliveries=_resolve_deliveries(
-                                      session.spec, mspec.member,
-                                      only=bindings)))
+            ports = yield self._prepare(address, sid, session.spec.app, mspec,
+                                        False, deadline)
+        except RpcError as error:
+            if error.remote_type == "SessionRejected":
+                raise SessionRejected(
+                    f"member {member!r} rejected joining {sid!r}: "
+                    f"{error.remote_message}",
+                    participant=member, reason=error.remote_message)
+            # A late accept must not leave the member prepared forever;
+            # the abort follows the prepare on its channel.
+            self._proxy(address).invoke("abort", sid)
+            raise SessionError(
+                f"growth of {sid!r}: no reply from {member!r} within "
+                f"{timeout}s") from error
 
-            # Rewire existing members toward the new one (acknowledged).
-            toward_new = [b for b in bindings
-                          if b.dst_member == mspec.member]
-            yield from self._send_bind_adds(session, record, toward_new,
-                                            deadline)
-
-            msg = yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, sm.Ready)
-                and m.member == mspec.member)
-            if msg is None:
-                raise SessionError(
-                    f"growth of {session.session_id!r}: {mspec.member!r} "
-                    "never became ready")
+        addresses[member] = address
+        session.ports[member] = dict(ports)
+        session.spec.members[member] = mspec
+        session.spec.bindings.extend(bindings)
+        toward_new = [b for b in bindings if b.dst_member == member]
+        try:
+            # Commit the new member's own outboxes, and rewire existing
+            # members toward it (acknowledged).
+            commit = self._commit(address, sid, session.spec, member,
+                                  session.ports, deadline, only=bindings)
+            binds = self._bind_adds(session, toward_new, deadline)
+            error = yield from self._all({**binds, member: commit})
+            if error is not None:
+                if _unanswered(binds):
+                    raise _unbound(sid, binds) from error
+                raise SessionError(f"growth of {sid!r}: {member!r} never "
+                                   "became ready") from error
         except SessionError:
             # Roll the half-grown member back out: unlink it, remove the
             # channels existing members added toward it, and restore the
             # session records.
-            outbox.send(sm.Unlink(session.session_id, mspec.member))
-            for b in bindings:
-                if b.dst_member != mspec.member:
-                    continue
-                record.member_outboxes[b.src_member].send(sm.BindRemove(
-                    session.session_id, b.src_member, b.outbox,
-                    targets=(accept.ports[b.inbox],)))
-            session.ports.pop(mspec.member, None)
-            session.spec.members.pop(mspec.member, None)
+            self._proxy(address).invoke("unlink", sid)
+            for b in toward_new:
+                self._proxy(addresses[b.src_member]).invoke(
+                    "bind_remove", sid, b.outbox, (ports[b.inbox],))
+            del addresses[member]
+            session.ports.pop(member, None)
+            session.spec.members.pop(member, None)
             session.spec.bindings = [
                 b for b in session.spec.bindings if b not in bindings]
-            self._drop_member_outbox(record, mspec.member)
             raise
-        session.members.add(mspec.member)
+        session.members.add(member)
         return session
-
-    def _drop_member_outbox(self, record: _Record, member: str) -> None:
-        outbox = record.member_outboxes.pop(member, None)
-        if outbox is not None:
-            self.outboxes.pop(outbox.ref, None)
 
     def _add_bindings(self, session: Session, bindings: list[Binding],
                       timeout: float) -> Generator:
@@ -319,40 +244,27 @@ class Initiator(Dapplet):
                 raise SessionError(
                     f"binding {b}: member {b.dst_member!r} has no session "
                     f"inbox {b.inbox!r}")
-        record = self._records[session.session_id]
-        deadline = self.kernel.now + timeout
-        yield from self._send_bind_adds(session, record, bindings, deadline)
+        binds = self._bind_adds(session, bindings,
+                                self.kernel.now + timeout)
+        error = yield from self._all(binds)
+        if error is not None:
+            raise _unbound(session.session_id, binds) from error
         session.spec.bindings.extend(bindings)
         return session
 
-    def _send_bind_adds(self, session: Session, record: _Record,
-                        bindings: list[Binding],
-                        deadline: float) -> Generator:
-        additions: dict[str, dict[str, list[InboxAddress]]] = {}
-        deliveries: dict[tuple[str, str], str] = {}
-        for b in bindings:
-            additions.setdefault(b.src_member, {}).setdefault(
-                b.outbox, []).append(session.ports[b.dst_member][b.inbox])
-            if b.delivery != RELIABLE:
-                deliveries[(b.src_member, b.outbox)] = b.delivery
-        awaiting: set[tuple[str, str]] = set()
-        for member, outbox_targets in additions.items():
-            for outbox_name, targets in outbox_targets.items():
-                record.member_outboxes[member].send(sm.BindAdd(
-                    session.session_id, member, outbox_name,
-                    targets=tuple(targets),
-                    delivery=deliveries.get((member, outbox_name), "")))
-                awaiting.add((member, outbox_name))
-        while awaiting:
-            msg = yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, sm.BindAck)
-                and (m.member, m.outbox) in awaiting)
-            if msg is None:
-                raise SessionError(
-                    f"session {session.session_id!r}: bind-adds "
-                    f"unacknowledged: {sorted(awaiting)}")
-            awaiting.discard((msg.member, msg.outbox))
+    def _bind_adds(self, session: Session, bindings: list[Binding],
+                   deadline: float) -> dict[tuple[str, str], Event]:
+        """One ``bind_add`` call per (member, outbox) ``bindings`` extend."""
+        addresses = self._records[session.session_id]
+        calls = {}
+        for member in dict.fromkeys(b.src_member for b in bindings):
+            outboxes, deliveries = _wiring(bindings, member, session.ports)
+            for outbox, targets in outboxes.items():
+                calls[(member, outbox)] = self._call(
+                    addresses[member], deadline, "bind_add",
+                    session.session_id, outbox, targets,
+                    deliveries.get(outbox, ""))
+        return calls
 
     # -- shrinkage ---------------------------------------------------------------
 
@@ -361,30 +273,24 @@ class Initiator(Dapplet):
         if member not in session.members:
             raise SessionError(
                 f"member {member!r} is not in session {session.session_id!r}")
-        record = self._records[session.session_id]
+        sid = session.session_id
+        addresses = self._records[sid]
         deadline = self.kernel.now + timeout
 
         # Remove channels pointing at the departing member.
-        removals: dict[str, dict[str, list[InboxAddress]]] = {}
+        removals: dict[tuple[str, str], list[InboxAddress]] = {}
         for b in session.spec.bindings:
             if b.dst_member == member and b.src_member in session.members:
-                removals.setdefault(b.src_member, {}).setdefault(
-                    b.outbox, []).append(session.port(member, b.inbox))
-        for src, outbox_targets in removals.items():
-            for outbox_name, targets in outbox_targets.items():
-                record.member_outboxes[src].send(sm.BindRemove(
-                    session.session_id, src, outbox_name,
-                    targets=tuple(targets)))
+                removals.setdefault((b.src_member, b.outbox), []).append(
+                    session.port(member, b.inbox))
+        for (src, outbox), targets in removals.items():
+            self._proxy(addresses[src]).invoke(
+                "bind_remove", sid, outbox, tuple(targets))
 
-        record.member_outboxes[member].send(
-            sm.Unlink(session.session_id, member))
-        if member not in record.departed:
-            # Tolerate a silent member: a None result just means it is
-            # unlinked without confirmation.
-            yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, (sm.UnlinkAck, sm.Leave))
-                and m.member == member)
+        try:
+            yield self._call(addresses.pop(member), deadline, "unlink", sid)
+        except RpcError:
+            pass  # a silent member is unlinked without confirmation
 
         session.members.discard(member)
         session.ports.pop(member, None)
@@ -399,76 +305,80 @@ class Initiator(Dapplet):
     def _terminate(self, session: Session, timeout: float) -> Generator:
         if session.terminated:
             return session
-        record = self._records[session.session_id]
+        addresses = self._records[session.session_id]
         deadline = self.kernel.now + timeout
-        awaiting = set(session.members) - record.departed
         # Sorted, not set order: unlink order must not depend on string
         # hashing, or same-seed traces differ across interpreter runs.
-        for member in sorted(awaiting):
-            record.member_outboxes[member].send(
-                sm.Unlink(session.session_id, member))
-        while awaiting:
-            msg = yield from self._await_matching(
-                record, deadline,
-                lambda m: isinstance(m, (sm.UnlinkAck, sm.Leave))
-                and m.member in awaiting)
-            if msg is None:
-                break  # tolerate silent members; teardown proceeds
-            awaiting.discard(msg.member)
+        # Silent members are tolerated; teardown proceeds.
+        yield from self._all({
+            member: self._call(addresses[member], deadline, "unlink",
+                               session.session_id)
+            for member in sorted(session.members)})
         session.terminated = True
-        self._dispose(session.session_id)
+        del self._records[session.session_id]
         return session
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _next_control(self, record: _Record,
-                      deadline: float) -> Generator:
-        """Receive the next control message before ``deadline``.
+    def _proxy(self, address: NodeAddress) -> RemoteProxy:
+        """The proxy on the session facet of the member at ``address``."""
+        proxy = self._proxies.get(address)
+        if proxy is None:
+            proxy = self._proxies[address] = RemoteProxy(
+                self, InboxAddress(address, CONTROL_INBOX))
+        return proxy
 
-        Returns ``None`` on timeout. ``Leave`` notices are recorded on
-        the session record as they pass through and handed to callers
-        that care.
-        """
-        remaining = deadline - self.kernel.now
-        if remaining <= 0:
-            return None
+    def _call(self, address: NodeAddress, deadline: float, method: str,
+              *args) -> Event:
+        """Call ``method`` on the facet at ``address``; the call fails
+        with :class:`~repro.errors.RpcTimeout` at ``deadline``."""
+        return self._proxy(address).call(
+            method, *args, timeout=max(0.0, deadline - self.kernel.now))
+
+    def _commit(self, address: NodeAddress, session_id: str,
+                spec: SessionSpec, member: str, ports: dict,
+                deadline: float, only: list[Binding] | None = None) -> Event:
+        outboxes, deliveries = _wiring(
+            spec.bindings if only is None else only, member, ports)
+        return self._call(address, deadline, "commit", session_id, outboxes,
+                          dict(spec.params), deliveries)
+
+    def _prepare(self, address: NodeAddress, session_id: str, app: str,
+                 mspec: MemberSpec, queue: bool, deadline: float) -> Event:
+        # The member holds the prepare no longer than we wait for it.
+        left = max(0.0, deadline - self.kernel.now)
+        return self._call(address, deadline, "prepare", session_id, app,
+                          mspec.member, mspec.inboxes, dict(mspec.regions),
+                          queue, left)
+
+    def _all(self, calls: dict) -> Generator:
+        """Wait for every call in ``calls``. Returns ``None`` once all
+        returned, else the first failure in time; ``all_of`` defuses
+        the later ones."""
         try:
-            msg = yield record.control.receive(timeout=remaining)
-        except ReceiveTimeout:
-            return None
-        if isinstance(msg, sm.Leave):
-            record.departed.add(msg.member)
-        return msg
+            yield self.kernel.all_of(calls.values())
+        except RpcError as error:
+            return error
+        return None
 
-    def _await_matching(self, record: _Record, deadline: float,
-                        match) -> Generator:
-        """The next control message satisfying ``match``.
 
-        Consults messages earlier waits set aside, buffers non-matching
-        arrivals for later waits, and returns ``None`` on timeout — so
-        interleaved protocol exchanges (bind-acks vs. readies vs.
-        unlink-acks) never consume each other's replies.
-        """
-        for i, msg in enumerate(record.strays):
-            if match(msg):
-                del record.strays[i]
-                return msg
-        while True:
-            msg = yield from self._next_control(record, deadline)
-            if msg is None:
-                return None
-            if match(msg):
-                return msg
-            record.strays.append(msg)
+def _rejector(calls: dict[str, Event], error: RpcError) -> "str | None":
+    """The member whose call failed with ``error``, if it rejected."""
+    if error.remote_type != "SessionRejected":
+        return None
+    return next(member for member, call in calls.items()
+                if call.triggered and call.value is error)
 
-    def _dispose(self, session_id: str) -> None:
-        record = self._records.pop(session_id, None)
-        if record is not None:
-            self.close_inbox(record.control)
-            # Release the per-member control outboxes so a long-lived
-            # initiator does not accumulate ports across sessions.
-            for outbox in record.member_outboxes.values():
-                self.outboxes.pop(outbox.ref, None)
+
+def _unanswered(calls: dict) -> list:
+    """The keys of ``calls`` that have not returned, sorted."""
+    return sorted(key for key, call in calls.items()
+                  if not (call.triggered and call.ok))
+
+
+def _unbound(session_id: str, binds: dict) -> SessionError:
+    return SessionError(f"session {session_id!r}: bind-adds "
+                        f"unacknowledged: {_unanswered(binds)}")
 
 
 def _copy_spec(spec: SessionSpec) -> SessionSpec:
@@ -478,30 +388,19 @@ def _copy_spec(spec: SessionSpec) -> SessionSpec:
     return copy
 
 
-def _resolve_outboxes(spec: SessionSpec, member: str,
-                      ports: dict[str, dict[str, InboxAddress]],
-                      only: list[Binding] | None = None,
-                      ) -> dict[str, tuple[InboxAddress, ...]]:
-    """Map a member's outbox names to the resolved target addresses."""
-    result: dict[str, list[InboxAddress]] = {}
-    bindings = only if only is not None else spec.bindings
+def _wiring(bindings: list[Binding], member: str,
+            ports: dict[str, dict[str, InboxAddress]],
+            ) -> tuple[dict[str, tuple[InboxAddress, ...]], dict[str, str]]:
+    """What ``member``'s outboxes bind to among ``bindings``: outbox name
+    -> target addresses, and outbox name -> delivery class for the
+    non-RELIABLE ones only (absent names default to RELIABLE, so
+    pre-class sessions serialize byte-identically)."""
+    targets: dict[str, list[InboxAddress]] = {}
+    deliveries: dict[str, str] = {}
     for b in bindings:
-        if b.src_member != member:
-            continue
-        result.setdefault(b.outbox, []).append(ports[b.dst_member][b.inbox])
-    return {name: tuple(targets) for name, targets in result.items()}
-
-
-def _resolve_deliveries(spec: SessionSpec, member: str,
-                        only: list[Binding] | None = None) -> dict[str, str]:
-    """The member's non-default delivery classes, outbox name -> class.
-
-    Only non-RELIABLE entries travel in the Commit (absent names default
-    to RELIABLE), so pre-class sessions serialize byte-identically.
-    """
-    result: dict[str, str] = {}
-    bindings = only if only is not None else spec.bindings
-    for b in bindings:
-        if b.src_member == member and b.delivery != RELIABLE:
-            result[b.outbox] = b.delivery
-    return result
+        if b.src_member == member:
+            targets.setdefault(b.outbox, []).append(
+                ports[b.dst_member][b.inbox])
+            if b.delivery != RELIABLE:
+                deliveries[b.outbox] = b.delivery
+    return {name: tuple(t) for name, t in targets.items()}, deliveries

@@ -1,14 +1,21 @@
 """The per-dapplet session manager servlet.
 
-Every dapplet runs one: a server process on the well-known ``_session``
-inbox that speaks the link-up protocol. On ``Prepare`` it checks the
-access-control list, the initiating principal's capability grants (on
-owned dapplets; see :mod:`repro.registry`) and session interference,
-creates the member's session inboxes, and replies with their
-global addresses; on ``Commit`` it builds and binds the outboxes, hands
-the application its :class:`SessionContext`, and reports ``Ready``; on
-``Unlink``/``Abort`` it tears down. ``BindAdd``/``BindRemove`` rewire
-channels when the session grows or shrinks.
+Every dapplet runs one: it exports a :class:`SessionFacet` on the
+well-known ``_session`` inbox, and initiators call it (see
+:mod:`repro.rpc`). ``prepare`` checks the access-control list, the
+initiating principal's capability grants (on owned dapplets; see
+:mod:`repro.registry`) and session interference, creates the member's
+session inboxes, and returns their global addresses; ``commit`` builds
+and binds the outboxes and hands the application its
+:class:`SessionContext`; ``unlink`` / ``abort`` tear down.
+``bind_add`` / ``bind_remove`` rewire channels when the session grows or
+shrinks.
+
+A prepared member whose initiator never commits or aborts is released
+at the initiator's own deadline: ``prepare`` carries the time the
+initiator has left, and the next facet call after ``receipt + timeout``
+aborts the entry (presumed abort). No timer is armed per session, and a
+committed session is never touched.
 """
 
 from __future__ import annotations
@@ -16,24 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
-from repro.errors import BindingError
+from repro.errors import BindingError, SessionError, SessionRejected
 from repro.mailbox.inbox import Inbox
-from repro.net.address import InboxAddress
-from repro.session import messages as sm
+from repro.net.address import InboxAddress, NodeAddress
+from repro.rpc.remote import export
 from repro.session.interference import regions_conflict
 from repro.session.session import SessionContext
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
+    from repro.rpc.messages import Invoke
 
 #: Well-known name of the session-control inbox on every dapplet.
 CONTROL_INBOX = "_session"
-
-#: How many ended-session reply addresses to remember for acknowledging
-#: duplicate unlinks. Bounds state on long-lived dapplets; a duplicate
-#: unlink for a session older than the newest TOMBSTONES is silently
-#: dropped, which the initiator's terminate timeout already tolerates.
-TOMBSTONES = 256
 
 
 @dataclass
@@ -54,6 +57,25 @@ ManagerStats = SessionStats
 
 
 @dataclass
+class _Prepare:
+    """One prepare call as received; a queued one waits in this form."""
+
+    session_id: str
+    app: str
+    member: str
+    initiator: NodeAddress
+    principal: str
+    inboxes: tuple
+    regions: dict[str, str]
+    queue: bool
+    #: Receipt time plus the initiator's remaining timeout: never earlier
+    #: than the moment the initiator gives up.
+    deadline: float
+    #: Fires with the ports once a queued prepare is admitted.
+    admitted: Event | None = None
+
+
+@dataclass
 class _Entry:
     """One session this dapplet is (or is preparing to be) part of."""
 
@@ -61,13 +83,71 @@ class _Entry:
     app: str
     member: str
     regions: dict[str, str]
-    reply_to: InboxAddress
+    deadline: float
     inboxes: dict[str, Inbox] = dc_field(default_factory=dict)
     ctx: SessionContext | None = None
 
     @property
     def active(self) -> bool:
         return self.ctx is not None and self.ctx.active
+
+    def ports(self) -> dict[str, InboxAddress]:
+        return {n: ib.named_address for n, ib in self.inboxes.items()}
+
+
+class SessionFacet:
+    """What a dapplet exports on ``_session``: the link-up protocol.
+
+    The manager itself is not exported, so ``active_sessions()`` and
+    ``stats`` cannot be invoked from the network. The facet checks its
+    own callers (ACL, ``session.establish`` and the manifest's
+    ``requires``), so no ``rpc.call:<method>`` gate applies and each
+    method is handed the calling ``Invoke``. Every call first releases
+    the prepares whose initiator has given up.
+    """
+
+    authorizes_callers = True
+
+    def __init__(self, manager: "SessionManager") -> None:
+        self._manager = manager
+
+    def prepare(self, caller: "Invoke", session_id: str, app: str,
+                member: str, inboxes, regions, queue: bool,
+                timeout: float) -> "dict | Event":
+        """Link ``member`` up: its session ports, or — ``queue`` and
+        interference — an event firing with them once admitted. Raises
+        :class:`SessionRejected` with the reason as its message."""
+        manager = self._manager
+        manager._release_expired()
+        return manager._prepare(_Prepare(
+            session_id, app, member, caller.reply_to.node, caller.principal,
+            tuple(inboxes), dict(regions), queue,
+            manager.kernel.now + timeout))
+
+    def commit(self, caller: "Invoke", session_id: str, outboxes,
+               params, deliveries) -> None:
+        self._manager._release_expired()
+        self._manager._commit(session_id, outboxes, params, deliveries)
+
+    def abort(self, caller: "Invoke", session_id: str) -> None:
+        self._manager._release_expired()
+        self._manager._abort(session_id)
+
+    def unlink(self, caller: "Invoke", session_id: str) -> None:
+        """Answered for any session, known or not (a member that left
+        answers its initiator's unlink itself)."""
+        self._manager._release_expired()
+        self._manager._unlink(session_id)
+
+    def bind_add(self, caller: "Invoke", session_id: str, outbox: str,
+                 targets, delivery: str) -> None:
+        self._manager._release_expired()
+        self._manager._bind_add(session_id, outbox, targets, delivery)
+
+    def bind_remove(self, caller: "Invoke", session_id: str, outbox: str,
+                    targets) -> None:
+        self._manager._release_expired()
+        self._manager._bind_remove(session_id, outbox, targets)
 
 
 class SessionManager:
@@ -79,12 +159,9 @@ class SessionManager:
         self.stats = SessionStats()
         self._entries: dict[str, _Entry] = {}
         #: Prepares held back by interference (queue=True), FIFO.
-        self._admission_queue: list[sm.Prepare] = []
-        #: session id -> last known reply address (survives teardown so
-        #: duplicate terminations still get acknowledged).
-        self._reply_addresses: dict[str, InboxAddress] = {}
-        self.inbox = dapplet.create_inbox(name=CONTROL_INBOX)
-        self.server = dapplet.spawn(self._serve(), name="session-manager")
+        self._admission_queue: list[_Prepare] = []
+        self._remote = export(dapplet, SessionFacet(self), name=CONTROL_INBOX)
+        self.inbox = self._remote.inbox
 
     # -- helpers ----------------------------------------------------------
 
@@ -95,14 +172,14 @@ class SessionManager:
         return any(regions_conflict(regions, e.regions)
                    for e in self._entries.values())
 
-    def _queued_ahead(self, msg: sm.Prepare) -> bool:
+    def _queued_ahead(self, req: _Prepare) -> bool:
         """FIFO fairness for *fresh* arrivals: a prepare that conflicts
         with an already-queued one waits behind it rather than
         overtaking it. (Admissions from the queue itself never consult
         this — they are FIFO-selected by :meth:`_admit_queued`.)"""
-        return any(regions_conflict(dict(msg.regions), dict(q.regions))
+        return any(regions_conflict(req.regions, q.regions)
                    for q in self._admission_queue
-                   if q.session_id != msg.session_id)
+                   if q.session_id != req.session_id)
 
     def _admit_queued(self) -> None:
         """Admit queued prepares whose conflicts are gone.
@@ -114,21 +191,31 @@ class SessionManager:
         progressed = True
         while progressed:
             progressed = False
-            earlier: list[sm.Prepare] = []
-            for msg in list(self._admission_queue):
-                if msg.session_id in self._entries:
-                    self._admission_queue.remove(msg)  # duplicate
-                    progressed = True
-                    break
-                regions = dict(msg.regions)
-                if not self._interferes(regions) and not any(
-                        regions_conflict(regions, dict(e.regions))
+            earlier: list[_Prepare] = []
+            for req in list(self._admission_queue):
+                if not self._interferes(req.regions) and not any(
+                        regions_conflict(req.regions, e.regions)
                         for e in earlier):
-                    self._admission_queue.remove(msg)
-                    self._on_prepare(msg, from_queue=True)
+                    self._admission_queue.remove(req)
+                    try:
+                        req.admitted.succeed(
+                            self._prepare(req, from_queue=True))
+                    except SessionRejected as exc:
+                        req.admitted.fail(exc)
                     progressed = True
                     break
-                earlier.append(msg)
+                earlier.append(req)
+
+    def _release_expired(self) -> None:
+        """Presumed abort: drop queued prepares and abort prepared
+        (uncommitted) entries whose initiator's deadline has passed."""
+        now = self.kernel.now
+        self._admission_queue = [q for q in self._admission_queue
+                                 if q.deadline >= now]
+        for sid in [sid for sid, e in self._entries.items()
+                    if e.ctx is None and e.deadline < now]:
+            self._abort(sid)
+        self._admit_queued()
 
     def _denied_verb(self, principal: str) -> "str | None":
         """The first session-gate verb ``principal`` lacks, or ``None``.
@@ -147,115 +234,72 @@ class SessionManager:
                 return verb
         return None
 
-    # -- the server loop -----------------------------------------------------
+    def _reject(self, req: _Prepare, reason: str) -> SessionRejected:
+        tr = self.kernel.tracer
+        if tr is not None:
+            tr.emit("session", "reject", node=self.dapplet.address,
+                    sid=req.session_id, member=req.member, reason=reason)
+        return SessionRejected(reason, participant=req.member, reason=reason)
 
-    def _serve(self):
-        handlers = {
-            sm.Prepare: self._on_prepare,
-            sm.Commit: self._on_commit,
-            sm.Abort: self._on_abort,
-            sm.Unlink: self._on_unlink,
-            sm.BindAdd: self._on_bind_add,
-            sm.BindRemove: self._on_bind_remove,
-        }
-        while True:
-            msg = yield self.inbox.receive()
-            handler = handlers.get(type(msg))
-            if handler is not None:
-                handler(msg)
-            # Unknown control messages are ignored (forward compatibility).
+    # -- protocol steps (reached through the facet) ----------------------------
 
-    # -- protocol handlers -----------------------------------------------------
-
-    def _on_prepare(self, msg: sm.Prepare, *, from_queue: bool = False) -> None:
+    def _prepare(self, req: _Prepare, *,
+                 from_queue: bool = False) -> "dict | Event":
         self.stats.prepares += 1
-        existing = self._entries.get(msg.session_id)
+        existing = self._entries.get(req.session_id)
         if existing is not None:
             # Duplicate prepare (initiator retry): re-accept idempotently.
             self.stats.accepts += 1
-            self.dapplet.post(msg.reply_to, sm.Accept(
-                msg.session_id, existing.member,
-                {n: ib.named_address for n, ib in existing.inboxes.items()}))
-            return
-        tr = self.kernel.tracer
-        if not self.dapplet.acl.allows(msg.initiator):
+            return existing.ports()
+        if not self.dapplet.acl.allows(req.initiator):
             self.stats.rejects_acl += 1
-            if tr is not None:
-                tr.emit("session", "reject", node=self.dapplet.address,
-                        sid=msg.session_id, member=msg.member, reason="acl")
-            self.dapplet.post(msg.reply_to, sm.Reject(
-                msg.session_id, msg.member, reason="acl"))
-            return
+            raise self._reject(req, "acl")
         if self.dapplet.owner is not None:
             # Owned dapplet: the initiating principal must hold
             # session.establish plus every manifest-required verb.
-            denied = self._denied_verb(msg.principal)
+            denied = self._denied_verb(req.principal)
             if denied is not None:
                 self.stats.rejects_capability += 1
-                reason = f"capability:{denied}"
-                if tr is not None:
-                    tr.emit("session", "reject", node=self.dapplet.address,
-                            sid=msg.session_id, member=msg.member,
-                            reason=reason)
-                self.dapplet.post(msg.reply_to, sm.Reject(
-                    msg.session_id, msg.member, reason=reason))
-                return
-        if not from_queue and any(q.session_id == msg.session_id
-                                  for q in self._admission_queue):
-            return  # already queued; a retry changes nothing
-        regions = dict(msg.regions)
-        if self._interferes(regions) or (not from_queue
-                                         and self._queued_ahead(msg)):
-            if msg.queue:
+                raise self._reject(req, f"capability:{denied}")
+        if not from_queue:
+            for queued in self._admission_queue:
+                if queued.session_id == req.session_id:
+                    return queued.admitted  # a retry changes nothing
+        if self._interferes(req.regions) or (not from_queue
+                                             and self._queued_ahead(req)):
+            if req.queue:
                 # "Not scheduled concurrently": admit later, in arrival
                 # order, once the conflicting sessions are gone.
                 self.stats.queued += 1
-                self._admission_queue.append(msg)
-                return
+                req.admitted = self.kernel.event()
+                self._admission_queue.append(req)
+                return req.admitted
             self.stats.rejects_interference += 1
-            if tr is not None:
-                tr.emit("session", "reject", node=self.dapplet.address,
-                        sid=msg.session_id, member=msg.member,
-                        reason="interference")
-            self.dapplet.post(msg.reply_to, sm.Reject(
-                msg.session_id, msg.member, reason="interference"))
-            return
+            raise self._reject(req, "interference")
 
-        entry = _Entry(session_id=msg.session_id, app=msg.app,
-                       member=msg.member, regions=regions,
-                       reply_to=msg.reply_to)
-        for port_name in msg.inboxes:
+        entry = _Entry(session_id=req.session_id, app=req.app,
+                       member=req.member, regions=req.regions,
+                       deadline=req.deadline)
+        for port_name in req.inboxes:
             entry.inboxes[port_name] = self.dapplet.create_inbox(
-                name=f"{msg.session_id}:{port_name}")
-        self._entries[msg.session_id] = entry
-        self._reply_addresses[msg.session_id] = msg.reply_to
-        if len(self._reply_addresses) > TOMBSTONES:
-            # Evict the oldest *ended* session's address (dicts iterate
-            # in insertion order); live sessions are never evicted.
-            for sid in self._reply_addresses:
-                if sid not in self._entries:
-                    del self._reply_addresses[sid]
-                    break
+                name=f"{req.session_id}:{port_name}")
+        self._entries[req.session_id] = entry
         self.stats.accepts += 1
-        self.dapplet.post(msg.reply_to, sm.Accept(
-            msg.session_id, msg.member,
-            {n: ib.named_address for n, ib in entry.inboxes.items()}))
+        return entry.ports()
 
-    def _on_commit(self, msg: sm.Commit) -> None:
-        entry = self._entries.get(msg.session_id)
+    def _commit(self, session_id: str, outboxes, params,
+                deliveries) -> None:
+        entry = self._entries.get(session_id)
         if entry is None:
-            return  # committed after abort/teardown: drop
+            raise SessionError(f"no prepared session {session_id!r}")
         if entry.ctx is not None:
-            self.dapplet.post(entry.reply_to,
-                              sm.Ready(msg.session_id, entry.member))
             return  # duplicate commit
         self.stats.commits += 1
         ctx = SessionContext(
-            self.dapplet, msg.session_id, entry.app, entry.member,
-            msg.params, dict(entry.inboxes), entry.regions)
-        for name, targets in msg.outboxes.items():
-            outbox = self.dapplet.create_outbox(
-                delivery=msg.deliveries.get(name))
+            self.dapplet, session_id, entry.app, entry.member,
+            params, dict(entry.inboxes), entry.regions)
+        for name, targets in outboxes.items():
+            outbox = self.dapplet.create_outbox(delivery=deliveries.get(name))
             for target in targets:
                 outbox.add(target)
             ctx._outboxes[name] = outbox
@@ -264,67 +308,49 @@ class SessionManager:
         tr = self.kernel.tracer
         if tr is not None:
             tr.emit("session", "join", node=self.dapplet.address,
-                    sid=msg.session_id, member=entry.member, app=entry.app)
+                    sid=session_id, member=entry.member, app=entry.app)
         monitor = getattr(self.dapplet.world, "interference_monitor", None)
         if monitor is not None:
-            monitor.activated(self.dapplet.name, msg.session_id, entry.regions)
-        self.dapplet.post(entry.reply_to,
-                          sm.Ready(msg.session_id, entry.member))
+            monitor.activated(self.dapplet.name, session_id, entry.regions)
         body = self.dapplet.on_session_start(ctx)
         if body is not None:
-            ctx.process = self.dapplet.spawn(
-                body, name=f"session:{msg.session_id}")
+            ctx.process = self.dapplet.spawn(body, name=f"session:{session_id}")
 
-    def _on_abort(self, msg: sm.Abort) -> None:
+    def _abort(self, session_id: str) -> None:
         self._admission_queue = [q for q in self._admission_queue
-                                 if q.session_id != msg.session_id]
-        entry = self._entries.pop(msg.session_id, None)
-        if entry is None:
-            self._admit_queued()
-            return
-        self.stats.aborts += 1
-        tr = self.kernel.tracer
-        if tr is not None:
-            tr.emit("session", "abort", node=self.dapplet.address,
-                    sid=entry.session_id, member=entry.member)
-        for inbox in entry.inboxes.values():
-            self.dapplet.close_inbox(inbox)
-        self.dapplet.unpost(entry.reply_to)
+                                 if q.session_id != session_id]
+        entry = self._entries.pop(session_id, None)
+        if entry is not None:
+            self.stats.aborts += 1
+            tr = self.kernel.tracer
+            if tr is not None:
+                tr.emit("session", "abort", node=self.dapplet.address,
+                        sid=entry.session_id, member=entry.member)
+            for inbox in entry.inboxes.values():
+                self.dapplet.close_inbox(inbox)
         self._admit_queued()
 
-    def _on_unlink(self, msg: sm.Unlink) -> None:
-        entry = self._entries.get(msg.session_id)
-        reply_to = self._reply_addresses.get(msg.session_id)
-        if reply_to is not None:
-            # Ack first: teardown drops the cached reply outbox, and the
-            # transmission is already handed to the endpoint by then.
-            member = entry.member if entry is not None else msg.member
-            self.dapplet.post(reply_to, sm.UnlinkAck(msg.session_id, member))
-        if entry is not None:
-            self._teardown(entry)
-
-    def _on_bind_add(self, msg: sm.BindAdd) -> None:
-        entry = self._entries.get(msg.session_id)
+    def _bind_add(self, session_id: str, name: str, targets,
+                  delivery: str) -> None:
+        entry = self._entries.get(session_id)
         if entry is None or entry.ctx is None:
-            return
-        outbox = entry.ctx._outboxes.get(msg.outbox)
+            raise SessionError(f"no committed session {session_id!r}")
+        ctx = entry.ctx
+        outbox = ctx._outboxes.get(name)
         if outbox is None:
-            outbox = self.dapplet.create_outbox(
-                delivery=msg.delivery or None)
-            entry.ctx._outboxes[msg.outbox] = outbox
-        for target in msg.targets:
+            outbox = ctx._outboxes[name] = self.dapplet.create_outbox(
+                delivery=delivery or None)
+        for target in targets:
             outbox.add(target)
-        self.dapplet.post(entry.reply_to, sm.BindAck(
-            msg.session_id, entry.member, msg.outbox))
 
-    def _on_bind_remove(self, msg: sm.BindRemove) -> None:
-        entry = self._entries.get(msg.session_id)
+    def _bind_remove(self, session_id: str, name: str, targets) -> None:
+        entry = self._entries.get(session_id)
         if entry is None or entry.ctx is None:
             return
-        outbox = entry.ctx._outboxes.get(msg.outbox)
+        outbox = entry.ctx._outboxes.get(name)
         if outbox is None:
             return
-        for target in msg.targets:
+        for target in targets:
             try:
                 outbox.delete(target)
             except BindingError:
@@ -353,19 +379,12 @@ class SessionManager:
             if monitor is not None:
                 monitor.deactivated(self.dapplet.name, entry.session_id)
             self.dapplet.on_session_end(ctx)
-        # The cached reply outbox is per-session (the initiator's control
-        # inbox is); drop it so long-lived dapplets do not accumulate
-        # one per past session. A late duplicate unlink transparently
-        # recreates it via the tombstone in _reply_addresses.
-        self.dapplet.unpost(entry.reply_to)
         # Freed regions may unblock queued admissions.
         self._admit_queued()
 
-    def _member_leave(self, ctx: SessionContext, reason: str) -> None:
-        """Called by :meth:`SessionContext.leave`."""
-        entry = self._entries.get(ctx.session_id)
-        if entry is None:
-            return
-        self.dapplet.post(entry.reply_to, sm.Leave(
-            ctx.session_id, ctx.member, reason=reason))
-        self._teardown(entry)
+    def _unlink(self, session_id: str) -> None:
+        """End this member's part in ``session_id``, if it has one (also
+        :meth:`SessionContext.leave`)."""
+        entry = self._entries.get(session_id)
+        if entry is not None:
+            self._teardown(entry)

@@ -90,12 +90,13 @@ class SessionContext:
     def leave(self, reason: str = "") -> None:
         """Unilaterally leave the session (the paper's shrinking).
 
-        Tears down this member's ports immediately and sends a courtesy
-        :class:`~repro.session.messages.Leave` notice to the initiator;
-        orderly shrinkage (removing the channels that point here) is the
-        initiator's job via :meth:`Session.remove_member`.
+        Tears down this member's ports immediately. The initiator learns
+        of it when it next unlinks this member, which is answered for a
+        session the member no longer has; orderly shrinkage (removing
+        the channels that point here) is the initiator's job via
+        :meth:`Session.remove_member`. ``reason`` stays local.
         """
-        self.dapplet.sessions._member_leave(self, reason)
+        self.dapplet.sessions._unlink(self.session_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self.active else "ended"
@@ -126,7 +127,7 @@ class Session:
         """Grow the session by one member (generator; ``yield from`` it).
 
         ``bindings`` may connect the new member in either direction;
-        channels from existing members are added with ``BindAdd``.
+        channels from existing members are added by ``bind_add`` calls.
         """
         return self.initiator._grow(self, member_spec, bindings, timeout)
 

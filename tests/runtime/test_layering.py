@@ -38,8 +38,9 @@ their own class bodies, where it looks them up.
 A sixth holds "one way out, one way to call": only code that owns real
 ports opens an outbox (everything else writes to a pointer with
 ``Dapplet.post``), id-keyed pending-call tables exist in the RPC proxy
-and the token agent only, and ``services/sync`` has no message family,
-no id counter and no process of its own — it is an exported object.
+and the token agent only, and ``services/sync``, the lease table and the
+session link-up have no message family of their own — they are
+exported objects and their callers hold proxies.
 """
 
 import ast
@@ -187,11 +188,11 @@ def test_span_patch_targets_stay_in_their_own_class_bodies():
 # Every write to a global pointer leaves through ``Dapplet.post`` (which
 # owns the "replace a channel the transport gave up" rule), and every
 # request/reply correlation is the RPC's. Code that owns real ports —
-# the dapplet itself, session wiring, the termination ring — is the only
-# code that may open an outbox.
+# the dapplet itself, a member's session wiring, the termination ring —
+# is the only code that may open an outbox.
 
 PORT_OWNERS = {"dapplet/dapplet.py", "session/manager.py",
-               "session/initiator.py", "services/termination.py"}
+               "services/termination.py"}
 
 
 def _calls_to(path: pathlib.Path, name: str) -> int:
@@ -215,7 +216,8 @@ def test_only_port_owners_open_outboxes():
         "servlets and their clients write to a pointer with Dapplet.post; "
         f"unexpected create_outbox( in {sorted(openers - PORT_OWNERS)}")
     for client in ("rpc/proxy.py", "services/tokens/manager.py",
-                   "services/sync/distributed.py", "discovery/table.py"):
+                   "services/sync/distributed.py", "discovery/table.py",
+                   "session/initiator.py"):
         assert client not in openers
     # Failover is "advance the index": no rebind of a private outbox.
     assert _calls_to(SRC / "discovery" / "table.py", "delete") == 0
@@ -260,6 +262,18 @@ def test_lease_table_rides_rpc_and_keeps_one_message_of_its_own():
     assert "itertools" not in _imported_modules(SRC / "discovery" / "table.py")
 
 
+def test_session_link_up_rides_rpc_and_adds_no_protocol_of_its_own():
+    from repro.messages import registered_types
+    import repro.session  # noqa: F401 - the import is the subject
+    assert not [t for t in registered_types() if t.startswith("session.")]
+    assert not (SRC / "session" / "messages.py").exists()
+    # The initiator calls proxies: it opens no port and matches no reply.
+    initiator = SRC / "session" / "initiator.py"
+    assert not _calls_to(initiator, "create_inbox")
+    assert not _calls_to(initiator, "create_outbox")
+    assert not _calls_to(initiator, "receive")
+
+
 def test_rpc_span_targets_keep_the_shape_e20_patches():
     """E20 patches these methods by class and name, and attributes a
     process slice to the file its generator is defined in."""
@@ -269,10 +283,15 @@ def test_rpc_span_targets_keep_the_shape_e20_patches():
     from repro.registry.store import StoreClient
     from repro.rpc import proxy, remote
     from repro.services.tokens.manager import TokenAgent
+    from repro.session.initiator import Initiator
     for cls, name in ((proxy.RemoteProxy, "call"), (TokenAgent, "request"),
                       (TokenAgent, "release"), (Resolver, "resolve"),
-                      (StoreClient, "lookup")):
+                      (StoreClient, "lookup"), (Initiator, "establish"),
+                      (Initiator, "_terminate")):
         assert name in vars(cls), f"{cls.__name__}.{name}"
+    # Wrapped as generators: a span covers the whole protocol run.
+    for name in ("establish", "_terminate"):
+        assert inspect.isgeneratorfunction(vars(Initiator)[name]), name
     for module, cls, name in ((remote, remote.RemoteObject, "_serve"),
                               (proxy, proxy.RemoteProxy, "_dispatch")):
         loop = vars(cls)[name]

@@ -1,7 +1,7 @@
 """Unit tests: the registry capability gate in the session manager.
 
 Enforcement is opt-in per dapplet: only members stamped with an
-``owner=`` principal consult the world registry on Prepare. A denial
+``owner=`` principal consult the world registry on prepare. A denial
 surfaces as ``SessionRejected(reason="capability:<verb>")`` carrying
 the exact verb the initiating principal lacks, and bumps the member's
 ``SessionStats.rejects_capability`` counter.
@@ -113,7 +113,7 @@ def test_owner_always_passes_own_dapplets(world):
 
 
 def test_revocation_denies_the_next_establish(world):
-    """Revoking clears the decision cache: the very next Prepare is
+    """Revoking clears the decision cache: the very next prepare is
     denied, and the denial is audited as a ``reg`` deny event."""
     from repro import Tracer
     from repro.session import Initiator

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SessionError, SessionRejected
 from repro.messages import Text
+from repro.net import InboxAddress
+from repro.rpc import RemoteProxy
 from repro.session import InterferenceMonitor, SessionSpec
 from repro.session.manager import CONTROL_INBOX
 
@@ -202,27 +204,17 @@ def test_fanout_session_topology(world, initiator):
 def test_duplicate_prepare_is_idempotent(world, initiator):
     """A retried prepare gets the same ports back."""
     a = world.dapplet(PassiveDapplet, "caltech.edu", "a")
-    from repro.session import messages as sm
-
+    proxy = RemoteProxy(initiator, InboxAddress(a.address, CONTROL_INBOX))
     ports = []
 
     def poke():
-        control = initiator.create_inbox(name="probe")
-        out = initiator.create_outbox()
-        out.add(a.address.inbox(CONTROL_INBOX))
-        msg = sm.Prepare(session_id="dup#1", app="x", member="a",
-                         initiator=initiator.address,
-                         reply_to=control.named_address,
-                         inboxes=("in",), regions={})
-        out.send(msg)
-        first = yield control.receive()
-        out.send(msg)  # initiator retry
-        second = yield control.receive()
-        ports.append((first.ports, second.ports))
+        args = ("dup#1", "x", "a", ("in",), {}, False, 30.0)
+        ports.append((yield proxy.call("prepare", *args)))
+        ports.append((yield proxy.call("prepare", *args)))  # a retry
 
     p = world.process(poke())
     world.run(until=p)
-    first, second = ports[0]
+    first, second = ports
     assert first == second
     assert a.sessions.stats.prepares == 2
     assert a.sessions.stats.accepts == 2

@@ -23,7 +23,7 @@ def test_grow_session_adds_member_and_channels(world, initiator):
             [Binding("a", "to_c", "c", "in"),
              Binding("c", "out", "a", "in")])
         assert session.members == {"a", "b", "c"}
-        # a -> c over the new channel added by BindAdd.
+        # a -> c over the new channel added by bind_add.
         a.last_ctx.outbox("to_c").send(Text("welcome"))
         msg = yield c.last_ctx.inbox("in").receive()
         got.append(msg.text)
@@ -102,7 +102,7 @@ def test_shrink_removes_member_and_channels(world, initiator):
         assert len(a_out.destinations()) == 1
         yield from session.remove_member("b")
         assert session.members == {"a"}
-        # The channel a -> b was removed by BindRemove.
+        # The channel a -> b was removed by bind_remove.
         assert a_out.destinations() == ()
         logs.append(b.ended)
         yield from session.terminate()
@@ -131,24 +131,27 @@ def test_shrink_unknown_member_raises(world, initiator):
     assert errors == ["unknown"]
 
 
-def test_member_leave_notifies_initiator(world, initiator):
+def test_member_leave_is_answered_at_terminate(world, initiator):
     a = world.dapplet(PassiveDapplet, "caltech.edu", "a")
     b = world.dapplet(PassiveDapplet, "rice.edu", "b")
     log = []
 
     def director():
         session = yield from initiator.establish(pair_spec())
-        # b leaves unilaterally.
+        # b leaves unilaterally; nothing is sent.
         b.last_ctx.leave(reason="done early")
         yield world.kernel.timeout(1.0)
-        # Termination then only waits for the remaining member.
+        # b answers the unlink for the session it left, so termination
+        # costs one round trip, not the timeout.
+        began = world.now
         yield from session.terminate()
-        log.append(sorted(session.members))
+        log.append((sorted(session.members), world.now - began < 1.0))
 
     p = world.process(director())
     world.run(until=p)
     assert b.ended == 1 and a.ended == 1
-    assert log == [["a", "b"]]  # membership record retained at terminate
+    assert log == [(["a", "b"], True)]  # membership record retained
+    assert b.sessions.stats.unlinks == 1
 
 
 def test_terminate_is_idempotent(world, initiator):
@@ -174,7 +177,7 @@ def test_terminate_tolerates_dead_member(world, initiator):
 
     def director():
         session = yield from initiator.establish(pair_spec())
-        b.stop()  # b crashes; no UnlinkAck will come
+        b.stop()  # b crashes; its unlink goes unanswered
         yield from session.terminate(timeout=2.0)
         done.append(session.terminated)
 

@@ -1,10 +1,12 @@
-"""Unit tests for SessionManager protocol edge cases, driven by raw
-protocol messages (no initiator)."""
+"""Unit tests for SessionManager protocol edge cases, driven by raw calls
+on a dapplet's session facet (no initiator)."""
 
 import pytest
 
-from repro.net import ConstantLatency
-from repro.session import messages as sm
+from repro.errors import RpcError
+from repro.messages import Text
+from repro.net import ConstantLatency, InboxAddress
+from repro.rpc import RemoteProxy
 from repro.session.manager import CONTROL_INBOX
 from repro.world import World
 
@@ -16,130 +18,160 @@ def rig():
     world = World(seed=91, latency=ConstantLatency(0.01))
     target = world.dapplet(PassiveDapplet, "caltech.edu", "target")
     probe = world.dapplet(PassiveDapplet, "rice.edu", "probe")
-    control = probe.create_inbox(name="ctl")
-    out = probe.create_outbox()
-    out.add(target.address.inbox(CONTROL_INBOX))
-    return world, target, probe, control, out
+    proxy = RemoteProxy(probe, InboxAddress(target.address, CONTROL_INBOX))
+    return world, target, probe, proxy
 
 
-def prepare(probe, control, sid="s#1", member="m", inboxes=("in",),
-            regions=None):
-    return sm.Prepare(session_id=sid, app="t", member=member,
-                      initiator=probe.address,
-                      reply_to=control.named_address,
-                      inboxes=inboxes, regions=regions or {})
+def prepare(proxy, sid="s#1", member="m", inboxes=("in",), regions=None,
+            timeout=30.0):
+    return proxy.call("prepare", sid, "t", member, inboxes, regions or {},
+                      False, timeout)
 
 
-def drain(world, control, n=1):
-    got = []
+def settle(world, call):
+    """Run until ``call`` returns: its value, or the RpcError it raised."""
+    outcome = []
 
-    def reader():
-        for _ in range(n):
-            got.append((yield control.receive(timeout=5.0)))
+    def wait():
+        try:
+            outcome.append((yield call))
+        except RpcError as exc:
+            outcome.append(exc)
 
-    p = world.process(reader())
-    world.run(until=p)
-    return got
+    world.run(until=world.process(wait()))
+    return outcome[0]
 
 
-def test_commit_for_unknown_session_is_dropped(rig):
-    world, target, probe, control, out = rig
-    out.send(sm.Commit("ghost#1", "m", outboxes={}, params={}))
-    world.run()
+def test_commit_for_unknown_session_raises(rig):
+    world, target, probe, proxy = rig
+    error = settle(world, proxy.call("commit", "ghost#1", {}, {}, {}))
+    assert error.remote_type == "SessionError"
     assert target.sessions.stats.commits == 0
     assert target.sessions.active_sessions() == []
 
 
 def test_commit_after_abort_is_dropped(rig):
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control))
-    accept, = drain(world, control)
-    assert isinstance(accept, sm.Accept)
-    out.send(sm.Abort("s#1", "m"))
-    world.run()
-    out.send(sm.Commit("s#1", "m", outboxes={}, params={}))
-    world.run()
+    world, target, probe, proxy = rig
+    assert set(settle(world, prepare(proxy))) == {"in"}
+    proxy.invoke("abort", "s#1")
+    # Same proxy, same channel: the abort lands before the commit.
+    error = settle(world, proxy.call("commit", "s#1", {}, {}, {}))
+    assert error.remote_type == "SessionError"
     assert target.sessions.active_sessions() == []
+    assert target.sessions.stats.aborts == 1
     assert not hasattr(target, "last_ctx")
 
 
 def test_duplicate_commit_re_acks_ready(rig):
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control))
-    drain(world, control)
-    out.send(sm.Commit("s#1", "m", outboxes={}, params={}))
-    ready1, = drain(world, control)
-    out.send(sm.Commit("s#1", "m", outboxes={}, params={}))
-    ready2, = drain(world, control)
-    assert isinstance(ready1, sm.Ready) and isinstance(ready2, sm.Ready)
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy))
+    assert settle(world, proxy.call("commit", "s#1", {}, {}, {})) is None
+    assert settle(world, proxy.call("commit", "s#1", {}, {}, {})) is None
     assert target.sessions.stats.commits == 1  # only counted once
     # on_session_start ran once.
     assert target.last_ctx is not None
 
 
-def test_unlink_of_unknown_session_with_known_reply_acks(rig):
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control))
-    drain(world, control)
-    out.send(sm.Unlink("s#1", "m"))
-    ack1, = drain(world, control)
-    assert isinstance(ack1, sm.UnlinkAck)
-    # A second unlink (duplicate terminate) still gets acknowledged.
-    out.send(sm.Unlink("s#1", "m"))
-    ack2, = drain(world, control)
-    assert isinstance(ack2, sm.UnlinkAck)
+def test_duplicate_unlink_is_answered(rig):
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy))
+    assert settle(world, proxy.call("unlink", "s#1")) is None
+    # A second unlink (duplicate terminate) is answered too, from no
+    # state at all.
+    assert settle(world, proxy.call("unlink", "s#1")) is None
+    assert target.sessions.stats.unlinks == 1
 
 
-def test_unlink_of_never_seen_session_is_silent(rig):
-    world, target, probe, control, out = rig
-    out.send(sm.Unlink("never#1", "m"))
-    world.run()
-    assert control.is_empty  # nowhere to reply; dropped quietly
+def test_unlink_of_never_seen_session_is_answered(rig):
+    world, target, probe, proxy = rig
+    assert settle(world, proxy.call("unlink", "never#1")) is None
+    assert target.sessions.stats.unlinks == 0
 
 
 def test_bind_add_before_commit_is_dropped(rig):
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control))
-    drain(world, control)
-    out.send(sm.BindAdd("s#1", "m", "out",
-                        targets=(probe.address.inbox("ctl"),)))
-    world.run()
-    # Not committed: no ctx, no ack.
-    assert control.is_empty
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy))
+    error = settle(world, proxy.call(
+        "bind_add", "s#1", "out", (probe.address.inbox("ctl"),), ""))
+    # Not committed: no ctx, and the caller is told.
+    assert error.remote_type == "SessionError"
+    assert not hasattr(target, "last_ctx")
+
+
+def test_bind_add_is_idempotent(rig):
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy))
+    settle(world, proxy.call("commit", "s#1", {}, {}, {}))
+    dest = probe.address.inbox("ctl")
+    for _ in range(2):
+        assert settle(world, proxy.call(
+            "bind_add", "s#1", "out", (dest,), "")) is None
+    assert target.last_ctx.outbox("out").destinations() == (dest,)
 
 
 def test_bind_remove_is_idempotent(rig):
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control))
-    drain(world, control)
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy))
     target_addr = probe.address.inbox("ctl")
-    out.send(sm.Commit("s#1", "m",
-                       outboxes={"out": (target_addr,)}, params={}))
-    drain(world, control)  # Ready
+    settle(world, proxy.call("commit", "s#1", {"out": (target_addr,)}, {},
+                             {}))
     ctx = target.last_ctx
     assert ctx.outbox("out").destinations() == (target_addr,)
-    out.send(sm.BindRemove("s#1", "m", "out", targets=(target_addr,)))
+    proxy.invoke("bind_remove", "s#1", "out", (target_addr,))
     world.run()
     assert ctx.outbox("out").destinations() == ()
     # Removing again (or an unknown outbox) is harmless.
-    out.send(sm.BindRemove("s#1", "m", "out", targets=(target_addr,)))
-    out.send(sm.BindRemove("s#1", "m", "nope", targets=(target_addr,)))
+    proxy.invoke("bind_remove", "s#1", "out", (target_addr,))
+    proxy.invoke("bind_remove", "s#1", "nope", (target_addr,))
     world.run()
+    assert target.sessions._remote.errors == 0
 
 
 def test_unknown_control_message_is_ignored(rig):
-    world, target, probe, control, out = rig
-    from repro.messages import Text
-    out.send(Text("not a control message"))
+    world, target, probe, proxy = rig
+    probe.post(InboxAddress(target.address, CONTROL_INBOX),
+               Text("not a control message"))
     world.run()
     assert target.sessions.active_sessions() == []
+    assert target.sessions._remote.invocations == 0
+
+
+def test_manager_internals_are_not_invocable(rig):
+    """Only the facet is exported: the manager's own surface stays local."""
+    world, target, probe, proxy = rig
+    for method in ("active_sessions", "stats", "authorizes_callers",
+                   "_prepare"):
+        error = settle(world, proxy.call(method))
+        assert error.remote_type in ("AttributeError", "PermissionError")
 
 
 def test_prepare_with_unwritable_port_name_collision(rig):
     """Two different sessions create same-named ports: namespacing by
     session id keeps them distinct."""
-    world, target, probe, control, out = rig
-    out.send(prepare(probe, control, sid="s#1"))
-    out.send(prepare(probe, control, sid="s#2"))
-    a1, a2 = drain(world, control, n=2)
-    assert a1.ports["in"] != a2.ports["in"]
+    world, target, probe, proxy = rig
+    first, second = prepare(proxy, sid="s#1"), prepare(proxy, sid="s#2")
+    assert settle(world, first)["in"] != settle(world, second)["in"]
+
+
+def test_expired_prepare_is_released_on_the_next_call(rig):
+    """Presumed abort: a prepared entry outliving its initiator's
+    deadline is aborted lazily — by whatever facet call comes next."""
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy, regions={"cal": "rw"}, timeout=1.0))
+    world.run(until=world.now + 5.0)
+    assert list(target.sessions._entries) == ["s#1"]  # no timer fired
+    ports = settle(world, prepare(proxy, sid="s#2", regions={"cal": "rw"}))
+    assert set(ports) == {"in"}
+    assert list(target.sessions._entries) == ["s#2"]
+    assert target.sessions.stats.aborts == 1
+
+
+def test_committed_session_outlives_its_prepare_deadline(rig):
+    world, target, probe, proxy = rig
+    settle(world, prepare(proxy, regions={"cal": "rw"}, timeout=1.0))
+    settle(world, proxy.call("commit", "s#1", {}, {}, {}))
+    world.run(until=world.now + 5.0)
+    error = settle(world, prepare(proxy, sid="s#2", regions={"cal": "rw"}))
+    assert error.remote_message == "interference"
+    assert target.sessions.active_sessions() == ["s#1"]
+    assert target.sessions.stats.aborts == 0

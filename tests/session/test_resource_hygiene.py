@@ -1,5 +1,7 @@
 """Long-lived dapplets must not leak ports across many sessions."""
 
+from repro.session.manager import CONTROL_INBOX
+
 from tests.session.conftest import PassiveDapplet, pair_spec
 
 
@@ -11,16 +13,21 @@ def test_ports_do_not_accumulate_across_sessions(world, initiator):
         session = yield from initiator.establish(pair_spec())
         yield from session.terminate()
 
+    def counts():
+        # Ports, and the transport's per-channel stream state under them:
+        # link-up rides one channel per initiator proxy, not per session.
+        return (len(a.inboxes), len(a.outboxes),
+                len(initiator.inboxes), len(initiator.outboxes),
+                len(initiator.endpoint._send_streams),
+                len(a.endpoint._recv_streams))
+
     def warmup_and_measure():
         # One full cycle to populate steady-state structures.
         yield from run_one()
-        counts = (len(a.inboxes), len(a.outboxes),
-                  len(initiator.inboxes), len(initiator.outboxes))
+        before = counts()
         for _ in range(5):
             yield from run_one()
-        after = (len(a.inboxes), len(a.outboxes),
-                 len(initiator.inboxes), len(initiator.outboxes))
-        assert after == counts, (counts, after)
+        assert counts() == before, (before, counts())
 
     p = world.process(warmup_and_measure())
     world.run(until=p)
@@ -41,5 +48,11 @@ def test_manager_entries_do_not_accumulate(world, initiator):
     world.run()
     assert a.sessions.active_sessions() == []
     assert len(a.sessions._entries) == 0
-    assert len(a._posts) == 0
+    # One reply channel per initiator proxy: bounded, not per session.
+    assert list(a._posts) == [initiator._proxies[a.address]
+                              ._reply_inbox.address]
     assert len(initiator._records) == 0
+    # One proxy per member node, each with its one channel to _session.
+    assert sorted(initiator._proxies) == sorted([a.address, b.address])
+    assert set(initiator._posts) == {a.address.inbox(CONTROL_INBOX),
+                                     b.address.inbox(CONTROL_INBOX)}
