@@ -94,7 +94,7 @@ class SessionContext:
         of it when it next unlinks this member, which is answered for a
         session the member no longer has; orderly shrinkage (removing
         the channels that point here) is the initiator's job via
-        :meth:`Session.remove_member`. ``reason`` stays local.
+        :meth:`Session.remove_member`. ``reason`` is not sent.
         """
         self.dapplet.sessions._unlink(self.session_id)
 
