@@ -1,52 +1,17 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helper for the benchmark harness: the table printer.
 
 Each ``bench_eN_*.py`` module reproduces one experiment from the
 DESIGN.md index: it runs the scenario on the simulator, prints the
 paper-style table (run pytest with ``-s`` to see it, or check
 EXPERIMENTS.md for recorded outputs), asserts the *shape* claims, and
 uses the ``benchmark`` fixture to time the core operation in wall-clock
-terms.
+terms. The shape asserts are the scripts' gate; exact counts are pinned
+by ``benchmarks/check_counts.py``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import subprocess
 from typing import Iterable, Sequence
-
-
-def git_revision() -> str | None:
-    """The short revision of the working tree, or ``None`` outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=pathlib.Path(__file__).resolve().parent)
-        return out.stdout.strip() or None if out.returncode == 0 else None
-    except OSError:
-        return None
-
-
-def write_results(request, bench_id: str, metrics: dict, *,
-                  seed: int | None = None) -> "pathlib.Path | None":
-    """Write ``BENCH_<bench_id>.json`` if the run passed ``--json DIR``.
-
-    ``request`` is the pytest ``request`` fixture (used to read the
-    option). Metric keys must be strings; values anything JSON encodes.
-    Returns the written path, or ``None`` when ``--json`` is not given.
-    """
-    out_dir = request.config.getoption("--json", default=None)
-    if out_dir is None:
-        return None
-    directory = pathlib.Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{bench_id}.json"
-    path.write_text(json.dumps(
-        {"id": bench_id, "seed": seed, "git_rev": git_revision(),
-         "metrics": metrics},
-        indent=2, sort_keys=True, default=str) + "\n")
-    return path
 
 
 def print_table(title: str, header: Sequence[str],

@@ -23,18 +23,16 @@ so the wire row is the one that exposes the transport itself — framing,
 batching, window growth — as the bottleneck. It is the row that moved
 when the JSON wire became struct-packed binary frames.
 
-``benchmarks/check_regression.py`` compares the flow-on and wire-mode
-simulator goodputs in ``BENCH_e13_throughput.json`` against the
-checked-in baseline (``benchmarks/baselines/``) and fails CI on a >20%
-drop; the simulator metrics are virtual-time and seed-deterministic,
-so only a protocol change can move them.
+The shape asserts below are this experiment's gate; E20's
+``stream_sim_bulk`` runs the wire row's settings, and
+``benchmarks/check_counts.py`` pins its exact per-message counts.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro.mailbox import Inbox, Outbox
 from repro.messages import Text
 from repro.net import ConstantLatency, NodeAddress
@@ -131,7 +129,7 @@ def results():
     return table
 
 
-def test_e13_table_and_shape(results, benchmark, request):
+def test_e13_table_and_shape(results, benchmark):
     table = results
     # The window events must be visible in an exported trace.
     tracer = Tracer(categories=["ep"])
@@ -141,15 +139,6 @@ def test_e13_table_and_shape(results, benchmark, request):
         assert tracer.select("ep", name), f"trace must show {name} events"
     assert '"ev":"stall"' in trace
 
-    def mode_name(flow):
-        if flow == "wire":
-            return "wire"
-        return "flow" if flow else "noflow"
-
-    write_results(request, "e13_throughput",
-                  {f"{kind}/{mode_name(flow)}": metrics
-                   for (kind, flow), metrics in table.items()},
-                  seed=11)
     rows = []
     for kind, n in (("sim", N_SIM), ("aio", N_AIO)):
         off, on = table[(kind, False)], table[(kind, True)]

@@ -7,8 +7,7 @@ Two scenarios against a 3-replica replicated directory:
   (``cache_ttl=0``). Cached, almost every resolve is a local cache hit
   costing zero network round-trips, so resolves-per-virtual-second is
   orders of magnitude higher; uncached, every resolve pays a full
-  client->replica round trip. The cached figure is seed-deterministic
-  and guarded by ``check_regression.py``.
+  client->replica round trip.
 
 * **Staleness under churn** (simulator *and* real UDP): register a
   fresh dapplet, kill it silently, and poll its name until resolution
@@ -17,15 +16,13 @@ Two scenarios against a 3-replica replicated directory:
   which must stay under the config's analytic bound
   (:meth:`~repro.discovery.LeaseConfig.staleness_bound`: TTL + gossip
   lag + one sweep + cache lifetime) on both substrates.
-
-Run with ``--json DIR`` to emit ``BENCH_e14_discovery.json``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro import AsyncioSubstrate, LeaseConfig, LeaseExpired, World
 from repro.dapplet.dapplet import Dapplet
 from repro.net import ConstantLatency
@@ -164,7 +161,7 @@ def results():
     }
 
 
-def test_e14_table_and_shape(results, benchmark, request):
+def test_e14_table_and_shape(results, benchmark):
     # The resolver-latency histogram must land in the obs metrics.
     tracer = Tracer(categories=["dir"], metrics_only=True)
     run_resolve_burst(True, tracer=tracer)
@@ -172,7 +169,6 @@ def test_e14_table_and_shape(results, benchmark, request):
     assert "dir.resolve" in summary["histograms"]
     assert summary["counters"].get("dir.cache_hit", 0) > 0
 
-    write_results(request, "e14_discovery", results, seed=SEED)
     cached, uncached = results["sim/cached"], results["sim/uncached"]
     rows = [
         ["cached", N_RESOLVES, cached["hits"], cached["misses"],

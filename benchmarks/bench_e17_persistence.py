@@ -5,24 +5,23 @@ Four measurements over the durable-state layer (``repro.store``):
 * **Journal density** (deterministic): a fixed 240-mutation workload
   produces a byte-deterministic WAL; ops-per-KB is a pure function of
   the record framing + canonical-JSON codec, so any drift is a format
-  change. Guarded by ``check_regression.py``.
+  change. ``benchmarks/check_counts.py`` pins the same framing's
+  density exactly (E20's ``store.wal_bytes_per_set``).
 
 * **Fold compaction** (deterministic): the same workload with periodic
   folding; the ratio of unfolded journal bytes to folded resident bytes
-  (snapshot + live WAL tail) is the compaction win. Guarded.
+  (snapshot + live WAL tail) is the compaction win.
 
 * **Crash-recovery equivalence** (deterministic): the crash matrix as a
   metric — at every interesting crash offset, recovery must equal the
-  exact mutation prefix below the cut. The guarded metric is the
+  exact mutation prefix below the cut. The asserted metric is the
   fraction of offsets where it does: anything under 1.0 is a recovery
-  bug, so the tolerance is zero.
+  bug.
 
 * **Wall-clock cost** (recorded, not gated): journaled mutation
   throughput in memory vs on disk (fsync-always vs fsync-never — the
   price of durability per op), and cold-recovery speed from a
   2000-record on-disk journal.
-
-Run with ``--json DIR`` to emit ``BENCH_e17_persistence.json``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import time
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro.dapplet.state import PersistentState
 from repro.errors import BackendCrash
 from repro.obs import Tracer
@@ -46,7 +45,6 @@ from repro.store import (
 )
 from repro.store.wal import interesting_offsets
 
-SEED = 17
 N_OPS = 240
 FOLD_EVERY = 24
 N_FILE_OPS = 120
@@ -211,8 +209,7 @@ def results():
     }
 
 
-def test_e17_table_and_shape(results, benchmark, request):
-    write_results(request, "e17_persistence", results, seed=SEED)
+def test_e17_table_and_shape(results, benchmark):
     wal, fold, rec = (results["sim/wal"], results["sim/fold"],
                       results["sim/recovery"])
     print_table(

@@ -16,15 +16,13 @@ change):
   probe protocol must never kill one). Records the request-to-grant
   tail (p50/p99), granted fraction (1.0 or the service lost a
   request), virtual-time throughput, and cross-shard forwarding volume.
-
-Run with ``--json DIR`` to emit ``BENCH_e18_token_shards.json``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro.dapplet import Dapplet
 from repro.net import ConstantLatency
 from repro.world import World
@@ -134,8 +132,7 @@ def results():
     }
 
 
-def test_e18_table_and_shape(results, benchmark, request):
-    write_results(request, "e18_token_shards", results, seed=SEED)
+def test_e18_table_and_shape(results, benchmark):
     grid = results["sim/overhead"]
     rows = [[n, f"{grid[f'shards{n}']['p50'] * 1000:.1f}",
              f"{grid[f'shards{n}']['p99'] * 1000:.1f}",

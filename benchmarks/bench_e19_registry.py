@@ -24,8 +24,6 @@ Three measurements over ``repro.registry`` enforcement:
   be denied at the capability gate (``granted_frac`` and ``denied_ok``
   are 1.0 or enforcement is broken), and the virtual-time establish
   throughput is seed-deterministic.
-
-Run with ``--json DIR`` to emit ``BENCH_e19_registry.json``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import time
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro.dapplet import Dapplet
 from repro.errors import SessionRejected
 from repro.net import ConstantLatency
@@ -277,8 +275,7 @@ def results():
     }
 
 
-def test_e19_table_and_shape(results, benchmark, request):
-    write_results(request, "e19_registry", results, seed=SEED)
+def test_e19_table_and_shape(results, benchmark):
     est, rpc = results["sim/establish"], results["sim/rpc"]
     churn, check = results["sim/churn"], results["check"]
     print_table(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro import Dapplet, World
 from repro.messages import Text
 from repro.net import ConstantLatency, FaultPlan
@@ -29,11 +29,9 @@ class Node(Dapplet):
 N_MESSAGES = 50
 
 
-def run_fanout(fanout: int, *, reorder: float = 0.0, seed: int = 5,
-               tracer=None):
+def run_fanout(fanout: int, *, reorder: float = 0.0, seed: int = 5):
     world = World(seed=seed, latency=ConstantLatency(0.02),
-                  faults=FaultPlan(reorder_jitter=reorder),
-                  tracer=tracer)
+                  faults=FaultPlan(reorder_jitter=reorder))
     sender = world.dapplet(Node, "caltech.edu", "sender")
     inboxes = []
     for i in range(fanout):
@@ -52,31 +50,18 @@ def run_fanout(fanout: int, *, reorder: float = 0.0, seed: int = 5,
     fifo = all([int(m.text) for m in ib.queued()] == list(range(N_MESSAGES))
                for ib in inboxes)
     complete = all(len(ib.queued()) == N_MESSAGES for ib in inboxes)
-    result = {"elapsed": elapsed, "datagrams": datagrams, "fifo": fifo,
-              "complete": complete}
-    if tracer is not None:
-        summary = tracer.summary()
-        result["obs"] = {"counters": summary["counters"],
-                         "ep_rtt": summary["histograms"].get("ep.rtt")}
-    return result
+    return {"elapsed": elapsed, "datagrams": datagrams, "fifo": fifo,
+            "complete": complete}
 
 
 @pytest.fixture(scope="module")
 def results():
-    # Table runs carry a metrics-only tracer (protocol counters land in
-    # BENCH_e3_fanout.json); the benchmark()-timed run below does NOT —
-    # it times the uninstrumented fast path.
-    from repro import Tracer
     fanouts = (1, 2, 4, 8, 16)
-    return fanouts, {f: run_fanout(f, reorder=0.1,
-                                   tracer=Tracer(metrics_only=True))
-                     for f in fanouts}
+    return fanouts, {f: run_fanout(f, reorder=0.1) for f in fanouts}
 
 
-def test_e3_table_and_shape(results, benchmark, request):
+def test_e3_table_and_shape(results, benchmark):
     fanouts, table = results
-    write_results(request, "e3_fanout",
-                  {str(f): table[f] for f in fanouts}, seed=5)
     rows = [[f, N_MESSAGES, table[f]["datagrams"],
              f"{table[f]['datagrams'] / (N_MESSAGES * f):.2f}",
              f"{table[f]['elapsed']:.3f}",
@@ -96,7 +81,7 @@ def test_e3_table_and_shape(results, benchmark, request):
     benchmark(run_fanout, 8)
 
 
-def test_e3_fanin(benchmark, request):
+def test_e3_fanin(benchmark):
     """Fan-in: many outboxes bound to one inbox; all arrive, each
     channel independently FIFO."""
     def run(n_senders=8):
@@ -121,4 +106,3 @@ def test_e3_fanin(benchmark, request):
 
     received = benchmark(run)
     assert received == 160
-    write_results(request, "e3_fanin", {"received": received}, seed=6)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks._util import print_table, write_results
+from benchmarks._util import print_table
 from repro import Dapplet, World
 from repro.messages import Text
 from repro.net import RELIABLE, UNRELIABLE, ConstantLatency, FaultPlan
@@ -37,7 +37,7 @@ N = 200
 
 
 def run_stream(drop: float, reliable: bool, seed: int = 9, *,
-               sack: bool = True, tracer=None):
+               sack: bool = True):
     options = {"delivery": RELIABLE if reliable else UNRELIABLE}
     if reliable:
         options.update(rto_initial=0.1, max_retries=60, sack=sack,
@@ -45,7 +45,7 @@ def run_stream(drop: float, reliable: bool, seed: int = 9, *,
     world = World(seed=seed, latency=ConstantLatency(0.02),
                   faults=FaultPlan(drop_prob=drop, duplicate_prob=0.05,
                                    reorder_jitter=0.05),
-                  endpoint_options=options, tracer=tracer)
+                  endpoint_options=options)
     src = world.dapplet(Node, "caltech.edu", "src")
     dst = world.dapplet(Node, "rice.edu", "dst")
     arrivals: list[tuple[float, int]] = []
@@ -61,7 +61,7 @@ def run_stream(drop: float, reliable: bool, seed: int = 9, *,
     world.run()
     seq = [s for _, s in arrivals]
     latencies = [t - send_times[s] for t, s in arrivals]
-    result = {
+    return {
         "delivered": len(set(seq)),
         # Raw mode: what actually crossed the wire — app deliveries plus
         # the reordered arrivals the UNRELIABLE freshness filter dropped
@@ -73,36 +73,22 @@ def run_stream(drop: float, reliable: bool, seed: int = 9, *,
         "fast_retransmits": src.endpoint.stats.fast_retransmits,
         "acks": dst.endpoint.stats.acks_sent,
     }
-    if tracer is not None:
-        summary = tracer.summary()
-        result["obs"] = {"counters": summary["counters"],
-                         "ep_rtt": summary["histograms"].get("ep.rtt")}
-    return result
 
 
 @pytest.fixture(scope="module")
 def results():
-    # Table runs carry a metrics-only tracer (protocol counters and the
-    # RTT histogram land in BENCH_e4_reliability.json); the timed run in
-    # test_e4_table_and_shape does NOT — it times the uninstrumented
-    # fast path.
-    from repro import Tracer
     drops = (0.0, 0.1, 0.3, 0.5)
     table = {}
     for drop in drops:
         for mode, kwargs in (("raw", {"reliable": False}),
                              ("cum", {"reliable": True, "sack": False}),
                              ("sack", {"reliable": True, "sack": True})):
-            table[(drop, mode)] = run_stream(
-                drop, tracer=Tracer(metrics_only=True), **kwargs)
+            table[(drop, mode)] = run_stream(drop, **kwargs)
     return drops, table
 
 
-def test_e4_table_and_shape(results, benchmark, request):
+def test_e4_table_and_shape(results, benchmark):
     drops, table = results
-    write_results(request, "e4_reliability",
-                  {f"{drop}/{mode}": metrics
-                   for (drop, mode), metrics in table.items()}, seed=9)
     rows = []
     for drop in drops:
         raw = table[(drop, "raw")]

@@ -5,8 +5,7 @@ The paper's debugging story is built on *observable* distributed state
 observability layer: every traced event increments counters (globally,
 per dapplet node, and per channel), and selected numeric fields —
 round-trip times, mailbox wait times — are folded into log-bucketed
-histograms. Summaries are plain dicts of JSON-encodable values so they
-drop straight into ``BENCH_<id>.json`` files.
+histograms. Summaries are plain dicts of JSON-encodable values.
 
 Everything here is deterministic: bucket boundaries are fixed powers of
 two, keys are strings, and :meth:`Histogram.snapshot` sorts nothing at

@@ -124,8 +124,7 @@ class Tracer:
         noisiest; corpus traces typically exclude it.
     metrics_only:
         Keep counters and histograms but retain no event objects —
-        the cheap mode benchmarks use to fold protocol metrics into
-        their ``BENCH_<id>.json`` output.
+        the cheap mode for reading protocol metrics off a run.
     max_events:
         Hard cap on retained events; later events still count in the
         metrics but are dropped from the trace (``dropped_events``
