@@ -17,6 +17,10 @@ targets still exist:
 * ``stream_sim_lossy:traced`` — the same per-message counts plus the
   retransmit, fast-retransmit, skip, stale-drop and duplicate fractions
   and the virtual p99 latency under loss;
+* ``stream_sim_traced:traced`` — trace events per message under a full
+  ``Tracer()``, kernel events per op and frames per message: a faster
+  ``Tracer.emit`` must drop no event, and the ``obs:emit`` span target
+  must still exist;
 * ``session_churn_sim:traced`` and ``token_ring_sim:traced`` — the
   control plane's per-message counts, datagrams per member or request
   and background datagrams.
