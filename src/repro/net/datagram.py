@@ -95,10 +95,11 @@ class DatagramFrontEnd:
         self.faults = faults if faults is not None else FaultPlan()
         self.stats = NetworkStats()
         self._handlers: dict[NodeAddress, Callable[[Datagram], None]] = {}
-        #: (src, dst) -> the link's (fault, latency) random streams, so
-        #: their names are formatted and hashed once per link.
-        self._link_rngs: dict[tuple[NodeAddress, NodeAddress],
-                              tuple[Random, Random]] = {}
+        #: (src, dst) -> the link's (fault, latency) random streams and
+        #: the trace's ``dst`` label, so their names are formatted and
+        #: hashed once per link.
+        self._links: dict[tuple[NodeAddress, NodeAddress],
+                          tuple[Random, Random, str]] = {}
         #: Taps observing every datagram put on the wire (testing aid).
         self.wire_taps: list[Callable[[float, Datagram], None]] = []
 
@@ -131,23 +132,24 @@ class DatagramFrontEnd:
         self.stats.bytes_sent += datagram.size
         for tap in self.wire_taps:
             tap(self.kernel.now, datagram)
+        link = (datagram.src, datagram.dst)
+        entry = self._links.get(link)
+        if entry is None:
+            stream = self.kernel.rng.get
+            dst = str(datagram.dst)
+            name = f"net/{datagram.src}->{dst}/"
+            entry = self._links[link] = (stream(name + "faults"),
+                                         stream(name + "latency"), dst)
+        fault_rng, latency_rng, dst = entry
         tr = self.kernel.tracer
         header = datagram.header
         if tr is not None:
             parts = header.get("parts")
-            tr.emit("net", "send", node=datagram.src, dst=str(datagram.dst),
+            tr.emit("net", "send", node=datagram.src, dst=dst,
                     kind=header.get("kind"), ch=header.get("ch"),
                     seq=header.get("seq"), size=datagram.size,
                     **({"n": len(parts)} if parts else {}))
-
-        link = (datagram.src, datagram.dst)
-        rngs = self._link_rngs.get(link)
-        if rngs is None:
-            stream = self.kernel.rng.get
-            name = f"net/{datagram.src}->{datagram.dst}/"
-            rngs = self._link_rngs[link] = (stream(name + "faults"),
-                                            stream(name + "latency"))
-        extra_delays = self.faults.copies(rngs[0], datagram.src,
+        extra_delays = self.faults.copies(fault_rng, datagram.src,
                                           datagram.dst, datagram)
         fate = None
         if not extra_delays:
@@ -157,10 +159,10 @@ class DatagramFrontEnd:
             self.stats.duplicated += 1
             fate = "dup"
         if fate is not None and tr is not None:
-            tr.emit("net", fate, node=datagram.src, dst=str(datagram.dst),
+            tr.emit("net", fate, node=datagram.src, dst=dst,
                     kind=header.get("kind"), ch=header.get("ch"),
                     seq=header.get("seq"))
-        return extra_delays, rngs[1]
+        return extra_delays, latency_rng
 
     # -- on the way in ------------------------------------------------------
 

@@ -149,17 +149,19 @@ class ReliableSender:
     """
 
     # A session-churning node holds thousands of these at once.
-    __slots__ = ("host", "peer", "channel", "frame_base", "next_seq",
-                 "unacked", "rto_initial", "broken", "srtt", "rttvar",
-                 "last_cum", "dup_acks", "last_rtt", "queue", "in_flight",
-                 "cwnd", "ssthresh", "rwnd", "max_payload", "stalled",
-                 "cwnd_band", "skip_upto", "probe", "skip_rtx", "agenda",
-                 "order", "wake_armed")
+    __slots__ = ("host", "peer", "peer_label", "channel", "frame_base",
+                 "next_seq", "unacked", "rto_initial", "broken", "srtt",
+                 "rttvar", "last_cum", "dup_acks", "last_rtt", "queue",
+                 "in_flight", "cwnd", "ssthresh", "rwnd", "max_payload",
+                 "stalled", "cwnd_band", "skip_upto", "probe", "skip_rtx",
+                 "agenda", "order", "wake_armed")
 
     def __init__(self, host: Any, peer: Any, channel: str,
                  rto_initial: float, cwnd_initial: float = CWND_MAX) -> None:
         self.host = host
         self.peer = peer
+        #: ``str(peer)``, formatted once for the trace's ``dst`` field.
+        self.peer_label = str(peer)
         self.channel = channel
         self.frame_base = frame_base_size(host.address, peer, channel)
         self.next_seq = 0
@@ -326,11 +328,11 @@ class ReliableSender:
             pending.skip_at = now + skip_after
             if tr is not None:
                 tr.emit("ep", "data", node=host.address, ch=self.channel,
-                        seq=seq, dst=str(self.peer), cls=RELIABLE_SKIP)
+                        seq=seq, dst=self.peer_label, cls=RELIABLE_SKIP)
             self._schedule(pending.skip_at, _SKIP, seq)
         elif tr is not None:
             tr.emit("ep", "data", node=host.address, ch=self.channel,
-                    seq=seq, dst=str(self.peer))
+                    seq=seq, dst=self.peer_label)
         if timeout is not None:
             self._schedule(now + timeout, _DEADLINE, seq)
         if host.flow_control:

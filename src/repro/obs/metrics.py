@@ -14,17 +14,22 @@ runtime that could vary between identical runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from fractions import Fraction
+
 #: Inclusive upper bounds of the histogram buckets, in seconds:
 #: powers of two from 1 µs to ~67 s, plus a catch-all overflow bucket.
 BUCKET_BOUNDS: tuple[float, ...] = tuple(1e-6 * 2 ** i for i in range(27))
+_NBUCKETS = len(BUCKET_BOUNDS)
 
 
 class Histogram:
     """A fixed-bucket latency histogram (log-spaced, base 2).
 
-    ``observe`` is O(number of buckets) in the worst case but typically
-    exits early; the tracer only calls it for fields that carry a
-    latency, never on the per-event fast path.
+    ``observe`` finds the bucket by binary search over
+    :data:`BUCKET_BOUNDS`: a value lands in the first bucket whose bound
+    it does not exceed, and anything above the last bound — or NaN,
+    which exceeds no bound — in ``overflow``.
     """
 
     __slots__ = ("count", "total", "min", "max", "buckets", "overflow")
@@ -44,11 +49,13 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(BUCKET_BOUNDS):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.overflow += 1
+        i = bisect_left(BUCKET_BOUNDS, value)
+        # bisect puts NaN at 0 and values past the last bound at the end;
+        # both fail this test and land in overflow.
+        if i < _NBUCKETS and value <= BUCKET_BOUNDS[i]:
+            self.buckets[i] += 1
+        else:
+            self.overflow += 1
 
     @property
     def mean(self) -> float:
@@ -56,10 +63,18 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Approximate quantile: the upper bound of the bucket holding
-        the ``q``-th observation (``inf`` if it landed in overflow)."""
+        the nearest-rank ``q``-th observation, i.e. the
+        ``ceil(q * count)``-th smallest (``inf`` if it landed in
+        overflow).
+
+        The rank is computed on the exact decimal ``q`` is written as
+        (``0.07`` is 7/100), so float noise cannot push it up a rank.
+        """
         if not self.count:
             return 0.0
-        target = max(1, int(q * self.count))
+        share = Fraction(str(q))
+        target = max(1, -(-share.numerator * self.count
+                          // share.denominator))
         seen = 0
         for i, n in enumerate(self.buckets):
             seen += n
@@ -84,7 +99,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters (global / per-node / per-channel) plus named histograms."""
+    """Counters (global / per-node / per-channel) plus named histograms.
+
+    The counters are plain ``key -> count`` dicts that
+    :meth:`repro.obs.Tracer.emit` bumps in place, one event at a time.
+    """
 
     __slots__ = ("counters", "per_node", "per_channel", "histograms")
 
@@ -93,19 +112,6 @@ class MetricsRegistry:
         self.per_node: dict[str, dict[str, int]] = {}
         self.per_channel: dict[str, dict[str, int]] = {}
         self.histograms: dict[str, Histogram] = {}
-
-    def count(self, key: str, node: str | None, channel: str | None) -> None:
-        self.counters[key] = self.counters.get(key, 0) + 1
-        if node is not None:
-            by = self.per_node.get(node)
-            if by is None:
-                by = self.per_node[node] = {}
-            by[key] = by.get(key, 0) + 1
-        if channel is not None:
-            by = self.per_channel.get(channel)
-            if by is None:
-                by = self.per_channel[channel] = {}
-            by[key] = by.get(key, 0) + 1
 
     def observe(self, name: str, value: float) -> None:
         hist = self.histograms.get(name)

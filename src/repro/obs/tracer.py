@@ -38,7 +38,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -64,35 +64,38 @@ CATEGORIES = ("kernel", "net", "ep", "mbox", "session", "tokens", "dir",
 #: capability-check latency (exactly 0.0 on the simulated substrate —
 #: virtual time does not advance inside a synchronous check — so
 #: audited sim traces stay byte-deterministic).
-_HISTOGRAM_FIELDS = (("rtt", "ep.rtt"), ("wait", "mbox.wait"),
-                     ("cwnd", "ep.cwnd"), ("rlat", "dir.resolve"),
-                     ("dlat", "ep.dlat"), ("slat", "ep.skip_wait"),
-                     ("fsync", "store.fsync"), ("replay", "store.replay"),
-                     ("route", "tok.route"), ("clat", "reg.check"))
+_HISTOGRAM_FIELDS = {"rtt": "ep.rtt", "wait": "mbox.wait", "cwnd": "ep.cwnd",
+                     "rlat": "dir.resolve", "dlat": "ep.dlat",
+                     "slat": "ep.skip_wait", "fsync": "store.fsync",
+                     "replay": "store.replay", "route": "tok.route",
+                     "clat": "reg.check"}
+_HISTOGRAMMED = frozenset(_HISTOGRAM_FIELDS)
+
+#: Node objects whose label, counter dict and clock :meth:`Tracer.emit`
+#: keeps resolved. Decoded datagrams carry a fresh address object each,
+#: so the cache is emptied when it reaches this size rather than grown.
+_NODE_CACHE_LIMIT = 1024
+
+_new_event = tuple.__new__
 
 
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One traced occurrence.
 
-    ``t`` is substrate time; ``cat``/``name`` type the event; ``node``
-    is the owning node address (as a string) when the event belongs to
-    one; ``clk`` the owning dapplet's Lamport time at emission (``None``
-    when no clock is registered for the node); ``fields`` the
-    event-specific payload.
+    ``seq`` is its ordinal in the trace; ``t`` is substrate time;
+    ``cat``/``name`` type the event; ``node`` is the owning node address
+    (as a string) when the event belongs to one; ``clk`` the owning
+    dapplet's Lamport time at emission (``None`` when no clock is
+    registered for the node); ``fields`` the event-specific payload.
     """
 
-    __slots__ = ("seq", "t", "cat", "name", "node", "clk", "fields")
-
-    def __init__(self, seq: int, t: float, cat: str, name: str,
-                 node: str | None, clk: int | None,
-                 fields: dict[str, Any]) -> None:
-        self.seq = seq
-        self.t = t
-        self.cat = cat
-        self.name = name
-        self.node = node
-        self.clk = clk
-        self.fields = fields
+    seq: int
+    t: float
+    cat: str
+    name: str
+    node: str | None
+    clk: int | None
+    fields: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
         # The ordinal serializes as "i": several protocol events carry a
@@ -145,22 +148,27 @@ class Tracer:
         self.events: list[TraceEvent] = []
         self.dropped_events = 0
         self.metrics = MetricsRegistry()
-        self._seq = 0
-        self._now: Callable[[], float] | None = None
+        self._substrate: Any = None
         self._clocks: dict[Any, Any] = {}
+        #: ``id(node) -> (node, label, per-node counters, clock)``; the
+        #: entry holds ``node`` so no other object can take its id.
+        self._nodes: dict[int, tuple[Any, str, dict[str, int], Any]] = {}
 
     # -- wiring ----------------------------------------------------------
 
     def attach(self, substrate: Any) -> "Tracer":
         """Attach to a substrate: become its ``tracer`` and read its clock."""
         substrate.tracer = self
-        self._now = lambda: substrate.now
+        self._substrate = substrate
         return self
 
     def detach(self, substrate: Any) -> None:
-        """Stop tracing ``substrate`` (recorded events are kept)."""
+        """Stop tracing ``substrate`` (recorded events are kept); later
+        events are stamped as by an unattached tracer."""
         if getattr(substrate, "tracer", None) is self:
             substrate.tracer = None
+        if self._substrate is substrate:
+            self._substrate = None
 
     def register_clock(self, node: Any, clock: Any) -> None:
         """Stamp events for ``node`` with ``clock.time`` (a Lamport clock).
@@ -170,6 +178,7 @@ class Tracer:
         directly.
         """
         self._clocks[node] = clock
+        self._nodes.clear()
 
     def enabled(self, cat: str) -> bool:
         return self.categories is None or cat in self.categories
@@ -178,31 +187,71 @@ class Tracer:
 
     def emit(self, cat: str, name: str, *, node: Any = None,
              t: float | None = None, **fields: Any) -> None:
-        """Record one event. Call sites guard with ``tracer is not None``."""
+        """Record one event. Call sites guard with ``tracer is not None``.
+
+        Costs O(1 + the event's own fields): ``node``'s label, counter
+        dict and clock are resolved once per node object, and only the
+        event's own fields are looked up in :data:`_HISTOGRAM_FIELDS`.
+        """
         if self.categories is not None and cat not in self.categories:
             return
         if t is None:
-            t = self._now() if self._now is not None else 0.0
+            substrate = self._substrate
+            t = substrate.now if substrate is not None else 0.0
+        metrics = self.metrics
+        key = f"{cat}.{name}"
+        counters = metrics.counters
+        try:
+            counters[key] += 1
+        except KeyError:
+            counters[key] = 1
         clk = None
         if node is not None:
-            clock = self._clocks.get(node)
+            entry = self._nodes.get(id(node))
+            if entry is None:
+                entry = self._resolve(node)
+            _, node, by_node, clock = entry
+            try:
+                by_node[key] += 1
+            except KeyError:
+                by_node[key] = 1
             if clock is not None:
                 clk = clock.time
-            node = str(node)
-        key = f"{cat}.{name}"
-        self.metrics.count(key, node, fields.get("ch"))
-        for field, metric in _HISTOGRAM_FIELDS:
-            value = fields.get(field)
-            if value is not None:
-                self.metrics.observe(metric, value)
+        channel = fields.get("ch")
+        if channel is not None:
+            by_channel = metrics.per_channel.get(channel)
+            if by_channel is None:
+                by_channel = metrics.per_channel[channel] = {}
+            try:
+                by_channel[key] += 1
+            except KeyError:
+                by_channel[key] = 1
+        if not _HISTOGRAMMED.isdisjoint(fields):
+            for field, value in fields.items():
+                metric = _HISTOGRAM_FIELDS.get(field)
+                if metric is not None and value is not None:
+                    metrics.observe(metric, value)
         if self.metrics_only:
             return
-        if self.max_events is not None and len(self.events) >= self.max_events:
+        events = self.events
+        if self.max_events is not None and len(events) >= self.max_events:
             self.dropped_events += 1
             return
-        self.events.append(TraceEvent(self._seq, t, cat, name, node, clk,
-                                      fields))
-        self._seq += 1
+        # tuple.__new__ skips the NamedTuple's Python-level constructor.
+        events.append(_new_event(TraceEvent, (len(events), t, cat, name,
+                                              node, clk, fields)))
+
+    def _resolve(self, node: Any) -> tuple[Any, str, dict[str, int], Any]:
+        """Cache ``node``'s label, per-node counter dict and clock."""
+        if len(self._nodes) >= _NODE_CACHE_LIMIT:
+            self._nodes.clear()
+        label = str(node)
+        by_node = self.metrics.per_node.get(label)
+        if by_node is None:
+            by_node = self.metrics.per_node[label] = {}
+        entry = self._nodes[id(node)] = (node, label, by_node,
+                                         self._clocks.get(node))
+        return entry
 
     def __len__(self) -> int:
         return len(self.events)

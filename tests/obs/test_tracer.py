@@ -1,11 +1,14 @@
 """Unit tests for the tracing/metrics core: repro.obs."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.net import ConstantLatency, DatagramNetwork, Endpoint, NodeAddress
 from repro.obs import CATEGORIES, Histogram, MetricsRegistry, Tracer
+from repro.obs.metrics import BUCKET_BOUNDS
 from repro.sim import Kernel
 
 A = NodeAddress("a.edu", 1000)
@@ -134,6 +137,37 @@ class TestTracer:
         kernel.run()
         assert tracer.events == []
 
+    def test_detach_drops_the_substrate_clock(self):
+        # Detached, the tracer stamps 0.0 as one never attached does.
+        tracer = Tracer(categories=["ep"])
+        tracer.emit("ep", "unattached")
+        kernel = Kernel(seed=1)
+        tracer.attach(kernel)
+        kernel.call_later(2.5, lambda: tracer.emit("ep", "attached"))
+        kernel.run()
+        tracer.detach(kernel)
+        tracer.emit("ep", "detached")
+        assert [ev.t for ev in tracer.events] == [0.0, 2.5, 0.0]
+
+    def test_register_clock_restamps_a_node_already_seen(self):
+        class FakeClock:
+            time = 7
+
+        tracer = Tracer()
+        tracer.emit("ep", "before", node=A)
+        tracer.register_clock(A, FakeClock())
+        tracer.emit("ep", "after", node=A)
+        assert [ev.clk for ev in tracer.events] == [None, 7]
+
+    def test_fresh_node_objects_count_under_one_label(self):
+        # Decoded datagrams carry a new address object per frame.
+        tracer = Tracer(metrics_only=True)
+        for _ in range(3000):
+            tracer.emit("net", "deliver", node=NodeAddress("a.edu", 1000))
+        assert tracer.summary()["per_node"] == {
+            str(A): {"net.deliver": 3000}}
+        assert len(tracer._nodes) <= 1024
+
     def test_export_jsonl_writes_the_trace(self, tmp_path):
         tracer = Tracer()
         kernel, _net, ea, eb = traced_pair(tracer)
@@ -175,10 +209,67 @@ class TestHistogram:
         assert h.count == 0 and h.mean == 0.0
 
     def test_registry_summary_is_sorted_and_plain(self):
-        reg = MetricsRegistry()
-        reg.count("z.last", None, None)
-        reg.count("a.first", "n1", "ch1")
-        reg.observe("lat", 0.5)
-        summary = reg.summary()
+        tracer = Tracer()
+        tracer.emit("net", "last")
+        tracer.emit("ep", "first", node="n1", ch="ch1")
+        tracer.metrics.observe("lat", 0.5)
+        summary = tracer.metrics.summary()
         assert list(summary["counters"]) == sorted(summary["counters"])
+        assert summary["per_node"] == {"n1": {"ep.first": 1}}
+        assert summary["per_channel"] == {"ch1": {"ep.first": 1}}
+        assert isinstance(tracer.metrics, MetricsRegistry)
         json.dumps(summary)  # JSON-serializable throughout
+
+    def test_quantile_is_nearest_rank(self):
+        h = Histogram()
+        for v in [1e-6, 1e-3, 1.0]:
+            h.observe(v)
+        # The 2nd of 3 samples, not the 1st.
+        assert h.quantile(0.5) == BUCKET_BOUNDS[10]
+        assert 1e-3 <= h.quantile(0.5) < 2e-3
+        h = Histogram()
+        for _ in range(49):
+            h.observe(1e-6)
+        h.observe(1.0)
+        # ceil(0.99 * 50) = 50: the one slow sample.
+        assert h.quantile(0.99) == BUCKET_BOUNDS[20]
+        assert h.quantile(0.98) == BUCKET_BOUNDS[0]
+
+    def test_quantile_rank_ignores_float_noise(self):
+        # 0.07 * 100 is 7.000000000000001 in floats; the rank is still 7.
+        h = Histogram()
+        for _ in range(7):
+            h.observe(1e-6)
+        for _ in range(93):
+            h.observe(1.0)
+        assert h.quantile(0.07) == BUCKET_BOUNDS[0]
+        assert h.quantile(0.08) == BUCKET_BOUNDS[20]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(BUCKET_BOUNDS),
+        st.sampled_from(BUCKET_BOUNDS).map(
+            lambda b: math.nextafter(b, math.inf)),
+        st.sampled_from(BUCKET_BOUNDS).map(
+            lambda b: math.nextafter(b, -math.inf))))
+    def test_bucket_matches_the_linear_scan(self, value):
+        def linear_scan(value):
+            for i, bound in enumerate(BUCKET_BOUNDS):
+                if value <= bound:
+                    return i
+            return None
+
+        h = Histogram()
+        h.observe(value)
+        want = linear_scan(value)
+        if want is None:
+            assert h.overflow == 1 and not any(h.buckets)
+        else:
+            assert h.overflow == 0 and h.buckets[want] == 1
+            assert sum(h.buckets) == 1
+
+    def test_nan_lands_in_overflow(self):
+        h = Histogram()
+        h.observe(math.nan)
+        assert h.overflow == 1 and not any(h.buckets)
