@@ -15,12 +15,15 @@ runtime that could vary between identical runs.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 #: Inclusive upper bounds of the histogram buckets, in seconds:
 #: powers of two from 1 µs to ~67 s, plus a catch-all overflow bucket.
 BUCKET_BOUNDS: tuple[float, ...] = tuple(1e-6 * 2 ** i for i in range(27))
 _NBUCKETS = len(BUCKET_BOUNDS)
+
+#: Quantiles resolve to 1e-9: ``q`` becomes a whole number of billionths
+#: before the rank is computed in integers.
+_Q_SCALE = 10 ** 9
 
 
 class Histogram:
@@ -67,14 +70,14 @@ class Histogram:
         ``ceil(q * count)``-th smallest (``inf`` if it landed in
         overflow).
 
-        The rank is computed on the exact decimal ``q`` is written as
-        (``0.07`` is 7/100), so float noise cannot push it up a rank.
+        The rank is integer arithmetic on ``q`` rounded to billionths,
+        so float noise cannot push it up a rank (``0.07 * 100`` is
+        ``7.000000000000001`` in floats; the rank is 7).
         """
         if not self.count:
             return 0.0
-        share = Fraction(str(q))
-        target = max(1, -(-share.numerator * self.count
-                          // share.denominator))
+        share = round(q * _Q_SCALE)
+        target = max(1, -(-share * self.count // _Q_SCALE))
         seen = 0
         for i, n in enumerate(self.buckets):
             seen += n

@@ -76,8 +76,6 @@ _HISTOGRAMMED = frozenset(_HISTOGRAM_FIELDS)
 #: so the cache is emptied when it reaches this size rather than grown.
 _NODE_CACHE_LIMIT = 1024
 
-_new_event = tuple.__new__
-
 
 class TraceEvent(NamedTuple):
     """One traced occurrence.
@@ -238,8 +236,8 @@ class Tracer:
             self.dropped_events += 1
             return
         # tuple.__new__ skips the NamedTuple's Python-level constructor.
-        events.append(_new_event(TraceEvent, (len(events), t, cat, name,
-                                              node, clk, fields)))
+        events.append(tuple.__new__(TraceEvent, (len(events), t, cat, name,
+                                                 node, clk, fields)))
 
     def _resolve(self, node: Any) -> tuple[Any, str, dict[str, int], Any]:
         """Cache ``node``'s label, per-node counter dict and clock."""
