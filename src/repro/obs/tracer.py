@@ -76,6 +76,10 @@ _HISTOGRAMMED = frozenset(_HISTOGRAM_FIELDS)
 #: so the cache is emptied when it reaches this size rather than grown.
 _NODE_CACHE_LIMIT = 1024
 
+#: Slots one retained event takes in :attr:`Tracer._log`:
+#: ``t, cat, name, node, clk, fields`` (the ordinal is the position).
+_EVENT_SLOTS = 6
+
 
 class TraceEvent(NamedTuple):
     """One traced occurrence.
@@ -143,7 +147,12 @@ class Tracer:
         self.categories: frozenset[str] | None = categories
         self.metrics_only = metrics_only
         self.max_events = max_events
-        self.events: list[TraceEvent] = []
+        #: The retained trace, flat. An event adds its slots here rather
+        #: than an object of its own, so keeping a trace allocates
+        #: nothing per event for the cyclic garbage collector to count
+        #: but the event's ``fields`` dict; :attr:`events` builds the
+        #: :class:`TraceEvent` records on demand.
+        self._log: list[Any] = []
         self.dropped_events = 0
         self.metrics = MetricsRegistry()
         self._substrate: Any = None
@@ -231,13 +240,12 @@ class Tracer:
                     metrics.observe(metric, value)
         if self.metrics_only:
             return
-        events = self.events
-        if self.max_events is not None and len(events) >= self.max_events:
+        log = self._log
+        if (self.max_events is not None
+                and len(log) >= self.max_events * _EVENT_SLOTS):
             self.dropped_events += 1
             return
-        # tuple.__new__ skips the NamedTuple's Python-level constructor.
-        events.append(tuple.__new__(TraceEvent, (len(events), t, cat, name,
-                                                 node, clk, fields)))
+        log += (t, cat, name, node, clk, fields)
 
     def _resolve(self, node: Any) -> tuple[Any, str, dict[str, int], Any]:
         """Cache ``node``'s label, per-node counter dict and clock."""
@@ -251,8 +259,16 @@ class Tracer:
                                          self._clocks.get(node))
         return entry
 
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The retained events, in emission order — a new list built
+        from the log on every access."""
+        log = self._log
+        return [TraceEvent(i // _EVENT_SLOTS, *log[i:i + _EVENT_SLOTS])
+                for i in range(0, len(log), _EVENT_SLOTS)]
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._log) // _EVENT_SLOTS
 
     def select(self, cat: str | None = None,
                name: str | None = None) -> list[TraceEvent]:
@@ -286,11 +302,11 @@ class Tracer:
     def summary(self) -> dict:
         """Counters + per-node/per-channel breakdowns + histograms."""
         result = self.metrics.summary()
-        result["events"] = (len(self.events) if not self.metrics_only
+        result["events"] = (len(self) if not self.metrics_only
                             else sum(self.metrics.counters.values()))
         result["dropped_events"] = self.dropped_events
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Tracer events={len(self.events)} "
+        return (f"<Tracer events={len(self)} "
                 f"counters={len(self.metrics.counters)}>")
