@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.errors import ReceiveTimeout
+from repro.errors import ReceiveTimeout, SerializationError
 from repro.messages.message import Message
 from repro.messages.serialize import loads
 from repro.net.address import InboxAddress
@@ -67,6 +67,9 @@ class Inbox:
         #: Applied in order to every arriving message (may transform it).
         self.delivery_hooks: list[DeliveryHook] = []
         self.messages_received = 0
+        #: Payloads that arrived but did not decode to a message; each is
+        #: dropped (the transport has already acknowledged it).
+        self.bad_payloads = 0
         self._closed = False
         endpoint.register_inbox(ref, self._deliver_wire, name=name,
                                 backlog=lambda: self.backlog_bytes)
@@ -197,7 +200,16 @@ class Inbox:
     # -- delivery (called by the endpoint) --------------------------------
 
     def _deliver_wire(self, payload: str, _addr: InboxAddress) -> None:
-        message = loads(payload)
+        try:
+            message = loads(payload)
+        except SerializationError as exc:
+            self.bad_payloads += 1
+            tr = self.kernel.tracer
+            if tr is not None:
+                tr.emit("mbox", "bad_payload", node=self.endpoint.address,
+                        inbox=self.name or self.ref, size=len(payload),
+                        error=str(exc))
+            return
         self._incoming_size = LOCAL_MESSAGE_SIZE + len(payload)
         try:
             self.deliver_local(message)

@@ -18,98 +18,276 @@ the wire can also be replayed from disk, and anything it cannot hold
 fails *typed* (:class:`~repro.errors.SerializationError`) instead of
 corrupting a log.
 
-What does not depend on the message is derived once, not per message:
-the field names per class (:func:`~repro.messages.message.field_names`)
-and the one compact JSON encoder. Values whose type is *exactly* a JSON
-scalar are their own wire form and skip the generic walk in both
-directions; everything else — containers, tagged forms, subclasses of
-the scalar types — takes the one walk below.
+One pass each way. Encoding writes the wire string straight into one
+list of fragments. Each message class gets a plan on first use: its
+constant key fragments (``{"t":"sys.text","f":{"text":``) and one field
+emitter. Every value is dispatched on its exact type. Strings go through
+json's own escaper (the one :class:`json.JSONEncoder` uses), numbers
+follow json's ``repr`` / ``NaN`` / ``Infinity`` rules, so the string is
+the one ``json.dumps(tree, separators=(",", ":"))`` gives for the tagged
+tree, to the byte. A value whose exact type is not in the table (an
+``IntEnum``, a namedtuple, a new message class) is matched in the fixed
+order None/bool/int/float/str, NodeAddress, InboxAddress, Message,
+tuple, bytes, list, dict.
+
+Decoding happens inside json's scanner. An ``object_hook`` turns each
+tagged object into its value as the scanner closes it, children first,
+so a nested message's ``from_fields`` receives decoded fields and no
+list is walked twice. A ``$`` key is a tag only as the sole key of its
+object. :func:`loads` is total: input that is not the wire form of a
+registered message raises :class:`~repro.errors.SerializationError`
+with the underlying error chained.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from typing import Any
+from functools import lru_cache, partial
+from math import isfinite
+from typing import Any, Callable
 
-from repro.errors import SerializationError
-from repro.messages.message import Message, lookup
+from repro.errors import AddressError, SerializationError
+from repro.messages.message import Message, field_names, lookup
 from repro.net.address import InboxAddress, NodeAddress
 
+Append = Callable[[str], None]
+Emitter = Callable[[Any, Append], None]
 
-#: Exact types that are their own wire form.
-_SCALARS = frozenset({type(None), bool, int, float, str})
-
-#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder object
-#: per message. It only ever sees the fresh tree ``_encode`` built, which
-#: cannot contain a cycle, so the encoder's own cycle check is off.
-_to_json = json.JSONEncoder(separators=(",", ":"),
-                            check_circular=False).encode
+#: json's string escaper (its C version when available).
+_escape = json.encoder.encode_basestring_ascii
 
 
-def _encode(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, NodeAddress):
-        return {"$node": str(value)}
-    if isinstance(value, InboxAddress):
-        return {"$inbox": str(value)}
-    if isinstance(value, Message):
-        return {"$msg": [value.wire_name, _encode_fields(value)]}
-    if isinstance(value, tuple):
-        return {"$tuple": [_encode(v) for v in value]}
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        return {"$bytes": base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, list):
-        return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise SerializationError(
-                    f"dict keys on the wire must be strings, got {k!r}")
-            if k.startswith("$"):
-                raise SerializationError(
-                    f"dict keys may not start with '$' (reserved): {k!r}")
-            out[k] = _encode(v)
-        return out
+# -- encoding -----------------------------------------------------------------
+
+
+def _float_text(value: float) -> str:
+    if isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else \
+        "Infinity" if value > 0 else "-Infinity"
+
+
+#: Exact scalar type -> its JSON text, as :class:`json.JSONEncoder`
+#: writes it. These values are also their own :func:`encode_value` form.
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _emit(value: Any, append: Append) -> None:
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        append(text(value))
+    else:
+        _EMITTERS.get(type(value), _emit_subclass)(value, append)
+
+
+def _emit_node(value: NodeAddress, append: Append) -> None:
+    append('{"$node":' + _escape(str(value)) + "}")
+
+
+def _emit_inbox(value: InboxAddress, append: Append) -> None:
+    append('{"$inbox":' + _escape(str(value)) + "}")
+
+
+def _emit_bytes(value: Any, append: Append) -> None:
+    append('{"$bytes":"' + base64.b64encode(bytes(value)).decode("ascii")
+           + '"}')
+
+
+def _emit_list(value: Any, append: Append) -> None:
+    sep = "["
+    for item in value:
+        append(sep)
+        sep = ","
+        _emit(item, append)
+    append("[]" if sep == "[" else "]")
+
+
+def _emit_tuple(value: tuple, append: Append) -> None:
+    append('{"$tuple":')
+    _emit_list(value, append)
+    append("}")
+
+
+def _emit_members(mapping: dict, append: Append) -> None:
+    """``"key":value`` pairs, comma-separated, keys checked."""
+    sep = ""
+    for key, item in mapping.items():
+        if not isinstance(key, str):
+            raise SerializationError(
+                f"dict keys on the wire must be strings, got {key!r}")
+        if key.startswith("$"):
+            raise SerializationError(
+                f"dict keys may not start with '$' (reserved): {key!r}")
+        append(sep + _escape(key) + ":")
+        sep = ","
+        _emit(item, append)
+
+
+def _emit_dict(value: dict, append: Append) -> None:
+    append("{")
+    _emit_members(value, append)
+    append("}")
+
+
+def _emit_message(value: Message, append: Append) -> None:
+    _plan(type(value))[2](value, append)
+
+
+#: Exact type -> emitter. Each message class joins on first use.
+_EMITTERS: dict[type, Emitter] = {
+    NodeAddress: _emit_node,
+    InboxAddress: _emit_inbox,
+    tuple: _emit_tuple,
+    bytes: _emit_bytes,
+    bytearray: _emit_bytes,
+    memoryview: _emit_bytes,
+    list: _emit_list,
+    dict: _emit_dict,
+}
+
+#: The order a type not in the tables is matched in.
+_LADDER: tuple[tuple[Any, Emitter], ...] = (
+    (int, lambda value, append: append(int.__repr__(value))),
+    (float, lambda value, append: append(_float_text(value))),
+    (str, lambda value, append: append(_escape(value))),
+    (NodeAddress, _emit_node),
+    (InboxAddress, _emit_inbox),
+    (Message, _emit_message),
+    (tuple, _emit_tuple),
+    ((bytes, bytearray, memoryview), _emit_bytes),
+    (list, _emit_list),
+    (dict, _emit_dict),
+)
+
+
+def _emit_subclass(value: Any, append: Append) -> None:
+    for base, emit in _LADDER:
+        if isinstance(value, base):
+            return emit(value, append)
     raise SerializationError(
-        f"value of type {type(value).__name__} is not wire-encodable: {value!r}")
+        f"value of type {type(value).__name__} is not wire-encodable: "
+        f"{value!r}")
 
 
-def _decode(value: Any) -> Any:
-    if isinstance(value, list):
-        return [_decode(v) for v in value]
-    if isinstance(value, dict):
-        if "$node" in value:
-            return NodeAddress.parse(value["$node"])
-        if "$inbox" in value:
-            return InboxAddress.parse(value["$inbox"])
-        if "$tuple" in value:
-            return tuple(_decode(v) for v in value["$tuple"])
-        if "$bytes" in value:
-            return base64.b64decode(value["$bytes"])
-        if "$msg" in value:
-            name, fields = value["$msg"]
-            return _instantiate(name, fields)
-        return {k: _decode(v) for k, v in value.items()}
-    return value
+#: Registered message class -> (top-level head, fields emitter, nested
+#: emitter). Unregistered classes (legal only nested) are planned per use.
+_PLANS: dict[type, tuple[str, Emitter, Emitter]] = {}
 
 
-def _encode_fields(message: Message) -> dict[str, Any]:
-    return {k: v if type(v) in _SCALARS else _encode(v)
-            for k, v in message.to_fields().items()}
+def _plan(cls: type[Message]) -> tuple[str, Emitter, Emitter]:
+    plan = _PLANS.get(cls)
+    if plan is not None:
+        return plan
+    if cls.to_fields is Message.to_fields:
+        names = field_names(cls)
+        pairs = tuple((("," if i else "") + _escape(name) + ":", name)
+                      for i, name in enumerate(names))
+
+        def fields(message: Message, append: Append) -> None:
+            for key, name in pairs:
+                append(key)
+                _emit(getattr(message, name), append)
+    else:
+        def fields(message: Message, append: Append) -> None:
+            _emit_members(message.to_fields(), append)
+
+    name = _escape(cls._wire_name)
+    head = '{"$msg":[' + name + ",{"
+
+    def nested(message: Message, append: Append) -> None:
+        append(head)
+        fields(message, append)
+        append("}]}")
+
+    plan = ('{"t":' + name + ',"f":{', fields, nested)
+    if cls._wire_name:
+        _PLANS[cls] = plan
+        _EMITTERS[cls] = nested
+    return plan
+
+
+# -- decoding -----------------------------------------------------------------
+
+#: Distinct address strings whose parse is remembered.
+ADDRESS_MEMO = 1024
+
+
+_node = lru_cache(maxsize=ADDRESS_MEMO)(NodeAddress.parse)
+_inbox = lru_cache(maxsize=ADDRESS_MEMO)(InboxAddress.parse)
+
+
+def _msg(pair: list) -> Message:
+    name, fields = pair
+    if type(name) is not str or type(fields) is not dict:
+        raise TypeError("expected [name, {fields}]")
+    return _instantiate(name, fields)
+
+
+#: Tag -> (JSON type of its value, decoder).
+_TAGS: dict[str, tuple[type, Callable[[Any], Any]]] = {
+    "$node": (str, _node),
+    "$inbox": (str, _inbox),
+    "$tuple": (list, tuple),
+    "$bytes": (str, partial(base64.b64decode, validate=True)),
+    "$msg": (list, _msg),
+}
+
+
+def _revive(obj: dict) -> Any:
+    """The scanner's ``object_hook``: a tagged object becomes its value."""
+    if len(obj) == 1:
+        for key, value in obj.items():
+            tag = _TAGS.get(key)
+            if tag is not None and type(value) is tag[0]:
+                try:
+                    return tag[1](value)
+                except (AddressError, TypeError, ValueError) as exc:
+                    raise _bad_tag(key, value) from exc
+            if key[:1] == "$":
+                raise _bad_tag(key, value)
+    return obj
+
+
+def _bad_tag(key: str, value: Any) -> SerializationError:
+    return SerializationError(f"malformed {key!r} tag: {value!r:.80}")
 
 
 def _instantiate(name: str, fields: dict[str, Any]) -> Message:
     cls = lookup(name)
     try:
-        return cls.from_fields({k: v if type(v) in _SCALARS else _decode(v)
-                                for k, v in fields.items()})
-    except TypeError as exc:
+        return cls.from_fields(fields)
+    except Exception as exc:
         raise SerializationError(
             f"cannot reconstruct {name!r} from fields {sorted(fields)}: {exc}"
         ) from exc
+
+
+_decoder = json.JSONDecoder(object_hook=_revive)
+_scan = _decoder.scan_once
+_scan_plain = json.JSONDecoder().scan_once
+
+
+def _parse(text: str) -> Any:
+    """JSON ``text`` with its tagged objects decoded."""
+    try:
+        value, end = _scan(text, 0)
+    except StopIteration:
+        end = -1
+    if end != len(text):
+        # Whitespace around the value, data after it, or no value at all:
+        # the full decoder accepts the first and reports the others.
+        value = _decoder.decode(text)
+    return value
+
+
+# -- the API ------------------------------------------------------------------
 
 
 def encode_value(value: Any) -> Any:
@@ -120,30 +298,51 @@ def encode_value(value: Any) -> Any:
     arbitrarily); anything else raises
     :class:`~repro.errors.SerializationError` without partial effects.
     """
-    return value if type(value) in _SCALARS else _encode(value)
+    if type(value) in _SCALARS:
+        return value
+    out: list[str] = []
+    _emit(value, out.append)
+    return _scan_plain("".join(out), 0)[0]
 
 
 def decode_value(data: Any) -> Any:
-    """Invert :func:`encode_value` (after a ``json.loads`` round trip)."""
-    return data if type(data) in _SCALARS else _decode(data)
+    """Invert :func:`encode_value` (after a ``json.loads`` round trip):
+    the scanner's hook, applied children first."""
+    if type(data) is list:
+        return [decode_value(item) for item in data]
+    if type(data) is dict:
+        return _revive({key: decode_value(item)
+                        for key, item in data.items()})
+    return data
 
 
 def dumps(message: Message) -> str:
     """Serialize ``message`` to its wire string."""
-    if not isinstance(message, Message):
-        raise SerializationError(
-            f"can only send Message subclasses, got {type(message).__name__}")
-    if not message.wire_name:
-        raise SerializationError(
-            f"{type(message).__name__} is not registered; apply @message_type")
-    return _to_json({"t": message.wire_name, "f": _encode_fields(message)})
+    plan = _PLANS.get(type(message))
+    if plan is None:
+        if not isinstance(message, Message):
+            raise SerializationError(
+                "can only send Message subclasses, got "
+                f"{type(message).__name__}")
+        if not message.wire_name:
+            raise SerializationError(
+                f"{type(message).__name__} is not registered; "
+                "apply @message_type")
+        plan = _plan(type(message))
+    out = [plan[0]]
+    plan[1](message, out.append)
+    out.append("}}")
+    return "".join(out)
 
 
 def loads(wire: str) -> Message:
     """Reconstruct a message from its wire string."""
     try:
-        obj = json.loads(wire)
+        obj = _parse(wire)
         name, fields = obj["t"], obj["f"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise SerializationError(f"malformed wire string: {wire[:80]!r}") from exc
+        if type(name) is not str or type(fields) is not dict:
+            raise TypeError("expected a string 't' and an object 'f'")
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"malformed wire string: {wire[:80]!r}") from exc
     return _instantiate(name, fields)

@@ -366,12 +366,12 @@ class Endpoint:
         # (typed, at send time) rather than blow up in the UDP encoder
         # while sailing through the in-memory simulator.
         wire_len = utf8_len(payload)
-        frame_size = (frame_base_size(self.address, dst.node, channel)
-                      + ref_wire_size(dst.ref) + wire_len
-                      + DATA_FIXED_SIZE)
         if cls == UNRELIABLE:
             if timeout is not None:
                 raise ValueError("delivery timeout requires a reliable endpoint")
+            frame_size = (frame_base_size(self.address, dst.node, channel)
+                          + ref_wire_size(dst.ref) + wire_len
+                          + DATA_FIXED_SIZE)
             if frame_size > MAX_FRAME_BYTES:
                 raise payload_too_large(frame_size)
             self._unreliable_out.send(self.kernel.now, dst, channel, payload)
@@ -388,6 +388,9 @@ class Endpoint:
                 self, dst.node, channel, self._pick_rto(dst.node),
                 float(self.cwnd_initial))
         receipt = DeliveryReceipt(self.kernel, dst)
+        # The stream holds this channel's frame base.
+        frame_size = (stream.frame_base + ref_wire_size(dst.ref) + wire_len
+                      + DATA_FIXED_SIZE)
         if frame_size > MAX_FRAME_BYTES:
             # Failed before a sequence number is allocated, so the FIFO
             # stream is not holed by the rejected payload.
