@@ -18,25 +18,18 @@ the wire can also be replayed from disk, and anything it cannot hold
 fails *typed* (:class:`~repro.errors.SerializationError`) instead of
 corrupting a log.
 
-One pass each way. Encoding writes the wire string straight into one
-list of fragments. Each message class gets a plan on first use: its
-constant key fragments (``{"t":"sys.text","f":{"text":``) and one field
-emitter. Every value is dispatched on its exact type. Strings go through
-json's own escaper (the one :class:`json.JSONEncoder` uses), numbers
-follow json's ``repr`` / ``NaN`` / ``Infinity`` rules, so the string is
-the one ``json.dumps(tree, separators=(",", ":"))`` gives for the tagged
-tree, to the byte. A value whose exact type is not in the table (an
-``IntEnum``, a namedtuple, a new message class) is matched in the fixed
-order None/bool/int/float/str, NodeAddress, InboxAddress, Message,
-tuple, bytes, list, dict.
-
-Decoding happens inside json's scanner. An ``object_hook`` turns each
-tagged object into its value as the scanner closes it, children first,
-so a nested message's ``from_fields`` receives decoded fields and no
-list is walked twice. A ``$`` key is a tag only as the sole key of its
-object. :func:`loads` is total: input that is not the wire form of a
-registered message raises :class:`~repro.errors.SerializationError`
-with the underlying error chained.
+One pass each way. :func:`dumps` writes the wire string straight into
+one list of fragments from a plan built once per message class (its
+constant key fragments and one field emitter), dispatching each value on
+its exact type. Strings go through json's own escaper and numbers follow
+json's ``repr`` / ``NaN`` / ``Infinity`` rules, so the bytes are those
+of ``json.dumps(tree, separators=(",", ":"))`` on the tagged tree. A
+subclass of a wire type (an ``IntEnum``, a namedtuple) is matched in the
+fixed order of :data:`_LADDER`. :func:`loads` decodes inside json's
+scanner: its ``object_hook`` turns each tagged object — a ``$`` key as
+the sole key of its object — into its value as the scanner closes it,
+children first. Input that is not the wire form of a registered message
+raises :class:`~repro.errors.SerializationError`, the cause chained.
 """
 
 from __future__ import annotations
@@ -263,7 +256,7 @@ def _instantiate(name: str, fields: dict[str, Any]) -> Message:
     cls = lookup(name)
     try:
         return cls.from_fields(fields)
-    except Exception as exc:
+    except Exception as exc:  # a class's own checks, fed outside input
         raise SerializationError(
             f"cannot reconstruct {name!r} from fields {sorted(fields)}: {exc}"
         ) from exc

@@ -388,7 +388,6 @@ class Endpoint:
                 self, dst.node, channel, self._pick_rto(dst.node),
                 float(self.cwnd_initial))
         receipt = DeliveryReceipt(self.kernel, dst)
-        # The stream holds this channel's frame base.
         frame_size = (stream.frame_base + ref_wire_size(dst.ref) + wire_len
                       + DATA_FIXED_SIZE)
         if frame_size > MAX_FRAME_BYTES:
