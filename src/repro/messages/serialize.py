@@ -208,7 +208,8 @@ def _plan(cls: type[Message]) -> tuple[str, Emitter, Emitter]:
 
 # -- decoding -----------------------------------------------------------------
 
-#: Distinct address strings whose parse is remembered.
+#: Distinct address strings whose parse is remembered. Addresses are
+#: immutable, so every decode may share one parsed instance.
 ADDRESS_MEMO = 1024
 
 
