@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import base64
 import json
-from functools import lru_cache, partial
+from functools import partial
 from math import isfinite
 from typing import Any, Callable
 
@@ -143,27 +143,24 @@ _EMITTERS: dict[type, Emitter] = {
     memoryview: _emit_bytes,
     list: _emit_list,
     dict: _emit_dict,
+    Message: _emit_message,
 }
 
-#: The order a type not in the tables is matched in.
-_LADDER: tuple[tuple[Any, Emitter], ...] = (
-    (int, lambda value, append: append(int.__repr__(value))),
-    (float, lambda value, append: append(_float_text(value))),
-    (str, lambda value, append: append(_escape(value))),
-    (NodeAddress, _emit_node),
-    (InboxAddress, _emit_inbox),
-    (Message, _emit_message),
-    (tuple, _emit_tuple),
-    ((bytes, bytearray, memoryview), _emit_bytes),
-    (list, _emit_list),
-    (dict, _emit_dict),
+#: The order a type not in the tables is matched in; the matched type's
+#: entry in :data:`_SCALARS` or :data:`_EMITTERS` writes it.
+_LADDER: tuple[type, ...] = (
+    int, float, str, NodeAddress, InboxAddress, Message, tuple,
+    bytes, bytearray, memoryview, list, dict,
 )
 
 
 def _emit_subclass(value: Any, append: Append) -> None:
-    for base, emit in _LADDER:
+    for base in _LADDER:
         if isinstance(value, base):
-            return emit(value, append)
+            text = _SCALARS.get(base)
+            if text is not None:
+                return append(text(value))
+            return _EMITTERS[base](value, append)
     raise SerializationError(
         f"value of type {type(value).__name__} is not wire-encodable: "
         f"{value!r}")
@@ -208,14 +205,6 @@ def _plan(cls: type[Message]) -> tuple[str, Emitter, Emitter]:
 
 # -- decoding -----------------------------------------------------------------
 
-#: Distinct address strings whose parse is remembered. Addresses are
-#: immutable, so every decode may share one parsed instance.
-ADDRESS_MEMO = 1024
-
-
-_node = lru_cache(maxsize=ADDRESS_MEMO)(NodeAddress.parse)
-_inbox = lru_cache(maxsize=ADDRESS_MEMO)(InboxAddress.parse)
-
 
 def _msg(pair: list) -> Message:
     name, fields = pair
@@ -226,8 +215,8 @@ def _msg(pair: list) -> Message:
 
 #: Tag -> (JSON type of its value, decoder).
 _TAGS: dict[str, tuple[type, Callable[[Any], Any]]] = {
-    "$node": (str, _node),
-    "$inbox": (str, _inbox),
+    "$node": (str, NodeAddress.parse),
+    "$inbox": (str, InboxAddress.parse),
     "$tuple": (list, tuple),
     "$bytes": (str, partial(base64.b64decode, validate=True)),
     "$msg": (list, _msg),

@@ -1,4 +1,4 @@
-"""``loads`` is total, and the address memo stays within its bound.
+"""``loads`` is total.
 
 A payload reaches ``loads`` after the transport has acknowledged it, so
 whatever the bytes are, decoding must end in a message or a
@@ -14,8 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import AddressError, SerializationError
 from repro.messages import Message, Text, dumps, loads
-from repro.messages import serialize
-from repro.net import InboxAddress, NodeAddress
 from tests.messages.test_serialize_properties import Payload
 
 TAGS = ["$node", "$inbox", "$tuple", "$bytes", "$msg", "$other"]
@@ -113,27 +111,3 @@ def test_bytes_tag_is_validated_but_encoder_output_is_not_affected():
 
 def test_whitespace_around_the_wire_string_is_accepted():
     assert loads(' {"t":"sys.text","f":{"text":"x"}}\n') == Text("x")
-
-
-@pytest.mark.parametrize("memo,parse,render", [
-    (serialize._node, NodeAddress.parse,
-     lambda i: f"h{i}.edu:{1 + i % 60000}"),
-    (serialize._inbox, InboxAddress.parse,
-     lambda i: f"h{i % 7}.edu:{1 + i % 60000}/{'in' if i % 2 else i}"),
-])
-def test_address_memo_is_bounded_and_returns_what_parse_returns(
-        memo, parse, render):
-    bound = serialize.ADDRESS_MEMO
-    assert memo.cache_info().maxsize == bound
-    for i in range(bound * 2 + 10):
-        text = render(i)
-        assert memo(text) == parse(text)
-        assert memo.cache_info().currsize <= bound
-    assert memo.cache_info().currsize == bound
-    # Through the codec, too: a decoded address equals the parsed one.
-    tag = "$node" if memo is serialize._node else "$inbox"
-    text = render(bound * 3)
-    wire = json.dumps({"t": "proptest.payload",
-                       "f": {"value": {tag: text}, "extras": {}}})
-    assert loads(wire).value == parse(text)
-    assert memo.cache_info().currsize <= bound
