@@ -85,6 +85,9 @@ class Dapplet:
         self._named_inboxes: dict[str, Inbox] = {}
         #: Destination inbox -> the one-target outbox :meth:`post` uses.
         self._posts: dict[InboxAddress, Outbox] = {}
+        #: The reply half of this dapplet's RPC calls, made by its first
+        #: :class:`~repro.rpc.RemoteProxy`.
+        self._rpc_client = None
         self._processes: list[Process] = []
         #: Called with every newly created Inbox/Outbox; services (e.g.
         #: logical clocks) use this to hook all of a dapplet's ports.

@@ -13,6 +13,11 @@ asynchronous RPCs."
 global pointer (an inbox address); :class:`RemoteProxy` invokes methods
 through a pointer, one-way (:meth:`~RemoteProxy.invoke`) or
 request/reply (:meth:`~RemoteProxy.call`).
+
+The reply half of a pair belongs to the calling dapplet: however many
+proxies it holds, it has one reply inbox and one dispatcher, so an
+exporter keeps one reply channel per calling dapplet — its stream
+state is O(calling dapplets), not O(proxies).
 """
 
 from repro.rpc.remote import RemoteObject, export

@@ -9,12 +9,11 @@ terminate it ("when a session terminates, component dapplets unlink
 themselves from each other").
 
 Every step is a call on the members' session facets
-(:class:`~repro.session.manager.SessionFacet`), made through one
-:class:`~repro.rpc.RemoteProxy` per member node that the initiator keeps
-for its lifetime. A phase waits for all of its calls and stops at the
-first failure. An ``abort`` rides the same proxy, hence the same
-channel, as the ``prepare`` it undoes, so per-channel FIFO delivers it
-second.
+(:class:`~repro.session.manager.SessionFacet`), made through a
+:class:`~repro.rpc.RemoteProxy` handle on the member node's facet. A
+phase waits for all of its calls and stops at the first failure. An
+``abort`` goes to the same facet, hence on the same channel, as the
+``prepare`` it undoes, so per-channel FIFO delivers it second.
 
 All protocol steps are generators: run them from a process, e.g.::
 
@@ -49,10 +48,6 @@ class Initiator(Dapplet):
         self._session_ids = itertools.count(1)
         #: Live session id -> member -> the member's node address.
         self._records: dict[str, dict[str, NodeAddress]] = {}
-        #: Member node -> the proxy on its session facet. Bounded by the
-        #: distinct members ever linked: a proxy per session would leave
-        #: every member one reply channel per past session.
-        self._proxies: dict[NodeAddress, RemoteProxy] = {}
         #: Optional :class:`repro.discovery.Resolver`; when set, member
         #: names resolve through the replicated directory (with caching
         #: and failover) instead of the world's static dict.
@@ -128,7 +123,7 @@ class Initiator(Dapplet):
             # follows the prepare on the one channel to its node, so it
             # always cleans up. Aborting a rejector is a no-op.
             for member in spec.members:
-                self._proxy(addresses[member]).invoke("abort", session_id)
+                self._invoke(addresses[member], "abort", session_id)
             del self._records[session_id]
             rejector = _rejector(prepares, error)
             if rejector is not None:
@@ -149,7 +144,7 @@ class Initiator(Dapplet):
         if error is not None:
             # Members that committed are active; unwind via unlink.
             for member in spec.members:
-                self._proxy(addresses[member]).invoke("unlink", session_id)
+                self._invoke(addresses[member], "unlink", session_id)
             del self._records[session_id]
             raise SessionError(f"session {session_id!r}: not ready: "
                                f"{_unanswered(commits)}") from error
@@ -189,7 +184,7 @@ class Initiator(Dapplet):
                     participant=member, reason=error.remote_message)
             # A late accept must not leave the member prepared forever;
             # the abort follows the prepare on its channel.
-            self._proxy(address).invoke("abort", sid)
+            self._invoke(address, "abort", sid)
             raise SessionError(
                 f"growth of {sid!r}: no reply from {member!r} within "
                 f"{timeout}s") from error
@@ -215,10 +210,10 @@ class Initiator(Dapplet):
             # Roll the half-grown member back out: unlink it, remove the
             # channels existing members added toward it, and restore the
             # session records.
-            self._proxy(address).invoke("unlink", sid)
+            self._invoke(address, "unlink", sid)
             for b in toward_new:
-                self._proxy(addresses[b.src_member]).invoke(
-                    "bind_remove", sid, b.outbox, (ports[b.inbox],))
+                self._invoke(addresses[b.src_member], "bind_remove", sid,
+                             b.outbox, (ports[b.inbox],))
             del addresses[member]
             session.ports.pop(member, None)
             session.spec.members.pop(member, None)
@@ -284,8 +279,8 @@ class Initiator(Dapplet):
                 removals.setdefault((b.src_member, b.outbox), []).append(
                     session.port(member, b.inbox))
         for (src, outbox), targets in removals.items():
-            self._proxy(addresses[src]).invoke(
-                "bind_remove", sid, outbox, tuple(targets))
+            self._invoke(addresses[src], "bind_remove", sid, outbox,
+                         tuple(targets))
 
         try:
             yield self._call(addresses.pop(member), deadline, "unlink", sid)
@@ -320,19 +315,16 @@ class Initiator(Dapplet):
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _proxy(self, address: NodeAddress) -> RemoteProxy:
-        """The proxy on the session facet of the member at ``address``."""
-        proxy = self._proxies.get(address)
-        if proxy is None:
-            proxy = self._proxies[address] = RemoteProxy(
-                self, InboxAddress(address, CONTROL_INBOX))
-        return proxy
+    def _invoke(self, address: NodeAddress, method: str, *args) -> None:
+        """One-way call of ``method`` on the facet at ``address``."""
+        RemoteProxy(self, InboxAddress(address, CONTROL_INBOX)).invoke(
+            method, *args)
 
     def _call(self, address: NodeAddress, deadline: float, method: str,
               *args) -> Event:
         """Call ``method`` on the facet at ``address``; the call fails
         with :class:`~repro.errors.RpcTimeout` at ``deadline``."""
-        return self._proxy(address).call(
+        return RemoteProxy(self, InboxAddress(address, CONTROL_INBOX)).call(
             method, *args, timeout=max(0.0, deadline - self.kernel.now))
 
     def _commit(self, address: NodeAddress, session_id: str,

@@ -187,6 +187,16 @@ def test_a_late_reply_after_failover_is_dropped(catalog):
     faults = dep.world.network.faults
     kernel = dep.world.kernel
 
+    rpc = probe._rpc_client
+    late = []
+
+    def note_late(msg):
+        # Seen before the dispatcher: a reply with no call waiting is late.
+        late.append(msg.call_id not in rpc._pending)
+        return msg
+
+    rpc.inbox.delivery_hooks.append(note_late)
+
     def director():
         yield dep.claimed(agent)
         yield kernel.timeout(3 * dep.cfg.gossip_interval)
@@ -198,36 +208,37 @@ def test_a_late_reply_after_failover_is_dropped(catalog):
         assert client.failovers == 1 and client.replica == second.address
         assert (first.stats.lookups, second.stats.lookups) \
             == (lookups[0] + 1, lookups[1] + 1)
-        replies = client.proxy._reply_inbox
+        assert late.count(True) == 0
         yield kernel.timeout(10.0)            # the held reply gets through
-        assert replies.messages_received == 2
-        assert client.proxy._pending == {}
+        assert late.count(True) == 1
+        assert rpc._pending == {}
 
     dep.run(director)
 
 
 def test_no_call_is_left_pending_at_quiescence(catalog):
     """Every call the agent and the client make is answered or timed
-    out: nothing waits in their proxies once the ring is quiet."""
+    out: nothing waits in their dapplets' RPC clients once the ring is
+    quiet."""
     dep = Deployment(catalog)
-    _, agent, row = dep.member("host.edu", "alice")
+    owner, agent, row = dep.member("host.edu", "alice")
     probe = dep.world.dapplet(Worker, "probe.edu", "probe")
     client = dep.client(probe)
     kernel = dep.world.kernel
 
     def director():
         yield dep.claimed(agent)
-        assert agent.proxy._pending == {}
+        assert owner._rpc_client._pending == {}
         yield kernel.timeout(3 * dep.cfg.gossip_interval)
         assert (yield from catalog.find(client, row)) is not None
         assert (yield from catalog.find(client, "no/such/row")) is None
-        assert client.proxy._pending == {}
+        assert probe._rpc_client._pending == {}
         dep.home_of(agent).stop()             # one call times out
         yield kernel.timeout(dep.cfg.ttl + 4 * dep.cfg.request_timeout)
         assert agent.failovers >= 1
 
     dep.run(director)
-    assert agent.proxy._pending == {} and client.proxy._pending == {}
+    assert owner._rpc_client._pending == {} == probe._rpc_client._pending
 
 
 def test_silent_owner_is_tombstoned_then_forgotten(catalog):

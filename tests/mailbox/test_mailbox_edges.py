@@ -1,22 +1,15 @@
-"""Edge-case tests for mailbox ports and RPC plumbing."""
+"""Edge-case tests for mailbox ports."""
 
 import pytest
 
-from repro.dapplet import Dapplet
-from repro.errors import BindingError, ReceiveTimeout, RpcTimeout
+from repro.errors import BindingError, ReceiveTimeout
 from repro.mailbox import Inbox, Outbox
 from repro.messages import Text
 from repro.net import ConstantLatency, DatagramNetwork, Endpoint, NodeAddress
-from repro.rpc import RemoteProxy, export
 from repro.sim import Kernel
-from repro.world import World
 
 A = NodeAddress("a.edu", 1000)
 B = NodeAddress("b.edu", 1000)
-
-
-class Plain(Dapplet):
-    kind = "plain"
 
 
 def world_pair():
@@ -111,33 +104,6 @@ def test_receive_timeout_zero_like_behaviour():
     k.process(reader())
     k.run()
     assert got == ["ready"]
-
-
-def test_proxy_close_stops_dispatching():
-    world = World(seed=1, latency=ConstantLatency(0.01))
-    server = world.dapplet(Plain, "caltech.edu", "server")
-    client = world.dapplet(Plain, "rice.edu", "client")
-
-    class Svc:
-        def ping(self):
-            return "pong"
-
-    remote = export(server, Svc(), name="svc")
-    proxy = RemoteProxy(client, remote.pointer)
-    outcomes = []
-
-    def run():
-        first = yield proxy.call("ping")
-        outcomes.append(first)
-        proxy.close()
-        try:
-            yield proxy.call("ping", timeout=0.5)
-        except RpcTimeout:
-            outcomes.append("timeout-after-close")
-
-    world.run(until=world.process(run()))
-    world.run()
-    assert outcomes == ["pong", "timeout-after-close"]
 
 
 def test_outbox_send_hooks_apply_per_send_not_per_copy():

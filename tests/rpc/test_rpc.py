@@ -218,6 +218,64 @@ def test_two_proxies_one_object(world, nodes):
     assert counter.value == 2
 
 
+
+# -- one reply half per calling dapplet ----------------------------------------
+
+
+def test_a_calling_dapplet_has_one_reply_inbox_however_many_proxies(world,
+                                                                   nodes):
+    server, client = nodes
+    other = world.dapplet(Plain, "utk.edu", "other")
+    pointers = [export(server, Counter(), name=f"c{i}").pointer
+                for i in range(8)]
+    inboxes, processes = len(client.inboxes), len(client._processes)
+    proxies = [RemoteProxy(client, pointer) for pointer in pointers]
+    assert len(client.inboxes) == inboxes + 1
+    assert len(client._processes) == processes + 1
+    results = []
+
+    def caller(proxy):
+        results.append((yield proxy.call("add", 1)))
+
+    for proxy in [*proxies, RemoteProxy(other, pointers[0])]:
+        world.process(caller(proxy))
+    world.run()
+    assert sorted(results) == [1] * 7 + [1, 2]
+    # The exporter answers each calling dapplet on one channel.
+    assert set(server._posts) == {client._rpc_client.inbox.address,
+                                  other._rpc_client.inbox.address}
+
+
+def test_concurrent_timed_calls_share_one_deadline_wake(world, nodes):
+    server, client = nodes
+    proxy = RemoteProxy(client, export(server, Counter(),
+                                       name="counter").pointer)
+    armed = []
+    call_later = world.kernel.call_later
+
+    def counting(delay, fn):
+        if fn.__module__ == "repro.rpc.proxy":
+            armed.append(delay)
+        return call_later(delay, fn)
+
+    world.kernel.call_later = counting
+    results = []
+
+    def caller():
+        results.append((yield proxy.call("add", 1, timeout=5.0)))
+
+    for _ in range(50):
+        world.process(caller())
+    world.run()
+    assert sorted(results) == list(range(1, 51))
+    assert 1 <= len(armed) <= 2
+    # A send that raises leaves nothing pending and nothing on the agenda.
+    with pytest.raises(SerializationError):
+        proxy.call("add", object(), timeout=5.0)
+    rpc = client._rpc_client
+    assert rpc._pending == {} and rpc._agenda == []
+
+
 # -- blocking methods: a method may return an event --------------------------
 
 
@@ -318,7 +376,7 @@ def test_one_way_invoke_of_a_blocking_method_drops_the_outcome(world, nodes):
     gate.doors["ok"].succeed("ignored")
     gate.doors["bad"].fail(RuntimeError("nobody is told"))
     world.run()  # the failure is defused, not raised out of the run
-    assert proxy._pending == {}
+    assert client._rpc_client._pending == {}
     assert remote.errors == 1
     assert server.endpoint.stats.data_sent == 0  # nothing was answered
 
@@ -394,7 +452,7 @@ def test_unencodable_return_value_is_an_error_reply_not_a_crash(world, nodes):
     # no call id waiting for a reply that will never come.
     with pytest.raises(SerializationError):
         proxy.call("good", object())
-    assert proxy._pending == {}
+    assert client._rpc_client._pending == {}
 
 
 # -- a sync host is an export like any other ---------------------------------

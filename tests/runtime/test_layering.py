@@ -293,7 +293,7 @@ def test_rpc_span_targets_keep_the_shape_e20_patches():
     for name in ("establish", "_terminate"):
         assert inspect.isgeneratorfunction(vars(Initiator)[name]), name
     for module, cls, name in ((remote, remote.RemoteObject, "_serve"),
-                              (proxy, proxy.RemoteProxy, "_dispatch")):
+                              (proxy, proxy.RpcClient, "_dispatch")):
         loop = vars(cls)[name]
         assert inspect.isgeneratorfunction(loop)
         assert loop.__code__.co_filename == module.__file__

@@ -149,8 +149,7 @@ def test_abort_never_overtakes_its_prepare_under_reorder(seed):
     assert a.sessions.stats.prepares == 1
     assert a.sessions.stats.aborts == 1
     assert a.sessions._entries == {}
-    assert all(not proxy._pending
-               for proxy in initiator._proxies.values())
+    assert initiator._rpc_client._pending == {}
 
 
 # -- no call left pending at quiescence ----------------------------------------------
@@ -218,9 +217,7 @@ def test_no_call_is_left_pending_at_quiescence(world, initiator, path):
     b = world.dapplet(PassiveDapplet, "rice.edu", "b")
     run(world, path(world, initiator, a, b))
     world.run()
-    assert initiator._proxies
-    assert {str(address): proxy._pending
-            for address, proxy in initiator._proxies.items()} == {
-        str(address): {} for address in initiator._proxies}
+    assert initiator._rpc_client._pending == {}
+    assert initiator._rpc_client._agenda == []
     assert initiator._records == {}
     assert a.sessions._entries == {}

@@ -15,7 +15,7 @@ def test_ports_do_not_accumulate_across_sessions(world, initiator):
 
     def counts():
         # Ports, and the transport's per-channel stream state under them:
-        # link-up rides one channel per initiator proxy, not per session.
+        # link-up rides one channel per member facet, not per session.
         return (len(a.inboxes), len(a.outboxes),
                 len(initiator.inboxes), len(initiator.outboxes),
                 len(initiator.endpoint._send_streams),
@@ -48,11 +48,10 @@ def test_manager_entries_do_not_accumulate(world, initiator):
     world.run()
     assert a.sessions.active_sessions() == []
     assert len(a.sessions._entries) == 0
-    # One reply channel per initiator proxy: bounded, not per session.
-    assert list(a._posts) == [initiator._proxies[a.address]
-                              ._reply_inbox.address]
+    # One reply channel per calling dapplet: bounded, not per session.
+    assert list(a._posts) == [initiator._rpc_client.inbox.address]
     assert len(initiator._records) == 0
-    # One proxy per member node, each with its one channel to _session.
-    assert sorted(initiator._proxies) == sorted([a.address, b.address])
+    assert initiator._rpc_client._pending == {}
+    # One channel to each member's _session facet.
     assert set(initiator._posts) == {a.address.inbox(CONTROL_INBOX),
                                      b.address.inbox(CONTROL_INBOX)}
