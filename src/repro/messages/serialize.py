@@ -18,6 +18,15 @@ the wire can also be replayed from disk, and anything it cannot hold
 fails *typed* (:class:`~repro.errors.SerializationError`) instead of
 corrupting a log.
 
+A default is part of the type, so a field holding its dataclass default
+stays off the wire: same exact type and ``==`` (a ``default_factory``
+compared with one instance built per class), and, for a default whose
+``==`` is coarser than its wire form (a float, a non-empty container, a
+message), the same wire text. The receiver's ``cls(**fields)`` fills it
+back in, so a string that carries every field — an older frame, journal
+or snapshot — still decodes to the same message. A class that overrides
+``to_fields`` writes exactly what it returns.
+
 One pass each way. :func:`dumps` writes the wire string straight into
 one list of fragments from a plan built once per message class (its
 constant key fragments and one field emitter), dispatching each value on
@@ -35,7 +44,9 @@ raises :class:`~repro.errors.SerializationError`, the cause chained.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
+from dataclasses import MISSING
 from functools import partial
 from math import isfinite
 from typing import Any, Callable
@@ -166,6 +177,27 @@ def _emit_subclass(value: Any, append: Append) -> None:
         f"{value!r}")
 
 
+def _text(value: Any) -> str:
+    """The wire text of ``value``."""
+    out: list[str] = []
+    _emit(value, out.append)
+    return "".join(out)
+
+
+def _default(f: dataclasses.Field) -> Any:
+    """A field's default, one instance of a ``default_factory``, or
+    ``MISSING`` for a field without one."""
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
+
+
+#: Default types whose ``==`` at the same exact type implies the same
+#: wire text; any other default (a float: ``-0.0 == 0.0``; a non-empty
+#: container: ``[False] == [0]``) is also compared by its text.
+_EXACT = frozenset({str, int, bool, type(None), bytes})
+_EMPTY = frozenset({tuple, list, dict})
+
 #: Registered message class -> (top-level head, fields emitter, nested
 #: emitter). Unregistered classes (legal only nested) are planned per use.
 _PLANS: dict[type, tuple[str, Emitter, Emitter]] = {}
@@ -177,13 +209,37 @@ def _plan(cls: type[Message]) -> tuple[str, Emitter, Emitter]:
         return plan
     if cls.to_fields is Message.to_fields:
         names = field_names(cls)
+        defaults = [_default(f) for f in dataclasses.fields(cls)]
+        lead = next((i for i, d in enumerate(defaults) if d is not MISSING),
+                    len(names))
         pairs = tuple((("," if i else "") + _escape(name) + ":", name)
-                      for i, name in enumerate(names))
+                      for i, name in enumerate(names[:lead]))
+        tail = tuple((_escape(name) + ":", name, default,
+                      type(default) in _EXACT or
+                      (type(default) in _EMPTY and not default))
+                     for name, default in zip(names[lead:], defaults[lead:]))
 
-        def fields(message: Message, append: Append) -> None:
-            for key, name in pairs:
-                append(key)
-                _emit(getattr(message, name), append)
+        if not tail:
+            def fields(message: Message, append: Append) -> None:
+                for key, name in pairs:
+                    append(key)
+                    _emit(getattr(message, name), append)
+        else:
+            first = "," if pairs else ""
+
+            def fields(message: Message, append: Append) -> None:
+                for key, name in pairs:
+                    append(key)
+                    _emit(getattr(message, name), append)
+                sep = first
+                for key, name, default, exact in tail:
+                    value = getattr(message, name)
+                    if type(value) is type(default) and value == default \
+                            and (exact or _text(value) == _text(default)):
+                        continue
+                    append(sep + key)
+                    sep = ","
+                    _emit(value, append)
     else:
         def fields(message: Message, append: Append) -> None:
             _emit_members(message.to_fields(), append)
@@ -283,9 +339,7 @@ def encode_value(value: Any) -> Any:
     """
     if type(value) in _SCALARS:
         return value
-    out: list[str] = []
-    _emit(value, out.append)
-    return _scan_plain("".join(out), 0)[0]
+    return _scan_plain(_text(value), 0)[0]
 
 
 def decode_value(data: Any) -> Any:

@@ -113,6 +113,9 @@ class RpcClient:
         def wake() -> None:
             if self._wake_at != due:
                 return
+            if self.kernel.now < due:  # no delay from the arming instant
+                self.kernel.call_later(_delay(self.kernel.now, due), wake)
+                return
             self._wake_at = None
             # Same due: call order, as the heap breaks ties by call id.
             while agenda and agenda[0][0] <= due:
@@ -145,12 +148,14 @@ class RpcClient:
 
 
 def _delay(now: float, due: float) -> float:
-    """The delay that lands a timer on ``due`` itself: ``now + (due -
-    now)`` can round one ulp off, and a call must fail at exactly its
-    ``sent + timeout`` whichever instant its wake was armed from."""
+    """The longest delay that lands a timer at or before ``due``: ``now +
+    (due - now)`` can round one ulp off, and a call must fail at exactly
+    its ``sent + timeout`` whichever instant its wake was armed from. When
+    no delay from ``now`` lands on ``due`` itself, the wake lands just
+    before it and re-arms; from there ``due - now`` is exact."""
     delay = max(0.0, due - now)
     while delay > 0.0 and now + delay > due:
         delay = math.nextafter(delay, 0.0)
-    while now + delay < due:
+    while now + delay < due and now + math.nextafter(delay, math.inf) <= due:
         delay = math.nextafter(delay, math.inf)
     return delay

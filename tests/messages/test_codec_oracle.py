@@ -6,7 +6,10 @@ None of that may move a byte: the wire string is the paper's API
 ("serialized to strings, reconstructed by type", §3). The reference here
 is the old codec verbatim — ``dataclasses.fields`` per message,
 ``json.dumps(..., separators=...)`` per message, every value through the
-``isinstance`` ladder — kept *in the test* as the oracle.
+``isinstance`` ladder — kept *in the test* as the oracle, taught the
+one rule the codec added since: a field holding its default stays off
+the wire. Its ``full=True`` form is the string written before that rule,
+which must still decode.
 """
 
 import base64
@@ -14,7 +17,7 @@ import dataclasses
 import importlib
 import json
 import pkgutil
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Any
 
 import pytest
@@ -37,7 +40,7 @@ for _module in pkgutil.walk_packages(repro.__path__, "repro."):
 # -- the oracle: the generic walk, as it was ----------------------------------
 
 
-def oracle_encode(value: Any) -> Any:
+def oracle_encode(value: Any, full: bool = False) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, NodeAddress):
@@ -45,18 +48,36 @@ def oracle_encode(value: Any) -> Any:
     if isinstance(value, InboxAddress):
         return {"$inbox": str(value)}
     if isinstance(value, Message):
-        return {"$msg": [value.wire_name,
-                         {f.name: oracle_encode(getattr(value, f.name))
-                          for f in dataclasses.fields(value)}]}
+        return {"$msg": [value.wire_name, oracle_fields(value, full)]}
     if isinstance(value, tuple):
-        return {"$tuple": [oracle_encode(v) for v in value]}
+        return {"$tuple": [oracle_encode(v, full) for v in value]}
     if isinstance(value, (bytes, bytearray, memoryview)):
         return {"$bytes": base64.b64encode(bytes(value)).decode("ascii")}
     if isinstance(value, list):
-        return [oracle_encode(v) for v in value]
+        return [oracle_encode(v, full) for v in value]
     if isinstance(value, dict):
-        return {k: oracle_encode(v) for k, v in value.items()}
+        return {k: oracle_encode(v, full) for k, v in value.items()}
     raise AssertionError(f"outside the grammar: {value!r}")
+
+
+def oracle_default(f: dataclasses.Field) -> Any:
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def oracle_fields(message: Message, full: bool = False) -> dict:
+    """Each field's encoded value, leaving out (unless ``full``) every
+    field whose value has its default's exact type, ``==`` and JSON."""
+    out = {}
+    for f in dataclasses.fields(message):
+        value, default = getattr(message, f.name), oracle_default(f)
+        encoded = oracle_encode(value, full)
+        if not full and type(value) is type(default) and value == default \
+                and json.dumps(encoded) == json.dumps(oracle_encode(default)):
+            continue
+        out[f.name] = encoded
+    return out
 
 
 def oracle_decode(value: Any) -> Any:
@@ -82,10 +103,9 @@ def oracle_instantiate(name: str, fields: dict) -> Message:
     return lookup(name)(**{k: oracle_decode(v) for k, v in fields.items()})
 
 
-def oracle_dumps(message: Message) -> str:
-    fields = {f.name: oracle_encode(getattr(message, f.name))
-              for f in dataclasses.fields(message)}
-    return json.dumps({"t": message.wire_name, "f": fields},
+def oracle_dumps(message: Message, full: bool = False) -> str:
+    return json.dumps({"t": message.wire_name,
+                       "f": oracle_fields(message, full)},
                       separators=(",", ":"))
 
 
@@ -109,9 +129,15 @@ values = st.one_of(wire_values, st.binary(max_size=12),
 def messages(draw):
     """An instance of any registered type, its fields filled from the
     full value grammar (the codec is untyped: annotations are not
-    consulted on either side)."""
+    consulted on either side) or, for a field that has one, its
+    default."""
     _, cls = draw(st.sampled_from(TYPES))
-    return cls(**{f.name: draw(values) for f in dataclasses.fields(cls)})
+    fields = {}
+    for f in dataclasses.fields(cls):
+        default = oracle_default(f)
+        fields[f.name] = draw(values if default is MISSING else
+                              st.just(default) | values)
+    return cls(**fields)
 
 
 #: One of everything the grammar distinguishes, scalars first.
@@ -122,6 +148,18 @@ SAMPLES = (None, True, False, 0, 1, -1, 2**53, 1.0, -0.0, 1e-7, 2.5e300,
            (), (1, "a", None), [], [True, 1, 1.0, "1"], {},
            {"a": {"b": [(), {"c": None}]}}, b"", b"\x00\xff",
            Text("nested"), Blob({"deep": (Text("er"),)}))
+
+
+def sweep(cls: type[Message]):
+    """Each sample in every field of ``cls``, then the required fields
+    alone, the rest left at their defaults."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    for shift in range(len(SAMPLES)):
+        yield cls(**{n: SAMPLES[(shift + i) % len(SAMPLES)]
+                     for i, n in enumerate(names)})
+    yield cls(**{f.name: SAMPLES[i] for i, f in
+                 enumerate(dataclasses.fields(cls))
+                 if oracle_default(f) is MISSING})
 
 
 def check(message: Message) -> None:
@@ -145,10 +183,37 @@ def test_dumps_is_the_oracles_string_for_any_registered_type(message):
 @pytest.mark.parametrize("name,cls", TYPES, ids=[n for n, _ in TYPES])
 def test_every_registered_type_against_the_oracle(name, cls):
     """Deterministic sweep: each type, every sample in every field."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    for shift in range(len(SAMPLES)):
-        check(cls(**{n: SAMPLES[(shift + i) % len(SAMPLES)]
-                     for i, n in enumerate(names)}))
+    for message in sweep(cls):
+        check(message)
+
+
+@pytest.mark.parametrize("name,cls", TYPES, ids=[n for n, _ in TYPES])
+def test_full_field_strings_still_decode(name, cls):
+    """A frame, journal or snapshot written before defaults stayed off
+    the wire carries every field; it decodes to the same message as the
+    shorter string written now."""
+    for message in sweep(cls):
+        full = oracle_dumps(message, full=True)
+        assert len(full) >= len(dumps(message))
+        assert loads(full) == loads(dumps(message)) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages())
+def test_elision_is_type_exact_for_any_registered_type(message):
+    """Every field comes back with its type, and no field that is
+    written holds its default at the same type (every registered
+    default is a scalar or an empty container, whose ``==`` is exact)."""
+    back = loads(dumps(message))
+    assert back == message
+    fields = dataclasses.fields(message)
+    for f in fields:
+        assert type(getattr(back, f.name)) is type(getattr(message, f.name))
+    written = json.loads(dumps(message))["f"]
+    for f in fields:
+        if f.name in written:
+            value, default = getattr(message, f.name), oracle_default(f)
+            assert not (type(value) is type(default) and value == default)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,8 +236,41 @@ def test_bool_is_never_confused_with_int():
     assert type(back.extras["n"]) is int and type(back.extras["f"]) is float
     assert back.extras["b"] is False
     assert dumps(Payload(value=1)) == '{"t":"proptest.payload","f":' \
-        '{"value":1,"extras":{}}}'
+        '{"value":1}}'
     assert encode_value(True) is True and decode_value(True) is True
+
+    # A default stays off the wire only at its own exact type.
+    assert dumps(Defaults()) == '{"t":"oracle.defaults","f":{"nan":NaN}}'
+    odd = Defaults(count=False, ratio=0, items=[], shape=Text(""),
+                   nan=float("nan"), inner=Blob())
+    wire = dumps(odd)
+    assert wire == ('{"t":"oracle.defaults","f":{"count":false,"ratio":0,'
+                    '"items":[],"nan":NaN,"inner":{"$msg":["sys.blob",{}]}}}')
+    back = loads(wire)
+    assert back.count is False and type(back.ratio) is int
+    assert back.items == [] and back.inner == Blob() and back.nan != back.nan
+    assert dumps(Defaults(count=0.0, ratio=-0.0, items=(0,),
+                          shape=Text("s"))) == (
+        '{"t":"oracle.defaults","f":{"count":0.0,"ratio":-0.0,'
+        '"items":{"$tuple":[0]},"shape":{"$msg":["sys.text",{"text":"s"}]},'
+        '"nan":NaN}}')
+    # ``(False, 1) == (0, 1)``, but the wire tells them apart.
+    assert loads(dumps(Defaults(pair=(False, 1)))).pair[0] is False
+    assert dumps(Defaults(pair=(0, 1))) == dumps(Defaults())
+
+
+@message_type("oracle.defaults")
+@dataclass(frozen=True)
+class Defaults(Message):
+    """One default of each kind the elision rule tells apart."""
+
+    count: int = 0
+    ratio: float = 0.0
+    items: tuple = ()
+    pair: tuple = (0, 1)
+    shape: Message = Text("")
+    nan: float = float("nan")
+    inner: object = None
 
 
 def test_scalar_subclasses_take_the_generic_walk_to_the_same_string():
@@ -293,6 +391,8 @@ def test_field_names_are_per_class_not_inherited():
     class Wider(Base):          # inherits the wire name, not the plan
         b: str = "b"
 
-    assert dumps(Base()) == '{"t":"oracle.base","f":{"a":1}}'
-    assert dumps(Wider()) == '{"t":"oracle.base","f":{"a":1,"b":"b"}}'
+    assert dumps(Base(2)) == '{"t":"oracle.base","f":{"a":2}}'
+    assert dumps(Wider(2, "c")) == '{"t":"oracle.base","f":{"a":2,"b":"c"}}'
+    assert dumps(Wider(1, "c")) == '{"t":"oracle.base","f":{"b":"c"}}'
+    assert dumps(Wider()) == dumps(Base()) == '{"t":"oracle.base","f":{}}'
     assert Wider(2, "c").to_fields() == {"a": 2, "b": "c"}

@@ -8,7 +8,7 @@ the reply's value; any other call fails with :class:`RpcTimeout` at
 exactly ``sent + timeout``.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.dapplet import Dapplet
 from repro.errors import RpcTimeout
@@ -42,6 +42,10 @@ calls = st.lists(
 
 @settings(max_examples=100, deadline=None)
 @given(calls=calls, muted=st.sets(st.integers(0, EXPORTERS - 1)))
+# Re-armed at 0.238…, no delay lands on 0.984… itself: the wake must
+# land short of it and re-arm, not one ulp past it.
+@example(calls=[(0, 0.0, 0.23814653691339033, 0.0),
+                (0, 0.0, 0.9842794334314585, 0.0)], muted={0})
 def test_each_call_resolves_once_with_its_reply_or_at_its_deadline(
         calls, muted):
     world = World(seed=3, latency=ConstantLatency(0.01))
