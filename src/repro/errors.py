@@ -18,6 +18,10 @@ from __future__ import annotations
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
+    #: Attributes sent along when an exported method raises this error;
+    #: the caller's :class:`RpcError` has them as ``remote_fields``.
+    rpc_fields: tuple[str, ...] = ()
+
 
 class SimulationError(ReproError):
     """Base class for errors raised by the discrete-event kernel."""
@@ -170,13 +174,16 @@ class InterferenceError(SessionError):
 
 
 class RpcError(ReproError):
-    """A remote invocation failed at the callee; carries the remote reason."""
+    """A remote invocation failed at the callee; carries the remote
+    reason, and the attributes its class names in ``rpc_fields``."""
 
     def __init__(self, message: str, *, remote_type: str = "",
-                 remote_message: str = "") -> None:
+                 remote_message: str = "",
+                 remote_fields: dict | None = None) -> None:
         super().__init__(message)
         self.remote_type = remote_type
         self.remote_message = remote_message
+        self.remote_fields = dict(remote_fields or {})
 
 
 class RpcTimeout(RpcError):
@@ -193,9 +200,11 @@ class DeadlockDetected(TokenError):
     ``cycle`` names each dapplet on the detected wait-for cycle exactly
     once, in wait-for order: the victim (the requester this exception is
     raised in, the youngest waiter on the cycle) first, the dapplet that
-    waits for the victim last. Empty for a request naming an unknown
-    colour.
+    waits for the victim last. A request naming an unknown colour is not
+    a deadlock: it fails with a plain :class:`TokenError`.
     """
+
+    rpc_fields = ("cycle",)
 
     def __init__(self, message: str, *, cycle: tuple[str, ...] = ()) -> None:
         super().__init__(message)
@@ -247,6 +256,8 @@ class CapabilityDenied(RegistryError):
     :class:`RpcError` on the RPC path; token requests raise this
     directly.
     """
+
+    rpc_fields = ("principal", "verb", "target")
 
     def __init__(self, message: str, *, principal: str = "",
                  verb: str = "", target: str = "") -> None:

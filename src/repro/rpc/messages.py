@@ -11,9 +11,10 @@ from repro.net.address import InboxAddress
 @message_type("rpc.invoke")
 @dataclass(frozen=True)
 class Invoke(Message):
-    """A method invocation. ``reply_to`` of ``None`` makes it one-way."""
+    """A method invocation. ``reply_to`` of ``None`` makes it one-way,
+    with no ``call_id`` (keyword-only, to keep its place on the wire)."""
 
-    call_id: int
+    call_id: int = field(default=0, kw_only=True)
     method: str
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)

@@ -48,8 +48,9 @@ class RemoteProxy:
         """Synchronous RPC: an event that fires with the return value.
 
         Yield it from a process. Fails with :class:`RpcError` if the
-        callee raised (carrying the remote exception type and message),
-        or :class:`RpcTimeout` if no reply arrives in ``timeout``.
+        callee raised (carrying the remote exception type, message and
+        ``rpc_fields``), or :class:`RpcTimeout` if no reply arrives in
+        ``timeout``.
         """
         return self._client.call(self.pointer, method, args, kwargs, timeout)
 
@@ -76,8 +77,9 @@ class RpcClient:
 
     def post(self, pointer: InboxAddress, method: str, args: tuple,
              kwargs: dict, reply_to: InboxAddress | None) -> int:
-        """Send one ``Invoke``; returns its call id."""
-        call_id = next(self._call_ids)
+        """Send one ``Invoke``; returns its call id (0, off the wire,
+        for a one-way invoke: nothing is matched to it)."""
+        call_id = next(self._call_ids) if reply_to is not None else 0
         self.dapplet.post(pointer, Invoke(
             call_id=call_id, method=method, args=args, kwargs=kwargs,
             reply_to=reply_to, principal=self.dapplet.principal))
@@ -144,7 +146,9 @@ class RpcClient:
                     f"remote call failed: {msg.error_type}: "
                     f"{msg.error_message}",
                     remote_type=msg.error_type,
-                    remote_message=msg.error_message))
+                    remote_message=msg.error_message,
+                    remote_fields=msg.value
+                    if isinstance(msg.value, dict) else None))
 
 
 def _delay(now: float, due: float) -> float:

@@ -13,7 +13,8 @@ A method may *block* by returning an event: the serve loop moves on at
 once and the caller is answered with the event's value — or its failure,
 typed like any callee exception — when it fires. Methods still run one
 at a time; only the waiting overlaps, so replies to blocked callers
-leave in the order their events fire.
+leave in the order their events fire. The attributes an exception's
+class names in ``rpc_fields`` travel in the error reply's ``value``.
 
 An exported class that sets ``authorizes_callers = True`` checks its own
 callers: no ``rpc.call:<method>`` gate applies, and each method is
@@ -64,8 +65,8 @@ class RemoteObject:
 
     def _apply(self, msg: Invoke) -> "Reply | Event":
         if msg.method.startswith("_"):
-            return self._refusal(msg, "PermissionError",
-                                 f"method {msg.method!r} is not public")
+            return self._refusal(msg, PermissionError(
+                f"method {msg.method!r} is not public"))
         owner = self.dapplet.owner
         if owner is not None and not self._authorizes_callers:
             # Owned exporter: the calling principal needs a per-method
@@ -74,25 +75,30 @@ class RemoteObject:
             if not self.dapplet.world.registry.check(
                     msg.principal, self.dapplet.manifest_name, verb,
                     owner=owner.name, node=self.dapplet.address):
-                return self._refusal(
-                    msg, "PermissionError", f"capability:{verb} denied for "
-                                            f"principal {msg.principal!r}")
+                return self._refusal(msg, PermissionError(
+                    f"capability:{verb} denied for principal "
+                    f"{msg.principal!r}"))
         method = getattr(self.obj, msg.method, None)
         if method is None or not callable(method):
-            return self._refusal(msg, "AttributeError",
-                                 f"no remote method {msg.method!r}")
+            return self._refusal(msg, AttributeError(
+                f"no remote method {msg.method!r}"))
         args = (msg, *msg.args) if self._authorizes_callers else msg.args
         try:
             value = method(*args, **msg.kwargs)
         except Exception as exc:  # noqa: BLE001 - reported to the caller
-            return self._refusal(msg, type(exc).__name__, str(exc))
+            return self._refusal(msg, exc)
         return value if isinstance(value, Event) \
             else Reply(msg.call_id, ok=True, value=value)
 
-    def _refusal(self, msg: Invoke, error_type: str, text: str) -> Reply:
+    def _refusal(self, msg: Invoke, exc: BaseException) -> Reply:
+        """``exc`` as an error reply; ``value`` carries the attributes
+        its class names in ``rpc_fields`` (``None``, off the wire, if
+        none)."""
         self.errors += 1
-        return Reply(msg.call_id, ok=False, error_type=error_type,
-                     error_message=text)
+        fields = {name: getattr(exc, name)
+                  for name in getattr(exc, "rpc_fields", ())}
+        return Reply(msg.call_id, ok=False, value=fields or None,
+                     error_type=type(exc).__name__, error_message=str(exc))
 
     def _answer(self, msg: Invoke, outcome: "Reply | Event") -> None:
         """Send ``msg``'s reply: ``outcome`` — or, for a method that
@@ -105,8 +111,7 @@ class RemoteObject:
                 outcome = Reply(msg.call_id, ok=True, value=outcome.value)
             else:
                 outcome.defused = True  # reported, not left to crash the run
-                outcome = self._refusal(msg, type(outcome.value).__name__,
-                                        str(outcome.value))
+                outcome = self._refusal(msg, outcome.value)
         # One-way invocations drop the outcome; so does an event that
         # fires after the exporter stopped (nothing can leave it).
         if msg.reply_to is None or self.dapplet.stopped:
@@ -116,8 +121,7 @@ class RemoteObject:
         except SerializationError as exc:
             # The method returned something the wire cannot carry: the
             # caller is told, and the serve loop lives to take the next.
-            self.dapplet.post(msg.reply_to, self._refusal(
-                msg, "SerializationError", str(exc)))
+            self.dapplet.post(msg.reply_to, self._refusal(msg, exc))
 
     def unexport(self) -> None:
         """Withdraw the object; the pointer dangles from then on."""

@@ -21,7 +21,8 @@ managers" — a consistent-hash ring (:class:`ShardRing`) of
 :class:`TokenShard` managers with atomic cross-shard grants and
 probe-based distributed deadlock detection, each keeping its accounting
 in one :class:`~repro.services.tokens.ledger.Ledger`, behind the exact
-same agent protocol (see ``docs/TOKENS.md``).
+same facet, which agents call through :mod:`repro.rpc` (see
+``docs/TOKENS.md``).
 """
 
 from repro.services.tokens.manager import ALL, TokenAgent

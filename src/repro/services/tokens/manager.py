@@ -5,12 +5,14 @@ dapplets in a session. A token is either held by a dapplet or by the
 network of token managers."
 
 A :class:`TokenAgent` runs on each participating dapplet, tracking the
-paper's ``holdsTokens`` locally, and talks to one manager of the
-network — a :class:`~repro.services.tokens.shard.TokenShard` on a ring
-of any size, one (:class:`~repro.services.tokens.TokenCoordinator`) or
-many — over ordinary channels, so the service works across the
-simulated WAN like any dapplet. This module also holds what both sides
-agree on: the :data:`ALL` sentinel, the grant :data:`POLICIES` and
+paper's ``holdsTokens`` locally, and calls one manager of the network —
+a :class:`~repro.services.tokens.shard.TokenShard` on a ring of any
+size, one (:class:`~repro.services.tokens.TokenCoordinator`) or many —
+through the manager's exported facet (:mod:`repro.rpc`), so the service
+works across the simulated WAN like any dapplet. Tokens another agent
+transfers to this one arrive as one-way calls on the agent's own small
+facet, exported on :data:`AGENT_INBOX`. This module also holds what both
+sides agree on: the :data:`ALL` sentinel, the grant :data:`POLICIES` and
 token-list validation.
 
 Deadlock handling follows the paper exactly: sharing "avoids deadlock if
@@ -34,19 +36,27 @@ Grant policies (applied by each manager to its own wait queue):
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import CapabilityDenied, DeadlockDetected, TokenError
 from repro.net.address import InboxAddress
-from repro.services.tokens import messages as tm
+from repro.rpc import RemoteProxy, export
 from repro.services.tokens.ledger import ALL
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
+    from repro.rpc.messages import Invoke
 
 POLICIES = ("fifo", "timestamp")
+
+#: Well-known inbox name of an agent's notice facet on its dapplet.
+AGENT_INBOX = "_tokagent"
+
+#: The failures a manager raises, rebuilt at the agent with their fields.
+_TYPED = {cls.__name__: cls
+          for cls in (DeadlockDetected, CapabilityDenied, TokenError)}
 
 
 def _validate_tokens(tokens: dict) -> dict:
@@ -67,7 +77,8 @@ class TokenAgent:
 
     ``holds`` is the paper's ``holdsTokens`` data member. The paper's
     three operations map to :meth:`request` (an event to yield on),
-    :meth:`release`, and :meth:`total_tokens` (an event).
+    :meth:`release`, and :meth:`total_tokens` (an event). A dapplet runs
+    at most one agent: its notice facet has a well-known name.
     """
 
     def __init__(self, dapplet: "Dapplet", coordinator: InboxAddress) -> None:
@@ -75,37 +86,44 @@ class TokenAgent:
         self.kernel = dapplet.kernel
         self.name = dapplet.name
         self.holds: dict[str, int] = {}
-        self._req_ids = itertools.count(1)
-        self._pending: dict[int, Event] = {}
-        self.coordinator = coordinator
-        self.inbox = dapplet.create_inbox()
         self.transfers_received: list[tuple[str, dict[str, int]]] = []
-        self.dispatcher = dapplet.spawn(self._dispatch(), name="token-agent")
+        self._manager = RemoteProxy(dapplet, coordinator)
+        export(dapplet, _Notices(self), name=AGENT_INBOX)
 
     def request(self, tokens: dict) -> Event:
         """Block until the requested tokens are granted.
 
         Yields the granted ``{color: count}`` map (with ``"all"``
         resolved). Fails with :class:`DeadlockDetected` if the managers
-        detect a deadlock involving this request, or with
+        detect a deadlock involving this request, with
         :class:`~repro.errors.CapabilityDenied` if the owning principal
         lacks a ``token.request:<color>`` grant or would exceed its
-        quota (see :mod:`repro.registry`).
+        quota (see :mod:`repro.registry`), or with :class:`TokenError`
+        if a colour is unknown to the managers.
         """
-        tokens = _validate_tokens(tokens)
-        req_id = next(self._req_ids)
-        event = self.kernel.event()
-        self._pending[req_id] = event
-        self.dapplet.post(self.coordinator, tm.Request(
-            req_id=req_id, agent=self.name, tokens=tokens,
-            reply_to=self.inbox.address, timestamp=self._timestamp(),
-            principal=self.dapplet.principal))
-        return event
+        call = self._manager.call("request", self.name,
+                                  _validate_tokens(tokens),
+                                  self.dapplet.clock.time)
+        granted = self.kernel.event()
+        call.callbacks.append(partial(self._settle, granted))
+        return granted
+
+    def _settle(self, granted: Event, call: Event) -> None:
+        """Credit a grant, or fail ``granted`` with the typed error."""
+        call.defused = True
+        if call.ok:
+            self._credit(call.value)
+            granted.succeed(call.value)
+            return
+        error = call.value
+        typed = _TYPED.get(error.remote_type)
+        granted.fail(error if typed is None else
+                     typed(error.remote_message, **error.remote_fields))
 
     def release(self, tokens: dict) -> None:
         """Return tokens to the managers; raises if not held."""
-        self.dapplet.post(self.coordinator, tm.Release(
-            agent=self.name, tokens=self._debit(tokens, "release")))
+        self._manager.invoke("release", self.name,
+                             self._debit(tokens, "release"))
 
     def transfer(self, to_agent: str, tokens: dict) -> None:
         """Hand held tokens directly to another dapplet's agent.
@@ -113,9 +131,8 @@ class TokenAgent:
         (The paper: tokens "are communicated and shared among the
         processes of a system".)
         """
-        self.dapplet.post(self.coordinator, tm.Transfer(
-            agent=self.name, to_agent=to_agent,
-            tokens=self._debit(tokens, "transfer")))
+        self._manager.invoke("transfer", self.name, to_agent,
+                             self._debit(tokens, "transfer"))
 
     def _debit(self, tokens: dict, verb: str) -> dict[str, int]:
         """Take ``tokens`` out of ``holds`` (``"all"`` = all held) and
@@ -140,48 +157,24 @@ class TokenAgent:
 
     def total_tokens(self) -> Event:
         """The paper's ``totalTokens()``: yields ``{color: total}``."""
-        req_id = next(self._req_ids)
-        event = self.kernel.event()
-        self._pending[req_id] = event
-        self.dapplet.post(self.coordinator, tm.TotalsQuery(
-            req_id=req_id, agent=self.name, reply_to=self.inbox.address))
-        return event
+        return self._manager.call("totals", self.name)
 
-    def _timestamp(self) -> int:
-        clock = getattr(self.dapplet, "clock", None)
-        return clock.time if clock is not None else 0
+    def _credit(self, tokens: dict[str, int]) -> None:
+        for color, n in tokens.items():
+            self.holds[color] = self.holds.get(color, 0) + n
 
-    def _dispatch(self):
-        while True:
-            msg = yield self.inbox.receive()
-            if isinstance(msg, tm.Grant):
-                waiter = self._pending.pop(msg.req_id, None)
-                for color, n in msg.tokens.items():
-                    self.holds[color] = self.holds.get(color, 0) + n
-                if waiter is not None:
-                    waiter.succeed(dict(msg.tokens))
-            elif isinstance(msg, tm.DeadlockNotice):
-                waiter = self._pending.pop(msg.req_id, None)
-                if waiter is not None:
-                    waiter.fail(DeadlockDetected(
-                        f"token request of {self.name!r} is deadlocked "
-                        f"(cycle: {' -> '.join(msg.cycle) or 'unknown colour'})",
-                        cycle=msg.cycle))
-            elif isinstance(msg, tm.Denied):
-                waiter = self._pending.pop(msg.req_id, None)
-                if waiter is not None:
-                    waiter.fail(CapabilityDenied(
-                        f"token request of {self.name!r} denied: "
-                        f"{msg.reason}",
-                        principal=self.dapplet.principal,
-                        verb=msg.reason.removeprefix("capability:"),
-                        target="tokens"))
-            elif isinstance(msg, tm.TransferNotice):
-                for color, n in msg.tokens.items():
-                    self.holds[color] = self.holds.get(color, 0) + n
-                self.transfers_received.append((msg.from_agent,
-                                                dict(msg.tokens)))
-            elif isinstance(msg, tm.Totals):
-                waiter = self._pending.pop(msg.req_id, None)
-                if waiter is not None:
-                    waiter.succeed(dict(msg.totals))
+
+class _Notices:
+    """What an agent exports on :data:`AGENT_INBOX`: the one-way notice,
+    from its home manager, of tokens another agent transferred to it.
+    It gates no caller (``authorizes_callers``, checking nothing)."""
+
+    authorizes_callers = True
+
+    def __init__(self, agent: TokenAgent) -> None:
+        self._agent = agent
+
+    def transferred(self, caller: "Invoke", from_agent: str,
+                    tokens: dict) -> None:
+        self._agent._credit(tokens)
+        self._agent.transfers_received.append((from_agent, dict(tokens)))

@@ -1,4 +1,11 @@
-"""Wire messages of the token protocol.
+"""Wire messages among the token managers.
+
+Agents call a manager's exported facet through RPC
+(:class:`~repro.services.tokens.shard.ShardFacet`); the messages below
+are what a ring of :class:`~repro.services.tokens.shard.TokenShard`
+managers sends among themselves, on each manager's peer inbox. ``gid``
+is a globally unique grant id minted by the shard coordinating a
+request (``"<shard>/<n>"``).
 
 Token counts travel as ``{color: n}`` dicts; ``n`` is a positive int or
 the string ``"all"`` (the paper: "a specific positive number of tokens
@@ -8,99 +15,10 @@ of a given color").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.messages.message import Message, message_type
 from repro.net.address import InboxAddress
-
-
-@message_type("tok.request")
-@dataclass(frozen=True)
-class Request(Message):
-    req_id: int
-    agent: str
-    tokens: dict  # color -> int | "all"
-    reply_to: InboxAddress = None
-    timestamp: int = 0  # logical time, used by the "timestamp" policy
-    #: Requesting dapplet's owning principal ("" when unowned). Sharded
-    #: managers check ``token.request:<color>`` grants and per-principal
-    #: quotas against it; the default keeps pre-registry frames
-    #: serializing byte-identically.
-    principal: str = ""
-
-
-@message_type("tok.denied")
-@dataclass(frozen=True)
-class Denied(Message):
-    """A request refused outright (no queueing): the requesting
-    principal lacks a ``token.request:<color>`` grant or would exceed
-    its quota. ``reason`` is ``"capability:<verb>"`` or
-    ``"quota:<color>"``."""
-
-    req_id: int
-    reason: str = ""
-
-
-@message_type("tok.grant")
-@dataclass(frozen=True)
-class Grant(Message):
-    req_id: int
-    tokens: dict  # color -> int actually granted
-
-
-@message_type("tok.deadlock")
-@dataclass(frozen=True)
-class DeadlockNotice(Message):
-    req_id: int
-    cycle: tuple = ()
-
-
-@message_type("tok.release")
-@dataclass(frozen=True)
-class Release(Message):
-    agent: str
-    tokens: dict
-
-
-@message_type("tok.transfer")
-@dataclass(frozen=True)
-class Transfer(Message):
-    """Move held tokens from ``agent`` directly to ``to_agent``."""
-
-    agent: str
-    to_agent: str
-    tokens: dict
-
-
-@message_type("tok.transfer_notice")
-@dataclass(frozen=True)
-class TransferNotice(Message):
-    from_agent: str
-    tokens: dict
-
-
-@message_type("tok.totals_query")
-@dataclass(frozen=True)
-class TotalsQuery(Message):
-    req_id: int
-    agent: str = ""
-    reply_to: InboxAddress = None
-
-
-@message_type("tok.totals")
-@dataclass(frozen=True)
-class Totals(Message):
-    req_id: int
-    totals: dict = field(default_factory=dict)
-
-
-# -- manager-to-manager messages (the sharded token network) ----------------
-#
-# A ring of :class:`~repro.services.tokens.shard.TokenShard` managers
-# speaks the messages below among themselves; the agent-facing protocol
-# above is unchanged, so a :class:`TokenAgent` cannot tell a shard from
-# the single coordinator. ``gid`` is a globally unique grant id minted
-# by the shard coordinating a request (``"<shard>/<n>"``).
 
 
 @message_type("tok.prepare")
@@ -138,8 +56,8 @@ class Prepared(Message):
 class PrepareDenied(Message):
     """Home shard refused ``gid`` outright instead of queueing it: the
     requesting principal's per-colour quota would be exceeded. The
-    coordinating shard aborts any already-prepared groups and relays a
-    :class:`Denied` to the agent."""
+    coordinating shard aborts any already-prepared groups and fails the
+    agent's request with :class:`~repro.errors.CapabilityDenied`."""
 
     gid: str
     reason: str = ""
@@ -184,7 +102,8 @@ class TransferApply(Message):
 @message_type("tok.agent_register")
 @dataclass(frozen=True)
 class AgentRegister(Message):
-    """Record ``agent``'s reply inbox at the agent's home shard."""
+    """Record the pointer of ``agent``'s notice facet at the agent's
+    home shard."""
 
     agent: str
     inbox: InboxAddress = None
@@ -193,7 +112,7 @@ class AgentRegister(Message):
 @message_type("tok.forward_notice")
 @dataclass(frozen=True)
 class ForwardNotice(Message):
-    """Route a :class:`TransferNotice` via ``to_agent``'s home shard."""
+    """Route a transfer notice via ``to_agent``'s home shard."""
 
     to_agent: str
     from_agent: str

@@ -24,10 +24,10 @@ Atomic multi-colour grants
     each home reserves its group when its pool allows (queueing behind
     its grant policy otherwise), and once every group is reserved a
     :class:`~repro.services.tokens.messages.Commit` turns the
-    reservations into holdings and the agent sees one
-    :class:`~repro.services.tokens.messages.Grant`. A deadlock aborts
-    the exchange instead (:class:`~repro.services.tokens.messages.Abort`
-    refunds every reservation), so a grant is never half-made.
+    reservations into holdings and the agent's call returns the grant.
+    A deadlock aborts the exchange instead
+    (:class:`~repro.services.tokens.messages.Abort` refunds every
+    reservation), so a grant is never half-made.
 
 Distributed deadlock detection
     Waits that span shards are invisible to any single manager, so
@@ -66,7 +66,10 @@ point of any schedule.
 Agents are oblivious: :class:`~repro.services.tokens.manager.TokenAgent`
 (and therefore :class:`~repro.services.tokens.protocols.TokenMutex` and
 :class:`~repro.services.tokens.protocols.ReadersWriterLock`) attach to
-any manager of a ring of any size with the same wire protocol.
+any manager of a ring of any size through the same facet
+(:class:`ShardFacet`), called through :mod:`repro.rpc`; managers speak
+the messages of :mod:`~repro.services.tokens.messages` among themselves
+on a second, peer inbox.
 
 Deploy via :meth:`repro.world.World.host_token_shards`, or resolve a
 shard through the replicated directory with :func:`resolve_shard` when
@@ -81,17 +84,21 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.dapplet.dapplet import Dapplet
-from repro.errors import TokenError
+from repro.errors import CapabilityDenied, DeadlockDetected, TokenError
 from repro.net.address import InboxAddress, NodeAddress
+from repro.rpc import RemoteProxy, export
 from repro.services.tokens import messages as tm
 from repro.services.tokens.ledger import Ledger
-from repro.services.tokens.manager import POLICIES, TokenAgent
+from repro.services.tokens.manager import AGENT_INBOX, POLICIES, TokenAgent
 from repro.services.tokens.ring import ShardRing
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.discovery.resolver import Resolver
+    from repro.rpc.messages import Invoke
 
-#: Well-known inbox name of every token shard.
+#: Well-known inbox name of every token shard's facet; its peers send
+#: to ``<name>:peer``.
 SHARD_INBOX = "_tokshard"
 
 
@@ -112,22 +119,56 @@ class _Coordinated:
     """Coordinator-side record of one in-flight multi-shard grant."""
 
     gid: str
-    request: tm.Request
+    agent: str
+    timestamp: int
+    principal: str
+    granted: Event                                # answers the agent's call
     groups: list[tuple[str, dict]]
     t0: float
     idx: int = 0                                  # next group to prepare
     prepared: dict[str, dict] = field(default_factory=dict)  # shard -> counts
 
 
+class ShardFacet:
+    """What a manager exports on its well-known inbox: the agent-facing
+    operations. It gates its own callers (``token.request:<color>``
+    grants and quotas, against the calling ``Invoke``'s principal), so
+    no ``rpc.call:<method>`` gate applies."""
+
+    authorizes_callers = True
+
+    def __init__(self, shard: "TokenShard") -> None:
+        self._shard = shard
+
+    def request(self, caller: "Invoke", agent: str, tokens: dict,
+                timestamp: int) -> Event:
+        """An event firing with the granted ``{color: count}`` map, or
+        failing with :class:`DeadlockDetected` or :class:`CapabilityDenied`;
+        raises :class:`TokenError` for a colour no manager holds."""
+        return self._shard._request(caller, agent, tokens, timestamp)
+
+    def release(self, caller: "Invoke", agent: str, tokens: dict) -> None:
+        self._shard._release(agent, tokens)
+
+    def transfer(self, caller: "Invoke", agent: str, to_agent: str,
+                 tokens: dict) -> None:
+        self._shard._transfer(agent, to_agent, tokens)
+
+    def totals(self, caller: "Invoke", agent: str) -> dict[str, int]:
+        self._shard._learn_agent(agent, caller.reply_to)
+        return dict(self._shard.global_totals)
+
+
 class TokenShard:
     """One manager of the token network.
 
-    Speaks the agent-facing protocol (request / release / transfer /
-    totals) plus the manager-to-manager protocol (prepare / commit /
-    abort, forwarded release and transfer, probes). ``peers`` maps every
-    ring name — including this shard's own — to the node its host
-    dapplet runs on. The accounting lives in :attr:`ledger`; ``pool``,
-    ``holders`` and ``totals`` are read-only views of it.
+    Serves the agent-facing operations (request / release / transfer /
+    totals) on its :class:`ShardFacet`, and the manager-to-manager
+    protocol (prepare / commit / abort, forwarded release and transfer,
+    probes) on its peer inbox. ``peers`` maps every ring name —
+    including this shard's own — to the node its host dapplet runs on.
+    The accounting lives in :attr:`ledger`; ``pool``, ``holders`` and
+    ``totals`` are read-only views of it.
     """
 
     def __init__(self, dapplet: Dapplet, ring: ShardRing, shard_name: str,
@@ -142,8 +183,7 @@ class TokenShard:
         self.ring = ring
         self.name = shard_name
         self.policy = policy
-        self.peers = {n: InboxAddress(a, name) if isinstance(a, NodeAddress)
-                      else a for n, a in peers.items()}
+        self.peers = {n: a.inbox(f"{name}:peer") for n, a in peers.items()}
         #: The fixed world-wide totals (static: tokens are conserved).
         self.global_totals = dict(initial)
         #: pool / reserved / held for this shard's home colours only
@@ -153,7 +193,7 @@ class TokenShard:
         #: Prepares the pool cannot cover yet, in arrival order.
         self._queue: list[tm.Prepare] = []
         self._coordinating: dict[str, _Coordinated] = {}
-        #: Reply inboxes of agents homed on this shard.
+        #: Notice-facet pointers of agents homed on this shard.
         self._agent_inboxes: dict[str, InboxAddress] = {}
         #: (agent, inbox) pairs this shard already pushed to their home.
         self._registered: set[tuple[str, InboxAddress]] = set()
@@ -164,15 +204,16 @@ class TokenShard:
         self.denials = 0
         self.probes_sent = 0
         self.probes_received = 0
-        self.inbox = dapplet.create_inbox(name=name)
+        self._remote = export(dapplet, ShardFacet(self), name=name)
+        self.inbox = dapplet.create_inbox(name=f"{name}:peer")
         self._trace("shard", shard=shard_name, colors=len(self.totals),
                     ring=len(ring))
         self.server = dapplet.spawn(self._serve(), name=f"tokshard-{shard_name}")
 
     @property
     def pointer(self) -> InboxAddress:
-        """Where agents (and peer shards) connect."""
-        return self.inbox.named_address
+        """Where agents connect: the facet's global pointer."""
+        return self._remote.pointer
 
     @property
     def totals(self) -> dict[str, int]:
@@ -227,14 +268,16 @@ class TokenShard:
         self.dapplet.post(self.peers[shard_name], message)
 
     def _learn_agent(self, agent: str, reply_to: InboxAddress | None) -> None:
-        """Push (agent, inbox) to the agent's home shard, once."""
+        """Push (agent, notice facet on the calling node) to the agent's
+        home shard, once."""
         if not agent or reply_to is None:
             return
-        if (agent, reply_to) in self._registered:
+        pointer = reply_to.node.inbox(AGENT_INBOX)
+        if (agent, pointer) in self._registered:
             return
-        self._registered.add((agent, reply_to))
+        self._registered.add((agent, pointer))
         self._send_shard(self.ring.home(agent),
-                         tm.AgentRegister(agent, reply_to))
+                         tm.AgentRegister(agent, pointer))
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.dapplet.kernel.tracer
@@ -249,58 +292,63 @@ class TokenShard:
 
     # -- the coordinator role (any shard, for requests it accepted) --------
 
-    def _on_totals_query(self, msg: tm.TotalsQuery) -> None:
-        self._learn_agent(msg.agent, msg.reply_to)
-        self.dapplet.post(msg.reply_to,
-                          tm.Totals(msg.req_id, dict(self.global_totals)))
-
     def _on_agent_register(self, msg: tm.AgentRegister) -> None:
         self._agent_inboxes[msg.agent] = msg.inbox
 
-    def _on_request(self, msg: tm.Request) -> None:
-        self._learn_agent(msg.agent, msg.reply_to)
-        for color in msg.tokens:
+    def _request(self, caller: "Invoke", agent: str, tokens: dict,
+                 timestamp: int) -> Event:
+        self._learn_agent(agent, caller.reply_to)
+        for color in tokens:
             if color not in self.global_totals:
-                self.dapplet.post(msg.reply_to,
-                                  tm.DeadlockNotice(msg.req_id, ()))
-                return
-        reason = self._capability_denial(msg)
+                raise TokenError(f"unknown colour {color!r}: no token "
+                                 f"manager holds it")
+        reason = self._capability_denial(caller.principal, tokens)
         if reason is not None:
-            self.denials += 1
-            self._trace("denied", agent=msg.agent, principal=msg.principal,
-                        reason=reason)
-            self.dapplet.post(msg.reply_to, tm.Denied(msg.req_id, reason))
-            return
+            raise self._denial(agent, caller.principal, reason)
         gid = f"{self.name}/{next(self._gids)}"
+        kernel = self.dapplet.kernel
         multi = self._coordinating[gid] = _Coordinated(
-            gid, msg, self.ring.split(msg.tokens), self.dapplet.kernel.now)
+            gid, agent, timestamp, caller.principal, kernel.event(),
+            self.ring.split(tokens), kernel.now)
         self._prepare_next(multi)
+        return multi.granted
 
-    def _capability_denial(self, msg: tm.Request) -> str | None:
+    def _denial(self, agent: str, principal: str,
+                reason: str) -> CapabilityDenied:
+        """Count and trace a refused request; the error it fails with."""
+        self.denials += 1
+        self._trace("denied", agent=agent, principal=principal,
+                    reason=reason)
+        return CapabilityDenied(
+            f"token request of {agent!r} denied: {reason}",
+            principal=principal, verb=reason.removeprefix("capability:"),
+            target="tokens")
+
+    def _capability_denial(self, principal: str,
+                           tokens: dict) -> str | None:
         """Coordinator-side capability gate (quota is the home shards').
 
         A stamped request needs a ``token.request:<color>`` grant for
         every colour it names. Checked before any 2PC traffic, so a
         denied request costs no cross-shard messages.
         """
-        registry = self._registry(msg.principal)
+        registry = self._registry(principal)
         if registry is None:
             return None
         from repro.registry.registry import TOKEN_RESOURCE
-        for color in sorted(msg.tokens):
+        for color in sorted(tokens):
             verb = f"token.request:{color}"
-            if not registry.check(msg.principal, TOKEN_RESOURCE, verb,
+            if not registry.check(principal, TOKEN_RESOURCE, verb,
                                   node=self.dapplet.address):
                 return f"capability:{verb}"
         return None
 
     def _prepare_next(self, multi: _Coordinated) -> None:
         shard, colors = multi.groups[multi.idx]
-        request = multi.request
         self._send_shard(shard, tm.Prepare(
-            gid=multi.gid, agent=request.agent, colors=colors,
-            origin=self.name, timestamp=request.timestamp,
-            principal=request.principal))
+            gid=multi.gid, agent=multi.agent, colors=colors,
+            origin=self.name, timestamp=multi.timestamp,
+            principal=multi.principal))
 
     def _on_prepared(self, msg: tm.Prepared) -> None:
         multi = self._coordinating.get(msg.gid)
@@ -316,37 +364,32 @@ class TokenShard:
             self._prepare_next(multi)
             return
         del self._coordinating[multi.gid]
-        request = multi.request
         need: dict[str, int] = {}
         for shard, _ in multi.groups:
-            self._send_shard(shard, tm.Commit(multi.gid, request.agent))
+            self._send_shard(shard, tm.Commit(multi.gid, multi.agent))
             need.update(multi.prepared[shard])
         self.grants += 1
-        self._trace("grant", agent=request.agent,
+        self._trace("grant", agent=multi.agent,
                     tokens=dict(sorted(need.items())),
                     route=self.dapplet.kernel.now - multi.t0,
                     hops=len(multi.groups))
-        self.dapplet.post(request.reply_to, tm.Grant(request.req_id, need))
+        multi.granted.succeed(need)
 
     def _on_prepare_denied(self, msg: tm.PrepareDenied) -> None:
         """A home shard refused a group on quota: fail the whole grant.
 
         Groups before ``idx`` hold reservations — refund them with
-        aborts; the denying shard reserved nothing. The agent sees one
-        :class:`~repro.services.tokens.messages.Denied`, exactly as if
-        the coordinator had refused the request itself.
+        aborts; the denying shard reserved nothing. The agent's request
+        fails with :class:`CapabilityDenied`, exactly as if the
+        coordinator had refused the request itself.
         """
         multi = self._coordinating.pop(msg.gid, None)
         if multi is None:
             return  # raced an abort: nothing left to refund here
-        self.denials += 1
         for shard, _ in multi.groups[:multi.idx]:
             self._send_shard(shard, tm.Abort(multi.gid))
-        request = multi.request
-        self._trace("denied", agent=request.agent,
-                    principal=request.principal, reason=msg.reason)
-        self.dapplet.post(request.reply_to,
-                          tm.Denied(request.req_id, msg.reason))
+        multi.granted.fail(self._denial(multi.agent, multi.principal,
+                                        msg.reason))
 
     def _on_deadlock_found(self, msg: tm.DeadlockFound) -> None:
         multi = self._coordinating.pop(msg.gid, None)
@@ -355,21 +398,21 @@ class TokenShard:
         self.deadlocks += 1
         for shard, _ in multi.groups[:multi.idx + 1]:
             self._send_shard(shard, tm.Abort(multi.gid))
-        self._trace("deadlock", agent=multi.request.agent,
-                    cycle=list(msg.cycle))
-        self.dapplet.post(multi.request.reply_to, tm.DeadlockNotice(
-            multi.request.req_id, tuple(msg.cycle)))
+        cycle = tuple(msg.cycle)
+        self._trace("deadlock", agent=multi.agent, cycle=list(cycle))
+        multi.granted.fail(DeadlockDetected(
+            f"token request of {multi.agent!r} is deadlocked "
+            f"(cycle: {' -> '.join(cycle)})", cycle=cycle))
 
-    def _on_release(self, msg: tm.Release) -> None:
-        self._trace("release", agent=msg.agent,
-                    tokens=dict(sorted(msg.tokens.items())))
-        for shard, colors in self.ring.split(msg.tokens):
-            self._send_shard(shard, tm.ReleaseApply(msg.agent, colors))
+    def _release(self, agent: str, tokens: dict) -> None:
+        self._trace("release", agent=agent,
+                    tokens=dict(sorted(tokens.items())))
+        for shard, colors in self.ring.split(tokens):
+            self._send_shard(shard, tm.ReleaseApply(agent, colors))
 
-    def _on_transfer(self, msg: tm.Transfer) -> None:
-        for shard, colors in self.ring.split(msg.tokens):
-            self._send_shard(shard, tm.TransferApply(
-                msg.agent, msg.to_agent, colors))
+    def _transfer(self, agent: str, to_agent: str, tokens: dict) -> None:
+        for shard, colors in self.ring.split(tokens):
+            self._send_shard(shard, tm.TransferApply(agent, to_agent, colors))
 
     # -- the home-manager role (this shard's own colours) ------------------
 
@@ -477,8 +520,8 @@ class TokenShard:
     def _on_forward_notice(self, msg: tm.ForwardNotice) -> None:
         target = self._agent_inboxes.get(msg.to_agent)
         if target is not None:
-            self.dapplet.post(target, tm.TransferNotice(msg.from_agent,
-                                                        dict(msg.tokens)))
+            RemoteProxy(self.dapplet, target).invoke(
+                "transferred", msg.from_agent, dict(msg.tokens))
 
     # -- edge-chasing deadlock detection -----------------------------------
 
@@ -527,10 +570,6 @@ class TokenShard:
                         path=tuple(msg.path) + (msg.holder,)))
 
     _handlers = {
-        tm.Request: _on_request,
-        tm.Release: _on_release,
-        tm.Transfer: _on_transfer,
-        tm.TotalsQuery: _on_totals_query,
         tm.Prepare: _on_prepare,
         tm.Prepared: _on_prepared,
         tm.PrepareDenied: _on_prepare_denied,

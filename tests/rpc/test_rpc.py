@@ -4,11 +4,13 @@ import pytest
 
 from repro import Tracer
 from repro.dapplet import Dapplet
-from repro.errors import RpcError, RpcTimeout, SerializationError
+from repro.errors import ReproError, RpcError, RpcTimeout, SerializationError
+from repro.messages import dumps
 from repro.net import ConstantLatency, FaultPlan
 from repro.rpc import RemoteProxy, export
 from repro.services.sync import DistributedSemaphore, SyncHost
 from repro.world import World
+from tests.messages.test_codec_oracle import oracle_dumps
 
 
 class Counter:
@@ -94,6 +96,87 @@ def test_remote_exception_propagates(world, nodes):
     world.run(until=p)
     assert caught == [("ValueError", "deliberate")]
     assert remote.errors == 1
+
+
+class Refused(ReproError):
+    """An error whose fields travel with it."""
+
+    rpc_fields = ("where", "path")
+
+    def __init__(self, message, *, where="", path=()):
+        super().__init__(message)
+        self.where = where
+        self.path = path
+
+
+class Refuser:
+    def refuse(self):
+        raise Refused("no", where="here", path=("a", "b"))
+
+
+def _posted(dapplet):
+    """Record every message ``dapplet`` posts."""
+    sent, post = [], dapplet.post
+    dapplet.post = lambda to, message: (sent.append(message),
+                                        post(to, message))
+    return sent
+
+
+def test_an_error_with_no_declared_fields_keeps_its_reply_string(world,
+                                                                 nodes):
+    server, client = nodes
+    replies = _posted(server)
+    proxy = RemoteProxy(client, export(server, Counter(), name="c").pointer)
+    caught = []
+
+    def caller():
+        try:
+            yield proxy.call("fail")
+        except RpcError as exc:
+            caught.append(exc.remote_fields)
+
+    world.run(until=world.process(caller()))
+    assert caught == [{}]
+    (reply,) = replies
+    assert dumps(reply) == oracle_dumps(reply) == (
+        '{"t":"rpc.reply","f":{"call_id":1,"ok":false,'
+        '"error_type":"ValueError","error_message":"deliberate"}}')
+
+
+@pytest.mark.parametrize("encoded", [False, True])
+def test_declared_error_fields_reach_the_caller_intact(encoded):
+    world = World(seed=2, latency=ConstantLatency(0.01), encoded=encoded)
+    server = world.dapplet(Plain, "caltech.edu", "server")
+    client = world.dapplet(Plain, "rice.edu", "client")
+    proxy = RemoteProxy(client, export(server, Refuser(), name="r").pointer)
+    caught = []
+
+    def caller():
+        try:
+            yield proxy.call("refuse")
+        except RpcError as exc:
+            caught.append((exc.remote_type, exc.remote_message,
+                           exc.remote_fields))
+
+    world.run(until=world.process(caller()))
+    assert caught == [("Refused", "no", {"where": "here", "path": ("a", "b")})]
+    assert type(caught[0][2]["path"]) is tuple
+
+
+def test_one_way_invoke_draws_no_call_id(world, nodes):
+    server, client = nodes
+    invokes = _posted(client)
+    proxy = RemoteProxy(client, export(server, Counter(), name="c").pointer)
+
+    def caller():
+        proxy.invoke("add", 1)
+        yield proxy.call("get")
+
+    world.run(until=world.process(caller()))
+    one_way, call = invokes
+    assert (one_way.call_id, call.call_id) == (0, 1)
+    assert dumps(one_way) == ('{"t":"rpc.invoke","f":{"method":"add",'
+                              '"args":{"$tuple":[1]}}}')
 
 
 def test_unknown_and_private_methods_rejected(world, nodes):

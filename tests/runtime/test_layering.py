@@ -37,9 +37,9 @@ their own class bodies, where it looks them up.
 
 A sixth holds "one way out, one way to call": only code that owns real
 ports opens an outbox (everything else writes to a pointer with
-``Dapplet.post``), id-keyed pending-call tables exist in the RPC proxy
-and the token agent only, and ``services/sync``, the lease table and the
-session link-up have no message family of their own — they are
+``Dapplet.post``), an id-keyed pending-call table exists in the RPC
+proxy only, and ``services/sync``, the lease table, the session link-up
+and the token agent have no message family of their own — they are
 exported objects and their callers hold proxies.
 """
 
@@ -224,10 +224,12 @@ def test_only_port_owners_open_outboxes():
 
 
 def test_pending_call_tables_exist_in_the_proxy_and_the_token_agent_only():
+    """The token agent's table went with its protocol: the proxy's is
+    the one left."""
     holders = sorted(str(path.relative_to(SRC))
                      for path in SRC.rglob("*.py")
                      if "_pending: dict[int, Event]" in path.read_text())
-    assert holders == ["rpc/proxy.py", "services/tokens/manager.py"]
+    assert holders == ["rpc/proxy.py"]
 
 
 def test_sync_rides_rpc_and_adds_no_protocol_of_its_own():
@@ -272,6 +274,23 @@ def test_session_link_up_rides_rpc_and_adds_no_protocol_of_its_own():
     assert not _calls_to(initiator, "create_inbox")
     assert not _calls_to(initiator, "create_outbox")
     assert not _calls_to(initiator, "receive")
+
+
+def test_token_agent_rides_rpc_and_keeps_only_manager_messages():
+    from repro.messages import registered_types
+    import repro.services.tokens  # noqa: F401 - the import is the subject
+    # Agents call a manager's facet; what is left is manager-to-manager.
+    assert sorted(t for t in registered_types() if t.startswith("tok.")) \
+        == ["tok.abort", "tok.agent_register", "tok.commit",
+            "tok.deadlock_found", "tok.forward_notice", "tok.prepare",
+            "tok.prepare_denied", "tok.prepared", "tok.probe",
+            "tok.release_apply", "tok.transfer_apply"]
+    # The agent holds a proxy: no port, no process, no correlation.
+    manager = SRC / "services" / "tokens" / "manager.py"
+    for call in ("spawn", "create_inbox", "receive"):
+        assert not _calls_to(manager, call), call
+    assert "req_id" not in manager.read_text()
+    assert "itertools" not in _imported_modules(manager)
 
 
 def test_rpc_span_targets_keep_the_shape_e20_patches():

@@ -116,6 +116,8 @@ def test_request_validation(deployment="coordinator"):
 
 
 def test_unknown_color_fails_request(deployment="coordinator"):
+    """A colour no manager holds is a plain TokenError, not a deadlock:
+    a caller that retries its deadlock victims must not retry it."""
     world, coord, (a, b, c) = make_world({"red": 1}, deployment=deployment)
     failures = []
 
@@ -123,11 +125,15 @@ def test_unknown_color_fails_request(deployment="coordinator"):
         try:
             yield a.request({"green": 1})
         except DeadlockDetected:
-            failures.append("failed")
+            failures.append("deadlock")
+        except TokenError as exc:
+            failures.append(str(exc))
 
     p = world.process(user())
     world.run(until=p)
-    assert failures == ["failed"]
+    assert failures == ["unknown colour 'green': no token manager holds it"]
+    assert a.holds == {}
+    coord.check_conservation()
 
 
 def test_total_tokens(deployment="coordinator"):

@@ -182,11 +182,14 @@ def test_unknown_colour_fails_request():
         try:
             yield a.request({"green": 1})
         except DeadlockDetected:
-            failures.append("failed")
+            failures.append("deadlock")
+        except TokenError as exc:
+            failures.append(str(exc))
 
     p = world.process(user())
     world.run(until=p)
-    assert failures == ["failed"]
+    assert failures == ["unknown colour 'green': no token manager holds it"]
+    assert service.quiescent
 
 
 def test_total_tokens_reports_global_totals():
