@@ -23,7 +23,6 @@ The subpackages are importable directly for the full API:
 """
 
 from repro.dapplet.dapplet import Dapplet
-from repro.dapplet.directory import AddressDirectory
 from repro.dapplet.state import PersistentState
 from repro.discovery import (
     DirectoryReplica,
@@ -78,7 +77,6 @@ from repro.world import World
 __version__ = "1.0.0"
 
 __all__ = [
-    "AddressDirectory",
     "AsyncioSubstrate",
     "BackendCrash",
     "Binding",

@@ -7,22 +7,18 @@ processes through ports. Associated with each dapplet is an Internet
 address (i.e. IP address and port id)."
 
 :class:`Dapplet` is the base class applications subclass;
-:class:`~repro.dapplet.directory.AddressDirectory` is the initiator's
-address book; :class:`~repro.dapplet.acl.AccessControlList` and
+:class:`~repro.dapplet.acl.AccessControlList` and
 :class:`~repro.dapplet.state.PersistentState` support the paper's
 session-admission and persistent-state requirements.
 """
 
 from repro.dapplet.acl import AccessControlList
 from repro.dapplet.dapplet import Dapplet
-from repro.dapplet.directory import AddressDirectory, DirectoryEntry
 from repro.dapplet.state import PersistentState, Region, RegionView
 
 __all__ = [
     "AccessControlList",
-    "AddressDirectory",
     "Dapplet",
-    "DirectoryEntry",
     "PersistentState",
     "Region",
     "RegionView",

@@ -35,8 +35,8 @@ class Dapplet:
     """Base class for all dapplets.
 
     Instances are created through :meth:`repro.world.World.dapplet`,
-    which allocates the address, registers the dapplet in the world's
-    directory, and calls :meth:`setup`.
+    which allocates the address, registers the dapplet under its name
+    in the world, and calls :meth:`setup`.
     """
 
     #: Directory kind tag; subclasses set this ("calendar", "secretary"...).

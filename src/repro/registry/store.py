@@ -53,11 +53,6 @@ class DAppStoreReplica(LeaseReplica):
 
     # -- views -----------------------------------------------------------
 
-    def live_manifests(self) -> dict[str, Manifest]:
-        """The manifests this replica would currently serve, by name."""
-        return {r.name: Manifest.from_dict(r.manifest)
-                for r in self.live_records()}
-
     def names(self, prefix: str = "") -> list[str]:
         """Live store names under ``prefix``, sorted."""
         return [r.name for r in self.live_records()

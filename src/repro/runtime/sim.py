@@ -33,19 +33,13 @@ class SimSubstrate(Kernel):
         does — proves sim/asyncio byte-parity (see
         :class:`~repro.net.datagram.DatagramNetwork`). Default off: the
         simulator hands `Datagram` objects around in memory.
-    realtime / realtime_factor:
-        Pace virtual time against the wall clock (for demos); see
-        :class:`~repro.sim.Kernel`.
     """
 
     def __init__(self, seed: int = 0, *,
                  latency: LatencyModel | None = None,
                  faults: FaultPlan | None = None,
-                 encoded: bool = False,
-                 realtime: bool = False,
-                 realtime_factor: float = 1.0) -> None:
-        super().__init__(seed=seed, realtime=realtime,
-                         realtime_factor=realtime_factor)
+                 encoded: bool = False) -> None:
+        super().__init__(seed=seed)
         #: The datagram half of the substrate.
         self.datagrams = DatagramNetwork(self, latency=latency, faults=faults,
                                          encoded=encoded)

@@ -675,15 +675,6 @@ class ShardedTokenService:
     def denials(self) -> int:
         return sum(shard.denials for shard in self.shards)
 
-    def held_by_principal(self, principal: str) -> dict[str, int]:
-        """Quota-accounted (reserved + held) tokens of ``principal``,
-        summed over its home-shard ledgers."""
-        usage: dict[str, int] = {}
-        for shard in self.shards:
-            for color, n in shard.ledger.usage.get(principal, {}).items():
-                usage[color] = usage.get(color, 0) + n
-        return usage
-
     @property
     def forwards(self) -> int:
         return sum(shard.forwards for shard in self.shards)

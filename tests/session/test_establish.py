@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import SessionError, SessionRejected
+from repro.errors import AddressError, SessionError, SessionRejected
 from repro.messages import Text
 from repro.net import InboxAddress
 from repro.rpc import RemoteProxy
-from repro.session import InterferenceMonitor, SessionSpec
+from repro.session import (Binding, InterferenceMonitor, MemberSpec,
+                           SessionSpec)
 from repro.session.manager import CONTROL_INBOX
 
 from tests.session.conftest import EchoDapplet, PassiveDapplet, pair_spec
@@ -124,17 +125,17 @@ def test_read_read_sessions_coexist(world, initiator):
 
 
 def test_establish_timeout_when_member_missing(world, initiator):
-    # 'b' exists in the directory but its dapplet is stopped.
+    # The spec names 'b' by a stale address: its dapplet is stopped.
     a = world.dapplet(PassiveDapplet, "caltech.edu", "a")
     b = world.dapplet(PassiveDapplet, "rice.edu", "b")
-    address = b.address
+    spec = pair_spec()
+    spec.members["b"].address = b.address
     b.stop()
-    world.directory.register("b", address)  # stale directory entry
     outcome = []
 
     def director():
         try:
-            yield from initiator.establish(pair_spec(), timeout=2.0)
+            yield from initiator.establish(spec, timeout=2.0)
         except SessionError as exc:
             outcome.append(str(exc))
 
@@ -142,6 +143,64 @@ def test_establish_timeout_when_member_missing(world, initiator):
     world.run(until=p)
     assert outcome and "no reply" in outcome[0]
     assert a.sessions.active_sessions() == []
+
+
+def _absent(world, name):
+    """A name the world does not have: never created, or stopped."""
+    if name == "stopped":
+        world.dapplet(PassiveDapplet, "utk.edu", name).stop()
+
+
+@pytest.mark.parametrize("name", ["ghost", "stopped"])
+def test_establish_with_an_absent_member_fails_before_any_prepare(
+        world, initiator, name):
+    # No directory is hosted: members resolve among the world's dapplets.
+    a = world.dapplet(PassiveDapplet, "caltech.edu", "a")
+    _absent(world, name)
+    spec = SessionSpec("test")
+    spec.add_member("a", inboxes=("in",))
+    spec.add_member(name, inboxes=("in",))
+    spec.bind("a", "out", name, "in")
+    outcome = []
+
+    def director():
+        try:
+            yield from initiator.establish(spec)
+        except AddressError as exc:
+            outcome.append(exc)
+
+    world.run(until=world.process(director()))
+    world.run()
+    assert len(outcome) == 1 and repr(name) in str(outcome[0])
+    assert a.sessions.stats.prepares == 0
+    assert a.sessions.active_sessions() == []
+    assert initiator._records == {}
+
+
+@pytest.mark.parametrize("name", ["ghost", "stopped"])
+def test_growth_to_an_absent_member_fails_and_leaves_the_session(
+        world, initiator, name):
+    a = world.dapplet(PassiveDapplet, "caltech.edu", "a")
+    b = world.dapplet(PassiveDapplet, "rice.edu", "b")
+    _absent(world, name)
+    outcome = []
+
+    def director():
+        session = yield from initiator.establish(pair_spec())
+        ports = {m: dict(p) for m, p in session.ports.items()}
+        try:
+            yield from session.add_member(
+                MemberSpec(name, inboxes=("in",)),
+                [Binding("a", "to_new", name, "in")])
+        except AddressError as exc:
+            outcome.append(exc)
+        assert session.members == {"a", "b"}
+        assert session.ports == ports
+        yield from session.terminate()
+
+    world.run(until=world.process(director()))
+    assert len(outcome) == 1 and repr(name) in str(outcome[0])
+    assert a.sessions.stats.prepares == b.sessions.stats.prepares == 1
 
 
 def test_session_context_region_views(world, initiator):

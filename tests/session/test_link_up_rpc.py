@@ -176,11 +176,11 @@ def _reject(world, initiator, a, b):
 
 
 def _prepare_timeout(world, initiator, a, b):
-    address = b.address
+    spec = pair_spec()
+    spec.members["b"].address = b.address  # a stale address
     b.stop()
-    world.directory.register("b", address)  # a stale entry
     with pytest.raises(SessionError, match="no reply"):
-        yield from initiator.establish(pair_spec(), timeout=2.0)
+        yield from initiator.establish(spec, timeout=2.0)
 
 
 def _not_ready_timeout(world, initiator, a, b):

@@ -1,30 +1,10 @@
-"""Edge-case tests for the kernel: realtime pacing, trace hooks,
-interrupts interacting with composite events."""
-
-import time
+"""Edge-case tests for the kernel: trace hooks, interrupts interacting
+with composite events."""
 
 import pytest
 
 from repro.errors import InterruptError
 from repro.sim import Kernel
-
-
-def test_realtime_mode_paces_wall_clock():
-    k = Kernel(realtime=True, realtime_factor=100.0)  # 100x fast-forward
-    k.timeout(5.0)  # 5 virtual seconds ~ 50 ms wall
-    start = time.monotonic()
-    k.run()
-    elapsed = time.monotonic() - start
-    assert k.now == 5.0
-    assert elapsed >= 0.04  # paced, allowing scheduler slop
-
-
-def test_realtime_factor_scales():
-    k = Kernel(realtime=True, realtime_factor=1000.0)
-    k.timeout(5.0)
-    start = time.monotonic()
-    k.run()
-    assert time.monotonic() - start < 0.5
 
 
 def test_trace_hooks_observe_every_event():

@@ -1,39 +1,9 @@
-"""Realtime pacing: with ``realtime=True`` the kernel slows virtual time
-to the wall clock (scaled by ``realtime_factor``) instead of jumping
+"""The kernel never paces against the wall clock: virtual time jumps
 event-to-event."""
 
 import time
 
 from repro.sim import Kernel
-
-
-def test_realtime_paces_virtual_time_to_wall_clock():
-    # 0.2 virtual seconds at 4x speed should take >= ~0.05 wall seconds.
-    k = Kernel(realtime=True, realtime_factor=4.0)
-    for i in range(1, 5):
-        k.timeout(0.05 * i)
-    start = time.monotonic()
-    k.run()
-    elapsed = time.monotonic() - start
-    assert k.now == 0.2
-    # Generous lower bound: pacing happened at all (sleeps can be lax).
-    assert elapsed >= 0.2 / 4.0 * 0.5, elapsed
-
-
-def test_realtime_never_outruns_the_wall_clock():
-    k = Kernel(realtime=True, realtime_factor=10.0)
-    observed = []
-    start = time.monotonic()
-    k.trace_hooks.append(
-        lambda now, ev: observed.append((now, time.monotonic() - start)))
-    for i in range(1, 6):
-        k.timeout(0.1 * i)
-    k.run()
-    assert observed, "trace hooks saw no events"
-    for virtual, wall in observed:
-        # Virtual time may never be ahead of scaled wall-clock time
-        # (tolerance for scheduler coarseness).
-        assert virtual <= (wall * 10.0) + 0.05, (virtual, wall)
 
 
 def test_non_realtime_runs_faster_than_wall_clock():
