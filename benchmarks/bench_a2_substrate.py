@@ -11,9 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro import Dapplet, World
+from repro.mailbox import Inbox
 from repro.messages import Text
-from repro.net import ConstantLatency
-from repro.sim import Kernel, Store
+from repro.net import ConstantLatency, DatagramNetwork, Endpoint, NodeAddress
+from repro.sim import Kernel
 
 
 class Node(Dapplet):
@@ -50,19 +51,23 @@ def test_process_switch_throughput(benchmark):
     assert benchmark(run)
 
 
-def test_store_handoff_throughput(benchmark):
+def test_inbox_handoff_throughput(benchmark):
+    """Deliver-to-receive through one inbox, no transport: the queue,
+    its zero-delay drain and the process resume."""
     def run(n=10_000):
         kernel = Kernel()
-        store = Store(kernel)
+        endpoint = Endpoint(kernel, DatagramNetwork(kernel),
+                            NodeAddress("hub.edu", 1000))
+        inbox = Inbox(kernel, endpoint, 0)
         got = []
 
         def consumer():
             for _ in range(n):
-                got.append((yield store.get()))
+                got.append((yield inbox.receive()))
 
         kernel.process(consumer())
         for i in range(n):
-            store.put(i)
+            inbox.deliver_local(Text(str(i)))
         kernel.run()
         return len(got)
 

@@ -57,8 +57,7 @@ def run_tput(kind: str, delivery: str, *, n: int, seed: int = 11,
         recv = Endpoint(substrate, substrate.datagrams, HUB, rto_initial=0.1,
                         recv_window=64000)
         send = Endpoint(substrate, substrate.datagrams, SRC, rto_initial=0.1,
-                        delivery=delivery, cwnd_initial=4096,
-                        recv_window=64000)
+                        cwnd_initial=4096, recv_window=64000)
         delivered = [0]
         last = [0.0]
 
@@ -69,7 +68,7 @@ def run_tput(kind: str, delivery: str, *, n: int, seed: int = 11,
         recv.register_inbox(0, deliver)
         start = substrate.now
         for i in range(n):
-            send.send(HUB.inbox(0), f"{i:06d}", "bench")
+            send.send(HUB.inbox(0), f"{i:06d}", "bench", delivery=delivery)
         # Run to quiescence: counts whatever actually landed (loopback
         # may shed part of an unreliable burst) and times the last
         # delivery, not the trailing ack/timer chatter.
@@ -94,8 +93,7 @@ def run_latency(delivery: str, *, n: int = N_LAT, seed: int = 7) -> dict:
         recv = Endpoint(substrate, substrate.datagrams, HUB,
                         rto_initial=LAT_RTO)
         send = Endpoint(substrate, substrate.datagrams, SRC,
-                        rto_initial=LAT_RTO, delivery=delivery,
-                        skip_timeout=LAT_SKIP)
+                        rto_initial=LAT_RTO, skip_timeout=LAT_SKIP)
         sent_at: dict[str, float] = {}
         lats: list[float] = []
         recv.register_inbox(
@@ -106,7 +104,7 @@ def run_latency(delivery: str, *, n: int = N_LAT, seed: int = 7) -> dict:
             for i in range(n):
                 key = f"{i:06d}"
                 sent_at[key] = substrate.now
-                send.send(HUB.inbox(0), key, "bench")
+                send.send(HUB.inbox(0), key, "bench", delivery=delivery)
                 yield substrate.timeout(LAT_PACE)
 
         substrate.process(producer())

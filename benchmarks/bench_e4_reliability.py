@@ -38,10 +38,8 @@ N = 200
 
 def run_stream(drop: float, reliable: bool, seed: int = 9, *,
                sack: bool = True):
-    options = {"delivery": RELIABLE if reliable else UNRELIABLE}
-    if reliable:
-        options.update(rto_initial=0.1, max_retries=60, sack=sack,
-                       ack_delay=0.01 if sack else 0.0)
+    options = (dict(rto_initial=0.1, max_retries=60, sack=sack,
+                    ack_delay=0.01 if sack else 0.0) if reliable else {})
     world = World(seed=seed, latency=ConstantLatency(0.02),
                   faults=FaultPlan(drop_prob=drop, duplicate_prob=0.05,
                                    reorder_jitter=0.05),
@@ -52,7 +50,7 @@ def run_stream(drop: float, reliable: bool, seed: int = 9, *,
     inbox = dst.create_inbox(name="in")
     inbox.delivery_hooks.append(
         lambda m: (arrivals.append((world.now, int(m.text))), m)[1])
-    outbox = src.create_outbox()
+    outbox = src.create_outbox(delivery=RELIABLE if reliable else UNRELIABLE)
     outbox.add(inbox.named_address)
     send_times = {}
     for i in range(N):

@@ -25,12 +25,11 @@ class Node(Dapplet):
 def run_transfer(drop: float, delivery, n: int = 200):
     world = World(seed=int(drop * 100) + (1 if delivery is RELIABLE else 0),
                   latency=GeoLatency(),
-                  faults=FaultPlan(drop_prob=drop, reorder_jitter=0.05),
-                  endpoint_options={"delivery": delivery})
+                  faults=FaultPlan(drop_prob=drop, reorder_jitter=0.05))
     src = world.dapplet(Node, "caltech.edu", "src")
     dst = world.dapplet(Node, "sydney.edu.au", "dst")
     inbox = dst.create_inbox(name="data")
-    outbox = src.create_outbox()
+    outbox = src.create_outbox(delivery=delivery)
     outbox.add(inbox.named_address)
 
     def producer():

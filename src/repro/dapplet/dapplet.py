@@ -171,9 +171,11 @@ class Dapplet:
                       skip_timeout: float | None = None) -> Outbox:
         """A new outbox (initially bound to nothing).
 
-        ``delivery`` picks its delivery class (see
-        :mod:`repro.net.delivery`); ``None`` inherits the endpoint's
-        default. ``skip_timeout`` tunes the RELIABLE_SKIP abandon
+        ``delivery`` picks the delivery class of its channels (see
+        :mod:`repro.net.delivery`); ``None`` means RELIABLE. A class is
+        chosen here or per session binding, never endpoint-wide, so the
+        channels :meth:`post` opens for RPC, session link-up and leases
+        stay RELIABLE. ``skip_timeout`` tunes the RELIABLE_SKIP abandon
         deadline for this outbox's channels.
         """
         self._ensure_live()

@@ -30,7 +30,7 @@ class Channel:
     destination: InboxAddress
     created_at: float
     #: Delivery class of every copy on this channel (see
-    #: :mod:`repro.net.delivery`); per-send overrides may still differ.
+    #: :mod:`repro.net.delivery`): its outbox's.
     delivery: str = RELIABLE
     copies_sent: int = 0
     bytes_sent: int = 0

@@ -31,7 +31,6 @@ from repro.net.address import InboxAddress
 from repro.net.endpoint import Endpoint
 from repro.runtime.substrate import Scheduler
 from repro.sim.events import Event
-from repro.sim.primitives import Store
 
 DeliveryHook = Callable[[Message], Message]
 
@@ -41,7 +40,14 @@ LOCAL_MESSAGE_SIZE = 64
 
 
 class Inbox:
-    """A FIFO queue of received messages, globally addressable."""
+    """A FIFO queue of received messages, globally addressable.
+
+    The queue is one deque of ``(message, wire size, arrival instant)``
+    entries: the sizes sum to :attr:`backlog_bytes` (the occupancy the
+    endpoint's advertised receive window ``rwnd`` is derived from) and
+    the instant gives each dequeue its own residence time, tracer or
+    not. Pending receives wait in a second FIFO, served oldest first.
+    """
 
     def __init__(self, kernel: Scheduler, endpoint: Endpoint, ref: int,
                  name: str | None = None) -> None:
@@ -49,20 +55,11 @@ class Inbox:
         self.endpoint = endpoint
         self.ref = ref
         self.name = name
-        self._store = Store(kernel)
-        self._store.on_get = self._on_dequeue
-        #: Enqueue instants of queued messages, head-aligned with the
-        #: store; pairs enqueues with dequeues for the mailbox-wait
-        #: histogram. Only fed while a tracer is attached.
-        self._enqueued_at: deque[float] = deque()
-        #: Wire sizes of queued messages, head-aligned with the store;
-        #: their sum is :attr:`backlog_bytes`, the occupancy the
-        #: endpoint's advertised receive window (``rwnd``) is derived
-        #: from. Always fed, tracer or not.
-        self._queued_sizes: deque[int] = deque()
+        self._entries: deque[tuple[Message, int, float]] = deque()
+        self._takers: deque[Event] = deque()
+        self._drain_scheduled = False
         self.backlog_bytes = 0
         self._incoming_size: int | None = None
-        self._last_dequeued_size = LOCAL_MESSAGE_SIZE
         self._nonempty_waiters: list[Event] = []
         #: Applied in order to every arriving message (may transform it).
         self.delivery_hooks: list[DeliveryHook] = []
@@ -93,10 +90,10 @@ class Inbox:
     @property
     def is_empty(self) -> bool:
         """The paper's ``isEmpty()``."""
-        return self._store.is_empty
+        return not self._entries
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._entries)
 
     def await_nonempty(self) -> Event:
         """The paper's ``awaitNonEmpty()``: fires when a message is queued.
@@ -109,8 +106,8 @@ class Inbox:
         if tr is not None:
             tr.emit("mbox", "await", node=self.endpoint.address,
                     inbox=self.name or self.ref,
-                    ready=not self._store.is_empty)
-        if not self._store.is_empty:
+                    ready=bool(self._entries))
+        if self._entries:
             ev.succeed(None)
         else:
             self._nonempty_waiters.append(ev)
@@ -119,43 +116,38 @@ class Inbox:
     def receive(self, timeout: float | None = None) -> Event:
         """The paper's ``receive()``: fires with the head message, consuming it.
 
-        With ``timeout``, fails with :class:`ReceiveTimeout` if nothing
-        arrives in time (the pending take is withdrawn, so no message is
-        lost).
+        A receive finds the head message at once only when no earlier
+        receive is still waiting; otherwise it queues behind them. With
+        ``timeout``, fails with :class:`ReceiveTimeout` if nothing
+        arrives in time; the expired receive withdraws itself first, so
+        no message is taken for it and none is lost.
         """
+        take = self.kernel.event()
+        if self._entries and not self._takers:
+            take.succeed(self._take())
+        else:
+            self._takers.append(take)
+            self._schedule_drain()
         if timeout is None:
-            return self._store.get()
+            return take
         outer = self.kernel.event()
-        get_ev = self._store.get()
-        timer = self.kernel.timeout(timeout)
+        take.callbacks.append(lambda ev: outer.succeed(ev.value))
 
-        def on_get(ev: Event) -> None:
-            if outer.triggered:
-                # Timed out in the same instant the message landed; put
-                # it back at the head so the next receive sees it.
-                if self.kernel.tracer is not None:
-                    self._enqueued_at.appendleft(self.kernel.now)
-                self._queued_sizes.appendleft(self._last_dequeued_size)
-                self.backlog_bytes += self._last_dequeued_size
-                self._store.put_front(ev.value)
-            else:
-                outer.succeed(ev.value)
+        def expire(_ev: Event) -> None:
+            if not take.triggered:
+                self._takers.remove(take)
+                outer.fail(ReceiveTimeout(
+                    f"no message on inbox {self.address} within {timeout}s",
+                    timeout=timeout))
 
-        def on_timer(_ev: Event) -> None:
-            if outer.triggered or get_ev.triggered:
-                return
-            self._store.cancel(get_ev)
-            outer.fail(ReceiveTimeout(
-                f"no message on inbox {self.address} within {timeout}s",
-                timeout=timeout))
-
-        get_ev.callbacks.append(on_get)
-        timer.callbacks.append(on_timer)
+        self.kernel.timeout(timeout).callbacks.append(expire)
         return outer
 
     def peek(self) -> Message:
         """The head message without consuming it (raises if empty)."""
-        return self._store.peek()
+        if not self._entries:
+            raise LookupError(f"inbox {self.address} is empty")
+        return self._entries[0][0]
 
     def queued(self) -> list[Message]:
         """A copy of the currently queued messages, head first.
@@ -164,29 +156,22 @@ class Inbox:
         (not the channel state) in snapshot terms; state functions that
         model "everything this dapplet has been delivered" need them.
         """
-        return list(self._store._items)
+        return [entry[0] for entry in self._entries]
 
     def transform_queued(self, fn: "Callable[[Message], Message | None]") -> None:
         """Rewrite messages already queued (dropping ``None`` results).
 
         Used by services that install delivery hooks after traffic may
-        have arrived, to normalize messages the hooks did not see.
+        have arrived, to normalize messages the hooks did not see. A
+        rewritten message keeps its place, size and arrival instant.
         """
-        items = list(self._store._items)
-        times = list(self._enqueued_at)
-        times += [self.kernel.now] * (len(items) - len(times))
-        sizes = list(self._queued_sizes)
-        sizes += [LOCAL_MESSAGE_SIZE] * (len(items) - len(sizes))
-        self._store._items.clear()
-        self._enqueued_at.clear()
-        self._queued_sizes.clear()
+        entries = self._entries
+        self._entries = deque()
         self.backlog_bytes = 0
-        for item, t, size in zip(items, times, sizes):
-            replacement = fn(item)
+        for message, size, at in entries:
+            replacement = fn(message)
             if replacement is not None:
-                self._store._items.append(replacement)
-                self._enqueued_at.append(t)
-                self._queued_sizes.append(size)
+                self._entries.append((replacement, size, at))
                 self.backlog_bytes += size
 
     # -- lifecycle -------------------------------------------------------
@@ -223,6 +208,11 @@ class Inbox:
         A delivery hook may return ``None`` to swallow the message —
         services use this for protocol traffic (e.g. snapshot markers)
         that the application must not see.
+
+        The message stays visible in the queue until a waiting receive
+        takes it in a zero-delay drain, so observers that inspect the
+        queue during a delivery cascade (snapshot state functions, say)
+        never see it vanish into a not-yet-resumed process.
         """
         for hook in self.delivery_hooks:
             message = hook(message)
@@ -231,35 +221,47 @@ class Inbox:
         self.messages_received += 1
         size = (self._incoming_size if self._incoming_size is not None
                 else LOCAL_MESSAGE_SIZE)
-        self._queued_sizes.append(size)
         self.backlog_bytes += size
         tr = self.kernel.tracer
         if tr is not None:
-            self._enqueued_at.append(self.kernel.now)
             tr.emit("mbox", "enqueue", node=self.endpoint.address,
                     inbox=self.name or self.ref,
-                    qlen=len(self._store) + 1,
+                    qlen=len(self._entries) + 1,
                     msg=type(message).__name__)
-        self._store.put(message)
+        self._entries.append((message, size, self.kernel.now))
+        self._schedule_drain()
         if self._nonempty_waiters:
             waiters, self._nonempty_waiters = self._nonempty_waiters, []
             for ev in waiters:
                 ev.succeed(None)
 
+    def _schedule_drain(self) -> None:
+        if self._takers and self._entries and not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.kernel.call_later(0.0, self._drain)
+
+    def _drain(self) -> None:
+        """Hand queued messages to waiting receives, oldest to oldest."""
+        self._drain_scheduled = False
+        while self._takers and self._entries:
+            message = self._take()
+            self._takers.popleft().succeed(message)
+
+    def _take(self) -> Message:
+        message = self._entries[0][0]
+        self._on_dequeue(message)
+        return message
+
     def _on_dequeue(self, message: Message) -> None:
-        """Store observer: one message handed to a receiver."""
-        enqueued = self._enqueued_at.popleft() if self._enqueued_at else None
-        size = (self._queued_sizes.popleft() if self._queued_sizes
-                else LOCAL_MESSAGE_SIZE)
-        self.backlog_bytes = max(0, self.backlog_bytes - size)
-        self._last_dequeued_size = size
+        """Consume ``message``, the head entry, at the instant a receive
+        takes it; its wait is its own residence time in the queue."""
+        _, size, at = self._entries.popleft()
+        self.backlog_bytes -= size
         tr = self.kernel.tracer
         if tr is not None:
             tr.emit("mbox", "dequeue", node=self.endpoint.address,
-                    inbox=self.name or self.ref, qlen=len(self._store),
-                    msg=type(message).__name__,
-                    wait=(None if enqueued is None
-                          else self.kernel.now - enqueued))
+                    inbox=self.name or self.ref, qlen=len(self._entries),
+                    msg=type(message).__name__, wait=self.kernel.now - at)
         # Freed budget may reopen the advertised receive window.
         self.endpoint.inbox_drained(self.ref, self.name)
 

@@ -30,7 +30,7 @@ from repro.mailbox.inbox import Inbox
 from repro.messages.message import Message
 from repro.messages.serialize import dumps
 from repro.net.address import InboxAddress
-from repro.net.delivery import validate_delivery
+from repro.net.delivery import RELIABLE, validate_delivery
 from repro.net.endpoint import DeliveryReceipt, Endpoint
 from repro.runtime.substrate import Scheduler
 from repro.sim.events import AllOf, Event
@@ -65,9 +65,9 @@ class SendResult:
 class Outbox:
     """A send port; owns one FIFO channel per bound inbox.
 
-    ``delivery`` picks the outbox's delivery class (see
-    :mod:`repro.net.delivery`); ``None`` inherits the endpoint's
-    default. ``skip_timeout`` tunes the RELIABLE_SKIP abandon deadline
+    ``delivery`` picks the delivery class of every channel of this
+    outbox (see :mod:`repro.net.delivery`); ``None`` means RELIABLE.
+    ``skip_timeout`` tunes the RELIABLE_SKIP abandon deadline
     for this outbox's channels (``None`` = the endpoint's).
     """
 
@@ -77,9 +77,8 @@ class Outbox:
         self.kernel = kernel
         self.endpoint = endpoint
         self.ref = ref
-        if delivery is not None:
-            validate_delivery(delivery)
-        self.delivery = delivery
+        self.delivery = (RELIABLE if delivery is None
+                         else validate_delivery(delivery))
         if skip_timeout is not None and skip_timeout <= 0:
             raise ValueError("skip_timeout must be > 0")
         self.skip_timeout = skip_timeout
@@ -100,7 +99,7 @@ class Outbox:
             key=channel_key(self.endpoint.address, self.ref, address),
             src_node=self.endpoint.address, outbox_ref=self.ref,
             destination=address, created_at=self.kernel.now,
-            delivery=self.delivery or self.endpoint.delivery)
+            delivery=self.delivery)
 
     def delete(self, target: "InboxAddress | Inbox") -> None:
         """Unbind; raises :class:`BindingError` if not bound (per the paper)."""
@@ -118,12 +117,11 @@ class Outbox:
     def is_bound_to(self, target: "InboxAddress | Inbox") -> bool:
         return self._resolve(target) in self._channels
 
-    def send(self, message: Message, timeout: float | None = None, *,
-             delivery: str | None = None) -> SendResult:
-        """Send a copy of ``message`` along every bound channel.
-
-        ``delivery`` overrides the outbox's delivery class for this one
-        message (UNRELIABLE copies yield no receipts).
+    def send(self, message: Message,
+             timeout: float | None = None) -> SendResult:
+        """Send a copy of ``message`` along every bound channel, each in
+        its channel's delivery class (UNRELIABLE copies yield no
+        receipts).
 
         The paper models this as append-to-outbox plus a layer that
         drains the queue to all channels; since the drain is immediate
@@ -151,7 +149,7 @@ class Outbox:
                         msg=type(message).__name__, size=len(wire))
             receipt = self.endpoint.send(address, wire, chan.key,
                                          timeout=timeout,
-                                         delivery=delivery or chan.delivery,
+                                         delivery=chan.delivery,
                                          skip_timeout=self.skip_timeout)
             chan.copies_sent += 1
             chan.bytes_sent += len(wire)

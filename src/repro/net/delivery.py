@@ -3,8 +3,8 @@
 The paper's sessions multiplex very different traffic over one socket —
 reliable inventory/token events next to soft-realtime updates where a
 stale message is worthless. Instead of an endpoint-wide boolean, every
-outbox (and, overriding it, every individual send) picks one of three
-delivery classes, H-UDP style:
+outbox (or session binding) picks one of three delivery classes for its
+channels, H-UDP style:
 
 ``RELIABLE``
     Today's full path: per-channel FIFO exactly-once with SACK,

@@ -151,16 +151,6 @@ class Endpoint:
         kernel, an :class:`~repro.runtime.AsyncioSubstrate`, ...) and any
         :class:`DatagramService` (the simulated network, real UDP
         sockets, ...).
-    delivery:
-        The endpoint's default delivery class —
-        :data:`~repro.net.delivery.RELIABLE` (FIFO exactly-once, the
-        default), :data:`~repro.net.delivery.UNRELIABLE`
-        (fire-and-forget, stale/duplicate frames dropped by the
-        receiver) or :data:`~repro.net.delivery.RELIABLE_SKIP`
-        (retransmit until ``skip_timeout``, then abandon and advance the
-        receiver past the hole). Every :meth:`send` may override it.
-        (The pre-class ``reliable=`` boolean shim is gone; the "bare
-        UDP" baseline of experiment E4 is ``delivery=UNRELIABLE``.)
     skip_timeout:
         RELIABLE_SKIP only: seconds a packet is retransmitted before
         the sender abandons it and signals the receiver to skip.
@@ -204,8 +194,7 @@ class Endpoint:
     """
 
     def __init__(self, kernel: Scheduler, network: DatagramService,
-                 address: NodeAddress, *, delivery: str | None = None,
-                 skip_timeout: float = 0.25,
+                 address: NodeAddress, *, skip_timeout: float = 0.25,
                  rto_initial: float | None = None, rto_max: float = 5.0,
                  max_retries: int = 30, rto_mode: str = "static",
                  sack: bool = True, dup_ack_threshold: int = 3,
@@ -227,14 +216,9 @@ class Endpoint:
             raise ValueError("batch_bytes must be >= 1")
         if skip_timeout <= 0:
             raise ValueError("skip_timeout must be > 0")
-        if delivery is None:
-            delivery = RELIABLE
-        else:
-            validate_delivery(delivery)
         self.kernel = kernel
         self.network = network
         self.address = address
-        self.delivery = delivery
         self.skip_timeout = skip_timeout
         self.rto_initial = rto_initial
         self.rto_max = rto_max
@@ -344,8 +328,11 @@ class Endpoint:
              skip_timeout: float | None = None) -> DeliveryReceipt | None:
         """Send ``payload`` to ``dst`` on channel ``channel``.
 
-        ``delivery`` overrides the endpoint's default class for this one
-        message. Reliable-class sends (RELIABLE and RELIABLE_SKIP)
+        ``delivery`` is the message's class (see
+        :mod:`repro.net.delivery`): an outbox passes its own, and
+        ``None`` means RELIABLE. There is no endpoint-wide default, so
+        one endpoint's channels never inherit a class they did not
+        choose. Reliable-class sends (RELIABLE and RELIABLE_SKIP)
         return a :class:`DeliveryReceipt`; UNRELIABLE sends return
         ``None`` (and reject ``timeout``, which cannot be honoured
         without acknowledgements). A closed endpoint rejects all sends.
@@ -359,8 +346,7 @@ class Endpoint:
         """
         if self.closed:
             raise AddressError(f"endpoint {self.address} is closed")
-        cls = self.delivery if delivery is None else \
-            validate_delivery(delivery)
+        cls = RELIABLE if delivery is None else validate_delivery(delivery)
         # Frame-ceiling check, identical on every substrate: a payload
         # that cannot fit one frame even unbatched must fail *here*
         # (typed, at send time) rather than blow up in the UDP encoder

@@ -14,8 +14,9 @@ The programming model is SimPy-like:
   the event's value in (or throwing its exception).
 * :meth:`Kernel.timeout` produces an event that fires after a virtual
   delay; :meth:`Kernel.event` produces a manually-triggered event.
-* :class:`Store` is a blocking FIFO queue (the building block of the
-  paper's inboxes); :class:`Gate` is a broadcast condition.
+* Blocking queues are built from these events by their owners: the
+  paper's inbox (:class:`repro.mailbox.Inbox`) holds its own queue and
+  its own waiting receives.
 
 Determinism: events scheduled for the same instant fire in scheduling
 order, and all randomness flows through :class:`RandomStreams`, a tree of
@@ -25,17 +26,14 @@ named seeded generators.
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
-from repro.sim.primitives import Gate, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Gate",
     "Kernel",
     "Process",
     "RandomStreams",
-    "Store",
     "Timeout",
 ]

@@ -50,7 +50,8 @@ class World:
         :mod:`repro.net`).
     endpoint_options:
         Keyword arguments applied to every dapplet's transport endpoint
-        (e.g. ``rto_initial``, ``max_retries``, ``delivery``).
+        (e.g. ``rto_initial``, ``max_retries``). A delivery class is
+        not among them: it is chosen per outbox or session binding.
     encoded:
         Round-trip every simulated datagram through the binary wire
         codec at the network boundary (byte-parity mode; simulated

@@ -44,24 +44,29 @@ def test_send_with_timeout_and_no_bindings_raises():
     assert out.send(Text("void")).copies == 0
 
 
-def test_receive_timeout_same_instant_arrival_puts_message_back():
-    """The race the receive() timeout guards against: the pending take
-    resolves in the very instant the timeout already fired. The message
-    must go back to the head of the queue, never be lost."""
+@pytest.mark.parametrize("arrives", ["before_expiry", "after_expiry"])
+def test_receive_timeout_same_instant_arrival_is_kept(arrives):
+    """A message delivered in the very instant a timed receive expires,
+    on either side of the expiry in that instant: the receive fails
+    with ReceiveTimeout, and the next receive takes the message."""
     k, ea, eb = world_pair()
     inbox = Inbox(k, eb, 0)
+
+    def deliver():
+        inbox.deliver_local(Text("racer"))
+
+    if arrives == "before_expiry":
+        k.call_later(0.05, deliver)
     ev = inbox.receive(timeout=0.05)
-    take = inbox._store._getters[0]  # the take backing the timed receive
+    if arrives == "after_expiry":
+        k.call_later(0.05, deliver)
     with pytest.raises(ReceiveTimeout):
         k.run(until=ev)
-    # Resolve the withdrawn take anyway, as a store implementation that
-    # lost the cancellation race would: same-instant delivery + timeout.
-    take.succeed(Text("racer"))
     k.run()
-    assert not inbox.is_empty
-    assert inbox.peek().text == "racer"
-    got = k.run(until=inbox.receive())
-    assert got.text == "racer"
+    assert k.now == 0.05
+    assert [m.text for m in inbox.queued()] == ["racer"]
+    assert k.run(until=inbox.receive()).text == "racer"
+    assert inbox.is_empty and inbox.backlog_bytes == 0
 
 
 def test_transform_queued_rewrites_and_drops():

@@ -3,14 +3,17 @@
 The reliable path has its own battery in ``test_transport*.py``; this
 file covers the class machinery itself — the UNRELIABLE fast path (the
 legacy raw mode's new home, including its edge cases), the
-RELIABLE_SKIP abandon protocol, per-message overrides, and the
-rejection of the retired ``reliable=`` constructor shim.
+RELIABLE_SKIP abandon protocol, per-message classes, and the
+rejection of an endpoint-wide class (and of the retired ``reliable=``
+constructor shim).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Dapplet, World
 from repro.errors import AddressError, DeliveryTimeout, PayloadTooLarge
+from repro.messages import Text
 from repro.net import (
     RELIABLE,
     RELIABLE_SKIP,
@@ -27,6 +30,10 @@ from repro.sim import Kernel
 
 A = NodeAddress("a.edu", 1000)
 B = NodeAddress("b.edu", 1000)
+
+
+class _Node(Dapplet):
+    kind = "node"
 
 
 def make_pair(seed=0, *, latency=None, faults=None, **epkw):
@@ -55,10 +62,33 @@ def test_validate_delivery():
 
 
 def test_endpoint_rejects_unknown_class():
+    """An endpoint takes no class at all, known or not: a class is
+    chosen per outbox, session binding or send."""
     k = Kernel(seed=0)
     net = DatagramNetwork(k, latency=ConstantLatency(0.01))
-    with pytest.raises(ValueError, match="delivery class"):
-        Endpoint(k, net, A, delivery="bogus")
+    for cls in ("bogus", UNRELIABLE):
+        with pytest.raises(TypeError):
+            Endpoint(k, net, A, delivery=cls)
+
+
+def test_post_opens_reliable_channels():
+    """``Dapplet.post`` carries RPC, session link-up and lease calls, so
+    its channels are RELIABLE whatever the world's endpoint options, and
+    those options cannot carry a delivery class."""
+    world = World(seed=0, latency=ConstantLatency(0.01),
+                  endpoint_options={"rto_initial": 0.05})
+    a = world.dapplet(_Node, "a.edu", "a")
+    b = world.dapplet(_Node, "b.edu", "b")
+    inbox = b.create_inbox(name="in")
+    a.post(inbox.named_address, Text("hi"))
+    (channel,) = a._posts[inbox.named_address]._channels.values()
+    assert channel.delivery == RELIABLE
+    world.run()
+    assert [m.text for m in inbox.queued()] == ["hi"]
+    assert a.endpoint.stats.unreliable_sent == 0
+    with pytest.raises(TypeError):
+        World(seed=0, endpoint_options={"delivery": UNRELIABLE}).dapplet(
+            _Node, "c.edu", "c")
 
 
 def test_send_rejects_unknown_class_override():
@@ -69,26 +99,24 @@ def test_send_rejects_unknown_class_override():
 
 def test_reliable_shim_is_gone():
     """The retired ``reliable=`` boolean is a hard TypeError, not a
-    silently-ignored kwarg; the default class stays RELIABLE."""
+    silently-ignored kwarg; a send naming no class is RELIABLE."""
     k = Kernel(seed=0)
     net = DatagramNetwork(k, latency=ConstantLatency(0.01))
     with pytest.raises(TypeError):
         Endpoint(k, net, A, reliable=False)
     rel = Endpoint(k, net, B)
-    assert rel.delivery == RELIABLE
     assert not hasattr(rel, "reliable")
-    skip = Endpoint(k, net, NodeAddress("c.edu", 1000),
-                    delivery=RELIABLE_SKIP)
-    assert skip.delivery == RELIABLE_SKIP
+    assert rel.send(A.inbox(0), "x", channel="c") is not None  # a receipt
 
 
 # -- UNRELIABLE -------------------------------------------------------------
 
 
 def test_unreliable_send_returns_no_receipt():
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair()
     got = collect_inbox(eb)
-    assert ea.send(B.inbox(0), "hello", channel="c1") is None
+    assert ea.send(B.inbox(0), "hello", channel="c1",
+                   delivery=UNRELIABLE) is None
     k.run()
     assert got == ["hello"]
     assert ea.stats.unreliable_sent == 1
@@ -96,12 +124,11 @@ def test_unreliable_send_returns_no_receipt():
 
 
 def test_unreliable_never_retransmits_under_loss():
-    k, net, ea, eb = make_pair(seed=3, faults=FaultPlan(drop_prob=0.4),
-                               delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair(seed=3, faults=FaultPlan(drop_prob=0.4))
     got = collect_inbox(eb)
     n = 80
     for i in range(n):
-        ea.send(B.inbox(0), str(i), channel="c1")
+        ea.send(B.inbox(0), str(i), channel="c1", delivery=UNRELIABLE)
     k.run()
     assert 0 < len(got) < n  # the net lost some, nobody repaired them
     assert ea.stats.data_retransmitted == 0
@@ -111,25 +138,27 @@ def test_unreliable_never_retransmits_under_loss():
 def test_unreliable_rejects_delivery_timeout():
     """The legacy raw-mode edge case, verbatim error included: a
     timeout needs acknowledgements, which UNRELIABLE never gets."""
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair()
     with pytest.raises(ValueError,
                        match="delivery timeout requires a reliable endpoint"):
-        ea.send(B.inbox(0), "x", channel="c1", timeout=1.0)
+        ea.send(B.inbox(0), "x", channel="c1", timeout=1.0,
+                delivery=UNRELIABLE)
 
 
 def test_unreliable_oversized_payload_raises_at_send():
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair()
     with pytest.raises(PayloadTooLarge):
-        ea.send(B.inbox(0), "x" * (MAX_FRAME_BYTES + 1), channel="c1")
+        ea.send(B.inbox(0), "x" * (MAX_FRAME_BYTES + 1), channel="c1",
+                delivery=UNRELIABLE)
     assert ea.stats.unreliable_sent == 0
 
 
 def test_closed_endpoint_rejects_unreliable_sends():
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
-    ea.send(B.inbox(0), "one", channel="c1")
+    k, net, ea, eb = make_pair()
+    ea.send(B.inbox(0), "one", channel="c1", delivery=UNRELIABLE)
     ea.close()
     with pytest.raises(AddressError, match="closed"):
-        ea.send(B.inbox(0), "two", channel="c1")
+        ea.send(B.inbox(0), "two", channel="c1", delivery=UNRELIABLE)
 
 
 def test_close_with_queued_reliable_sends_fails_receipts():
@@ -149,12 +178,11 @@ def test_unreliable_drops_duplicates_and_stale():
     """Duplicated frames arrive with an already-seen stamp and are
     dropped; reordered older-than-latest frames are dropped as stale."""
     k, net, ea, eb = make_pair(
-        seed=9, faults=FaultPlan(duplicate_prob=0.5, reorder_jitter=0.2),
-        delivery=UNRELIABLE)
+        seed=9, faults=FaultPlan(duplicate_prob=0.5, reorder_jitter=0.2))
     got = collect_inbox(eb)
     n = 60
     for i in range(n):
-        ea.send(B.inbox(0), str(i), channel="c1")
+        ea.send(B.inbox(0), str(i), channel="c1", delivery=UNRELIABLE)
     k.run()
     assert len(got) == len(set(got))  # no duplicates reach the app
     seqs = [int(p) for p in got]
@@ -163,11 +191,11 @@ def test_unreliable_drops_duplicates_and_stale():
 
 
 def test_unreliable_channels_are_independent():
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair()
     got = collect_inbox(eb)
-    ea.send(B.inbox(0), "a0", channel="ca")
-    ea.send(B.inbox(0), "b0", channel="cb")
-    ea.send(B.inbox(0), "a1", channel="ca")
+    ea.send(B.inbox(0), "a0", channel="ca", delivery=UNRELIABLE)
+    ea.send(B.inbox(0), "b0", channel="cb", delivery=UNRELIABLE)
+    ea.send(B.inbox(0), "a1", channel="ca", delivery=UNRELIABLE)
     k.run()
     assert sorted(got) == ["a0", "a1", "b0"]
     assert ea._unreliable_seq[(B, "ca")] == 2
@@ -188,15 +216,15 @@ def test_unreliable_no_dup_no_stale_property(seed, drop, dup, jitter):
         k, latency=ConstantLatency(0.01),
         faults=FaultPlan(drop_prob=drop, duplicate_prob=dup,
                          reorder_jitter=jitter))
-    ea = Endpoint(k, net, A, delivery=UNRELIABLE)
-    eb = Endpoint(k, net, B, delivery=UNRELIABLE)
+    ea = Endpoint(k, net, A)
+    eb = Endpoint(k, net, B)
     per_channel: dict[str, list[int]] = {"ca": [], "cb": []}
     eb.register_inbox(0, lambda payload, addr: per_channel[
         payload.split(":")[0]].append(int(payload.split(":")[1])))
     n = 40
     for i in range(n):
-        ea.send(B.inbox(0), f"ca:{i}", channel="ca")
-        ea.send(B.inbox(0), f"cb:{i}", channel="cb")
+        ea.send(B.inbox(0), f"ca:{i}", channel="ca", delivery=UNRELIABLE)
+        ea.send(B.inbox(0), f"cb:{i}", channel="cb", delivery=UNRELIABLE)
     k.run()
     for ch, seqs in per_channel.items():
         assert seqs == sorted(set(seqs)), (
@@ -226,9 +254,10 @@ def test_skip_abandons_lost_packet_and_receiver_advances():
         faults=FaultPlan(drop_filter=lambda d:
                          d.header.get("kind") == KIND_DATA
                          and d.header.get("seq") == 1),
-        delivery=RELIABLE_SKIP, skip_timeout=0.06, rto_initial=0.5)
+        skip_timeout=0.06, rto_initial=0.5)
     got = collect_inbox(eb)
-    receipts = [ea.send(B.inbox(0), str(i), channel="c1") for i in range(4)]
+    receipts = [ea.send(B.inbox(0), str(i), channel="c1",
+                        delivery=RELIABLE_SKIP) for i in range(4)]
     k.run()
     assert got == ["0", "2", "3"]
     assert receipts[1].is_skipped
@@ -248,9 +277,10 @@ def test_retransmit_beats_skip_deadline():
     skipped, and nothing is abandoned."""
     k, net, ea, eb = make_pair(
         faults=FaultPlan(drop_filter=drop_first_data({1})),
-        delivery=RELIABLE_SKIP, skip_timeout=1.0, rto_initial=0.05)
+        skip_timeout=1.0, rto_initial=0.05)
     got = collect_inbox(eb)
-    receipts = [ea.send(B.inbox(0), str(i), channel="c1") for i in range(3)]
+    receipts = [ea.send(B.inbox(0), str(i), channel="c1",
+                        delivery=RELIABLE_SKIP) for i in range(3)]
     k.run()
     assert got == ["0", "1", "2"]
     assert all(r.outcome == "delivered" for r in receipts)
@@ -272,10 +302,10 @@ def test_skip_frame_loss_is_repaired_by_retransmission():
         return False
     k, net, ea, eb = make_pair(
         faults=FaultPlan(drop_filter=flt),
-        delivery=RELIABLE_SKIP, skip_timeout=0.05, rto_initial=0.08)
+        skip_timeout=0.05, rto_initial=0.08)
     got = collect_inbox(eb)
-    ea.send(B.inbox(0), "zero", channel="c1")
-    ea.send(B.inbox(0), "one", channel="c1")
+    ea.send(B.inbox(0), "zero", channel="c1", delivery=RELIABLE_SKIP)
+    ea.send(B.inbox(0), "one", channel="c1", delivery=RELIABLE_SKIP)
     k.run()
     assert got == ["one"]
     assert lost[0] == 3

@@ -225,12 +225,11 @@ def test_unknown_inbox_counted_not_crashed():
 
 
 def test_unreliable_endpoint_loses_messages_under_loss():
-    """An UNRELIABLE-default endpoint (the retired raw mode's home)."""
-    k, net, ea, eb = make_pair(seed=3, delivery=UNRELIABLE,
-                               faults=FaultPlan(drop_prob=0.5))
+    """UNRELIABLE sends (the retired raw mode's home)."""
+    k, net, ea, eb = make_pair(seed=3, faults=FaultPlan(drop_prob=0.5))
     got = collect_inbox(eb)
     for i in range(100):
-        ea.send(B.inbox(0), str(i), channel="c")
+        ea.send(B.inbox(0), str(i), channel="c", delivery=UNRELIABLE)
     k.run()
     assert 0 < len(got) < 100  # some lost, none retransmitted
     assert ea.stats.unreliable_sent == 100
@@ -239,9 +238,10 @@ def test_unreliable_endpoint_loses_messages_under_loss():
 
 
 def test_unreliable_endpoint_rejects_timeout():
-    k, net, ea, eb = make_pair(delivery=UNRELIABLE)
+    k, net, ea, eb = make_pair()
     with pytest.raises(ValueError):
-        ea.send(B.inbox(0), "m", channel="c", timeout=1.0)
+        ea.send(B.inbox(0), "m", channel="c", timeout=1.0,
+                delivery=UNRELIABLE)
 
 
 def test_send_to_closed_endpoint_is_lost_then_gives_up():

@@ -292,10 +292,10 @@ def test_send_on_closed_endpoint_raises():
     ea.close()
     with pytest.raises(AddressError):
         ea.send(B.inbox(0), "m", channel="c")
-    k2, net2, ec, ed = make_pair(delivery=UNRELIABLE)
+    k2, net2, ec, ed = make_pair()
     ec.close()
     with pytest.raises(AddressError):
-        ec.send(B.inbox(0), "m", channel="c")
+        ec.send(B.inbox(0), "m", channel="c", delivery=UNRELIABLE)
 
 
 def test_close_is_idempotent_and_cancels_delayed_acks():

@@ -296,10 +296,10 @@ def test_single_oversized_payload_fails_typed(substrate):
 
 
 def test_unreliable_oversized_payload_raises_typed(substrate):
-    sender = Endpoint(substrate, substrate.datagrams, A,
-                      delivery=UNRELIABLE)
+    sender = Endpoint(substrate, substrate.datagrams, A)
     with pytest.raises(PayloadTooLarge):
-        sender.send(B.inbox(0), "z" * (MAX_FRAME_BYTES + 1), "c")
+        sender.send(B.inbox(0), "z" * (MAX_FRAME_BYTES + 1), "c",
+                    delivery=UNRELIABLE)
 
 
 def test_malformed_datagrams_dropped_and_counted(substrate):

@@ -172,15 +172,33 @@ def test_the_two_datagram_services_share_one_front_end():
 
 
 def test_span_patch_targets_stay_in_their_own_class_bodies():
+    import inspect
+
+    from repro.mailbox import Inbox
     from repro.net.datagram import DatagramNetwork
+    from repro.net.endpoint import Endpoint
     from repro.runtime import AsyncioSubstrate, UdpDatagramService
     from repro.sim.kernel import Kernel
     for cls, name in ((Kernel, "step"),
                       (AsyncioSubstrate, "_process_event"),
                       (DatagramNetwork, "send"),
                       (UdpDatagramService, "send"),
-                      (UdpDatagramService, "_on_readable")):
+                      (UdpDatagramService, "_on_readable"),
+                      (Inbox, "receive"),
+                      (Inbox, "deliver_local"),
+                      (Inbox, "_on_dequeue")):
         assert name in vars(cls), f"{cls.__name__}.{name}"
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    # The inbox-wait patch wraps these two with (self, message), and
+    # every consumed message must reach the class's _on_dequeue.
+    assert params(Inbox.deliver_local) == ["self", "message"]
+    assert params(Inbox._on_dequeue) == ["self", "message"]
+    # The inbox-deliver patch re-passes these by keyword.
+    assert params(Endpoint.register_inbox) == [
+        "self", "ref", "deliver", "name", "backlog"]
 
 
 # -- one way out, one way to call ---------------------------------------------

@@ -15,14 +15,18 @@ import pytest
 
 from repro import AsyncioSubstrate, Dapplet, World
 from repro.errors import SimulationError
+from repro.mailbox import Inbox
+from repro.messages import Text
+from repro.net import DatagramNetwork, Endpoint, NodeAddress
 from repro.rpc import RemoteProxy, export
-from repro.sim import Kernel, Store
+from repro.sim import Kernel
 
 
 def cascade(s, log):
     """Script one zero-delay cascade on ``s``; return the run target and
     the process that finishes it."""
-    store = Store(s)
+    datagrams = getattr(s, "datagrams", None) or DatagramNetwork(s)
+    inbox = Inbox(s, Endpoint(s, datagrams, NodeAddress("n.edu", 1000)), 0)
     target = s.event()
     a, b, c, q = s.event(), s.event(), s.event(), s.event()
 
@@ -47,13 +51,13 @@ def cascade(s, log):
 
     def consumer():
         for _ in range(3):
-            item = yield store.get()
-            log.append(f"got {item}")
+            message = yield inbox.receive()
+            log.append(f"got {message.text}")
 
     def producer():
         log.append("producer start")
         for k in range(3):
-            store.put(k)
+            inbox.deliver_local(Text(str(k)))
             log.append(f"put {k}")
             yield s.timeout(0)
         joined = yield s.process(child("spawned"))   # spawned mid-cascade
