@@ -1,27 +1,25 @@
 """E13 — flow control: bounded receiver queues at undiminished goodput.
 
 Scenario: one producer fires a 400-message burst at one slow consumer
-(paced drain), with the transport's sliding-window layer on vs off —
-the off mode being the transmit-immediately protocol this repo shipped
-before flow control existed. Run on the virtual-time simulator and,
-smaller, over real UDP sockets. Metrics: peak receiver queue depth,
-goodput (delivered messages per second of substrate time), stall /
-resume / probe / batch counters, and the window events in the trace.
+(paced drain) through the transport's sliding window. Run on the
+virtual-time simulator and, smaller, over real UDP sockets. Metrics:
+peak receiver queue depth, goodput (delivered messages per second of
+substrate time), stall / resume / probe / batch counters, and the
+window events in the trace.
 
-Shape claims: with flow control **off** the whole burst lands in the
-receiver's queue (peak ≈ N); with it **on** the peak is bounded by the
-window geometry (recv_window worth of messages plus the racing
-in-flight packets), an order of magnitude below N — while goodput stays
-within a whisker of the unthrottled run, because the consumer's drain
-rate, not the window, is the bottleneck. The stall/resume/probe events
-that prove the machinery engaged are visible in the exported trace.
+Shape claims: the peak receiver queue is bounded by the window
+geometry (recv_window worth of messages plus the racing in-flight
+packets), an order of magnitude below N — while goodput stays near the
+consumer's drain rate (1/PACE), because the consumer, not the window,
+is the bottleneck. The stall/resume/probe events that prove the
+machinery engaged are visible in the exported trace.
 
-A third **wire** row removes the consumer pacing entirely (flow on,
-``pace=0``): the paced rows measure the protocol against a
-drain-limited consumer (goodput pinned near 1/PACE by construction),
-so the wire row is the one that exposes the transport itself — framing,
-batching, window growth — as the bottleneck. It is the row that moved
-when the JSON wire became struct-packed binary frames.
+A second **wire** row removes the consumer pacing entirely (``pace=0``):
+the paced row measures the protocol against a drain-limited consumer
+(goodput pinned near 1/PACE by construction), so the wire row is the
+one that exposes the transport itself — framing, batching, window
+growth — as the bottleneck. It is the row that moved when the JSON wire
+became struct-packed binary frames.
 
 The shape asserts below are this experiment's gate; E20's
 ``stream_sim_bulk`` runs the wire row's settings, and
@@ -50,7 +48,7 @@ N_AIO_WIRE = 400
 PACE = 0.002  # consumer service time per message, seconds
 
 
-def run_burst(kind: str, flow: bool, *, n: int, seed: int = 11,
+def run_burst(kind: str, *, n: int, seed: int = 11,
               pace: float = PACE, cwnd_initial: int = 256,
               recv_window: int = 2000,
               tracer: "Tracer | None" = None,
@@ -64,9 +62,9 @@ def run_burst(kind: str, flow: bool, *, n: int, seed: int = 11,
         if tracer is not None:
             tracer.attach(substrate)
         eb = Endpoint(substrate, substrate.datagrams, HUB, rto_initial=0.1,
-                      flow_control=flow, recv_window=recv_window)
+                      recv_window=recv_window)
         ea = Endpoint(substrate, substrate.datagrams, SRC, rto_initial=0.1,
-                      flow_control=flow, cwnd_initial=cwnd_initial)
+                      cwnd_initial=cwnd_initial)
         inbox = Inbox(substrate, eb, 0)
         peak = [0]
         inbox.delivery_hooks.append(
@@ -111,29 +109,27 @@ def run_burst(kind: str, flow: bool, *, n: int, seed: int = 11,
 
 
 def run_wire(kind: str, *, n: int, wall_timeout: float | None = None) -> dict:
-    """The transport-limited row: flow control on, no consumer pacing,
-    a window wide enough that batching carries the burst."""
-    return run_burst(kind, True, n=n, pace=0.0, cwnd_initial=4096,
+    """The transport-limited row: no consumer pacing, a window wide
+    enough that batching carries the burst."""
+    return run_burst(kind, n=n, pace=0.0, cwnd_initial=4096,
                      recv_window=64000, wall_timeout=wall_timeout)
 
 
 @pytest.fixture(scope="module")
 def results():
-    table = {}
-    for flow in (False, True):
-        table[("sim", flow)] = run_burst("sim", flow, n=N_SIM)
-        table[("aio", flow)] = run_burst("aio", flow, n=N_AIO,
-                                         wall_timeout=60)
-    table[("sim", "wire")] = run_wire("sim", n=N_SIM_WIRE)
-    table[("aio", "wire")] = run_wire("aio", n=N_AIO_WIRE, wall_timeout=60)
-    return table
+    return {
+        ("sim", "paced"): run_burst("sim", n=N_SIM),
+        ("aio", "paced"): run_burst("aio", n=N_AIO, wall_timeout=60),
+        ("sim", "wire"): run_wire("sim", n=N_SIM_WIRE),
+        ("aio", "wire"): run_wire("aio", n=N_AIO_WIRE, wall_timeout=60),
+    }
 
 
 def test_e13_table_and_shape(results, benchmark):
     table = results
     # The window events must be visible in an exported trace.
     tracer = Tracer(categories=["ep"])
-    run_burst("sim", True, n=N_SIM, tracer=tracer)
+    run_burst("sim", n=N_SIM, tracer=tracer)
     trace = tracer.to_jsonl()
     for name in ("stall", "resume", "wnd_update"):
         assert tracer.select("ep", name), f"trace must show {name} events"
@@ -141,32 +137,29 @@ def test_e13_table_and_shape(results, benchmark):
 
     rows = []
     for kind, n in (("sim", N_SIM), ("aio", N_AIO)):
-        off, on = table[(kind, False)], table[(kind, True)]
-        wire = table[(kind, "wire")]
-        rows.append([kind, n, off["peak_queue"], on["peak_queue"],
-                     f"{off['goodput']:.0f}", f"{on['goodput']:.0f}",
-                     f"{wire['goodput']:.0f}",
-                     on["stalls"], on["batches"], on["window_updates"]])
-    print_table("E13: burst onto a slow consumer, flow control off vs on",
-                ["substrate", "msgs", "peak q (off)", "peak q (on)",
-                 "goodput off", "goodput on", "goodput wire", "stalls",
-                 "batches", "wnd updates"], rows)
+        paced, wire = table[(kind, "paced")], table[(kind, "wire")]
+        rows.append([kind, n, paced["peak_queue"], f"{paced['goodput']:.0f}",
+                     f"{wire['goodput']:.0f}", paced["stalls"],
+                     paced["batches"], paced["window_updates"]])
+    print_table("E13: burst onto a slow consumer through the window",
+                ["substrate", "msgs", "peak q", "goodput", "goodput wire",
+                 "stalls", "batches", "wnd updates"], rows)
 
     for kind, n in (("sim", N_SIM), ("aio", N_AIO)):
-        off, on = table[(kind, False)], table[(kind, True)]
-        assert off["delivered"] == n and on["delivered"] == n
-        # Off: the burst swamps the queue. On: bounded by the window.
-        assert off["peak_queue"] > 0.8 * n
-        assert on["peak_queue"] < 0.4 * n
-        assert on["peak_queue"] < off["peak_queue"]
+        paced = table[(kind, "paced")]
+        assert paced["delivered"] == n
+        # Bounded by the window geometry, not the burst (measured peaks
+        # 16 of 400 on sim, 19 of 60 on asyncio).
+        assert paced["peak_queue"] < 0.4 * n
         # Backpressure engaged...
-        assert on["stalls"] >= 1 and on["resumes"] >= 1
-        assert on["window_updates"] >= 1
-        # ...at equal-or-better goodput (the consumer is the bottleneck;
-        # 0.8 leaves room for the tail of window-update round trips).
-        assert on["goodput"] >= 0.8 * off["goodput"]
+        assert paced["stalls"] >= 1 and paced["resumes"] >= 1
+        assert paced["window_updates"] >= 1
+        # ...at goodput near the consumer's drain rate (measured 484/s on
+        # sim and 359/s over real UDP on a 2-core x86 box, against a
+        # 500/s ceiling; the bound leaves room for a slow loop).
+        assert paced["goodput"] >= 0.4 / PACE
     # The sim run is drain-limited: the whole burst takes ~N*PACE.
-    assert table[("sim", True)]["goodput"] == pytest.approx(
+    assert table[("sim", "paced")]["goodput"] == pytest.approx(
         1.0 / PACE, rel=0.25)
     # The wire row is transport-limited: with no pacing and a wide
     # window, the batched binary transport clears the paced ceiling by
@@ -177,6 +170,6 @@ def test_e13_table_and_shape(results, benchmark):
         assert wire["delivered"] == n
         assert wire["batches"] >= 1
     assert (table[("sim", "wire")]["goodput"]
-            >= 3.0 * table[("sim", True)]["goodput"])
+            >= 3.0 * table[("sim", "paced")]["goodput"])
 
-    benchmark(run_burst, "sim", True, n=N_SIM)
+    benchmark(run_burst, "sim", n=N_SIM)

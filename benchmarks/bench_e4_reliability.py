@@ -1,10 +1,9 @@
 """E4 — the ordering layer over UDP (paper §3.2) under faults (§2.2).
 
 Scenario: a 200-message stream caltech -> rice under increasing
-datagram loss, raw datagrams vs the reliable-FIFO layer — the latter in
-both recovery modes: pure cumulative ACKs (the seed protocol) and the
-default SACK + fast-retransmit + delayed-ack protocol. Metrics:
-delivered count, FIFO integrity, mean delivery latency, retransmits.
+datagram loss, raw datagrams vs the reliable-FIFO layer (SACK + fast
+retransmit + delayed ACKs). Metrics: delivered count, FIFO integrity,
+mean delivery latency, retransmits, fast retransmits, ACK datagrams.
 
 Shape claims: the raw baseline (the UNRELIABLE delivery class since the
 per-outbox class refactor) loses wire arrivals in proportion to the
@@ -12,11 +11,9 @@ drop rate, and under jitter its freshness filter stale-drops reordered
 arrivals rather than presenting them out of order — the application
 sees an ordered subsequence, never corruption, but pays for disorder in
 dropped messages. The reliable layer delivers everything in order at
-every loss level, paying latency that grows with loss. Ablation claim:
-at every lossy level SACK retransmits less and delivers sooner than
-cumulative-only, because holes are fast-retransmitted after duplicate
-ACKs instead of stalling a full RTO and the already-buffered tail stays
-off the wire.
+every loss level, paying latency that grows with loss; duplicate-ACK
+fast retransmit engages at every lossy level, and delayed ACKs keep the
+reverse path thinner than one ACK per DATA arrival.
 """
 
 from __future__ import annotations
@@ -36,10 +33,8 @@ class Node(Dapplet):
 N = 200
 
 
-def run_stream(drop: float, reliable: bool, seed: int = 9, *,
-               sack: bool = True):
-    options = (dict(rto_initial=0.1, max_retries=60, sack=sack,
-                    ack_delay=0.01 if sack else 0.0) if reliable else {})
+def run_stream(drop: float, reliable: bool, seed: int = 9):
+    options = dict(rto_initial=0.1, max_retries=60) if reliable else {}
     world = World(seed=seed, latency=ConstantLatency(0.02),
                   faults=FaultPlan(drop_prob=drop, duplicate_prob=0.05,
                                    reorder_jitter=0.05),
@@ -78,10 +73,8 @@ def results():
     drops = (0.0, 0.1, 0.3, 0.5)
     table = {}
     for drop in drops:
-        for mode, kwargs in (("raw", {"reliable": False}),
-                             ("cum", {"reliable": True, "sack": False}),
-                             ("sack", {"reliable": True, "sack": True})):
-            table[(drop, mode)] = run_stream(drop, **kwargs)
+        table[(drop, "raw")] = run_stream(drop, reliable=False)
+        table[(drop, "rel")] = run_stream(drop, reliable=True)
     return drops, table
 
 
@@ -90,20 +83,17 @@ def test_e4_table_and_shape(results, benchmark):
     rows = []
     for drop in drops:
         raw = table[(drop, "raw")]
-        cum = table[(drop, "cum")]
-        sel = table[(drop, "sack")]
+        rel = table[(drop, "rel")]
         rows.append([f"{drop:.0%}", raw["arrived"], raw["delivered"],
-                     f"{cum['mean_latency']*1000:.1f}", cum["retransmits"],
-                     f"{sel['mean_latency']*1000:.1f}", sel["retransmits"],
-                     sel["fast_retransmits"]])
-    print_table("E4: raw vs ordering layer, cumulative vs SACK (200 msgs)",
-                ["drop", "raw wire", "raw recv", "cum lat (ms)", "cum rtx",
-                 "sack lat (ms)", "sack rtx", "fast rtx"], rows)
+                     f"{rel['mean_latency']*1000:.1f}", rel["retransmits"],
+                     rel["fast_retransmits"], rel["acks"]])
+    print_table("E4: raw datagrams vs the ordering layer (200 msgs)",
+                ["drop", "raw wire", "raw recv", "lat (ms)", "rtx",
+                 "fast rtx", "acks"], rows)
 
     for drop in drops:
-        for mode in ("cum", "sack"):
-            rel = table[(drop, mode)]
-            assert rel["delivered"] == N and rel["fifo"]
+        rel = table[(drop, "rel")]
+        assert rel["delivered"] == N and rel["fifo"]
     # Shape: raw wire arrivals shrink with the drop fraction, and the
     # UNRELIABLE freshness filter keeps app deliveries an ordered
     # subsequence of them (stale reordered arrivals dropped, not
@@ -115,21 +105,20 @@ def test_e4_table_and_shape(results, benchmark):
         assert raw["fifo"]
         assert raw["delivered"] <= raw["arrived"]
     # Shape: reliable latency grows with loss; retransmits too.
-    for mode in ("cum", "sack"):
-        lat = [table[(d, mode)]["mean_latency"] for d in drops]
-        assert lat[-1] > lat[0]
-        rtx = [table[(d, mode)]["retransmits"] for d in drops]
-        assert rtx == sorted(rtx) and rtx[-1] > 0
-    # Ablation: at every lossy level SACK both retransmits less and
-    # delivers sooner than cumulative-only.
-    for drop in drops[1:]:
-        cum = table[(drop, "cum")]
-        sel = table[(drop, "sack")]
-        assert sel["retransmits"] < cum["retransmits"]
-        assert sel["mean_latency"] < cum["mean_latency"]
-        assert sel["fast_retransmits"] > 0
-    # Delayed acks also thin the reverse path (fewer ACK datagrams than
-    # the one-per-DATA cumulative baseline).
-    assert table[(0.1, "sack")]["acks"] < table[(0.1, "cum")]["acks"]
+    lat = [table[(d, "rel")]["mean_latency"] for d in drops]
+    assert lat[-1] > lat[0]
+    rtx = [table[(d, "rel")]["retransmits"] for d in drops]
+    assert rtx == sorted(rtx) and rtx[-1] > 0
+    # Absolute bounds per lossy level (measured: mean latency 207 / 376
+    # / 632 ms, retransmits 177 / 387 / 672 at 10 / 30 / 50% drop).
+    bounds = {0.1: (0.26, 220), 0.3: (0.47, 480), 0.5: (0.79, 840)}
+    for drop, (max_latency, max_rtx) in bounds.items():
+        rel = table[(drop, "rel")]
+        assert rel["mean_latency"] < max_latency
+        assert rel["retransmits"] <= max_rtx
+        assert rel["fast_retransmits"] > 0
+    # Delayed acks thin the reverse path below one ACK per DATA arrival
+    # (measured 357 ACK datagrams at 10% drop, for 377 DATA sent).
+    assert table[(0.1, "rel")]["acks"] <= 400
 
     benchmark(run_stream, 0.3, True)

@@ -161,7 +161,7 @@ class Outbox:
     def writable(self) -> Event:
         """An event firing when every bound channel's send window accepts
         a new packet (immediately when nothing is queued — including
-        with flow control off or no bindings at all). Fails with
+        with no bindings at all). Fails with
         :class:`~repro.errors.AddressError` if the endpoint closes while
         a channel is blocked, so waiters never hang on a window that
         cannot reopen."""

@@ -155,17 +155,14 @@ class Endpoint:
         RELIABLE_SKIP only: seconds a packet is retransmitted before
         the sender abandons it and signals the receiver to skip.
     rto_initial:
-        Initial retransmission timeout. ``None`` estimates it per
-        destination as 4x the latency model's mean.
+        Initial retransmission timeout, > 0. ``None`` estimates it per
+        destination as 4x the latency model's mean. Every timer
+        (packet, PROBE, SKIP) starts from it.
     rto_max / max_retries:
-        Backoff cap and retry budget; exhausting the budget marks the
-        channel broken (counted in ``stats.gave_up``) so runs always
-        quiesce even under pathological loss. The same budget bounds
-        zero-window persist probes.
-    sack:
-        Enables selective acknowledgements and fast retransmit
-        (default). False reverts to the pure cumulative-ACK protocol —
-        the ablation baseline of benchmarks A1 and E4.
+        Backoff cap (> 0) and retry budget (>= 0); exhausting the
+        budget marks the channel broken (counted in ``stats.gave_up``)
+        so runs always quiesce even under pathological loss. The same
+        budget bounds zero-window persist probes.
     dup_ack_threshold:
         Duplicate cumulative ACKs that trigger a fast retransmit of the
         first unSACKed hole (TCP's classic K=3).
@@ -174,13 +171,6 @@ class Endpoint:
         within ``ack_delay`` of the previous ACK coalesce into one
         deferred ACK; out-of-order, duplicate and hole-filling arrivals
         always ACK immediately. 0 disables coalescing entirely.
-    flow_control:
-        Enables the sliding-window layer (default): receiver-advertised
-        ``rwnd`` on every ACK, AIMD ``cwnd`` at the sender, transmission
-        gated on ``min(cwnd, rwnd)``, batching of queued payloads, and
-        zero-window probing. False reverts to transmit-immediately with
-        an unbounded in-flight window — the ablation baseline of
-        benchmark E13.
     cwnd_initial:
         Initial congestion window in bytes. The generous default means
         small workloads never queue; benchmarks and stress tests shrink
@@ -196,14 +186,16 @@ class Endpoint:
     def __init__(self, kernel: Scheduler, network: DatagramService,
                  address: NodeAddress, *, skip_timeout: float = 0.25,
                  rto_initial: float | None = None, rto_max: float = 5.0,
-                 max_retries: int = 30, rto_mode: str = "static",
-                 sack: bool = True, dup_ack_threshold: int = 3,
-                 ack_delay: float = 0.01, flow_control: bool = True,
-                 cwnd_initial: int = 64 * 1024,
+                 max_retries: int = 30, dup_ack_threshold: int = 3,
+                 ack_delay: float = 0.01, cwnd_initial: int = 64 * 1024,
                  recv_window: int = 64 * 1024,
                  batch_bytes: int = 4096) -> None:
-        if rto_mode not in ("static", "adaptive"):
-            raise ValueError("rto_mode must be 'static' or 'adaptive'")
+        if rto_initial is not None and rto_initial <= 0:
+            raise ValueError("rto_initial must be > 0 (or None)")
+        if rto_max <= 0:
+            raise ValueError("rto_max must be > 0")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         if dup_ack_threshold < 1:
             raise ValueError("dup_ack_threshold must be >= 1")
         if ack_delay < 0:
@@ -223,11 +215,8 @@ class Endpoint:
         self.rto_initial = rto_initial
         self.rto_max = rto_max
         self.max_retries = max_retries
-        self.rto_mode = rto_mode
-        self.sack = sack
         self.dup_ack_threshold = dup_ack_threshold
         self.ack_delay = ack_delay
-        self.flow_control = flow_control
         self.cwnd_initial = cwnd_initial
         self.recv_window = recv_window
         self.batch_bytes = batch_bytes
@@ -337,12 +326,12 @@ class Endpoint:
         ``None`` (and reject ``timeout``, which cannot be honoured
         without acknowledgements). A closed endpoint rejects all sends.
 
-        With flow control enabled a reliable-class packet may be
-        *queued* rather than transmitted when bytes-in-flight have
-        reached ``min(cwnd, rwnd)``; ``send`` itself never blocks.
-        Cooperative senders gate on :meth:`writable` (or use
-        ``Outbox.send_flow``) to keep their queue bounded. UNRELIABLE
-        sends bypass the window entirely and always go straight out.
+        A reliable-class packet may be *queued* rather than transmitted
+        when bytes-in-flight have reached ``min(cwnd, rwnd)``; ``send``
+        itself never blocks. Cooperative senders gate on
+        :meth:`writable` (or use ``Outbox.send_flow``) to keep their
+        queue bounded. UNRELIABLE sends bypass the window entirely and
+        always go straight out.
         """
         if self.closed:
             raise AddressError(f"endpoint {self.address} is closed")
@@ -395,12 +384,11 @@ class Endpoint:
         """An event firing when the channel accepts a new send.
 
         Fires immediately when nothing is queued behind a closed window
-        (including when flow control is off, the stream does not exist
-        yet, or the channel is broken — a subsequent ``send`` then fails
-        fast rather than queueing). While sends are queued, the event
-        fires when the queue drains. Fails with :class:`AddressError` if
-        the endpoint closes first, so blocked senders are released
-        promptly.
+        (including when the stream does not exist yet, or the channel is
+        broken — a subsequent ``send`` then fails fast rather than
+        queueing). While sends are queued, the event fires when the
+        queue drains. Fails with :class:`AddressError` if the endpoint
+        closes first, so blocked senders are released promptly.
         """
         ev = self.kernel.event()
         if self.closed:

@@ -32,8 +32,7 @@ refinements ride on the cumulative baseline:
   excess queues, and consecutive queued payloads coalesce into batched
   DATA frames (``parts`` framing, :mod:`repro.net.wire`) when the window
   reopens. A closed window is probed with payload-less PROBE frames so a
-  lost window update cannot deadlock the sender. With flow control off
-  the window is unlimited and the same pump transmits at once.
+  lost window update cannot deadlock the sender.
 
 There are **two sequence spaces, so two machine pairs**. RELIABLE and
 RELIABLE_SKIP share :class:`ReliableSender` / :class:`ReliableReceiver`:
@@ -68,7 +67,6 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import takewhile
-from math import inf
 from typing import Any
 
 from repro.errors import DeliveryTimeout
@@ -139,9 +137,9 @@ class ReliableSender:
     """Sender half of one reliable channel (fixed peer node + channel key).
 
     Owns the sequence space shared by RELIABLE and RELIABLE_SKIP, the
-    unacknowledged window, the Jacobson/Karn RTT estimate (``adaptive``
-    mode: only ACKs that advance the cumulative point are sampled), the
-    AIMD window and the agenda of due times. Invariants (checked after
+    unacknowledged window, the last echoed round trip (which paces fast
+    retransmit), the AIMD window and the agenda of due times. Every
+    timer starts from ``rto_initial``. Invariants (checked after
     every transition by the model test): ``in_flight`` is the summed
     size of transmitted unacknowledged packets; ``cwnd >= max_payload``;
     every queued packet is in ``unacked``; ``wake_at`` is never later
@@ -150,8 +148,8 @@ class ReliableSender:
 
     # A session-churning node holds thousands of these at once.
     __slots__ = ("host", "peer", "peer_label", "channel", "frame_base",
-                 "next_seq", "unacked", "rto_initial", "broken", "srtt",
-                 "rttvar", "last_cum", "dup_acks", "last_rtt", "queue",
+                 "next_seq", "unacked", "rto_initial", "broken",
+                 "last_cum", "dup_acks", "last_rtt", "queue",
                  "in_flight", "cwnd", "ssthresh", "rwnd", "max_payload",
                  "stalled", "cwnd_band", "skip_upto", "probe", "skip_rtx",
                  "agenda", "order", "wake_armed")
@@ -169,15 +167,13 @@ class ReliableSender:
         self.unacked: dict[int, PendingPacket] = {}
         self.rto_initial = rto_initial
         self.broken = False
-        self.srtt: float | None = None
-        self.rttvar = 0.0
         #: Highest cumulative acknowledgement seen so far.
         self.last_cum = -1
         #: Consecutive duplicate cumulative ACKs at ``last_cum``.
         self.dup_acks = 0
-        #: Most recent raw round trip from any ACK's echo timestamp.
-        #: Unlike the Karn-gated ``srtt`` it includes duplicate-triggered
-        #: ACKs — it only paces fast retransmit, never sizes the RTO.
+        #: Most recent raw round trip from any ACK's echo timestamp,
+        #: duplicate-triggered ACKs included: it only paces fast
+        #: retransmit, never sizes the RTO.
         self.last_rtt = 0.0
         #: Accepted-but-untransmitted packets, in sequence order.
         self.queue: deque[PendingPacket] = deque()
@@ -206,24 +202,10 @@ class ReliableSender:
         #: The driver's note: due time of its one live timer, or ``None``.
         self.wake_armed: float | None = None
 
-    # -- RTT and window arithmetic ------------------------------------------
-
-    def current_rto(self, floor: float = 0.005) -> float:
-        if self.srtt is None:
-            return self.rto_initial
-        return max(self.srtt + 4 * self.rttvar, floor)
-
-    def _base_rto(self) -> float:
-        """What a fresh timer starts from under the host's ``rto_mode``."""
-        if self.host.rto_mode == "adaptive":
-            return self.current_rto()
-        return self.rto_initial
+    # -- window arithmetic --------------------------------------------------
 
     def window(self) -> float:
-        """Current admission limit in bytes: ``min(cwnd, rwnd)``, or
-        unlimited with flow control off."""
-        if not self.host.flow_control:
-            return inf
+        """Current admission limit in bytes: ``min(cwnd, rwnd)``."""
         if self.rwnd is None:
             return self.cwnd
         return min(self.cwnd, float(self.rwnd))
@@ -320,7 +302,7 @@ class ReliableSender:
         self.next_seq += 1
         pending = PendingPacket(seq, to_ref, payload, receipt,
                                 host.overhead + len(payload), wire_len,
-                                self._base_rto(), now, timeout)
+                                self.rto_initial, now, timeout)
         self.unacked[seq] = pending
         host.stats.data_sent += 1
         tr = host.tracer
@@ -335,11 +317,10 @@ class ReliableSender:
                     seq=seq, dst=self.peer_label)
         if timeout is not None:
             self._schedule(now + timeout, _DEADLINE, seq)
-        if host.flow_control:
-            if pending.size > self.max_payload:
-                self.max_payload = pending.size
-            if self.cwnd < pending.size:
-                self.cwnd = float(pending.size)
+        if pending.size > self.max_payload:
+            self.max_payload = pending.size
+        if self.cwnd < pending.size:
+            self.cwnd = float(pending.size)
         self.queue.append(pending)
         self._pump(now)
 
@@ -457,10 +438,9 @@ class ReliableSender:
         if self.agenda and self.agenda[0][0] == now:
             self.on_wake(now)  # a tie: the due time first, as in ``send``
         unacked = self.unacked
-        if host.flow_control:
-            rwnd = fields.get("rwnd")
-            if rwnd is not None:
-                self.rwnd = rwnd
+        rwnd = fields.get("rwnd")
+        if rwnd is not None:
+            self.rwnd = rwnd
         cum: int = fields["cum"]
         echoed = fields.get("ets")
         if echoed is not None:
@@ -469,18 +449,6 @@ class ReliableSender:
         if cum > self.last_cum:
             self.last_cum = cum
             self.dup_acks = 0
-            if host.rto_mode == "adaptive" and echoed is not None:
-                # Karn's rule: only ACKs that advance the cumulative
-                # point yield samples; duplicate-triggered ACKs echo a
-                # retransmission's timestamp and would skew the estimate.
-                sample = now - echoed
-                if self.srtt is None:
-                    self.srtt = sample
-                    self.rttvar = sample / 2
-                else:
-                    self.rttvar = (0.75 * self.rttvar
-                                   + 0.25 * abs(self.srtt - sample))
-                    self.srtt = 0.875 * self.srtt + 0.125 * sample
             tr = host.tracer
             acked = []
             for seq in unacked:
@@ -505,7 +473,7 @@ class ReliableSender:
                 pending = unacked.get(seq)
                 if pending is not None:
                     pending.sacked = True
-        if host.flow_control and bytes_acked > 0:
+        if bytes_acked > 0:
             # AIMD growth: slow start below ``ssthresh``, ~one payload
             # per round trip above it.
             if self.cwnd < self.ssthresh:
@@ -523,7 +491,7 @@ class ReliableSender:
                     tr.emit("ep", "cwnd", node=host.address,
                             ch=self.channel, cwnd=int(self.cwnd),
                             reason="grow")
-        if host.sack and self.dup_acks >= host.dup_ack_threshold:
+        if self.dup_acks >= host.dup_ack_threshold:
             self._fast_retransmit(now)
         self._pump(now)
 
@@ -536,8 +504,7 @@ class ReliableSender:
         hole.last_rtx_at = now
         self.dup_acks = 0
         host = self.host
-        if host.flow_control:
-            self._cwnd_cut("halve")
+        self._cwnd_cut("halve")
         host.stats.fast_retransmits += 1
         host.stats.data_retransmitted += 1
         tr = host.tracer
@@ -571,8 +538,7 @@ class ReliableSender:
             self._break(seq, pending.attempts)
             return
         pending.attempts += 1
-        if host.sack and any(p.sacked for p in self.unacked.values()
-                             if p.seq > seq):
+        if any(p.sacked for p in self.unacked.values() if p.seq > seq):
             # SACKed data above this hole proves the path is alive, so
             # the loss is random rather than congestive — and with the
             # tail suppressed this packet is the only traffic left that
@@ -580,12 +546,11 @@ class ReliableSender:
             # backing off: a lost retransmission or ACK is repaired
             # within ~one RTO rather than an exponentially growing stall
             # (the retry budget still bounds the attempts).
-            pending.rto = self._base_rto()
+            pending.rto = self.rto_initial
         else:
             pending.rto = min(pending.rto * 2.0, host.rto_max)
         pending.last_rtx_at = now
-        if host.flow_control:
-            self._cwnd_cut("collapse")
+        self._cwnd_cut("collapse")
         host.stats.data_retransmitted += 1
         if tr is not None:
             tr.emit("ep", "rtx", node=host.address, ch=self.channel, seq=seq,
@@ -634,7 +599,7 @@ class ReliableSender:
     def _start_control(self, now: float, kind: int) -> None:
         back = self.probe if kind == _PROBE else self.skip_rtx
         back.attempts = 0
-        back.interval = self._base_rto()
+        back.interval = self.rto_initial
         self._schedule(now + back.interval, kind)
 
     def _on_control(self, now: float, kind: int) -> None:
@@ -889,7 +854,7 @@ class ReliableReceiver:
         """The ackbody describing this half right now."""
         host = self.host
         fields = {"cum": self.expected - 1, "ets": self.pending_ets}
-        if host.sack and self.buffer:
+        if self.buffer:
             # The out-of-order runs held, as bounded inclusive ranges.
             ranges: list[list[int]] = []
             for seq in sorted(self.buffer):
@@ -900,12 +865,11 @@ class ReliableReceiver:
                 else:
                     ranges.append([seq, seq])
             fields["sack"] = ranges
-        if host.flow_control:
-            fields["rwnd"] = self.advertised_rwnd = rwnd = self._rwnd()
-            pinched = rwnd <= 0 or rwnd < host.recv_window // 2
-            if pinched != self.pinched:
-                self.pinched = pinched
-                host.window_pinched(self, pinched)
+        fields["rwnd"] = self.advertised_rwnd = rwnd = self._rwnd()
+        pinched = rwnd <= 0 or rwnd < host.recv_window // 2
+        if pinched != self.pinched:
+            self.pinched = pinched
+            host.window_pinched(self, pinched)
         return fields
 
     def ack_leaves(self, now: float, fields: dict, mode: str) -> None:

@@ -49,9 +49,13 @@ class World:
         The simulated network's latency model and fault plan (see
         :mod:`repro.net`).
     endpoint_options:
-        Keyword arguments applied to every dapplet's transport endpoint
-        (e.g. ``rto_initial``, ``max_retries``). A delivery class is
-        not among them: it is chosen per outbox or session binding.
+        Keyword arguments applied to every dapplet's transport
+        endpoint, checked when its first dapplet is built: any of
+        :class:`~repro.net.Endpoint`'s ``skip_timeout``,
+        ``rto_initial``, ``rto_max``, ``max_retries``,
+        ``dup_ack_threshold``, ``ack_delay``, ``cwnd_initial``,
+        ``recv_window`` and ``batch_bytes``. A delivery class is not
+        among them: it is chosen per outbox or session binding.
     encoded:
         Round-trip every simulated datagram through the binary wire
         codec at the network boundary (byte-parity mode; simulated

@@ -257,30 +257,12 @@ def test_cwnd_collapses_on_rto():
     assert ea.stats.cwnd_halvings == 0
 
 
-def test_flow_control_off_is_transmit_immediately():
-    """The ablation baseline: no queueing, no stalls, no window state on
-    the wire."""
-    k, net, ea, eb = make_pair(rto_initial=0.5, flow_control=False)
-    got = collect_inbox(eb)
-    log = wire_log(net)
-    for i in range(10):
-        ea.send(B.inbox(0), PAYLOAD, channel="c")
-    assert len(data_frames(log)) == 10  # all on the wire at t=0
-    k.run()
-    assert len(got) == 10
-    assert ea.stats.window_stalls == 0
-    assert all("rwnd" not in d.header for _, d in log
-               if d.header.get("kind") == KIND_ACK)
-
-
 # -- backpressure upward ------------------------------------------------------
 
 
 def test_writable_fires_immediately_when_nothing_queued():
     k, net, ea, eb = make_pair(rto_initial=0.5)
     assert ea.writable(B, "c").triggered  # stream does not even exist yet
-    k2, net2, ea2, eb2 = make_pair(rto_initial=0.5, flow_control=False)
-    assert ea2.writable(B, "c").triggered
 
 
 def test_writable_parks_until_queue_drains():

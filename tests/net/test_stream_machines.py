@@ -57,11 +57,8 @@ class Host:
     overhead = OVERHEAD
     rto_max = 2.0
     max_retries = 6
-    rto_mode = "static"
-    sack = True
     dup_ack_threshold = 3
     ack_delay = 0.01
-    flow_control = True
     recv_window = 500
     batch_bytes = 200
 

@@ -34,12 +34,10 @@ latencies = st.one_of(
 )
 
 
-#: Every protocol variant the endpoint speaks: pure cumulative ACKs, the
-#: SACK/fast-retransmit default, and assorted delayed-ack windows and
-#: duplicate-ACK thresholds. The FIFO exactly-once invariant must be
+#: The recovery knobs of the one protocol: assorted delayed-ack windows
+#: and duplicate-ACK thresholds. The FIFO exactly-once invariant must be
 #: indifferent to all of them.
 recovery_modes = st.fixed_dictionaries({
-    "sack": st.booleans(),
     "ack_delay": st.sampled_from([0.0, 0.005, 0.02, 0.1]),
     "dup_ack_threshold": st.integers(min_value=1, max_value=5),
 })
@@ -118,27 +116,18 @@ def test_bidirectional_independence(seed):
        n_messages=st.integers(min_value=1, max_value=40))
 def test_sack_mode_never_beats_exactly_once(seed, faults, n_messages):
     """SACK + fast retransmit + delayed acks change *when* packets move,
-    never *what* arrives: both modes deliver the identical sequence."""
-    def run(sack):
-        kernel = Kernel(seed=seed)
-        net = DatagramNetwork(kernel, latency=ConstantLatency(0.02),
-                              faults=faults)
-        ea = Endpoint(kernel, net, A, rto_initial=0.1, max_retries=80,
-                      sack=sack, ack_delay=0.01 if sack else 0.0)
-        eb = Endpoint(kernel, net, B, rto_initial=0.1, max_retries=80,
-                      sack=sack, ack_delay=0.01 if sack else 0.0)
-        got: list[str] = []
-        eb.register_inbox(0, lambda p, a: got.append(p))
-        for i in range(n_messages):
-            ea.send(B.inbox(0), f"m{i}", channel="c")
-        kernel.run()
-        return got, ea.stats
-
-    got_cum, _ = run(sack=False)
-    got_sel, stats_sel = run(sack=True)
-    expected = [f"m{i}" for i in range(n_messages)]
-    assert got_cum == expected
-    assert got_sel == expected
+    never *what* arrives: the exact sent sequence is delivered."""
+    kernel = Kernel(seed=seed)
+    net = DatagramNetwork(kernel, latency=ConstantLatency(0.02),
+                          faults=faults)
+    ea = Endpoint(kernel, net, A, rto_initial=0.1, max_retries=80)
+    eb = Endpoint(kernel, net, B, rto_initial=0.1, max_retries=80)
+    got: list[str] = []
+    eb.register_inbox(0, lambda p, a: got.append(p))
+    for i in range(n_messages):
+        ea.send(B.inbox(0), f"m{i}", channel="c")
+    kernel.run()
+    assert got == [f"m{i}" for i in range(n_messages)]
     if not (faults.drop_prob or faults.duplicate_prob
             or faults.reorder_jitter):
-        assert stats_sel.fast_retransmits == 0  # clean net, no false alarms
+        assert ea.stats.fast_retransmits == 0  # clean net, no false alarms

@@ -108,26 +108,6 @@ def test_sack_suppresses_retransmission_of_buffered_packets():
     assert ea.stats.data_retransmitted <= 2
 
 
-def test_cumulative_only_mode_retransmits_the_whole_tail():
-    """The ablation baseline (sack=False, ack_delay=0) reproduces the
-    classic pathology: everything behind a hole is retransmitted."""
-    def run(**epkw):
-        k, net, ea, eb = make_pair(latency=ConstantLatency(0.02),
-                                   rto_initial=0.2,
-                                   faults=FaultPlan(drop_filter=drop_first_tx(2)), **epkw)
-        got = collect_inbox(eb)
-        for i in range(20):
-            ea.send(B.inbox(0), str(i), channel="c")
-        k.run()
-        assert got == [str(i) for i in range(20)]
-        return ea.stats
-
-    cum = run(sack=False, ack_delay=0.0)
-    sel = run()
-    assert cum.fast_retransmits == 0 and cum.sacked_suppressed == 0
-    assert cum.data_retransmitted > sel.data_retransmitted
-
-
 # -- fast retransmit ---------------------------------------------------------
 
 
@@ -167,6 +147,19 @@ def test_dup_ack_threshold_validation():
         Endpoint(k, net, A, dup_ack_threshold=0)
     with pytest.raises(ValueError):
         Endpoint(k, net, A, ack_delay=-0.1)
+
+
+@pytest.mark.parametrize("option", [
+    {"rto_initial": 0.0}, {"rto_initial": -1.0}, {"rto_max": 0.0},
+    {"max_retries": -1}])
+def test_degenerate_rto_settings_are_rejected(option):
+    """A zero or negative timer would retransmit at the send's own
+    instant until the channel breaks; a negative budget would break it
+    on the first loss."""
+    k = Kernel()
+    net = DatagramNetwork(k)
+    with pytest.raises(ValueError):
+        Endpoint(k, net, A, **option)
 
 
 def test_fifo_exactly_once_with_sack_under_heavy_faults():

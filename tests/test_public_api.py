@@ -1,7 +1,12 @@
 """Public API conformance: every re-export in ``repro.__init__`` stays
 importable and ``__all__`` is complete and accurate."""
 
+import inspect
+
+import pytest
+
 import repro
+from repro.net import Endpoint
 
 
 def test_all_names_resolve():
@@ -43,3 +48,23 @@ def test_discovery_exports_present():
     for field in ("ttl", "renew_interval", "gossip_interval", "cache_ttl"):
         assert hasattr(cfg, field)
     assert cfg.staleness_bound(3) > cfg.ttl
+
+
+def test_endpoint_speaks_one_protocol():
+    """The transport's keyword set is pinned: a new protocol switch
+    shows up as a diff here."""
+    keywords = [p.name for p in
+                inspect.signature(Endpoint.__init__).parameters.values()
+                if p.kind is inspect.Parameter.KEYWORD_ONLY]
+    assert keywords == ["skip_timeout", "rto_initial", "rto_max",
+                        "max_retries", "dup_ack_threshold", "ack_delay",
+                        "cwnd_initial", "recv_window", "batch_bytes"]
+
+
+def test_world_rejects_a_removed_transport_switch():
+    class Node(repro.Dapplet):
+        kind = "node"
+
+    world = repro.World(endpoint_options={"sack": False})
+    with pytest.raises(TypeError):
+        world.dapplet(Node, "a.edu", "a")
