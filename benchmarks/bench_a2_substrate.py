@@ -4,16 +4,26 @@ Not a paper experiment: these wall-clock micro-benchmarks size the
 simulator itself, so downstream users can budget experiments (events/s
 of the kernel, end-to-end messages/s through the full dapplet stack).
 Regressions here slow every other benchmark.
+
+The memory row sizes a world instead: tracemalloc bytes per plain
+dapplet and per directed link at three world sizes. Those are counts,
+not wall time; the only gate on them is that a dapplet costs about the
+same at every size.
 """
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from benchmarks._util import print_table
 from repro import Dapplet, World
 from repro.mailbox import Inbox
 from repro.messages import Text
 from repro.net import ConstantLatency, DatagramNetwork, Endpoint, NodeAddress
+from repro.rpc import RemoteProxy, export
 from repro.sim import Kernel
 
 
@@ -98,3 +108,60 @@ def test_end_to_end_message_throughput(benchmark):
         return len(got)
 
     assert benchmark(run) == 1_000
+
+
+class _Counter:
+    def __init__(self):
+        self.value = 0
+
+    def add(self, n):
+        self.value += n
+        return self.value
+
+
+#: Where a directed link's state is allocated: its entry in the datagram
+#: layer and, once something draws, its named random streams.
+_LINK_FILES = ("repro/net/datagram.py", "repro/sim/rng.py")
+
+
+def _world_bytes(n: int) -> tuple[float, float, int]:
+    """(bytes per dapplet, bytes per directed link, links) for a world
+    of ``n`` plain dapplets on 50 hosts, each of which has made one RPC
+    to a hub: constant latency, no fault plan, no directory."""
+    world = World(seed=0, latency=ConstantLatency(0.01))
+    hub = world.dapplet(Node, "hub.edu", "hub")
+    counter = _Counter()
+    pointer = export(hub, counter, name="counter").pointer
+    world.run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        start = tracemalloc.get_traced_memory()[0]
+        clients = [world.dapplet(Node, f"h{i % 50}.edu", f"d{i}")
+                   for i in range(n)]
+        for client in clients:
+            RemoteProxy(client, pointer).call("add", 1)
+        world.run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert counter.value == n
+    links = len(world.network._links)
+    link_bytes = sum(stat.size_diff
+                     for stat in after.compare_to(before, "filename")
+                     if stat.traceback[0].filename.endswith(_LINK_FILES))
+    return held / n, link_bytes / links, links
+
+
+def test_memory_per_dapplet_and_per_link():
+    """Count clock (tracemalloc bytes), reported, not gated, except that
+    a dapplet costs the same within 1.3x at 1 000 as at 100."""
+    rows = {n: _world_bytes(n) for n in (100, 300, 1_000)}
+    print_table("A2 memory: tracemalloc bytes, one RPC per dapplet to a hub",
+                ["dapplets", "B/dapplet", "B/link", "links"],
+                [(n, round(d), round(link), links)
+                 for n, (d, link, links) in rows.items()])
+    assert rows[1_000][0] <= 1.3 * rows[100][0]

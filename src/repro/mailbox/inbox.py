@@ -46,7 +46,13 @@ class Inbox:
     entries: the sizes sum to :attr:`backlog_bytes` (the occupancy the
     endpoint's advertised receive window ``rwnd`` is derived from) and
     the instant gives each dequeue its own residence time, tracer or
-    not. Pending receives wait in a second FIFO, served oldest first.
+    not. The deque is made at the first arrival: an inbox that never
+    receives (most service inboxes of a plain dapplet) holds none.
+
+    Pending receives wait in a plain list, served oldest first. It holds
+    one entry per process parked on the inbox — one service loop, for
+    nearly every inbox — and an empty or one-entry list costs a tenth of
+    a deque.
     """
 
     def __init__(self, kernel: Scheduler, endpoint: Endpoint, ref: int,
@@ -55,8 +61,8 @@ class Inbox:
         self.endpoint = endpoint
         self.ref = ref
         self.name = name
-        self._entries: deque[tuple[Message, int, float]] = deque()
-        self._takers: deque[Event] = deque()
+        self._entries: deque[tuple[Message, int, float]] | None = None
+        self._takers: list[Event] = []
         self._drain_scheduled = False
         self.backlog_bytes = 0
         self._incoming_size: int | None = None
@@ -93,7 +99,7 @@ class Inbox:
         return not self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) if self._entries else 0
 
     def await_nonempty(self) -> Event:
         """The paper's ``awaitNonEmpty()``: fires when a message is queued.
@@ -156,7 +162,7 @@ class Inbox:
         (not the channel state) in snapshot terms; state functions that
         model "everything this dapplet has been delivered" need them.
         """
-        return [entry[0] for entry in self._entries]
+        return [entry[0] for entry in self._entries or ()]
 
     def transform_queued(self, fn: "Callable[[Message], Message | None]") -> None:
         """Rewrite messages already queued (dropping ``None`` results).
@@ -166,6 +172,8 @@ class Inbox:
         rewritten message keeps its place, size and arrival instant.
         """
         entries = self._entries
+        if not entries:
+            return
         self._entries = deque()
         self.backlog_bytes = 0
         for message, size, at in entries:
@@ -226,8 +234,10 @@ class Inbox:
         if tr is not None:
             tr.emit("mbox", "enqueue", node=self.endpoint.address,
                     inbox=self.name or self.ref,
-                    qlen=len(self._entries) + 1,
+                    qlen=len(self) + 1,
                     msg=type(message).__name__)
+        if self._entries is None:
+            self._entries = deque()
         self._entries.append((message, size, self.kernel.now))
         self._schedule_drain()
         if self._nonempty_waiters:
@@ -245,7 +255,7 @@ class Inbox:
         self._drain_scheduled = False
         while self._takers and self._entries:
             message = self._take()
-            self._takers.popleft().succeed(message)
+            self._takers.pop(0).succeed(message)
 
     def _take(self) -> Message:
         message = self._entries[0][0]

@@ -78,6 +78,37 @@ class NetworkStats:
 from repro.net.wire import FrameError, decode_frame, encode_frame  # noqa: E402
 
 
+#: A link's named random streams, in the order of its entry in
+#: ``DatagramFrontEnd._links``.
+_LINK_STREAMS = ("faults", "latency")
+
+
+class _Unseeded:
+    """Stands in for one of a link's named random streams until it draws.
+
+    A constant latency or an empty fault plan never draws, and a
+    ``Random`` costs 2.5 KiB, so an idle link should not hold one. The
+    first method looked up here (``random``, ``uniform``, ``gauss``, ...)
+    fetches the named stream, puts it in the link's entry in this
+    stand-in's place, and answers from it: every later datagram on the
+    link is handed the generator itself, with nothing in between.
+    """
+
+    __slots__ = ("_front", "_link", "_slot")
+
+    def __init__(self, front: "DatagramFrontEnd",
+                 link: tuple[NodeAddress, NodeAddress], slot: int) -> None:
+        self._front = front
+        self._link = link
+        self._slot = slot
+
+    def __getattr__(self, attr: str) -> Any:
+        front, (src, dst), slot = self._front, self._link, self._slot
+        stream = front.kernel.rng.get(f"net/{src}->{dst}/{_LINK_STREAMS[slot]}")
+        front._links[self._link][slot] = stream
+        return getattr(stream, attr)
+
+
 class DatagramFrontEnd:
     """What every datagram substrate does around its carrier.
 
@@ -95,11 +126,11 @@ class DatagramFrontEnd:
         self.faults = faults if faults is not None else FaultPlan()
         self.stats = NetworkStats()
         self._handlers: dict[NodeAddress, Callable[[Datagram], None]] = {}
-        #: (src, dst) -> the link's (fault, latency) random streams and
-        #: the trace's ``dst`` label, so their names are formatted and
-        #: hashed once per link.
+        #: (src, dst) -> ``[fault stream, latency stream, dst label]``:
+        #: the trace's ``dst`` label is formatted once per link, and each
+        #: stream is an :class:`_Unseeded` stand-in until its first draw.
         self._links: dict[tuple[NodeAddress, NodeAddress],
-                          tuple[Random, Random, str]] = {}
+                          list[Any]] = {}
         #: Taps observing every datagram put on the wire (testing aid).
         self.wire_taps: list[Callable[[float, Datagram], None]] = []
 
@@ -120,13 +151,16 @@ class DatagramFrontEnd:
 
     # -- on the way out ---------------------------------------------------
 
-    def _admit(self, datagram: Datagram) -> tuple[list[float], Random]:
+    def _admit(self, datagram: Datagram
+               ) -> "tuple[list[float], Random | _Unseeded]":
         """Count, tap and trace one outgoing datagram and draw its fate.
 
         Returns the extra delay of each copy the fault plan lets through
         (none: dropped; several: duplicated) and the link's latency
         stream. Same plan, same named streams, same draws on every
-        substrate, so loss-recovery scenarios translate verbatim.
+        substrate, so loss-recovery scenarios translate verbatim. A
+        stream is created at its first draw, not at the link's first
+        datagram: it is seeded by its name, so the draws are the same.
         """
         self.stats.sent += 1
         self.stats.bytes_sent += datagram.size
@@ -135,11 +169,9 @@ class DatagramFrontEnd:
         link = (datagram.src, datagram.dst)
         entry = self._links.get(link)
         if entry is None:
-            stream = self.kernel.rng.get
-            dst = str(datagram.dst)
-            name = f"net/{datagram.src}->{dst}/"
-            entry = self._links[link] = (stream(name + "faults"),
-                                         stream(name + "latency"), dst)
+            entry = self._links[link] = [_Unseeded(self, link, 0),
+                                         _Unseeded(self, link, 1),
+                                         str(datagram.dst)]
         fault_rng, latency_rng, dst = entry
         tr = self.kernel.tracer
         header = datagram.header

@@ -416,11 +416,11 @@ class Endpoint:
             return self.rto_initial
         cached = self._rto_cache.get(dst.host)
         if cached is None:
-            try:
-                mean = self.network.latency.mean_estimate(
-                    self.address.host, dst.host)
-            except Exception:
-                mean = 0.05
+            # A service need not offer a latency model; one that does is
+            # trusted, and whatever it raises propagates.
+            latency = getattr(self.network, "latency", None)
+            mean = (0.05 if latency is None
+                    else latency.mean_estimate(self.address.host, dst.host))
             cached = max(4.0 * mean, 0.02)
             self._rto_cache[dst.host] = cached
         return cached

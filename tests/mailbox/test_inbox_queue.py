@@ -1,6 +1,8 @@
 """The inbox's own queue: FIFO receives, blocking receives served in
 order, peek, withdrawn timed receives, and each dequeue's wait."""
 
+from collections import deque
+
 import pytest
 
 from repro import Dapplet, World
@@ -130,3 +132,30 @@ def test_each_dequeue_reports_its_own_wait_when_traced_mid_run():
     assert [(f["qlen"], f["wait"]) for f in dequeues] == [
         (2, 9.0), (1, 9.0), (0, 4.0)]
     assert tracer.summary()["histograms"]["mbox.wait"]["count"] == 3
+
+
+def test_an_inbox_that_never_receives_holds_no_deque():
+    """The message queue is made at the first arrival. Until then the
+    inbox answers every query without one, and the receives a service
+    loop parks on it (a plain dapplet's ``_session``) need none either."""
+    k, inbox = make_inbox()
+    inbox.transform_queued(lambda message: message)
+    with pytest.raises(LookupError):
+        inbox.peek()
+    assert (inbox.is_empty, len(inbox), inbox.queued()) == (True, 0, [])
+    assert inbox._entries is None
+
+    world = World(seed=0, latency=ConstantLatency(0.01))
+    a = world.dapplet(_Node, "caltech.edu", "a")
+    b = world.dapplet(_Node, "rice.edu", "b")
+    used = b.create_inbox(name="in")
+    out = a.create_outbox()
+    out.add(used.named_address)
+    out.send(Text("x"))
+    world.run()
+    idle = [i for d in (a, b) for i in d.inboxes.values() if i is not used]
+    assert idle and all(i.messages_received == 0 for i in idle)
+    assert any(i._takers for i in idle)     # a parked service loop
+    assert not any(isinstance(getattr(i, attr), deque)
+                   for i in idle for attr in ("_entries", "_takers"))
+    assert [m.text for m in used.queued()] == ["x"]

@@ -1,5 +1,7 @@
 """Unit tests for the unreliable datagram network."""
 
+from random import Random
+
 import pytest
 
 from repro.errors import AddressError
@@ -11,7 +13,7 @@ from repro.net import (
     NodeAddress,
     UniformLatency,
 )
-from repro.sim import Kernel
+from repro.sim import Kernel, RandomStreams
 
 A = NodeAddress("a.edu", 1000)
 B = NodeAddress("b.edu", 1000)
@@ -137,8 +139,8 @@ def test_byte_counters():
 
 def test_link_streams_are_the_named_ones_resolved_once():
     """The network looks a link's fault and latency streams up once per
-    (src, dst); they are the same named streams as ever, so the draws —
-    and every seeded run — are unchanged."""
+    (src, dst), at their first draw; they are the same named streams as
+    ever, so the draws — and every seeded run — are unchanged."""
     k = Kernel(seed=9)
     net = make_net(k, latency=UniformLatency(0.01, 0.02),
                    faults=FaultPlan(drop_prob=0.5))
@@ -155,3 +157,76 @@ def test_link_streams_are_the_named_ones_resolved_once():
     assert back.getstate() == states[2]      # directional
     net.send(dgram(src=B, dst=A))
     assert back.getstate() != states[2]
+
+
+def test_links_that_never_draw_hold_no_stream():
+    """A constant latency and an empty plan draw nothing, so traffic on
+    many links names no ``net/...`` stream and the link entries hold no
+    generator."""
+    k = Kernel(seed=3)
+    net = make_net(k, latency=ConstantLatency(0.01))
+    names = []
+    get = k.rng.get
+    k.rng.get = lambda name: names.append(name) or get(name)
+    peers = [NodeAddress(f"p{i}.edu", 1000) for i in range(40)]
+    for peer in (B, *peers):
+        net.register(peer, lambda d: None)
+    for peer in peers:
+        net.send(dgram(src=peer, dst=B))
+        net.send(dgram(src=B, dst=peer))
+    k.run()
+    assert net.stats.delivered == 80
+    assert names == []
+    assert not any(isinstance(stream, Random)
+                   for entry in net._links.values() for stream in entry)
+
+
+def test_lazy_streams_draw_what_eager_named_streams_draw():
+    """Fates and delivery times per datagram equal those computed from
+    the links' named streams fetched up front (so creating a stream at
+    its first draw moves no draw), duplicates included."""
+    seed, n = 5, 60
+    plan = dict(drop_prob=0.3, duplicate_prob=0.1, reorder_jitter=0.05)
+    latency = UniformLatency(0.01, 0.2)
+    links = [(A, B), (B, A), (A, NodeAddress("c.edu", 1000))]
+    k = Kernel(seed=seed)
+    net = make_net(k, latency=latency, faults=FaultPlan(**plan))
+    got = {}
+    for _, dst in links:
+        net.register(dst, lambda d: got.setdefault(d.payload, []).append(k.now))
+    for i in range(n):
+        src, dst = links[i % len(links)]
+        net.send(dgram(str(i), src=src, dst=dst))
+    k.run()
+
+    eager = RandomStreams(seed)
+    reference = FaultPlan(**plan)
+    want = {}
+    for i in range(n):
+        src, dst = links[i % len(links)]
+        name = f"net/{src}->{dst}/"
+        lat_rng = eager.get(name + "latency")
+        times = [extra + latency.sample(lat_rng, src.host, dst.host,
+                                        dgram(str(i)).size)
+                 for extra in reference.copies(eager.get(name + "faults"),
+                                               src, dst)]
+        if times:
+            want[str(i)] = times
+    assert {p: sorted(t) for p, t in got.items()} \
+        == {p: sorted(t) for p, t in want.items()}
+    assert net.stats.dropped > 0 and net.stats.duplicated > 0
+
+
+def test_a_plan_raised_mid_run_draws_the_named_streams_first_value():
+    k = Kernel(seed=8)
+    net = make_net(k, latency=ConstantLatency(0.01))
+    net.register(B, lambda d: None)
+    for _ in range(10):
+        net.send(dgram())          # nothing to draw yet
+    net.faults.drop_prob = 0.5
+    net.send(dgram())
+    name = f"net/{A}->{B}/faults"
+    first = RandomStreams(8).get(name)
+    assert net.stats.dropped == (first.random() < 0.5)
+    # The link's stream has drawn exactly that one number.
+    assert k.rng.get(name).getstate() == first.getstate()

@@ -281,3 +281,33 @@ def test_deterministic_given_seed():
 
     assert trace(42) == trace(42)
     assert trace(42) != trace(43)
+
+
+def test_the_rto_falls_back_only_when_the_service_has_no_latency_model():
+    """A service need not offer ``latency``; the transport then seeds its
+    RTO from a 50 ms guess. A model that raises is a bug to surface, not
+    a missing model: the send fails with the model's own error."""
+
+    class Broken(ConstantLatency):
+        def mean_estimate(self, src_host, dst_host):
+            raise ZeroDivisionError("typo in the model")
+
+    k, net, ea, eb = make_pair(latency=Broken(0.02))
+    collect_inbox(eb)
+    with pytest.raises(ZeroDivisionError, match="typo"):
+        ea.send(B.inbox(0), "x", channel="c1")
+
+    class NoModel:
+        """The network minus its ``latency`` attribute."""
+
+        def __init__(self, network):
+            self._network = network
+
+        def __getattr__(self, attr):
+            if attr == "latency":
+                raise AttributeError(attr)
+            return getattr(self._network, attr)
+
+    k = Kernel()
+    net = NoModel(DatagramNetwork(k, latency=ConstantLatency(1.0)))
+    assert Endpoint(k, net, A)._pick_rto(B) == pytest.approx(0.2)

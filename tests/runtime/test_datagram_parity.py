@@ -16,6 +16,7 @@ from repro.net.faults import FaultPlan
 from repro.net.wire import KIND_DATA, encode_frame
 from repro.obs import Tracer
 from repro.runtime import AsyncioSubstrate, SimSubstrate
+from repro.sim import RandomStreams
 
 A = NodeAddress("alice.host", 2000)
 B = NodeAddress("bob.host", 2000)
@@ -87,17 +88,73 @@ def test_garbage_bytes_are_counted_and_traced(kind):
         substrate.close()
 
 
+def record_stream_names(substrate):
+    names = []
+    get = substrate.rng.get
+    substrate.rng.get = lambda name: names.append(name) or get(name)
+    return names
+
+
 def test_link_streams_are_named_once_per_link(kind):
+    """At most once per link, and only when a draw needs the stream:
+    nothing while the plan is empty, the fault stream once the plan
+    draws, and never the latency stream of a constant latency."""
     substrate, _tracer = make_substrate(kind)
     try:
-        names = []
-        get = substrate.rng.get
-        substrate.rng.get = lambda name: names.append(name) or get(name)
+        names = record_stream_names(substrate)
         for seq in range(5):
             substrate.datagrams.send(data(A, B, seq))
             substrate.datagrams.send(data(B, A, seq))
-        assert f"net/{A}->{B}/faults" in names
-        assert f"net/{B}->{A}/faults" in names
-        assert len(names) == len(set(names))
+        assert names == []
+        substrate.datagrams.faults.drop_prob = 0.3
+        for seq in range(5, 10):
+            substrate.datagrams.send(data(A, B, seq))
+            substrate.datagrams.send(data(B, A, seq))
+        assert sorted(names) == [f"net/{A}->{B}/faults",
+                                 f"net/{B}->{A}/faults"]
     finally:
         substrate.close()
+
+
+def test_idle_links_name_no_stream(kind):
+    """Traffic on many links under a constant latency and an empty
+    plan creates no ``net/...`` stream."""
+    substrate, _tracer = make_substrate(kind)
+    try:
+        names = record_stream_names(substrate)
+        for i in range(30):
+            peer = NodeAddress(f"peer{i}.host", 2000)
+            substrate.datagrams.send(data(A, peer, i))
+            substrate.datagrams.send(data(peer, B, i))
+        if kind == "sim":
+            substrate.run()
+        assert substrate.datagrams.stats.sent == 60
+        assert names == []
+    finally:
+        substrate.close()
+
+
+def test_fates_are_those_of_eagerly_fetched_named_streams(kind):
+    """Per datagram, the fate each link draws is the one its named fault
+    stream, fetched up front, gives."""
+    plan = dict(drop_prob=0.3, duplicate_prob=0.2, reorder_jitter=0.05)
+    substrate, tracer = make_substrate(kind, faults=FaultPlan(**plan))
+    links = [(A, B), (B, A)]
+    try:
+        for seq in range(120):
+            substrate.datagrams.send(data(*links[seq % 2], seq))
+        got = [(ev.name, ev.fields["seq"]) for ev in tracer.select("net")
+               if ev.name in ("drop", "dup")]
+    finally:
+        substrate.close()
+    eager = RandomStreams(11)
+    reference = FaultPlan(**plan)
+    want = []
+    for seq in range(120):
+        src, dst = links[seq % 2]
+        copies = reference.copies(eager.get(f"net/{src}->{dst}/faults"),
+                                  src, dst)
+        if len(copies) != 1:
+            want.append(("dup" if copies else "drop", seq))
+    assert got == want
+    assert {name for name, _ in got} == {"drop", "dup"}
