@@ -1,6 +1,7 @@
-"""E14 — discovery: resolver latency with caching, staleness under churn.
+"""E14 — discovery: resolver latency with caching, staleness under churn,
+gossip volume.
 
-Two scenarios against a 3-replica replicated directory:
+Three scenarios against a 3-replica replicated directory:
 
 * **Resolution latency** (simulator): one client resolves the same name
   back-to-back, with the resolver cache enabled vs disabled
@@ -16,6 +17,14 @@ Two scenarios against a 3-replica replicated directory:
   which must stay under the config's analytic bound
   (:meth:`~repro.discovery.LeaseConfig.staleness_bound`: TTL + gossip
   lag + one sweep + cache lifetime) on both substrates.
+
+* **Gossip volume** (simulator, counted): 30, 100 and 300 renewing
+  rows, and a table of tombstones only, on 3 replicas. Every gossip
+  message the replicas send is counted: per replica per round, one
+  push and some replies, each with its entries and serialized bytes.
+  A push carries only the rows the peer is not known to hold, so a
+  quiet tombstone-only table pushes empty messages and draws no
+  replies.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ import pytest
 from benchmarks._util import print_table
 from repro import AsyncioSubstrate, LeaseConfig, LeaseExpired, World
 from repro.dapplet.dapplet import Dapplet
+from repro.discovery.table import Gossip
+from repro.messages.serialize import dumps
 from repro.net import ConstantLatency
 from repro.obs import Tracer
 
@@ -32,6 +43,9 @@ SEED = 14
 N_RESOLVES = 300
 CHURN_CYCLES_SIM = 5
 CHURN_CYCLES_AIO = 2
+GOSSIP_SIZES = (30, 100, 300)
+GOSSIP_TOMBSTONES = 100
+GOSSIP_ROUNDS = 20
 
 SIM_CFG = LeaseConfig(ttl=1.0, renew_interval=0.25, sweep_interval=0.2,
                       gossip_interval=0.3, cache_ttl=0.3,
@@ -144,6 +158,54 @@ def run_churn(kind: str, *, cycles: int,
         world.close()
 
 
+def run_gossip_volume(rows: int, *, tombstones: bool = False) -> dict:
+    """Count the replicas' gossip over ``GOSSIP_ROUNDS`` rounds of a
+    table of ``rows`` renewing leases (or, with ``tombstones``, of
+    ``rows`` leases whose owners all stopped)."""
+    world = World(seed=SEED, latency=ConstantLatency(0.01))
+    replicas = world.host_directory(3, config=SIM_CFG)
+    sent: list[tuple[bool, int, int]] = []
+
+    def recording(post):
+        def record(to, message):
+            if isinstance(message, Gossip):
+                sent.append((message.want_reply, len(message.entries),
+                             len(dumps(message))))
+            return post(to, message)
+        return record
+
+    for replica in replicas:
+        replica.post = recording(replica.post)
+    targets = [world.dapplet(Target, f"g{i}.edu", f"g{i}")
+               for i in range(rows)]
+    world.run(until=3.0)                  # every lease granted and spread
+    if tombstones:
+        for target in targets:
+            target.stop()
+        world.run(until=world.kernel.now + SIM_CFG.staleness_bound(3)
+                  + 4 * SIM_CFG.gossip_interval)
+        assert all(not r.live_records() and len(r.store) == rows
+                   for r in replicas)
+    sent.clear()
+    world.run(until=world.kernel.now
+              + GOSSIP_ROUNDS * SIM_CFG.gossip_interval)
+    for dapplet in list(world.dapplets()):
+        dapplet.stop()
+    world.run()
+    pushes = [(n, size) for push, n, size in sent if push]
+    replies = [(n, size) for push, n, size in sent if not push]
+    per_push, per_reply = len(pushes) or 1, len(replies) or 1
+    return {
+        "rows": rows,
+        "pushes": len(pushes),
+        "push_entries": sum(n for n, _ in pushes) / per_push,
+        "push_bytes": sum(size for _, size in pushes) / per_push,
+        "replies_per_push": len(replies) / per_push,
+        "reply_entries": sum(n for n, _ in replies) / per_reply,
+        "reply_bytes": sum(size for _, size in replies) / per_reply,
+    }
+
+
 def _as_kwargs(cfg: LeaseConfig) -> dict:
     return {f: getattr(cfg, f) for f in (
         "ttl", "renew_interval", "sweep_interval", "gossip_interval",
@@ -200,3 +262,25 @@ def test_e14_table_and_shape(results, benchmark):
         assert churn["bound_margin"] >= 0
 
     benchmark(run_resolve_burst, True)
+
+
+def test_e14c_gossip_volume():
+    tables = [(f"renewing {n}", run_gossip_volume(n)) for n in GOSSIP_SIZES]
+    tables.append(("tombstones only", run_gossip_volume(
+        GOSSIP_TOMBSTONES, tombstones=True)))
+    print_table(
+        "E14c: gossip per replica per round (sim, counted): one push, "
+        "some replies",
+        ["table", "rows", "entries/push", "bytes/push", "replies",
+         "entries/reply", "bytes/reply"],
+        [[name, r["rows"], f"{r['push_entries']:.1f}",
+          f"{r['push_bytes']:.0f}", f"{r['replies_per_push']:.2f}",
+          f"{r['reply_entries']:.1f}", f"{r['reply_bytes']:.0f}"]
+         for name, r in tables])
+    quiet = tables[-1][1]
+    # Every replica still pushes every round ...
+    assert quiet["pushes"] >= 3 * (GOSSIP_ROUNDS - 1)
+    # ... but a peer known to hold every tombstone is sent none of them,
+    # and has nothing newer to send back.
+    assert quiet["push_entries"] == 0
+    assert quiet["replies_per_push"] == 0

@@ -17,7 +17,7 @@ from repro.dapplet.state import PersistentState
 from repro.errors import AddressError, DappletError, DeliveryTimeout
 from repro.mailbox.channel import channel_key
 from repro.mailbox.inbox import Inbox
-from repro.mailbox.outbox import Outbox
+from repro.mailbox.outbox import Outbox, SendResult
 from repro.messages.message import Message
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.endpoint import Endpoint
@@ -187,7 +187,7 @@ class Dapplet:
             hook(outbox)
         return outbox
 
-    def post(self, to: InboxAddress, message: Message) -> None:
+    def post(self, to: InboxAddress, message: Message) -> SendResult:
         """Send ``message`` to the inbox ``to`` — the paper's asynchronous
         RPC to a global pointer. Every servlet's requests and replies
         leave through here, so the rule below is stated once.
@@ -200,20 +200,21 @@ class Dapplet:
         ceiling, say — says nothing about the channel, which stays.
         On a stopped dapplet it raises :class:`AddressError`, as a send
         on its closed endpoint does, whether or not a channel was open.
+        Returns the :class:`SendResult` of the send that went out.
         """
         outbox = self._posts.get(to)
         if outbox is not None:
-            receipts = outbox.send(message).receipts
+            sent = outbox.send(message)
             if not any(r.is_failed and isinstance(r.confirmed.value,
                                                   DeliveryTimeout)
-                       for r in receipts):
-                return
+                       for r in sent.receipts):
+                return sent
             self.unpost(to)
         if self._stopped:
             raise AddressError(f"endpoint {self.address} is closed")
         outbox = self._posts[to] = self.create_outbox()
         outbox.add(to)
-        outbox.send(message)
+        return outbox.send(message)
 
     def unpost(self, to: InboxAddress) -> None:
         """Forget the channel :meth:`post` keeps to ``to`` (a later post

@@ -87,11 +87,13 @@ class Resolver(LeaseClient):
                                             name)
         except DiscoveryError:
             self.stats.failures += 1
+            self._cache.pop(name, None)
             raise
         finally:
             self.stats.failovers = self.failovers
         if row is None:
             self.stats.failures += 1
+            self._cache.pop(name, None)
             self._trace("resolve_miss", lease=name)
             raise LeaseExpired(
                 f"no live lease for {name!r}: the dapplet is dead, "

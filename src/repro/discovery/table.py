@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.dapplet.dapplet import Dapplet
@@ -38,10 +39,12 @@ class Gossip(Message):
     """One anti-entropy exchange between two replicas of a catalog.
 
     ``entries`` is a tuple of wire-encoded rows
-    (:meth:`~repro.discovery.lease.LeaseRecord.to_wire`). With
+    (:meth:`~repro.discovery.lease.LeaseRecord.to_wire`): those the
+    sender does not know the receiver to hold at their stamp. With
     ``want_reply`` the receiver answers with every row it holds that is
-    strictly newer than (or absent from) what it was sent — push-pull,
-    so one round reconciles both directions.
+    strictly newer than (or absent from) what it knows the sender to
+    hold, this push included — push-pull, so one round reconciles both
+    directions.
     """
 
     origin: NodeAddress
@@ -106,7 +109,8 @@ class LeaseReplica(Dapplet):
     Serves its :class:`LeaseFacet` on the catalog's well-known inbox,
     merges :class:`Gossip` on a second one, and runs two processes: a
     failure detector sweeping out leases whose TTL ran out, and a
-    gossiper pushing the version-stamped store to one peer per round.
+    gossiper pushing to one peer per round the version-stamped rows
+    that peer is not known to hold.
 
     A catalog sets ``inbox_name``, ``category`` and ``subject`` (trace
     category; field naming a row), ``words`` (trace event per grant /
@@ -133,6 +137,11 @@ class LeaseReplica(Dapplet):
         self.store: dict[str, LeaseRecord] = {}
         self.stats = ReplicaStats()
         self._peer_ring: list[NodeAddress] = []
+        #: peer -> {name: highest stamp the peer is known to hold}, fed
+        #: only by what it sent us and by receipts of what we sent it.
+        self._known: dict[NodeAddress, dict[str, tuple]] = {}
+        #: peer -> {name: stamp} sent to it, receipt not yet settled.
+        self._flying: dict[NodeAddress, dict[str, tuple]] = {}
         self._gossip_ix = 0
         self._gossiping = False
         export(self, self.facet(self), name=self.inbox_name)
@@ -146,6 +155,8 @@ class LeaseReplica(Dapplet):
         """Set the ring this replica gossips with (sorted, so the
         round-robin is deterministic); starts gossiping on first use."""
         self._peer_ring = sorted(set(peers))
+        self._known = {p: self._known.get(p, {}) for p in self._peer_ring}
+        self._flying = {p: self._flying.get(p, {}) for p in self._peer_ring}
         if self._peer_ring and not self._gossiping:
             self._gossiping = True
             self.spawn(self._gossip_loop(),
@@ -248,6 +259,9 @@ class LeaseReplica(Dapplet):
                 self._trace_row("expire", name, epoch=record.epoch)
             elif not record.alive and record.expires_at <= now:
                 del self.store[name]
+                for stamps in (*self._known.values(),
+                               *self._flying.values()):
+                    stamps.pop(name, None)
         return expired
 
     # -- anti-entropy gossip -------------------------------------------------
@@ -257,16 +271,18 @@ class LeaseReplica(Dapplet):
             yield self.kernel.timeout(self.config.gossip_interval)
             if self.stopped:
                 return
-            if not self._peer_ring or not self.store:
-                continue
-            peer = self._peer_ring[self._gossip_ix % len(self._peer_ring)]
-            self._gossip_ix += 1
-            now = self.kernel.now
-            entries = tuple(r.to_wire(now)
-                            for _, r in sorted(self.store.items()))
-            self.stats.gossip_rounds += 1
-            self.post(peer.inbox(self.gossip_inbox.name),
-                      Gossip(self.address, entries, True))
+            self._push()
+
+    def _push(self) -> None:
+        """One gossip round: push to the next peer of the ring."""
+        if not self._peer_ring or not self.store:
+            return
+        peer = self._peer_ring[self._gossip_ix % len(self._peer_ring)]
+        self._gossip_ix += 1
+        self.stats.gossip_rounds += 1
+        # Sent even when empty: the reply is how the peer's news comes
+        # back, so the exchange schedule never depends on our news.
+        self._send_gossip(peer, self._known[peer], True)
 
     def _merge_loop(self):
         while True:
@@ -274,10 +290,52 @@ class LeaseReplica(Dapplet):
             if isinstance(msg, Gossip):
                 self._on_gossip(msg)
 
+    def _send_gossip(self, peer: NodeAddress, known: dict,
+                     want_reply: bool) -> None:
+        """Send ``peer`` every row newer than ``known`` says it holds.
+
+        A push repeats every row until a receipt confirms it. A reply
+        skips the rows of earlier sends still unconfirmed: it follows
+        them down the same FIFO channel, so it arrives after them or
+        fails with them. It goes only if there is something in it."""
+        now = self.kernel.now
+        flying = self._flying.get(peer, {})
+        skip = {} if want_reply else flying
+        rows = [r for name, r in sorted(self.store.items())
+                if r.stamp > known.get(name, ())
+                and r.stamp > skip.get(name, ())]
+        if not rows and not want_reply:
+            return
+        sent = self.post(peer.inbox(self.gossip_inbox.name), Gossip(
+            self.address, tuple(r.to_wire(now) for r in rows), want_reply))
+        if rows and peer in self._known:
+            for r in rows:
+                flying[r.name] = max(flying.get(r.name, ()), r.stamp)
+            for receipt in sent.receipts:
+                receipt.confirmed.callbacks.append(
+                    partial(self._settled, peer, rows))
+
+    def _settled(self, peer: NodeAddress, rows: list[LeaseRecord],
+                 receipt_event) -> None:
+        """A receipt for ``rows`` resolved: if delivered, ``peer`` holds
+        at least their stamps."""
+        known, flying = self._known.get(peer), self._flying.get(peer)
+        if known is None:
+            return
+        for r in rows:
+            if flying.get(r.name) == r.stamp:
+                del flying[r.name]
+            # A name swept out meanwhile stays out of the map.
+            if receipt_event.ok and r.name in self.store \
+                    and r.stamp > known.get(r.name, ()):
+                known[r.name] = r.stamp
+
     def _on_gossip(self, msg: Gossip) -> None:
         now = self.kernel.now
         merged = dropped = 0
-        seen: dict[str, tuple[int, int, int]] = {}
+        # A ring peer's entries are evidence of what it holds; an origin
+        # outside the ring gets a reply against this message alone.
+        seen = self._known.get(msg.origin, {})
         for data in msg.entries:
             # Entries arrive from outside the program: one that does not
             # decode is dropped and counted, never raised into the loop.
@@ -299,12 +357,7 @@ class LeaseReplica(Dapplet):
         self._trace("gossip_sync", peer=str(msg.origin),
                     received=len(msg.entries), merged=merged)
         if msg.want_reply:
-            fresher = tuple(
-                r.to_wire(now) for name, r in sorted(self.store.items())
-                if name not in seen or r.stamp > seen[name])
-            if fresher:
-                self.post(msg.origin.inbox(self.gossip_inbox.name),
-                          Gossip(self.address, fresher, False))
+            self._send_gossip(msg.origin, seen, False)
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.kernel.tracer

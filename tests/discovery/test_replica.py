@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Initiator, LeaseExpired, World
+from repro import DiscoveryError, Initiator, LeaseExpired, World
 from repro.discovery import RegistrationAgent
 from repro.errors import DappletError
 from repro.net import ConstantLatency
@@ -215,6 +215,39 @@ def test_resolver_raises_lease_expired_for_unknown_names():
         with pytest.raises(LeaseExpired) as info:
             yield from resolver.resolve("ghost")
         assert info.value.name == "ghost"
+
+    run_director(world, director())
+    drain(world)
+
+
+def test_a_miss_drops_the_names_cache_entry():
+    """Regression: only a successful resolve wrote the cache, so a name
+    that resolved once and then died kept its expired entry for the
+    resolver's whole life. A negative answer and a silent ring both drop
+    it."""
+    world, replicas, cfg = make_world()
+    alice = world.dapplet(Worker, "host.edu", "alice")
+    world.dapplet(Worker, "host.edu", "bob")
+    probe = world.dapplet(Worker, "probe.edu", "probe")
+    resolver = world.resolver_for(probe)
+
+    def director():
+        yield world.kernel.timeout(1.0)
+        yield from resolver.resolve("alice")
+        yield from resolver.resolve("bob")
+        assert set(resolver._cache) == {"alice", "bob"}
+        alice.stop()
+        yield world.kernel.timeout(cfg.staleness_bound(len(replicas)))
+        with pytest.raises(LeaseExpired):
+            yield from resolver.resolve("alice")
+        assert set(resolver._cache) == {"bob"}
+        for r in replicas:
+            r.stop()
+        yield world.kernel.timeout(cfg.cache_ttl)
+        with pytest.raises(DiscoveryError) as info:
+            yield from resolver.resolve("bob")
+        assert not isinstance(info.value, LeaseExpired)
+        assert resolver._cache == {}
 
     run_director(world, director())
     drain(world)

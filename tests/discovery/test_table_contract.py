@@ -5,8 +5,9 @@ lease-replicated table (:mod:`repro.discovery.table`), so every lease
 rule must hold for both: grant, renew, the three denials, expiry of a
 silent owner, tombstone collection, agent failover, the drop-and-count
 rule for malformed gossip, the "absent vs unreachable" rule of the
-client, and the hygiene of the one RPC proxy every client calls the
-replicas through. Each test runs once per catalog.
+client, the hygiene of the one RPC proxy every client calls the
+replicas through, and what anti-entropy sends: only the rows a peer is
+not known to hold. Each test runs once per catalog.
 """
 
 import pytest
@@ -31,11 +32,12 @@ def catalog(request):
 class Deployment:
     """A world hosting one catalog, with owned dapplets claiming rows."""
 
-    def __init__(self, catalog, *, seed=7, tracer=None, **overrides):
+    def __init__(self, catalog, *, seed=7, tracer=None,
+                 endpoint_options=None, **overrides):
         self.catalog = catalog
         self.cfg = fast_config(**overrides)
         self.world = World(seed=seed, latency=ConstantLatency(0.01),
-                           tracer=tracer)
+                           tracer=tracer, endpoint_options=endpoint_options)
         self.owner = self.world.registry.principal("alice", org="acme")
         self.replicas = getattr(self.world, catalog.host)(
             N_REPLICAS, config=self.cfg)
@@ -254,10 +256,15 @@ def test_silent_owner_is_tombstoned_then_forgotten(catalog):
         for r in dep.replicas:
             assert not r.store[row].alive   # tombstoned, not forgotten
         assert sum(r.stats.expiries for r in dep.replicas) >= 1
+        assert any(row in known for r in dep.replicas
+                   for known in r._known.values())
         yield kernel.timeout(dep.cfg.tombstone_ttl
                              + 3 * dep.cfg.gossip_interval)
         for r in dep.replicas:
             assert row not in r.store
+            # Nor does any map of what a peer holds name it.
+            for stamps in (*r._known.values(), *r._flying.values()):
+                assert row not in stamps
 
     dep.run(director)
 
@@ -308,6 +315,9 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
         out.send(Gossip(probe.address, bad[:3] + (fresh,) + bad[3:], False))
         yield dep.world.kernel.timeout(0.1)
         assert target.stats.gossip_rejected == len(bad)
+        # The probe is no ring peer: it was answered, not remembered.
+        assert set(target._known) == set(target._flying) \
+            == set(target.peers)
         # The valid entry of the same message was merged ...
         assert target.store["fresh/row"].address == home.store[row].address
         assert "x" not in target.store and 7 not in target.store
@@ -322,6 +332,79 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
     rejects = tracer.select(catalog.category, "gossip_reject")
     assert [(ev.fields["peer"], ev.fields["dropped"]) for ev in rejects] \
         == [(str(probe.address), 6)]
+
+
+def test_a_quiet_tombstone_only_table_pushes_empty_gossip(catalog):
+    """Once every row is a tombstone and nothing changes, each replica
+    knows its peers hold all of them: every push carries no entry, and
+    none draws a reply. (A push used to carry the whole store, every
+    tombstone, every round.)"""
+    tracer = Tracer(categories=(catalog.category,))
+    dep = Deployment(catalog, tracer=tracer)
+    members = [dep.member(f"h{i}.edu", f"w{i}") for i in range(3)]
+    kernel = dep.world.kernel
+    window = []
+
+    def director():
+        for _, agent, _ in members:
+            yield dep.claimed(agent)
+        for dapplet, _, _ in members:
+            dapplet.stop()
+        yield kernel.timeout(dep.cfg.staleness_bound(N_REPLICAS)
+                             + 4 * dep.cfg.gossip_interval)
+        for r in dep.replicas:
+            assert {name for name, rec in r.store.items()
+                    if not rec.alive} == {row for _, _, row in members}
+        window.append(kernel.now)
+        rounds = sum(r.stats.gossip_rounds for r in dep.replicas)
+        yield kernel.timeout(6 * dep.cfg.gossip_interval)
+        window.append(kernel.now)
+        assert sum(r.stats.gossip_rounds for r in dep.replicas) \
+            == rounds + 6 * N_REPLICAS
+
+    dep.run(director)
+    start, end = window
+    syncs = [ev for ev in tracer.select(catalog.category, "gossip_sync")
+             if start < ev.t <= end]
+    assert len(syncs) == 6 * N_REPLICAS          # the pushes; no reply
+    assert [ev.fields["received"] for ev in syncs] == [0] * len(syncs)
+
+
+def test_an_unconfirmed_push_teaches_nothing_and_arrives_after_the_heal(
+        catalog):
+    """A push whose receipt never confirms leaves the sender's map of
+    that peer as it was, so every later push repeats its rows until one
+    gets through. The peer is cut off past the retry budget."""
+    dep = Deployment(catalog, endpoint_options={
+        "rto_initial": 0.05, "rto_max": 0.2, "max_retries": 3})
+    _, agent, row = dep.member("host.edu", "alice")
+    kernel, faults = dep.world.kernel, dep.world.network.faults
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        home = dep.home_of(agent)
+        cut = next(r for r in dep.replicas if r is not home)
+        others = [r.address for r in dep.replicas if r is not cut]
+        for address in others:
+            faults.partition(address, cut.address)
+        yield kernel.timeout(0.05)            # nothing left in flight
+        before = dict(home._known[cut.address])
+        gave_up = home.endpoint.stats.gave_up
+        yield kernel.timeout(3.0)
+        # Renewals moved the row on at home, and its pushes to the cut
+        # peer ran out of retries: the map still says what it said.
+        assert home.store[row].stamp > before[row]
+        assert home.endpoint.stats.gave_up > gave_up
+        assert home._known[cut.address] == before
+        for address in others:
+            faults.heal(address, cut.address)
+        stamp = home.store[row].stamp
+        yield kernel.timeout(4 * dep.cfg.gossip_interval)
+        assert cut.store[row].stamp >= stamp
+        assert home._known[cut.address][row] >= stamp
+
+    dep.run(director)
 
 
 def test_client_tells_absent_from_unreachable(catalog):
