@@ -6,9 +6,10 @@ of the kernel, end-to-end messages/s through the full dapplet stack).
 Regressions here slow every other benchmark.
 
 The memory row sizes a world instead: tracemalloc bytes per plain
-dapplet and per directed link at three world sizes. Those are counts,
-not wall time; the only gate on them is that a dapplet costs about the
-same at every size.
+dapplet, per directed link, and per client in the stream machines (the
+bytes a settled channel pair keeps) at three world sizes. Those are
+counts, not wall time; the only gate on them is that a dapplet costs
+about the same at every size.
 """
 
 from __future__ import annotations
@@ -122,12 +123,15 @@ class _Counter:
 #: Where a directed link's state is allocated: its entry in the datagram
 #: layer and, once something draws, its named random streams.
 _LINK_FILES = ("repro/net/datagram.py", "repro/sim/rng.py")
+#: Where a channel's sender and receiver state is allocated.
+_STREAM_FILES = ("repro/net/stream.py",)
 
 
-def _world_bytes(n: int) -> tuple[float, float, int]:
-    """(bytes per dapplet, bytes per directed link, links) for a world
-    of ``n`` plain dapplets on 50 hosts, each of which has made one RPC
-    to a hub: constant latency, no fault plan, no directory."""
+def _world_bytes(n: int) -> tuple[float, float, int, float]:
+    """(bytes per dapplet, bytes per directed link, links, stream bytes
+    per dapplet) for a world of ``n`` plain dapplets on 50 hosts, each
+    of which has made one RPC to a hub: constant latency, no fault
+    plan, no directory."""
     world = World(seed=0, latency=ConstantLatency(0.01))
     hub = world.dapplet(Node, "hub.edu", "hub")
     counter = _Counter()
@@ -150,10 +154,14 @@ def _world_bytes(n: int) -> tuple[float, float, int]:
         tracemalloc.stop()
     assert counter.value == n
     links = len(world.network._links)
-    link_bytes = sum(stat.size_diff
-                     for stat in after.compare_to(before, "filename")
-                     if stat.traceback[0].filename.endswith(_LINK_FILES))
-    return held / n, link_bytes / links, links
+    diff = after.compare_to(before, "filename")
+
+    def allocated(files: tuple[str, ...]) -> int:
+        return sum(stat.size_diff for stat in diff
+                   if stat.traceback[0].filename.endswith(files))
+
+    return (held / n, allocated(_LINK_FILES) / links, links,
+            allocated(_STREAM_FILES) / n)
 
 
 def test_memory_per_dapplet_and_per_link():
@@ -161,7 +169,8 @@ def test_memory_per_dapplet_and_per_link():
     a dapplet costs the same within 1.3x at 1 000 as at 100."""
     rows = {n: _world_bytes(n) for n in (100, 300, 1_000)}
     print_table("A2 memory: tracemalloc bytes, one RPC per dapplet to a hub",
-                ["dapplets", "B/dapplet", "B/link", "links"],
-                [(n, round(d), round(link), links)
-                 for n, (d, link, links) in rows.items()])
+                ["dapplets", "B/dapplet", "B/client in stream.py", "B/link",
+                 "links"],
+                [(n, round(d), round(stream), round(link), links)
+                 for n, (d, link, links, stream) in rows.items()])
     assert rows[1_000][0] <= 1.3 * rows[100][0]

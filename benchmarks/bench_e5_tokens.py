@@ -83,7 +83,7 @@ def run_deadlock(cycle_len: int, seed: int = 14):
         world.process(member(i))
     world.run(until=10.0)
     assert detected, f"no deadlock detected for cycle of {cycle_len}"
-    assert coordinator.deadlocks >= 1
+    assert coordinator.stats.deadlocks >= 1
     return {"latency": detected[0][0] - last_request_at[0],
             "cycle": detected[0][1]}
 

@@ -65,9 +65,11 @@ def main(trace: str | None = None) -> World:
 
     world.run(until=world.process(director()))
     world.run()
-    stats = world.network.stats
-    print(f"network: {stats.sent} datagrams sent, "
-          f"{stats.delivered} delivered")
+    metrics = world.metrics()  # every layer's counters, one flat dict
+    print(f"network: {metrics['net.sent']} datagrams sent, "
+          f"{metrics['net.delivered']} delivered; "
+          f"{metrics['ep.data_sent']} messages, "
+          f"{metrics['session.commits']} session commits")
     if trace is not None:
         path = world.export_trace(trace)
         print(f"trace: {len(world.tracer.events)} events -> {path}")

@@ -21,6 +21,7 @@ from repro.mailbox.outbox import Outbox, SendResult
 from repro.messages.message import Message
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.endpoint import Endpoint
+from repro.obs.metrics import Counters
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,6 +66,8 @@ class Dapplet:
         self.name = name
         self.endpoint = Endpoint(world.substrate, world.substrate.datagrams,
                                  address, **world.endpoint_options)
+        #: Every component's counter group, added by the component.
+        self.counters: list[Counters] = [self.endpoint.stats]
         self.acl = AccessControlList()
         # Worlds with a storage backend give every dapplet a durable,
         # journaled state namespaced by its (unique) name — so a

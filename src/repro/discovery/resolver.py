@@ -16,7 +16,6 @@ so callers skip the dead participant instead of hanging on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.dapplet.dapplet import Dapplet
@@ -25,20 +24,14 @@ from repro.discovery.replica import DirectoryReplica
 from repro.discovery.table import LeaseClient
 from repro.errors import DiscoveryError, LeaseExpired
 from repro.net.address import NodeAddress
+from repro.obs.metrics import Counters
 
 
-@dataclass
-class ResolverStats:
+class ResolverStats(Counters):
     """Counters for one resolver (all monotonic)."""
 
-    hits: int = 0
-    misses: int = 0
-    resolves: int = 0
-    failures: int = 0
-    failovers: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
+    layer = "resolver"
+    __slots__ = ("hits", "misses", "resolves", "failures", "failovers")
 
 
 class Resolver(LeaseClient):
@@ -51,8 +44,13 @@ class Resolver(LeaseClient):
                  *, config: LeaseConfig | None = None) -> None:
         super().__init__(dapplet, replicas, config=config)
         self.stats = ResolverStats()
+        dapplet.counters.append(self.stats)
         #: name -> (address, kind, fresh_until)
         self._cache: dict[str, tuple[NodeAddress, str, float]] = {}
+
+    def _failover(self) -> None:
+        super()._failover()
+        self.stats.failovers += 1
 
     def invalidate(self, name: str | None = None) -> None:
         """Drop one cached entry, or all of them."""
@@ -85,19 +83,15 @@ class Resolver(LeaseClient):
         try:
             row = yield from self._call_any(f"resolve {name!r}", "lookup",
                                             name)
-        except DiscoveryError:
+            if row is None:
+                self._trace("resolve_miss", lease=name)
+                raise LeaseExpired(
+                    f"no live lease for {name!r}: the dapplet is dead, "
+                    "expired, or was never registered", name=name)
+        except DiscoveryError:  # LeaseExpired included
             self.stats.failures += 1
             self._cache.pop(name, None)
             raise
-        finally:
-            self.stats.failovers = self.failovers
-        if row is None:
-            self.stats.failures += 1
-            self._cache.pop(name, None)
-            self._trace("resolve_miss", lease=name)
-            raise LeaseExpired(
-                f"no live lease for {name!r}: the dapplet is dead, "
-                "expired, or was never registered", name=name)
         address, kind, ttl_left = row
         now = self.kernel.now
         fresh_until = now + min(self.config.cache_ttl, ttl_left)

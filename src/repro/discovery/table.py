@@ -27,6 +27,7 @@ from repro.discovery.lease import LeaseConfig, LeaseRecord, merge
 from repro.errors import AddressError, LeaseDenied, RpcError, RpcTimeout
 from repro.messages.message import Message, message_type
 from repro.net.address import InboxAddress, NodeAddress
+from repro.obs.metrics import Counters
 from repro.rpc import RemoteProxy, export
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,23 +53,13 @@ class Gossip(Message):
     want_reply: bool
 
 
-@dataclass
-class ReplicaStats:
-    """Protocol counters for one replica (all monotonic)."""
+class ReplicaStats(Counters):
+    """Protocol counters for one directory replica (all monotonic)."""
 
-    grants: int = 0
-    renewals: int = 0
-    denials: int = 0
-    unregisters: int = 0
-    expiries: int = 0
-    lookups: int = 0
-    lookup_hits: int = 0
-    gossip_rounds: int = 0
-    gossip_merged: int = 0
-    gossip_rejected: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
+    layer = "directory"
+    __slots__ = ("grants", "renewals", "denials", "unregisters", "expiries",
+                 "lookups", "lookup_hits", "gossip_rounds", "gossip_merged",
+                 "gossip_rejected")
 
 
 class LeaseFacet:
@@ -117,11 +108,14 @@ class LeaseReplica(Dapplet):
     renew / denied / release / expire), ``process_prefix``,
     ``record_type``, ``facet``, ``error`` and ``noun`` (what its clients
     raise and call a replica); and defines ``_new_record(name, address,
-    row_fields, epoch, expires_at)`` and ``_row(live_record, now)``.
+    row_fields, epoch, expires_at)`` and ``_row(live_record, now)``;
+    ``stats_type`` (a :class:`ReplicaStats` twin) names its counters'
+    layer.
     """
 
     record_type = LeaseRecord
     facet = LeaseFacet
+    stats_type = ReplicaStats
 
     def __init__(self, world: "World", address: NodeAddress, name: str,
                  *, config: LeaseConfig | None = None,
@@ -135,7 +129,8 @@ class LeaseReplica(Dapplet):
     def setup(self) -> None:
         #: name -> newest known record (live or tombstone).
         self.store: dict[str, LeaseRecord] = {}
-        self.stats = ReplicaStats()
+        self.stats = self.stats_type()
+        self.counters.append(self.stats)
         self._peer_ring: list[NodeAddress] = []
         #: peer -> {name: highest stamp the peer is known to hold}, fed
         #: only by what it sent us and by receipts of what we sent it.

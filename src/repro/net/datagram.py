@@ -19,6 +19,7 @@ from repro.errors import AddressError
 from repro.net.address import NodeAddress
 from repro.net.faults import FaultPlan
 from repro.net.latency import ConstantLatency, LatencyModel
+from repro.obs.metrics import Counters
 from repro.sim.kernel import Kernel, SchedulerCore
 
 #: Fixed per-datagram header overhead charged to the latency model, in
@@ -55,22 +56,14 @@ class Datagram:
         return HEADER_OVERHEAD + len(self.payload)
 
 
-@dataclass
-class NetworkStats:
-    """Counters kept by the datagram network (read by benchmarks)."""
+class NetworkStats(Counters):
+    """Counters kept by the datagram network (glossary:
+    ``docs/OBSERVABILITY.md``)."""
 
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    duplicated: int = 0
-    undeliverable: int = 0
-    bytes_sent: int = 0
-    bytes_delivered: int = 0
-    #: Datagrams whose wire bytes failed to decode (dropped, not raised).
-    bad_frames: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
+    layer = "net"
+    __slots__ = ("sent", "delivered", "dropped", "duplicated",
+                 "undeliverable", "bytes_sent", "bytes_delivered",
+                 "bad_frames")
 
 
 # Down here because the codec builds Datagrams: wire.py imports the class

@@ -28,7 +28,6 @@ exception is raised" — :meth:`Endpoint.send` returns a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import AddressError
@@ -42,46 +41,24 @@ from repro.net.wire import (DATA_FIXED_SIZE, KIND_ACK, KIND_DATA, KIND_PROBE,
                             KIND_SKIP, MAX_FRAME_BYTES, frame_base_size,
                             pack_entry_wire_size, payload_too_large,
                             ref_wire_size, utf8_len)
+from repro.obs.metrics import Counters
 from repro.runtime.substrate import DatagramService, Scheduler
 from repro.sim.events import Event
 
 
-@dataclass
-class EndpointStats:
-    """Counters kept per endpoint (read by tests and benchmarks).
+class EndpointStats(Counters):
+    """Counters kept per endpoint (glossary: ``docs/OBSERVABILITY.md``)."""
 
-    See ``docs/PROTOCOLS.md`` for the full glossary.
-    """
-
-    data_sent: int = 0
-    data_retransmitted: int = 0
-    acks_sent: int = 0
-    delivered: int = 0
-    duplicates_discarded: int = 0
-    buffered_out_of_order: int = 0
-    gave_up: int = 0
-    no_such_inbox: int = 0
-    fast_retransmits: int = 0
-    sacked_suppressed: int = 0
-    acks_delayed: int = 0
-    acks_piggybacked: int = 0
-    window_stalls: int = 0
-    window_resumes: int = 0
-    window_probes: int = 0
-    window_updates: int = 0
-    batches_sent: int = 0
-    batched_payloads: int = 0
-    cwnd_halvings: int = 0
-    cwnd_collapses: int = 0
-    unreliable_sent: int = 0
-    unreliable_delivered: int = 0
-    stale_dropped: int = 0
-    skipped: int = 0
-    skips_sent: int = 0
-    holes_skipped: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
+    layer = "ep"
+    __slots__ = ("data_sent", "data_retransmitted", "acks_sent",
+                 "delivered", "duplicates_discarded",
+                 "buffered_out_of_order", "gave_up", "no_such_inbox",
+                 "fast_retransmits", "sacked_suppressed", "acks_delayed",
+                 "acks_piggybacked", "window_stalls", "window_resumes",
+                 "window_probes", "window_updates", "batches_sent",
+                 "batched_payloads", "cwnd_halvings", "cwnd_collapses",
+                 "unreliable_sent", "unreliable_delivered", "stale_dropped",
+                 "skipped", "skips_sent", "holes_skipped")
 
 
 class DeliveryReceipt:
@@ -396,7 +373,7 @@ class Endpoint:
             ev.defused = True
             return ev
         stream = self._send_streams.get((dst_node, channel))
-        if stream is None or stream.broken or not stream.queue:
+        if stream is None or stream.broken or not stream.queued:
             ev.succeed(None)
         else:
             self._waiters.setdefault((dst_node, channel), []).append(ev)

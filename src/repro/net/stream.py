@@ -63,7 +63,6 @@ the interface out, next to the timer table and the field glossary.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import takewhile
@@ -117,9 +116,6 @@ class PendingPacket:
     #: retransmission is retried after ~one RTT instead of stalling
     #: until the (possibly huge) RTO, without ever flooding one hole.
     last_rtx_at: float = float("-inf")
-    #: False while queued behind the window; True once on the wire (and
-    #: charged to ``in_flight``).
-    transmitted: bool = False
 
 
 class _Backoff:
@@ -142,14 +138,15 @@ class ReliableSender:
     timer starts from ``rto_initial``. Invariants (checked after
     every transition by the model test): ``in_flight`` is the summed
     size of transmitted unacknowledged packets; ``cwnd >= max_payload``;
-    every queued packet is in ``unacked``; ``wake_at`` is never later
-    than the earliest live agenda entry.
+    the packets at or past ``next_tx`` were never sent, and ``queued``
+    counts them; ``wake_at`` is never later than the earliest live
+    agenda entry.
     """
 
     # A session-churning node holds thousands of these at once.
     __slots__ = ("host", "peer", "peer_label", "channel", "frame_base",
                  "next_seq", "unacked", "rto_initial", "broken",
-                 "last_cum", "dup_acks", "last_rtt", "queue",
+                 "last_cum", "dup_acks", "last_rtt", "next_tx", "queued",
                  "in_flight", "cwnd", "ssthresh", "rwnd", "max_payload",
                  "stalled", "cwnd_band", "skip_upto", "probe", "skip_rtx",
                  "agenda", "order", "wake_armed")
@@ -175,8 +172,10 @@ class ReliableSender:
         #: duplicate-triggered ACKs included: it only paces fast
         #: retransmit, never sizes the RTO.
         self.last_rtt = 0.0
-        #: Accepted-but-untransmitted packets, in sequence order.
-        self.queue: deque[PendingPacket] = deque()
+        #: The queue: the ``unacked`` packets at or past ``next_tx`` are
+        #: accepted but not yet transmitted, and ``queued`` counts them.
+        self.next_tx = 0
+        self.queued = 0
         #: Bytes transmitted but not yet cumulatively acknowledged.
         self.in_flight = 0
         self.cwnd = float(cwnd_initial)
@@ -321,7 +320,7 @@ class ReliableSender:
             self.max_payload = pending.size
         if self.cwnd < pending.size:
             self.cwnd = float(pending.size)
-        self.queue.append(pending)
+        self.queued += 1
         self._pump(now)
 
     def _pump(self, now: float) -> None:
@@ -336,23 +335,26 @@ class ReliableSender:
         if self.broken:
             return
         host = self.host
-        queue = self.queue
+        unacked = self.unacked
         batch_base = self.frame_base + DATA_FIXED_SIZE + BATCH_COUNT_SIZE
-        while queue:
-            head = queue[0]
+        while self.queued:
+            head = unacked.get(self.next_tx)
+            if head is None:
+                self.next_tx += 1  # a skipped packet's seq
+                continue
             window = self.window()
             if self.in_flight + head.size > window:
                 break
-            group = [queue.popleft()]
+            group = [head]
             total = head.size
             # Projected wire size if the group becomes a batch frame
             # (the head's ref appears both as ``to`` and in ``parts``).
             wire_total = (batch_base + 2 * ref_wire_size(head.to_ref)
                           + PART_LEN_SIZE + head.wire_len)
-            while queue and len(group) < BATCH_MAX_PAYLOADS:
-                nxt = queue[0]
-                if nxt.seq != group[-1].seq + 1:
-                    break  # a skipped packet left a gap; parts number on
+            while len(group) < BATCH_MAX_PAYLOADS:
+                nxt = unacked.get(head.seq + len(group))
+                if nxt is None:
+                    break  # the queue's end, or a skipped packet's gap
                 if total + nxt.size > host.batch_bytes:
                     break
                 if self.in_flight + total + nxt.size > window:
@@ -361,24 +363,23 @@ class ReliableSender:
                             + nxt.wire_len)
                 if wire_total + nxt_wire > MAX_FRAME_BYTES:
                     break
-                queue.popleft()
                 group.append(nxt)
                 total += nxt.size
                 wire_total += nxt_wire
-            for p in group:
-                p.transmitted = True
+            self.next_tx = head.seq + len(group)
+            self.queued -= len(group)
             self.in_flight += total
             self._transmit(now, group)
             for p in group:
                 self._schedule(now + p.rto, _RTO, p.seq)
         tr = host.tracer
-        if queue:
+        if self.queued:
             if not self.stalled:
                 self.stalled = True
                 host.stats.window_stalls += 1
                 if tr is not None:
                     tr.emit("ep", "stall", node=host.address,
-                            ch=self.channel, queued=len(queue),
+                            ch=self.channel, queued=self.queued,
                             in_flight=self.in_flight, cwnd=int(self.cwnd),
                             rwnd=self.rwnd)
             if self.in_flight == 0 and not self.probe.interval:
@@ -457,9 +458,11 @@ class ReliableSender:
                 acked.append(seq)
             for seq in acked:
                 pending = unacked.pop(seq)
-                if pending.transmitted:
+                if seq < self.next_tx:
                     bytes_acked += pending.size
                     self.in_flight -= pending.size
+                else:
+                    self.queued -= 1
                 if tr is not None:
                     tr.emit("ep", "confirm", node=host.address,
                             ch=self.channel, seq=seq,
@@ -497,7 +500,7 @@ class ReliableSender:
 
     def _fast_retransmit(self, now: float) -> None:
         hole = next((p for p in self.unacked.values() if not p.sacked), None)
-        if hole is None or not hole.transmitted:
+        if hole is None or hole.seq >= self.next_tx:
             return
         if now - hole.last_rtx_at <= self.last_rtt:
             return  # already retransmitted within the last round trip
@@ -569,10 +572,10 @@ class ReliableSender:
             return
         host = self.host
         del self.unacked[pending.seq]
-        if pending.transmitted:
+        if pending.seq < self.next_tx:
             self.in_flight -= pending.size
         else:
-            self.queue.remove(pending)
+            self.queued -= 1
         host.stats.skipped += 1
         # Everything below the first still-outstanding packet is either
         # acknowledged or abandoned: the receiver may deliver past it.
@@ -615,7 +618,7 @@ class ReliableSender:
             # The window may have opened meanwhile (``interval`` is still
             # set, so this pump cannot start a second probe chain).
             self._pump(now)
-            settled = not self.queue or self.in_flight > 0
+            settled = not self.queued or self.in_flight > 0
         else:
             back = self.skip_rtx
             settled = self.last_cum >= self.skip_upto - 1
@@ -625,7 +628,7 @@ class ReliableSender:
             return
         back.attempts += 1
         if back.attempts > host.max_retries:
-            self._break(self.queue[0].seq if probing else self.skip_upto,
+            self._break(self.next_tx if probing else self.skip_upto,
                         back.attempts)
             return
         if probing:
@@ -663,7 +666,7 @@ class ReliableSender:
             pending.receipt._fail(DeliveryTimeout(
                 reason, destination=pending.receipt.destination))
         self.unacked.clear()
-        self.queue.clear()
+        self.queued = 0
         self.agenda.clear()
         self.in_flight = 0
         self.stalled = False

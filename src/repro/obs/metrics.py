@@ -1,11 +1,13 @@
-"""Metrics: counters and latency histograms fed by the tracer.
+"""Metrics: component counters, and counters and latency histograms fed
+by the tracer.
 
 The paper's debugging story is built on *observable* distributed state
 (logical clocks, snapshots); this module is the quantitative half of the
-observability layer: every traced event increments counters (globally,
-per dapplet node, and per channel), and selected numeric fields —
-round-trip times, mailbox wait times — are folded into log-bucketed
-histograms. Summaries are plain dicts of JSON-encodable values.
+observability layer: every component counts in a :class:`Counters`
+group, every traced event increments counters (globally, per dapplet
+node, and per channel), and selected numeric fields — round-trip times,
+mailbox wait times — are folded into log-bucketed histograms.
+Summaries are plain dicts of JSON-encodable values.
 
 Everything here is deterministic: bucket boundaries are fixed powers of
 two, keys are strings, and :meth:`Histogram.snapshot` sorts nothing at
@@ -24,6 +26,27 @@ _NBUCKETS = len(BUCKET_BOUNDS)
 #: Quantiles resolve to 1e-9: ``q`` becomes a whole number of billionths
 #: before the rank is computed in integers.
 _Q_SCALE = 10 ** 9
+
+
+class Counters:
+    """One component's monotonic int counters, all starting at 0: a
+    subclass names its ``layer`` and its counters (``__slots__``)."""
+
+    __slots__ = ()
+    layer = ""
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def snapshot(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def add_to(self, totals: dict[str, int]) -> None:
+        """Add every count to ``totals["<layer>.<counter>"]``."""
+        for name in self.__slots__:
+            key = f"{self.layer}.{name}"
+            totals[key] = totals.get(key, 0) + getattr(self, name)
 
 
 class Histogram:

@@ -21,10 +21,10 @@ on asyncio it is the real wall-clock cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import RegistryError
+from repro.obs.metrics import Counters
 from repro.registry.principal import Capability, Principal, verb_matches
 
 #: The resource name token-quota verbs are checked against (the token
@@ -32,19 +32,12 @@ from repro.registry.principal import Capability, Principal, verb_matches
 TOKEN_RESOURCE = "tokens"
 
 
-@dataclass
-class RegistryStats:
+class RegistryStats(Counters):
     """Monotonic counters over one registry's lifetime."""
 
-    allows: int = 0
-    denies: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    grants: int = 0
-    revokes: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(vars(self))
+    layer = "registry"
+    __slots__ = ("allows", "denies", "cache_hits", "cache_misses", "grants",
+                 "revokes")
 
 
 class Registry:

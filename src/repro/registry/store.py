@@ -17,9 +17,10 @@ from typing import Sequence
 from repro.dapplet.dapplet import Dapplet
 from repro.discovery.lease import LeaseConfig
 from repro.discovery.table import (LeaseAgent, LeaseClient, LeaseFacet,
-                                   LeaseReplica)
+                                   LeaseReplica, ReplicaStats)
 from repro.errors import RegistryError
 from repro.net.address import NodeAddress
+from repro.obs.metrics import Counters
 from repro.registry.manifest import Manifest, ManifestRecord
 
 #: Well-known inbox name every store replica serves the protocol on.
@@ -33,6 +34,13 @@ class StoreFacet(LeaseFacet):
     def list(self, prefix: str) -> tuple:
         """Live store names under ``prefix``, sorted."""
         return tuple(self._replica.names(prefix))
+
+
+class StoreStats(Counters):
+    """Protocol counters for one DAppStore replica (all monotonic)."""
+
+    layer = "dappstore"
+    __slots__ = ReplicaStats.__slots__
 
 
 class DAppStoreReplica(LeaseReplica):
@@ -50,6 +58,7 @@ class DAppStoreReplica(LeaseReplica):
     noun = "store replica"
     record_type = ManifestRecord
     facet = StoreFacet
+    stats_type = StoreStats
 
     # -- views -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import RpcError, RpcTimeout
@@ -61,7 +61,8 @@ class RpcClient:
     Timed calls sit on one agenda, a heap of ``(due, call_id, ...)``,
     with one wake armed at the earliest due still pending — the idiom of
     :meth:`~repro.net.endpoint.Endpoint._arm`. Answered calls stay on
-    the heap until they reach its head, where they are dropped.
+    the heap until they reach its head, or until they outnumber the
+    pending calls and the heap is rebuilt from those.
     """
 
     def __init__(self, dapplet: "Dapplet") -> None:
@@ -103,6 +104,9 @@ class RpcClient:
         The scheduler has no cancel, so a superseded wake still fires;
         it finds ``_wake_at`` no longer names its due and does nothing."""
         agenda = self._agenda
+        if len(agenda) > 2 * len(self._pending):
+            agenda[:] = [e for e in agenda if e[1] in self._pending]
+            heapify(agenda)
         while agenda and agenda[0][1] not in self._pending:
             heappop(agenda)  # answered
         if not agenda:

@@ -28,14 +28,13 @@ class ShardRing:
     removal for all keys not on the moved arcs.
     """
 
-    def __init__(self, names: Iterable[str], *, vnodes: int = VNODES) -> None:
+    def __init__(self, names: Iterable[str]) -> None:
         self.names = tuple(sorted(set(names)))
         if not self.names:
             raise TokenError("a shard ring needs at least one shard")
-        self.vnodes = vnodes
         points = []
         for name in self.names:
-            for v in range(vnodes):
+            for v in range(VNODES):
                 points.append((crc32(f"{name}#{v}".encode()), name))
         points.sort()
         self._points = points

@@ -86,6 +86,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.dapplet.dapplet import Dapplet
 from repro.errors import CapabilityDenied, DeadlockDetected, TokenError
 from repro.net.address import InboxAddress, NodeAddress
+from repro.obs.metrics import Counters
 from repro.rpc import RemoteProxy, export
 from repro.services.tokens import messages as tm
 from repro.services.tokens.ledger import Ledger
@@ -127,6 +128,14 @@ class _Coordinated:
     t0: float
     idx: int = 0                                  # next group to prepare
     prepared: dict[str, dict] = field(default_factory=dict)  # shard -> counts
+
+
+class TokenStats(Counters):
+    """Counters of one token manager (all monotonic)."""
+
+    layer = "tokens"
+    __slots__ = ("grants", "deadlocks", "forwards", "denials", "probes_sent",
+                 "probes_received")
 
 
 class ShardFacet:
@@ -198,12 +207,8 @@ class TokenShard:
         #: (agent, inbox) pairs this shard already pushed to their home.
         self._registered: set[tuple[str, InboxAddress]] = set()
         self._gids = itertools.count(1)
-        self.grants = 0
-        self.deadlocks = 0
-        self.forwards = 0
-        self.denials = 0
-        self.probes_sent = 0
-        self.probes_received = 0
+        self.stats = TokenStats()
+        dapplet.counters.append(self.stats)
         self._remote = export(dapplet, ShardFacet(self), name=name)
         self.inbox = dapplet.create_inbox(name=f"{name}:peer")
         self._trace("shard", shard=shard_name, colors=len(self.totals),
@@ -263,7 +268,7 @@ class TokenShard:
         if shard_name == self.name:
             self._handle(message)
             return
-        self.forwards += 1
+        self.stats.forwards += 1
         self._trace("forward", to=shard_name, kind=message.wire_name)
         self.dapplet.post(self.peers[shard_name], message)
 
@@ -316,7 +321,7 @@ class TokenShard:
     def _denial(self, agent: str, principal: str,
                 reason: str) -> CapabilityDenied:
         """Count and trace a refused request; the error it fails with."""
-        self.denials += 1
+        self.stats.denials += 1
         self._trace("denied", agent=agent, principal=principal,
                     reason=reason)
         return CapabilityDenied(
@@ -368,7 +373,7 @@ class TokenShard:
         for shard, _ in multi.groups:
             self._send_shard(shard, tm.Commit(multi.gid, multi.agent))
             need.update(multi.prepared[shard])
-        self.grants += 1
+        self.stats.grants += 1
         self._trace("grant", agent=multi.agent,
                     tokens=dict(sorted(need.items())),
                     route=self.dapplet.kernel.now - multi.t0,
@@ -395,7 +400,7 @@ class TokenShard:
         multi = self._coordinating.pop(msg.gid, None)
         if multi is None:
             return  # stale probe result: already granted or aborted
-        self.deadlocks += 1
+        self.stats.deadlocks += 1
         for shard, _ in multi.groups[:multi.idx + 1]:
             self._send_shard(shard, tm.Abort(multi.gid))
         cycle = tuple(msg.cycle)
@@ -422,7 +427,7 @@ class TokenShard:
     def _on_prepare(self, msg: tm.Prepare) -> None:
         reason = self._quota_denial(msg)
         if reason is not None:
-            self.denials += 1
+            self.stats.denials += 1
             self._trace("quota_denied", agent=msg.agent,
                         principal=msg.principal, reason=reason)
             self._send_shard(msg.origin, tm.PrepareDenied(msg.gid, reason))
@@ -539,12 +544,12 @@ class TokenShard:
     def _broadcast_probe(self, probe: tm.Probe) -> None:
         # Every shard sees the probe: the holder's own blocked prepare
         # can be queued anywhere on the ring.
-        self.probes_sent += len(self.ring.names)
+        self.stats.probes_sent += len(self.ring.names)
         for shard in self.ring.names:
             self._send_shard(shard, probe)
 
     def _on_probe(self, msg: tm.Probe) -> None:
-        self.probes_received += 1
+        self.stats.probes_received += 1
         matched = [e for e in self._queue if e.agent == msg.holder]
         if matched:
             self._trace("probe", origin=msg.origin_agent, holder=msg.holder,
@@ -661,27 +666,11 @@ class ShardedTokenService:
         """No queued, reserved, or coordinating grant anywhere."""
         return all(shard.quiescent for shard in self.shards)
 
-    # -- aggregated counters ----------------------------------------------
-
-    @property
-    def grants(self) -> int:
-        return sum(shard.grants for shard in self.shards)
-
-    @property
-    def deadlocks(self) -> int:
-        return sum(shard.deadlocks for shard in self.shards)
-
-    @property
-    def denials(self) -> int:
-        return sum(shard.denials for shard in self.shards)
-
-    @property
-    def forwards(self) -> int:
-        return sum(shard.forwards for shard in self.shards)
-
-    @property
-    def probes_sent(self) -> int:
-        return sum(shard.probes_sent for shard in self.shards)
+    def __getattr__(self, name: str) -> int:
+        """A :class:`TokenStats` counter summed over the shards."""
+        if name not in TokenStats.__slots__:
+            raise AttributeError(name)
+        return sum(getattr(shard.stats, name) for shard in self.shards)
 
 
 def resolve_shard(resolver: "Resolver", ring: ShardRing, key: str):

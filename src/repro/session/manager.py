@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro.errors import BindingError, SessionError, SessionRejected
 from repro.mailbox.inbox import Inbox
 from repro.net.address import InboxAddress, NodeAddress
+from repro.obs.metrics import Counters
 from repro.rpc.remote import export
 from repro.session.interference import regions_conflict
 from repro.session.session import SessionContext
@@ -39,17 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
 CONTROL_INBOX = "_session"
 
 
-@dataclass
-class SessionStats:
-    prepares: int = 0
-    accepts: int = 0
-    rejects_acl: int = 0
-    rejects_capability: int = 0
-    rejects_interference: int = 0
-    queued: int = 0
-    commits: int = 0
-    unlinks: int = 0
-    aborts: int = 0
+class SessionStats(Counters):
+    """Link-up counters of one session manager (all monotonic)."""
+
+    layer = "session"
+    __slots__ = ("prepares", "accepts", "rejects_acl", "rejects_capability",
+                 "rejects_interference", "queued", "commits", "unlinks",
+                 "aborts")
 
 
 @dataclass
@@ -153,6 +150,7 @@ class SessionManager:
         self.dapplet = dapplet
         self.kernel = dapplet.kernel
         self.stats = SessionStats()
+        dapplet.counters.append(self.stats)
         self._entries: dict[str, _Entry] = {}
         #: Prepares held back by interference (queue=True), FIFO.
         self._admission_queue: list[_Prepare] = []

@@ -120,6 +120,8 @@ class World:
         self._dapplet_specs: dict[str, tuple[Type[Dapplet], str,
                                              dict[str, Any]]] = {}
         self._auto_enroll = False
+        #: ``"<layer>.<counter>"`` -> counts of every stopped dapplet.
+        self._retired: dict[str, int] = {}
         if tracer is not None:
             self.attach_tracer(tracer)
 
@@ -138,6 +140,19 @@ class World:
         for dapplet in self._dapplets.values():
             tracer.register_clock(dapplet.address, dapplet.clock)
         return tracer
+
+    def metrics(self) -> dict[str, int]:
+        """Every layer's counters summed over this world, under sorted
+        ``"<layer>.<counter>"`` keys (``docs/OBSERVABILITY.md``). A
+        stopped dapplet's counts stay in the totals: no entry ever falls."""
+        totals = dict(self._retired)
+        self.network.stats.add_to(totals)
+        if self._registry is not None:
+            self._registry.stats.add_to(totals)
+        for dapplet in self._dapplets.values():
+            for group in dapplet.counters:
+                group.add_to(totals)
+        return dict(sorted(totals.items()))
 
     def export_trace(self, path: Any) -> Any:
         """Export the attached tracer's JSONL trace to ``path``."""
@@ -376,8 +391,7 @@ class World:
 
     def host_token_shards(self, hosts: "int | list[str]",
                           initial: dict[str, int], *,
-                          policy: str = "fifo",
-                          vnodes: int | None = None) -> Any:
+                          policy: str = "fifo") -> Any:
         """Deploy the paper's network of token managers, sharded.
 
         ``hosts`` is either a shard count (each on its own synthetic
@@ -393,7 +407,7 @@ class World:
         manager by ring position via
         :func:`~repro.services.tokens.resolve_shard`.
         """
-        from repro.services.tokens.ring import VNODES, ShardRing
+        from repro.services.tokens.ring import ShardRing
         from repro.services.tokens.shard import (ShardedTokenService,
                                                  TokenShard, TokenShardHost)
         if isinstance(hosts, int):
@@ -401,7 +415,7 @@ class World:
         if not hosts:
             raise DappletError("host_token_shards needs >= 1 host")
         names = [f"_tok{i}" for i in range(len(hosts))]
-        ring = ShardRing(names, vnodes=vnodes or VNODES)
+        ring = ShardRing(names)
         dapplets = {name: self.dapplet(TokenShardHost, host, name)
                     for name, host in zip(names, hosts)}
         peers = {name: d.address for name, d in dapplets.items()}
@@ -471,6 +485,8 @@ class World:
 
     def _forget_dapplet(self, dapplet: Dapplet) -> None:
         self._dapplets.pop(dapplet.name, None)
+        for group in dapplet.counters:
+            group.add_to(self._retired)
 
     def get(self, name: str) -> Dapplet:
         try:

@@ -85,7 +85,7 @@ def test_small_window_queues_excess_and_preserves_fifo():
     assert ea.stats.window_resumes == 1
     assert all(r.is_confirmed for r in receipts)
     stream = ea._send_streams[(B, "c")]
-    assert stream.in_flight == 0 and not stream.queue
+    assert stream.in_flight == 0 and not stream.queued
 
 
 def test_send_never_exceeds_window_at_transmission():

@@ -68,10 +68,15 @@ class Host:
         self.wire = wire
         self.inbox: list[str] = []     # delivered, not yet consumed
         self.delivered: list[int] = []
+        #: Every sequence number this host put on the wire as DATA.
+        self.sent: set[int] = set()
         self.owed = 0
         self.pinched: set = set()
 
     def emit(self, dst, header, payload="", parts=None):
+        if header["kind"] == KIND_DATA:
+            self.sent.update(range(header["seq"],
+                                   header["seq"] + len(parts or "_")))
         self.wire.append((dst, header, payload, parts))
 
     def route(self, to_ref):
@@ -94,6 +99,11 @@ class Host:
 
     def drained(self, sender):
         pass
+
+
+def queue(sender):
+    """The seqs of the sender's accepted-but-untransmitted packets."""
+    return [seq for seq in sender.unacked if seq >= sender.next_tx]
 
 
 class StreamPair(RuleBasedStateMachine):
@@ -181,17 +191,18 @@ class StreamPair(RuleBasedStateMachine):
     def in_flight_is_the_transmitted_unacked_bytes(self):
         s = self.sender
         assert s.in_flight == sum(p.size for p in s.unacked.values()
-                                  if p.transmitted)
+                                  if p.seq < s.next_tx)
 
     @invariant()
     def cwnd_never_drops_below_one_packet(self):
         assert self.sender.cwnd >= self.sender.max_payload
 
     @invariant()
-    def queue_is_the_untransmitted_suffix_of_unacked(self):
+    def packets_at_or_past_next_tx_were_never_sent_and_queued_counts_them(
+            self):
         s = self.sender
-        assert [p.seq for p in s.queue] == [
-            p.seq for p in s.unacked.values() if not p.transmitted]
+        assert all(seq < s.next_tx for seq in self.host_a.sent)
+        assert s.queued == len(queue(s))
         assert list(s.unacked) == sorted(s.unacked)
 
     @invariant()
@@ -234,16 +245,15 @@ class StreamPair(RuleBasedStateMachine):
         # Every packet on the wire has a retransmission entry, and a
         # closed window with nothing in flight is being probed.
         armed = {seq for _, _, kind, seq in s.agenda if kind == _RTO}
-        assert all(p.seq in armed for p in s.unacked.values()
-                   if p.transmitted)
-        if s.queue and s.in_flight == 0:
+        assert all(seq in armed for seq in s.unacked if seq < s.next_tx)
+        if s.queued and s.in_flight == 0:
             assert any(kind == _PROBE for _, _, kind, _ in s.agenda)
         # ... and an announced skip the receiver has not confirmed is
         # being re-announced.
         if s.last_cum < s.skip_upto - 1 and not s.broken:
             assert any(kind == _SKIP_RTX for _, _, kind, _ in s.agenda)
         if s.broken:
-            assert not s.unacked and not s.queue and s.wake_at is None
+            assert not s.unacked and not s.queued and s.wake_at is None
 
 
 StreamPair.TestCase.settings = settings(max_examples=60,
@@ -264,12 +274,12 @@ def test_a_batch_never_spans_an_abandoned_sequence_number():
     sender.cwnd = 65.0  # one 1-byte packet
     for skip in (None, None, 0.1, None):
         pair.app_send(size=1, timeout=None, skip=skip)
-    assert [p.seq for p in sender.queue] == [1, 2, 3]
+    assert queue(sender) == [1, 2, 3]
     wire.clear()  # DATA 0 is lost
     sender.cwnd = 600.0
     pair.now = 0.1
     sender.on_wake(pair.now)  # the RTO of 0 (due 0.05) and the skip of 2
-    assert [p.seq for p in sender.queue] == [1, 3]
+    assert queue(sender) == [1, 3]
     pair._arrive(wire.pop())  # DATA 0, retransmitted
     pair._arrive(wire.pop())  # its ACK reopens the window
     data = [f for f in wire if f[1]["kind"] == KIND_DATA]

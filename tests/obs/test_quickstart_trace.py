@@ -30,18 +30,18 @@ def test_quickstart_trace_is_complete(tmp_path, capsys):
         return sum(1 for r in records if r["cat"] == cat and r["ev"] == ev)
 
     # Every counted protocol action appears in the trace...
-    stats = [d.endpoint.stats for d in world.dapplets()]
-    assert count("ep", "data") == sum(s.data_sent for s in stats)
-    assert count("ep", "rtx") == sum(s.data_retransmitted for s in stats)
+    metrics = world.metrics()
+    assert count("ep", "data") == metrics["ep.data_sent"]
+    assert count("ep", "rtx") == metrics["ep.data_retransmitted"]
     wire_acks = [r for r in records if r["cat"] == "ep" and r["ev"] == "ack"
                  and r["mode"] == "wire"]
     piggyback = [r for r in records if r["cat"] == "ep" and r["ev"] == "ack"
                  and r["mode"] == "piggyback"]
-    assert len(wire_acks) == sum(s.acks_sent for s in stats)
-    assert len(piggyback) == sum(s.acks_piggybacked for s in stats)
-    assert count("ep", "deliver") == sum(s.delivered for s in stats)
-    assert count("ep", "sack_suppress") == sum(s.sacked_suppressed
-                                               for s in stats)
+    assert len(wire_acks) == metrics["ep.acks_sent"]
+    assert len(piggyback) == metrics["ep.acks_piggybacked"]
+    assert count("ep", "deliver") == metrics["ep.delivered"]
+    assert count("ep", "sack_suppress") == metrics["ep.sacked_suppressed"]
+    assert count("net", "send") == metrics["net.sent"]
 
     # ...as does every mailbox hand-off (enqueues >= dequeues: the
     # quickstart leaves nothing queued, so here they are equal)...

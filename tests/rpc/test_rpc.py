@@ -359,6 +359,32 @@ def test_concurrent_timed_calls_share_one_deadline_wake(world, nodes):
     assert rpc._pending == {} and rpc._agenda == []
 
 
+def test_agenda_stays_bounded_by_pending_behind_a_long_call(world, nodes):
+    """Answered timed calls queued behind one long pending call are
+    compacted away: the agenda grows with what is pending, not with
+    what was ever called."""
+    server, client = nodes
+    proxy = RemoteProxy(client, export(server, Counter(),
+                                       name="counter").pointer)
+    silent = RemoteProxy(client, server.address.inbox("nowhere"))
+    long_call = silent.call("add", 1, timeout=1000.0)
+    long_call.defused = True
+    rpc = client._rpc_client
+    sizes = []
+
+    def caller():
+        for _ in range(2000):
+            yield proxy.call("add", 1, timeout=2000.0)
+            sizes.append(len(rpc._agenda))
+
+    world.run(until=world.process(caller()))
+    assert len(rpc._pending) == 1 and max(sizes) <= 4
+    world.run()
+    assert not long_call.ok and isinstance(long_call.value, RpcTimeout)
+    assert world.now == pytest.approx(1000.0)
+    assert rpc._pending == {} and rpc._agenda == []
+
+
 # -- blocking methods: a method may return an event --------------------------
 
 

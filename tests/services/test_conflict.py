@@ -46,7 +46,7 @@ def test_two_phase_requests_all_satisfied_under_timestamp_policy():
     world.process(philosopher(agents[3], {"fork-l": 1, "fork-r": 1}))
     world.run()
     assert all(c == ROUNDS for c in completions.values())
-    assert coord.deadlocks == 0
+    assert coord.stats.deadlocks == 0
     coord.check_conservation()
 
 

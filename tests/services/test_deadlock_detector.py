@@ -32,7 +32,7 @@ def test_blocked_without_cycle_is_not_deadlock(deployment="coordinator"):
     world.process(waiter())
     world.run()
     assert order == ["granted"]
-    assert coordinator.deadlocks == 0
+    assert world.metrics()["tokens.deadlocks"] == 0
 
 
 def test_self_wait_is_not_a_cycle(deployment="coordinator"):
@@ -54,7 +54,7 @@ def test_self_wait_is_not_a_cycle(deployment="coordinator"):
     world.run(until=p)
     world.run()
     assert outcome == [False, "eventually"]
-    assert coordinator.deadlocks == 0
+    assert world.metrics()["tokens.deadlocks"] == 0
 
 
 def test_deadlock_formed_by_grant_not_request(deployment="coordinator"):

@@ -226,7 +226,7 @@ def test_two_phase_use_never_deadlocks(deployment="coordinator"):
         world.process(worker(agent, i))
     world.run()
     assert sorted(completed) == [0, 1, 2]
-    assert coord.deadlocks == 0
+    assert world.metrics()["tokens.deadlocks"] == 0
     coord.check_conservation()
 
 
@@ -491,7 +491,7 @@ def test_coordinator_is_a_one_shard_ring():
     for agent in agents:
         world.process(worker(agent))
     world.run()
-    assert coord.grants == 15
-    assert coord.forwards == 0
+    assert coord.stats.grants == 15
+    assert coord.stats.forwards == 0
     assert coord.quiescent
     coord.check_conservation()

@@ -99,5 +99,5 @@ def test_two_phase_discipline_always_completes(seed, n_agents, rounds):
         world.process(worker(agent, i))
     world.run()
     assert sorted(completed) == list(range(n_agents))
-    assert coordinator.deadlocks == 0
+    assert coordinator.stats.deadlocks == 0
     coordinator.check_conservation()

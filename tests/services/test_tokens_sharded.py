@@ -149,7 +149,7 @@ def test_any_shard_accepts_any_colour():
     world.run(until=p)
     world.run()
     assert done == [True]
-    assert service.by_name[agent_home].forwards > 0
+    assert service.by_name[agent_home].stats.forwards > 0
     service.check_conservation()
 
 
