@@ -90,7 +90,7 @@ def run_journal_density() -> dict:
     summary = tracer.summary()
     return {
         "ops": N_OPS,
-        "appends": durable.stats["appends"],
+        "appends": durable.stats.appends,
         "wal_bytes": wal_bytes,
         "bytes_per_op": wal_bytes / N_OPS,
         "ops_per_kb": N_OPS / (wal_bytes / 1024),
@@ -111,8 +111,8 @@ def run_fold_compaction() -> dict:
     return {
         "unfolded_bytes": unfolded,
         "resident_bytes": resident,
-        "appends": durable.stats["appends"],
-        "folds": durable.stats["folds"],
+        "appends": durable.stats.appends,
+        "folds": durable.stats.folds,
         "compaction": unfolded / resident,
     }
 
@@ -144,7 +144,7 @@ def run_crash_recovery_equivalence() -> dict:
         backend.reset_crash()
         recovering = DurableState(backend, name="d")
         recovered = PersistentState(recovering)
-        torn += recovering.stats["torn_tails"]
+        torn += recovering.stats.torn_tails
         expected = max(i for i, end in enumerate(ends) if end <= offset)
         if recovered.snapshot() == prefix_states[expected]:
             equal += 1
@@ -190,8 +190,8 @@ def run_wall_recovery(records: int) -> dict:
         elapsed = time.perf_counter() - start
         assert recovered.snapshot() == state.snapshot()
         cold.close()
-    return {"records": durable.stats["replayed"], "elapsed": elapsed,
-            "records_per_s": durable.stats["replayed"] / elapsed}
+    return {"records": durable.stats.replayed, "elapsed": elapsed,
+            "records_per_s": durable.stats.replayed / elapsed}
 
 
 @pytest.fixture(scope="module")

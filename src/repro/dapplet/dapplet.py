@@ -76,9 +76,10 @@ class Dapplet:
         backend = world.backend_for(name)
         if backend is not None:
             from repro.store.durable import DurableState
-            self.state = PersistentState(DurableState(
-                backend, name=f"dapplet/{name}",
-                substrate=world.substrate, node=address))
+            durable = DurableState(backend, name=f"dapplet/{name}",
+                                   substrate=world.substrate, node=address)
+            self.counters.append(durable.stats)
+            self.state = PersistentState(durable)
         else:
             self.state = PersistentState()
         self._inbox_refs = itertools.count()

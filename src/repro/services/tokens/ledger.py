@@ -24,16 +24,26 @@ both:
 Every mutation either completes or raises
 :class:`~repro.errors.TokenError` having changed nothing (the operation
 table is in ``docs/TOKENS.md``).
+Beside it, an equally pure :class:`WaitQueue` applies the grant policy.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import TokenError
 
 #: Sentinel count meaning "all tokens of this colour".
 ALL = "all"
+
+#: The grant policies a :class:`WaitQueue` applies.
+POLICIES = ("fifo", "timestamp")
+
+
+def priority(entry) -> tuple:
+    """Queue order under ``"timestamp"`` and deadlock-victim priority:
+    the youngest (largest) waiter loses."""
+    return (entry.timestamp, entry.agent, entry.gid)
 
 
 class Ledger:
@@ -201,6 +211,55 @@ class Ledger:
         _add(usage, counts, sign, prune=True)
         if not usage:
             del self.usage[principal]
+
+
+class WaitQueue:
+    """A manager's blocked prepares (anything with ``gid``, ``agent``,
+    ``timestamp`` and ``colors``), in arrival order, and its grant
+    policy. ``"fifo"`` (default) grants every waiter the pool covers, so
+    a stream of small requests can starve a large one; ``"timestamp"``
+    grants strictly in :func:`priority` order, the paper's §4.2 rule
+    (the earlier timestamp wins, ties go to the lower id; experiment E11
+    measures the difference). Iterating yields a copy, so the caller
+    may change the queue as it walks."""
+
+    def __init__(self, policy: str = "fifo") -> None:
+        if policy not in POLICIES:
+            raise TokenError(f"policy must be one of {POLICIES}")
+        self.policy = policy
+        self._waiting: dict[str, object] = {}   # gid -> entry
+
+    def __len__(self) -> int:
+        return len(self._waiting)
+
+    def __iter__(self) -> Iterator:
+        return iter(list(self._waiting.values()))
+
+    def add(self, entry) -> None:
+        self._waiting[entry.gid] = entry
+
+    def discard(self, gid: str) -> None:
+        self._waiting.pop(gid, None)
+
+    def of(self, agent: str) -> list:
+        return [e for e in self._waiting.values() if e.agent == agent]
+
+    def drain(self, ledger: Ledger) -> Iterator:
+        """The one grant pass: in policy order, take out and yield each
+        waiter ``ledger``'s pool covers at its turn (the caller reserves
+        it before the next is tested); ``"timestamp"`` stops at the
+        first one it does not. A waiter that leaves meanwhile is passed
+        over."""
+        turns = (sorted(self._waiting.values(), key=priority)
+                 if self.policy == "timestamp" else list(self._waiting.values()))
+        for entry in turns:
+            if entry.gid not in self._waiting:
+                continue
+            if ledger.can_reserve(entry.colors):
+                del self._waiting[entry.gid]
+                yield entry
+            elif self.policy == "timestamp":
+                return
 
 
 def _counts(colors: Mapping[str, object], what: str,

@@ -11,9 +11,7 @@ size, one (:class:`~repro.services.tokens.TokenCoordinator`) or many —
 through the manager's exported facet (:mod:`repro.rpc`), so the service
 works across the simulated WAN like any dapplet. Tokens another agent
 transfers to this one arrive as one-way calls on the agent's own small
-facet, exported on :data:`AGENT_INBOX`. This module also holds what both
-sides agree on: the :data:`ALL` sentinel, the grant :data:`POLICIES` and
-token-list validation.
+facet, exported on :data:`AGENT_INBOX`.
 
 Deadlock handling follows the paper exactly: sharing "avoids deadlock if
 dapplets release all resources before next requesting resources"
@@ -21,17 +19,9 @@ dapplets release all resources before next requesting resources"
 occur (if a dapplet holds on to some resources and then requests more)";
 the detected request fails with :class:`~repro.errors.DeadlockDetected`.
 
-Grant policies (applied by each manager to its own wait queue):
-
-* ``"fifo"`` (default) — scan blocked requests in arrival order and
-  grant every one that is now satisfiable. Simple, but a stream of
-  small requests can starve a large one.
-* ``"timestamp"`` — grant strictly in (timestamp, agent-id) order, the
-  paper's §4.2 conflict-resolution rule: "Conflicts between two or more
-  requests for a common indivisible resource are resolved in favor of
-  the request with the earlier timestamp. Ties are broken in favor of
-  the process with the lower id." No starvation if holders release in
-  finite time; experiment E11 measures the fairness difference.
+Each manager grants from a
+:class:`~repro.services.tokens.ledger.WaitQueue` under its grant policy,
+``"fifo"`` or ``"timestamp"`` (the paper's §4.2 rule).
 """
 
 from __future__ import annotations
@@ -48,8 +38,6 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dapplet.dapplet import Dapplet
     from repro.rpc.messages import Invoke
-
-POLICIES = ("fifo", "timestamp")
 
 #: Well-known inbox name of an agent's notice facet on its dapplet.
 AGENT_INBOX = "_tokagent"

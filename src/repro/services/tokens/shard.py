@@ -80,17 +80,18 @@ any other).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 from repro.dapplet.dapplet import Dapplet
 from repro.errors import CapabilityDenied, DeadlockDetected, TokenError
 from repro.net.address import InboxAddress, NodeAddress
 from repro.obs.metrics import Counters
+from repro.registry.registry import TOKEN_RESOURCE
 from repro.rpc import RemoteProxy, export
 from repro.services.tokens import messages as tm
-from repro.services.tokens.ledger import Ledger
-from repro.services.tokens.manager import AGENT_INBOX, POLICIES, TokenAgent
+from repro.services.tokens.ledger import Ledger, WaitQueue, priority
+from repro.services.tokens.manager import AGENT_INBOX, TokenAgent
 from repro.services.tokens.ring import ShardRing
 from repro.sim.events import Event
 
@@ -109,12 +110,6 @@ class TokenShardHost(Dapplet):
     kind = "token-shard"
 
 
-def _priority(prepare: tm.Prepare) -> tuple:
-    """Queue order under ``"timestamp"`` and deadlock-victim priority:
-    the youngest (largest) waiter loses."""
-    return (prepare.timestamp, prepare.agent, prepare.gid)
-
-
 @dataclass(slots=True)
 class _Coordinated:
     """Coordinator-side record of one in-flight multi-shard grant."""
@@ -127,7 +122,7 @@ class _Coordinated:
     groups: list[tuple[str, dict]]
     t0: float
     idx: int = 0                                  # next group to prepare
-    prepared: dict[str, dict] = field(default_factory=dict)  # shard -> counts
+    need: dict[str, int] = field(default_factory=dict)  # prepared counts
 
 
 class TokenStats(Counters):
@@ -177,21 +172,19 @@ class TokenShard:
     probes) on its peer inbox. ``peers`` maps every ring name —
     including this shard's own — to the node its host dapplet runs on.
     The accounting lives in :attr:`ledger`; ``pool``, ``holders`` and
-    ``totals`` are read-only views of it.
+    ``totals`` are read-only views of it; blocked prepares wait in a
+    :class:`~repro.services.tokens.ledger.WaitQueue` under ``policy``.
     """
 
     def __init__(self, dapplet: Dapplet, ring: ShardRing, shard_name: str,
                  peers: Mapping[str, NodeAddress],
                  initial: Mapping[str, int], *, policy: str = "fifo",
                  name: str = SHARD_INBOX) -> None:
-        if policy not in POLICIES:
-            raise TokenError(f"policy must be one of {POLICIES}")
         if set(peers) != set(ring.names):
             raise TokenError("peers must name every shard on the ring")
         self.dapplet = dapplet
         self.ring = ring
         self.name = shard_name
-        self.policy = policy
         self.peers = {n: a.inbox(f"{name}:peer") for n, a in peers.items()}
         #: The fixed world-wide totals (static: tokens are conserved).
         self.global_totals = dict(initial)
@@ -199,13 +192,12 @@ class TokenShard:
         #: (each colour's count is validated at its home).
         self.ledger = Ledger({c: n for c, n in initial.items()
                               if ring.home(c) == shard_name}, name=shard_name)
-        #: Prepares the pool cannot cover yet, in arrival order.
-        self._queue: list[tm.Prepare] = []
+        self._queue = WaitQueue(policy)
         self._coordinating: dict[str, _Coordinated] = {}
         #: Notice-facet pointers of agents homed on this shard.
         self._agent_inboxes: dict[str, InboxAddress] = {}
-        #: (agent, inbox) pairs this shard already pushed to their home.
-        self._registered: set[tuple[str, InboxAddress]] = set()
+        #: agent -> the notice facet this shard last pushed to its home.
+        self._registered: dict[str, InboxAddress] = {}
         self._gids = itertools.count(1)
         self.stats = TokenStats()
         dapplet.counters.append(self.stats)
@@ -274,13 +266,13 @@ class TokenShard:
 
     def _learn_agent(self, agent: str, reply_to: InboxAddress | None) -> None:
         """Push (agent, notice facet on the calling node) to the agent's
-        home shard, once."""
+        home shard, once per facet: a restarted agent replaces its entry."""
         if not agent or reply_to is None:
             return
         pointer = reply_to.node.inbox(AGENT_INBOX)
-        if (agent, pointer) in self._registered:
+        if self._registered.get(agent) == pointer:
             return
-        self._registered.add((agent, pointer))
+        self._registered[agent] = pointer
         self._send_shard(self.ring.home(agent),
                          tm.AgentRegister(agent, pointer))
 
@@ -340,7 +332,6 @@ class TokenShard:
         registry = self._registry(principal)
         if registry is None:
             return None
-        from repro.registry.registry import TOKEN_RESOURCE
         for color in sorted(tokens):
             verb = f"token.request:{color}"
             if not registry.check(principal, TOKEN_RESOURCE, verb,
@@ -358,27 +349,23 @@ class TokenShard:
     def _on_prepared(self, msg: tm.Prepared) -> None:
         multi = self._coordinating.get(msg.gid)
         if multi is None:
-            # Raced an abort: the reservation was made for a grant that
-            # no longer exists — refund it at its home shard.
-            self._send_shard(msg.gid.rsplit("/", 1)[0], tm.Abort(msg.gid))
+            # Raced a deadlock abort, which also reached this group's
+            # home and refunded the reservation there.
             return
-        shard, _ = multi.groups[multi.idx]
-        multi.prepared[shard] = dict(msg.colors)
+        multi.need.update(msg.colors)
         multi.idx += 1
         if multi.idx < len(multi.groups):
             self._prepare_next(multi)
             return
         del self._coordinating[multi.gid]
-        need: dict[str, int] = {}
         for shard, _ in multi.groups:
             self._send_shard(shard, tm.Commit(multi.gid, multi.agent))
-            need.update(multi.prepared[shard])
         self.stats.grants += 1
         self._trace("grant", agent=multi.agent,
-                    tokens=dict(sorted(need.items())),
+                    tokens=dict(sorted(multi.need.items())),
                     route=self.dapplet.kernel.now - multi.t0,
                     hops=len(multi.groups))
-        multi.granted.succeed(need)
+        multi.granted.succeed(multi.need)
 
     def _on_prepare_denied(self, msg: tm.PrepareDenied) -> None:
         """A home shard refused a group on quota: fail the whole grant.
@@ -421,9 +408,6 @@ class TokenShard:
 
     # -- the home-manager role (this shard's own colours) ------------------
 
-    def _satisfiable(self, entry: tm.Prepare) -> bool:
-        return self.ledger.can_reserve(entry.colors)
-
     def _on_prepare(self, msg: tm.Prepare) -> None:
         reason = self._quota_denial(msg)
         if reason is not None:
@@ -432,7 +416,7 @@ class TokenShard:
                         principal=msg.principal, reason=reason)
             self._send_shard(msg.origin, tm.PrepareDenied(msg.gid, reason))
             return
-        self._queue.append(msg)
+        self._queue.add(msg)
         if not self._drain():
             # Still queued: the wait-for graph grew an edge.
             self._probe_sweep()
@@ -452,7 +436,6 @@ class TokenShard:
         registry = self._registry(msg.principal)
         if registry is None:
             return None
-        from repro.registry.registry import TOKEN_RESOURCE
         used = self.ledger.usage.get(msg.principal, {})
         need = self.ledger.resolve(msg.colors)
         for color in sorted(need):
@@ -462,35 +445,15 @@ class TokenShard:
                 return f"quota:{color}"
         return None
 
-    def _reserve(self, entry: tm.Prepare) -> None:
-        need = self.ledger.reserve(entry.gid, entry.agent, entry.principal,
-                                   entry.colors)
-        self._send_shard(entry.origin, tm.Prepared(entry.gid, need))
-
     def _drain(self) -> bool:
-        """Reserve queued prepares per the grant policy.
-
-        Returns True if every queued entry was reserved (queue empty).
-        """
+        """Reserve what the wait queue's grant pass yields; True if no
+        waiter is left."""
         reserved_any = False
-        if self.policy == "timestamp":
-            # Strict (timestamp, agent, gid) order: only the head may go.
-            while self._queue:
-                head = min(self._queue, key=_priority)
-                if not self._satisfiable(head):
-                    break
-                self._queue.remove(head)
-                self._reserve(head)
-                reserved_any = True
-        else:
-            progressed = True
-            while progressed:
-                progressed = False
-                for entry in list(self._queue):
-                    if self._satisfiable(entry):
-                        self._queue.remove(entry)
-                        self._reserve(entry)
-                        reserved_any = progressed = True
+        for entry in self._queue.drain(self.ledger):
+            need = self.ledger.reserve(entry.gid, entry.agent,
+                                       entry.principal, entry.colors)
+            self._send_shard(entry.origin, tm.Prepared(entry.gid, need))
+            reserved_any = True
         if reserved_any and self._queue:
             # New reservations are new "holdings" in the wait-for graph.
             self._probe_sweep()
@@ -505,7 +468,7 @@ class TokenShard:
 
     def _on_abort(self, msg: tm.Abort) -> None:
         if self.ledger.abort(msg.gid) is None:
-            self._queue = [e for e in self._queue if e.gid != msg.gid]
+            self._queue.discard(msg.gid)
         # Refunded tokens, or (timestamp policy) a new head of the queue.
         self._drain()
 
@@ -531,14 +494,14 @@ class TokenShard:
     # -- edge-chasing deadlock detection -----------------------------------
 
     def _probe_sweep(self) -> None:
-        for entry in list(self._queue):
+        for entry in self._queue:
             self._initiate_probes(entry)
 
     def _initiate_probes(self, entry: tm.Prepare) -> None:
         for holder in self.ledger.scarce_holders(entry.agent, entry.colors):
             self._broadcast_probe(tm.Probe(
                 origin_agent=entry.agent, origin_gid=entry.gid,
-                origin_key=_priority(entry), origin_coord=entry.origin,
+                origin_key=priority(entry), origin_coord=entry.origin,
                 holder=holder, path=(entry.agent,)))
 
     def _broadcast_probe(self, probe: tm.Probe) -> None:
@@ -550,12 +513,14 @@ class TokenShard:
 
     def _on_probe(self, msg: tm.Probe) -> None:
         self.stats.probes_received += 1
-        matched = [e for e in self._queue if e.agent == msg.holder]
-        if matched:
-            self._trace("probe", origin=msg.origin_agent, holder=msg.holder,
-                        hop=len(msg.path))
+        matched = self._queue.of(msg.holder)
+        if not matched:
+            return
+        self._trace("probe", origin=msg.origin_agent, holder=msg.holder,
+                    hop=len(msg.path))
+        path = tuple(msg.path) + (msg.holder,)
         for entry in matched:
-            if _priority(entry) > tuple(msg.origin_key):
+            if priority(entry) > tuple(msg.origin_key):
                 # The origin is not the youngest waiter on this chain:
                 # kill its probe, launch the younger waiter's own.
                 self._initiate_probes(entry)
@@ -563,16 +528,11 @@ class TokenShard:
             for holder in self.ledger.scarce_holders(entry.agent,
                                                      entry.colors):
                 if holder == msg.origin_agent:
-                    self._send_shard(msg.origin_coord, tm.DeadlockFound(
-                        msg.origin_gid, tuple(msg.path) + (msg.holder,)))
+                    self._send_shard(msg.origin_coord,
+                                     tm.DeadlockFound(msg.origin_gid, path))
                 elif holder not in msg.path:
-                    self._broadcast_probe(tm.Probe(
-                        origin_agent=msg.origin_agent,
-                        origin_gid=msg.origin_gid,
-                        origin_key=msg.origin_key,
-                        origin_coord=msg.origin_coord,
-                        holder=holder,
-                        path=tuple(msg.path) + (msg.holder,)))
+                    self._broadcast_probe(replace(msg, holder=holder,
+                                                  path=path))
 
     _handlers = {
         tm.Prepare: _on_prepare,

@@ -162,43 +162,31 @@ class SessionManager:
     def active_sessions(self) -> list[str]:
         return sorted(sid for sid, e in self._entries.items() if e.active)
 
-    def _interferes(self, regions: dict[str, str]) -> bool:
-        return any(regions_conflict(regions, e.regions)
-                   for e in self._entries.values())
-
-    def _queued_ahead(self, req: _Prepare) -> bool:
-        """FIFO fairness for *fresh* arrivals: a prepare that conflicts
-        with an already-queued one waits behind it rather than
-        overtaking it. (Admissions from the queue itself never consult
-        this — they are FIFO-selected by :meth:`_admit_queued`.)"""
-        return any(regions_conflict(req.regions, q.regions)
-                   for q in self._admission_queue
-                   if q.session_id != req.session_id)
+    def _blocked(self, req: _Prepare, ahead: list[_Prepare]) -> bool:
+        """Does ``req`` conflict with an active entry, or with a queued
+        prepare ``ahead`` of it? (FIFO fairness: a prepare never
+        overtakes a conflicting one queued before it.)"""
+        return any(regions_conflict(req.regions, other.regions)
+                   for others in (self._entries.values(), ahead)
+                   for other in others)
 
     def _admit_queued(self) -> None:
         """Admit queued prepares whose conflicts are gone.
 
-        FIFO with no conflicting overtake: a candidate is admitted only
-        if it conflicts neither with active entries nor with any
-        *earlier* queued prepare.
+        One pass, in arrival order: a candidate still waiting is
+        ``ahead`` of every later one, and an admission only adds an
+        active entry, which unblocks nothing.
         """
-        progressed = True
-        while progressed:
-            progressed = False
-            earlier: list[_Prepare] = []
-            for req in list(self._admission_queue):
-                if not self._interferes(req.regions) and not any(
-                        regions_conflict(req.regions, e.regions)
-                        for e in earlier):
-                    self._admission_queue.remove(req)
-                    try:
-                        req.admitted.succeed(
-                            self._prepare(req, from_queue=True))
-                    except SessionRejected as exc:
-                        req.admitted.fail(exc)
-                    progressed = True
-                    break
+        earlier: list[_Prepare] = []
+        for req in list(self._admission_queue):
+            if self._blocked(req, earlier):
                 earlier.append(req)
+                continue
+            self._admission_queue.remove(req)
+            try:
+                req.admitted.succeed(self._prepare(req, from_queue=True))
+            except SessionRejected as exc:
+                req.admitted.fail(exc)
 
     def _release_expired(self) -> None:
         """Presumed abort: drop queued prepares and abort prepared
@@ -259,8 +247,7 @@ class SessionManager:
             for queued in self._admission_queue:
                 if queued.session_id == req.session_id:
                     return queued.admitted  # a retry changes nothing
-        if self._interferes(req.regions) or (not from_queue
-                                             and self._queued_ahead(req)):
+        if self._blocked(req, [] if from_queue else self._admission_queue):
             if req.queue:
                 # "Not scheduled concurrently": admit later, in arrival
                 # order, once the conflicting sessions are gone.

@@ -41,6 +41,7 @@ from typing import Any, Callable
 
 from repro.errors import StoreError
 from repro.messages.serialize import decode_value, encode_value
+from repro.obs.metrics import Counters
 from repro.store import wal
 from repro.store.backend import StorageBackend
 
@@ -51,6 +52,14 @@ FSYNC_NEVER = "never"
 _FSYNC_POLICIES = (FSYNC_ALWAYS, FSYNC_FOLD, FSYNC_NEVER)
 
 StateDict = dict[str, dict[str, Any]]
+
+
+class DurableStats(Counters):
+    """Journaling counters of one durable state (all monotonic)."""
+
+    layer = "store"
+    __slots__ = ("appends", "folds", "recoveries", "replayed", "skipped",
+                 "torn_tails", "objects_saved")
 
 
 def _canonical(payload: Any) -> bytes:
@@ -108,9 +117,7 @@ class DurableState:
         self._node = node
         self._seq = 0
         self._since_fold = 0
-        self.stats = {"appends": 0, "folds": 0, "recoveries": 0,
-                      "replayed": 0, "skipped": 0, "torn_tails": 0,
-                      "objects_saved": 0}
+        self.stats = DurableStats()
 
     # -- keys --------------------------------------------------------------
 
@@ -150,7 +157,7 @@ class DurableState:
         # if a later fsync or fold crashes.
         self._seq += 1
         self._since_fold += 1
-        self.stats["appends"] += 1
+        self.stats.appends += 1
         self._emit("append", seq=self._seq, n=len(framed))
         if self.fsync == FSYNC_ALWAYS:
             self._sync(self.wal_key)
@@ -187,7 +194,7 @@ class DurableState:
         if self.fsync != FSYNC_NEVER:
             self._sync(self.snap_key)
         self._since_fold = 0
-        self.stats["folds"] += 1
+        self.stats.folds += 1
         self._emit("fold", seq=self._seq, n=len(payload))
 
     # -- recovery ----------------------------------------------------------
@@ -225,11 +232,11 @@ class DurableState:
             last_seq = seq
         self._seq = last_seq
         self._since_fold = replayed
-        self.stats["recoveries"] += 1
-        self.stats["replayed"] += replayed
-        self.stats["skipped"] += skipped
+        self.stats.recoveries += 1
+        self.stats.replayed += replayed
+        self.stats.skipped += skipped
         if torn:
-            self.stats["torn_tails"] += 1
+            self.stats.torn_tails += 1
             # Truncate the torn tail: future appends must extend the
             # valid prefix, not pile up unreadably behind the garbage.
             self.backend.write(self.wal_key, raw_wal[:consumed])
@@ -264,7 +271,7 @@ class DurableState:
         self.backend.write(self.object_key(key), wal.frame(payload))
         if self.fsync != FSYNC_NEVER:
             self._sync(self.object_key(key))
-        self.stats["objects_saved"] += 1
+        self.stats.objects_saved += 1
         self._emit("object", key=key, n=len(payload))
 
     def load_object(self, key: str) -> Any:

@@ -20,7 +20,7 @@ same dapplets on a different runtime — e.g.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Type, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Type, TypeVar
 
 from repro.dapplet.dapplet import Dapplet
 from repro.errors import DappletError
@@ -111,7 +111,6 @@ class World:
         #: display name and, lower-cased, as the ``host_*`` suffix.
         self._hosted: dict[str, tuple[list[Dapplet], Any]] = {
             "directory": ([], None), "DAppStore": ([], None)}
-        self._auto_publish = False
         self._backends: dict[str, Any] = {}
         self._next_port: dict[str, int] = {}
         self._dapplets: dict[str, Dapplet] = {}
@@ -119,7 +118,6 @@ class World:
         #: restart_dapplet can rebuild it after a crash.
         self._dapplet_specs: dict[str, tuple[Type[Dapplet], str,
                                              dict[str, Any]]] = {}
-        self._auto_enroll = False
         #: ``"<layer>.<counter>"`` -> counts of every stopped dapplet.
         self._retired: dict[str, int] = {}
         if tracer is not None:
@@ -214,9 +212,9 @@ class World:
             instance.exports = tuple(exports)
         self._dapplets[name] = instance
         self._dapplet_specs[name] = (cls, host, spec_kwargs)
-        if self._auto_enroll:
+        if self._hosted["directory"][0]:
             self._enroll_new(instance)
-        if self._auto_publish:
+        if self._hosted["DAppStore"][0]:
             self._publish_new(instance)
         return instance
 
@@ -234,28 +232,20 @@ class World:
         return self._registry
 
     def host_dappstore(self, hosts: "int | list[str]" = 3, *,
-                       config: Any | None = None,
-                       auto_publish: bool = True) -> list[Dapplet]:
+                       config: Any | None = None) -> list[Dapplet]:
         """Deploy N replicated DAppStore catalogs (see ``repro.registry``).
 
         ``hosts`` is either a replica count (each on its own synthetic
         ``storeN.example.org`` host) or an explicit list of host names.
-        The replicas gossip manifests with each other; *owned* dapplets
-        already installed are published (given a lease-renewing
-        :class:`~repro.registry.PublishAgent`), and — with
-        ``auto_publish`` (the default) — so is every owned dapplet
-        created afterwards.
+        The replicas gossip manifests with each other; every *owned*
+        dapplet, installed already or created afterwards, is published
+        (given a lease-renewing :class:`~repro.registry.PublishAgent`).
 
         Call once, before :meth:`run`. Returns the replicas.
         """
         from repro.registry import DAppStoreReplica
-        existing = self.dapplets()
-        replicas = self._host_replicas("DAppStore", DAppStoreReplica,
-                                       hosts, "store", config)
-        self._auto_publish = auto_publish
-        for dapplet in existing:
-            self._publish_new(dapplet)
-        return replicas
+        return self._host_replicas("DAppStore", DAppStoreReplica, hosts,
+                                   "store", config, self._publish_new)
 
     @property
     def dappstore_replicas(self) -> list[Dapplet]:
@@ -282,18 +272,17 @@ class World:
         return self._bind("DAppStore", StoreClient, dapplet)
 
     def _publish_new(self, dapplet: Dapplet) -> None:
-        from repro.registry import DAppStoreReplica
-        if dapplet.owner is not None \
-                and not isinstance(dapplet, DAppStoreReplica):
+        if dapplet.owner is not None:  # store replicas are never owned
             self.publish(dapplet)
 
     # -- hosted catalogs (one lease-replicated table, two record types) -----
 
     def _host_replicas(self, catalog: str, cls: Type[Dapplet],
                        hosts: "int | list[str]", stem: str,
-                       config: Any | None) -> list[Dapplet]:
-        """Deploy one ``cls`` replica per host, named ``_<stem>N``, and
-        ring them together."""
+                       config: Any | None, adopt: Callable) -> list[Dapplet]:
+        """Deploy one ``cls`` replica per host, named ``_<stem>N``, ring
+        them together, and ``adopt`` every dapplet (new ones are adopted
+        as :meth:`dapplet` creates them)."""
         from repro.discovery import LeaseConfig
         if self._hosted[catalog][0]:
             raise DappletError(f"this world already hosts a {catalog}")
@@ -304,10 +293,10 @@ class World:
         config = config or LeaseConfig()
         replicas = [self.dapplet(cls, host, f"_{stem}{i}", config=config)
                     for i, host in enumerate(hosts)]
-        addresses = [r.address for r in replicas]
-        for replica in replicas:
-            replica.set_peers(a for a in addresses if a != replica.address)
+        _ring(replicas)
         self._hosted[catalog] = (replicas, config)
+        for dapplet in self.dapplets():
+            adopt(dapplet)
         return list(replicas)
 
     def _bind(self, catalog: str, cls: type, dapplet: Dapplet,
@@ -357,6 +346,8 @@ class World:
         and lets its ``PersistentState`` recover ``snapshot + valid WAL
         prefix`` from the world's store. Sessions the crash interrupted
         can then simply be re-established against the recovered state.
+        A hosted directory or DAppStore replica takes its predecessor's
+        place in its catalog's ring.
 
         With ``from_checkpoint=T``, the state is additionally rolled to
         the durable time-T checkpoint cut that a
@@ -373,6 +364,11 @@ class World:
             old.stop()
         cls, host, kwargs = spec
         instance = self.dapplet(cls, host, name, **kwargs)
+        for replicas, _ in self._hosted.values():
+            names = [r.name for r in replicas]
+            if name in names:   # a replica: take the old one's place
+                replicas[names.index(name)] = instance
+                _ring(replicas)
         if from_checkpoint is not None:
             durable = instance.state.durable
             if durable is None:
@@ -427,29 +423,22 @@ class World:
     # -- replicated discovery (repro.discovery) ----------------------------
 
     def host_directory(self, hosts: "int | list[str]" = 3, *,
-                       config: Any | None = None,
-                       auto_enroll: bool = True) -> list[Dapplet]:
+                       config: Any | None = None) -> list[Dapplet]:
         """Deploy N replicated directory dapplets (see ``repro.discovery``).
 
         ``hosts`` is either a replica count (each on its own synthetic
         ``dirN.example.org`` host) or an explicit list of host names.
-        The replicas gossip with each other; dapplets already installed
-        are enrolled (given a lease-renewing
-        :class:`~repro.discovery.RegistrationAgent`), and — with
-        ``auto_enroll`` (the default) — so is every dapplet created
-        afterwards. Dapplets exposing ``use_resolver`` (initiators) get
+        The replicas gossip with each other; every dapplet, installed
+        already or created afterwards, is enrolled (given a
+        lease-renewing :class:`~repro.discovery.RegistrationAgent`).
+        Dapplets exposing ``use_resolver`` (initiators) get
         a :class:`~repro.discovery.Resolver` attached.
 
         Call once, before :meth:`run`. Returns the replicas.
         """
         from repro.discovery import DirectoryReplica
-        existing = self.dapplets()
-        replicas = self._host_replicas("directory", DirectoryReplica,
-                                       hosts, "dir", config)
-        self._auto_enroll = auto_enroll
-        for dapplet in existing:
-            self._enroll_new(dapplet)
-        return replicas
+        return self._host_replicas("directory", DirectoryReplica, hosts,
+                                   "dir", config, self._enroll_new)
 
     @property
     def directory_replicas(self) -> list[Dapplet]:
@@ -471,9 +460,10 @@ class World:
                           "lease_agent")
 
     def resolver_for(self, dapplet: Dapplet) -> Any:
-        """A :class:`~repro.discovery.Resolver` bound to ``dapplet``."""
+        """``dapplet``'s :class:`~repro.discovery.Resolver`, created on
+        first use and kept as ``dapplet.resolver``."""
         from repro.discovery import Resolver
-        return self._bind("directory", Resolver, dapplet)
+        return self._bind("directory", Resolver, dapplet, "resolver")
 
     def _enroll_new(self, dapplet: Dapplet) -> None:
         from repro.discovery import DirectoryReplica
@@ -518,3 +508,10 @@ class World:
     def close(self) -> None:
         """Release the substrate's external resources (if any)."""
         self.substrate.close()
+
+
+def _ring(replicas: list[Dapplet]) -> None:
+    """Make every replica of a catalog gossip with every other."""
+    addresses = [r.address for r in replicas]
+    for replica in replicas:
+        replica.set_peers(a for a in addresses if a != replica.address)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import DiscoveryError, Initiator, LeaseExpired, World
-from repro.discovery import RegistrationAgent
+from repro.discovery import RegistrationAgent, Resolver
 from repro.errors import DappletError
 from repro.net import ConstantLatency
 
@@ -248,6 +248,40 @@ def test_a_miss_drops_the_names_cache_entry():
             yield from resolver.resolve("bob")
         assert not isinstance(info.value, LeaseExpired)
         assert resolver._cache == {}
+
+    run_director(world, director())
+    drain(world)
+
+
+def test_resolver_for_makes_one_resolver_per_dapplet():
+    """Regression: every call built a new Resolver, with its own cache
+    and its own counter group in ``dapplet.counters``."""
+    world, replicas, cfg = make_world()
+    probe = world.dapplet(Worker, "probe.edu", "probe")
+    resolver = world.resolver_for(probe)
+    assert world.resolver_for(probe) is resolver
+    assert probe.resolver is resolver
+    assert [g.layer for g in probe.counters].count("resolver") == 1
+    drain(world)
+
+
+def test_a_restarted_replica_takes_its_place_in_the_ring():
+    """Regression: the reborn replica had no peers, and the ring kept
+    the stopped instance's address."""
+    world, replicas, cfg = make_world(n_replicas=2)
+    alice = world.dapplet(Worker, "host.edu", "alice")
+    probe = world.dapplet(Worker, "probe.edu", "probe")
+    world.run(until=1.0)
+    new = world.restart_dapplet("_dir0")
+    survivor = replicas[1]
+    assert world.directory_replicas == [new, survivor]
+    assert new.peers == (survivor.address,)
+    assert survivor.peers == (new.address,)
+
+    def director():
+        yield world.kernel.timeout(3 * cfg.gossip_interval)
+        resolver = Resolver(probe, [new.address], config=cfg)
+        assert (yield from resolver.resolve("alice")) == alice.address
 
     run_director(world, director())
     drain(world)

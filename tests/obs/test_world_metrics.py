@@ -13,6 +13,7 @@ from benchmarks.e20.workloads import world_counters
 from repro import Dapplet, Initiator, SessionSpec, World
 from repro.messages import Text
 from repro.net import ConstantLatency
+from repro.store import MemoryBackend
 
 LAYERS = {"net", "ep", "session", "resolver", "directory", "dappstore",
           "registry", "tokens"}
@@ -108,3 +109,20 @@ def test_no_entry_falls_across_restart_and_stop():
     # The stopped dapplets' endpoints still count in the totals.
     assert after_stop["ep.data_sent"] > sum(
         d.endpoint.stats.data_sent for d in world.dapplets())
+
+
+def test_store_counters_reach_the_world():
+    """A world with a store journals every dapplet's state; its counts
+    reach ``store.*``, and survive a restart."""
+    world = World(seed=1, store=MemoryBackend())
+    d = world.dapplet(Echo, "caltech.edu", "d")
+    assert world.metrics()["store.recoveries"] == 1
+    d.state.region("r").set("k", 1)
+    d.state.region("r").set("k", 2)
+    assert world.metrics()["store.appends"] == d.state.durable.stats.appends
+    assert d.state.durable.stats.appends >= 2
+    reborn = world.restart_dapplet("d")
+    assert reborn.state.region("r").get("k") == 2
+    metrics = world.metrics()
+    assert metrics["store.recoveries"] == 2
+    assert metrics["store.replayed"] == reborn.state.durable.stats.replayed

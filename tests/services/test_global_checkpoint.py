@@ -117,11 +117,11 @@ def test_duplicate_triggers_are_idempotent():
     d0 = nodes[0]
     service = services["d0"]
     cut = service.taken
-    saved = d0.state.durable.stats["objects_saved"]
+    saved = d0.state.durable.stats.objects_saved
     service._take()                       # explicit re-trigger
     service._on_advance(14, 99)           # duplicate advance past T
     assert service.taken is cut           # the original cut, untouched
-    assert d0.state.durable.stats["objects_saved"] == saved
+    assert d0.state.durable.stats.objects_saved == saved
 
 
 def test_late_installation_takes_immediately():

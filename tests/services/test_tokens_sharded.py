@@ -209,6 +209,24 @@ def test_total_tokens_reports_global_totals():
     assert service.total_tokens() == initial
 
 
+def test_a_restarted_agent_replaces_its_registration():
+    """Regression: every restart of an agent's dapplet added one more
+    (agent, notice facet) pair to the shard it calls, kept for good."""
+    world, service, _ = make_sharded({"red": 1}, n_shards=2, n_agents=0)
+    dapplet = world.dapplet(Plain, "site.edu", "d0")
+    restarts = 3
+    for i in range(restarts + 1):
+        if i:
+            dapplet = world.restart_dapplet("d0")
+        agent = service.attach(dapplet)
+
+        def ask():
+            yield agent.total_tokens()
+
+        world.run(until=world.process(ask()))
+    assert len(service.shard_for("d0")._registered) == 1
+
+
 def test_cross_shard_transfer_notifies_receiver():
     """Transferred holdings move at the colour's home shard; the notice
     is forwarded to the *receiver's* home shard, which knows its inbox."""

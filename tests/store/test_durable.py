@@ -68,7 +68,7 @@ def test_auto_fold_after_snapshot_every(backend):
     for i in range(7):
         state["r"][f"k{i}"] = i
         d.journal("r", {"o": "s", "k": f"k{i}", "v": i})
-    assert d.stats["folds"] == 2  # at records 3 and 6
+    assert d.stats.folds == 2  # at records 3 and 6
     records, _, _ = iter_records(d.wal_bytes())
     assert len(records) == 1  # only the 7th record since the last fold
     assert DurableState(backend, name="s").recover() == state
@@ -87,8 +87,8 @@ def test_stale_wal_records_skipped_by_sequence(backend):
     backend.write(d.wal_key, wal_before)
     fresh = DurableState(backend, name="s")
     assert fresh.recover() == {"r": {"x": "folded"}}
-    assert fresh.stats["skipped"] == 2
-    assert fresh.stats["replayed"] == 0
+    assert fresh.stats.skipped == 2
+    assert fresh.stats.replayed == 0
 
 
 def test_sequence_continues_after_recovery(backend):
@@ -109,7 +109,7 @@ def test_torn_tail_tolerated_and_counted(backend):
     backend.append(d.wal_key, b"\x00\x00\x00\x99torn")  # crash signature
     fresh = DurableState(backend, name="s", snapshot_every=0)
     assert fresh.recover() == {"r": {"a": 1}}
-    assert fresh.stats["torn_tails"] == 1
+    assert fresh.stats.torn_tails == 1
     # Recovery truncated the garbage, so new appends stay readable.
     assert fresh.wal_bytes() == clean_wal
     fresh.journal("r", {"o": "s", "k": "b", "v": 2})
@@ -129,7 +129,7 @@ def test_unencodable_value_fails_before_any_write(backend):
     with pytest.raises(SerializationError):
         d.journal("r", {"o": "s", "k": "bad", "v": object()})
     assert d.wal_bytes() == b""
-    assert d.stats["appends"] == 0
+    assert d.stats.appends == 0
 
 
 def test_wire_types_roundtrip_through_journal(backend):

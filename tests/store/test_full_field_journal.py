@@ -90,7 +90,7 @@ def test_full_field_wal_and_snapshot_recover_the_same_state(backend):
         backend, name="new")
     expected = {"rpc": {**snapshot["rpc"], **updates}}
     assert old.recover() == new.recover() == expected
-    assert old.stats["skipped"] == 1 and old._seq == new._seq
+    assert old.stats.skipped == 1 and old._seq == new._seq
     # Appends after recovery extend the old journal in the new form.
     old.journal("rpc", {"o": "s", "k": "after", "v": Reply(9, True)})
     assert DurableState(backend, name="old").recover() == \
