@@ -121,6 +121,11 @@ class LeaseRecord:
     def live_at(self, now: float) -> bool:
         return self.alive and self.expires_at > now
 
+    def forgotten_at(self, now: float) -> bool:
+        """A tombstone past its expiry: swept in effect, whether or not
+        its replica's sweep has run yet."""
+        return not self.alive and self.expires_at <= now
+
     def expired(self, now: float, *, tombstone_ttl: float) -> "LeaseRecord":
         """The tombstone this record becomes when its lease runs out."""
         return replace(self, version=self.version + 1, alive=False,

@@ -252,12 +252,16 @@ class LeaseReplica(Dapplet):
                 self.stats.expiries += 1
                 expired += 1
                 self._trace_row("expire", name, epoch=record.epoch)
-            elif not record.alive and record.expires_at <= now:
-                del self.store[name]
-                for stamps in (*self._known.values(),
-                               *self._flying.values()):
-                    stamps.pop(name, None)
+            elif record.forgotten_at(now):
+                self._forget(name)
         return expired
+
+    def _forget(self, name: str) -> None:
+        """Drop a tombstone past its expiry, and every stamp of it that
+        the peer maps hold."""
+        del self.store[name]
+        for stamps in (*self._known.values(), *self._flying.values()):
+            stamps.pop(name, None)
 
     # -- anti-entropy gossip -------------------------------------------------
 
@@ -298,7 +302,7 @@ class LeaseReplica(Dapplet):
         skip = {} if want_reply else flying
         rows = [r for name, r in sorted(self.store.items())
                 if r.stamp > known.get(name, ())
-                and r.stamp > skip.get(name, ())]
+                and r.stamp > skip.get(name, ()) and not r.forgotten_at(now)]
         if not rows and not want_reply:
             return
         sent = self.post(peer.inbox(self.gossip_inbox.name), Gossip(
@@ -339,6 +343,11 @@ class LeaseReplica(Dapplet):
             except (KeyError, TypeError, ValueError, AddressError):
                 dropped += 1
                 continue
+            if incoming.forgotten_at(now):
+                continue  # lapsed in flight: as good as swept
+            existing = self.store.get(incoming.name)
+            if existing is not None and existing.forgotten_at(now):
+                self._forget(incoming.name)  # ahead of the sweep
             seen[incoming.name] = incoming.stamp
             updated = merge(self.store.get(incoming.name), incoming)
             if updated is not None:
@@ -368,9 +377,11 @@ class LeaseClient:
 
     Calls one replica's facet at a time through one
     :class:`~repro.rpc.RemoteProxy`, and rotates to the next replica on
-    silence by re-pointing it. ``table`` is the catalog's replica class
-    (inbox name, trace category, error type); ``role`` tags
-    ``failover`` events.
+    silence. ``replicas`` is held, not copied: the world hands every
+    client its catalog's one address list and updates it when a replica
+    restarts, and each call is pointed at the list's current entry.
+    ``table`` is the catalog's replica class (inbox name, trace
+    category, error type); ``role`` tags ``failover`` events.
     """
 
     table: type[LeaseReplica]
@@ -386,7 +397,7 @@ class LeaseClient:
         self.dapplet = dapplet
         self.kernel = dapplet.kernel
         self.config = config or LeaseConfig()
-        self.replicas = tuple(replicas)
+        self.replicas = replicas
         self.failovers = 0
         self._ix = first % len(self.replicas)
         self.proxy = RemoteProxy(dapplet, self._pointer())
@@ -401,6 +412,7 @@ class LeaseClient:
 
     def _call(self, method: str, *args):
         """Call the current replica; RpcTimeout after request_timeout."""
+        self.proxy.pointer = self._pointer()
         return self.proxy.call(method, *args,
                                timeout=self.config.request_timeout)
 
@@ -424,7 +436,6 @@ class LeaseClient:
     def _failover(self) -> None:
         self._ix += 1
         self.failovers += 1
-        self.proxy.pointer = self._pointer()
         role = {"role": self.role} if self.role else {}
         self._trace("failover", **role, to=str(self.replica))
 
@@ -470,6 +481,7 @@ class LeaseAgent(LeaseClient):
         self._done = True
         if self.epoch and not self.dapplet.stopped:
             try:
+                self.proxy.pointer = self._pointer()
                 self.proxy.invoke("release", self.name, self.epoch)
             except AddressError:
                 pass

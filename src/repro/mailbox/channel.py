@@ -8,10 +8,7 @@ per channel, not per node pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.net.address import InboxAddress, NodeAddress
-from repro.net.delivery import RELIABLE
 
 
 def channel_key(src_node: NodeAddress, outbox_ref: int,
@@ -20,17 +17,13 @@ def channel_key(src_node: NodeAddress, outbox_ref: int,
     return f"{src_node}#o{outbox_ref}->{dst}"
 
 
-@dataclass
 class Channel:
-    """One directed FIFO channel and its counters."""
+    """One directed FIFO channel's key and counters. Its source node,
+    outbox, destination and delivery class are its outbox's."""
 
-    key: str
-    src_node: NodeAddress
-    outbox_ref: int
-    destination: InboxAddress
-    created_at: float
-    #: Delivery class of every copy on this channel (see
-    #: :mod:`repro.net.delivery`): its outbox's.
-    delivery: str = RELIABLE
-    copies_sent: int = 0
-    bytes_sent: int = 0
+    __slots__ = ("key", "copies_sent", "bytes_sent")
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+        self.copies_sent = 0
+        self.bytes_sent = 0

@@ -96,10 +96,7 @@ class Outbox:
         if address in self._channels:
             return
         self._channels[address] = Channel(
-            key=channel_key(self.endpoint.address, self.ref, address),
-            src_node=self.endpoint.address, outbox_ref=self.ref,
-            destination=address, created_at=self.kernel.now,
-            delivery=self.delivery)
+            channel_key(self.endpoint.address, self.ref, address))
 
     def delete(self, target: "InboxAddress | Inbox") -> None:
         """Unbind; raises :class:`BindingError` if not bound (per the paper)."""
@@ -149,7 +146,7 @@ class Outbox:
                         msg=type(message).__name__, size=len(wire))
             receipt = self.endpoint.send(address, wire, chan.key,
                                          timeout=timeout,
-                                         delivery=chan.delivery,
+                                         delivery=self.delivery,
                                          skip_timeout=self.skip_timeout)
             chan.copies_sent += 1
             chan.bytes_sent += len(wire)

@@ -64,7 +64,7 @@ the interface out, next to the timer table and the field glossary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import takewhile
 from typing import Any
 
@@ -140,7 +140,8 @@ class ReliableSender:
     size of transmitted unacknowledged packets; ``cwnd >= max_payload``;
     the packets at or past ``next_tx`` were never sent, and ``queued``
     counts them; ``wake_at`` is never later than the earliest live
-    agenda entry.
+    agenda entry; the agenda holds at most ``5 * len(unacked) + 8``
+    entries (see :meth:`_prune`).
     """
 
     # A session-churning node holds thousands of these at once.
@@ -242,11 +243,22 @@ class ReliableSender:
 
     def _prune(self) -> None:
         """Drop dead per-packet entries off the head, so an acknowledged
-        stream does not wake once per packet it no longer holds."""
+        stream does not wake once per packet it no longer holds. Dead
+        entries behind a live head are dropped too, by a rebuild from
+        the live ones, once the heap outgrows ``4 * len(unacked) + 8``
+        (a live packet has at most three entries, a control kind one).
+        The head stays, so no wake moves. Only a prune follows a
+        packet's removal, so the agenda never holds more than
+        ``5 * len(unacked) + 8`` entries: the extra one per packet is the
+        retransmission entry of a packet queued at the last prune."""
         agenda, unacked = self.agenda, self.unacked
         while agenda and agenda[0][2] <= _DEADLINE \
                 and agenda[0][3] not in unacked:
             heappop(agenda)
+        if len(agenda) > 4 * len(unacked) + 8:
+            agenda[:] = [e for e in agenda
+                         if e[2] > _DEADLINE or e[3] in unacked]
+            heapify(agenda)
 
     def on_wake(self, now: float) -> None:
         """Run every agenda entry due by ``now``, in (due, arming) order."""

@@ -194,10 +194,9 @@ class TokenShard:
                               if ring.home(c) == shard_name}, name=shard_name)
         self._queue = WaitQueue(policy)
         self._coordinating: dict[str, _Coordinated] = {}
-        #: Notice-facet pointers of agents homed on this shard.
-        self._agent_inboxes: dict[str, InboxAddress] = {}
-        #: agent -> the notice facet this shard last pushed to its home.
-        self._registered: dict[str, InboxAddress] = {}
+        #: agent -> its notice facet: authoritative for agents homed on
+        #: this shard; for others, what this shard last pushed home.
+        self._agents: dict[str, InboxAddress] = {}
         self._gids = itertools.count(1)
         self.stats = TokenStats()
         dapplet.counters.append(self.stats)
@@ -265,16 +264,18 @@ class TokenShard:
         self.dapplet.post(self.peers[shard_name], message)
 
     def _learn_agent(self, agent: str, reply_to: InboxAddress | None) -> None:
-        """Push (agent, notice facet on the calling node) to the agent's
-        home shard, once per facet: a restarted agent replaces its entry."""
+        """Note (agent, notice facet on the calling node), and push it
+        to the agent's home shard if that is another one, once per
+        facet: a restarted agent replaces its entry."""
         if not agent or reply_to is None:
             return
         pointer = reply_to.node.inbox(AGENT_INBOX)
-        if self._registered.get(agent) == pointer:
+        if self._agents.get(agent) == pointer:
             return
-        self._registered[agent] = pointer
-        self._send_shard(self.ring.home(agent),
-                         tm.AgentRegister(agent, pointer))
+        self._agents[agent] = pointer
+        home = self.ring.home(agent)
+        if home != self.name:
+            self._send_shard(home, tm.AgentRegister(agent, pointer))
 
     def _trace(self, event: str, **fields) -> None:
         tr = self.dapplet.kernel.tracer
@@ -290,7 +291,7 @@ class TokenShard:
     # -- the coordinator role (any shard, for requests it accepted) --------
 
     def _on_agent_register(self, msg: tm.AgentRegister) -> None:
-        self._agent_inboxes[msg.agent] = msg.inbox
+        self._agents[msg.agent] = msg.inbox
 
     def _request(self, caller: "Invoke", agent: str, tokens: dict,
                  timestamp: int) -> Event:
@@ -417,9 +418,8 @@ class TokenShard:
             self._send_shard(msg.origin, tm.PrepareDenied(msg.gid, reason))
             return
         self._queue.add(msg)
-        if not self._drain():
-            # Still queued: the wait-for graph grew an edge.
-            self._probe_sweep()
+        # A waiter left queued is a new edge of the wait-for graph.
+        self._drain(grew=True)
 
     def _quota_denial(self, msg: tm.Prepare) -> str | None:
         """Would reserving this group exceed the principal's quota?
@@ -445,19 +445,18 @@ class TokenShard:
                 return f"quota:{color}"
         return None
 
-    def _drain(self) -> bool:
-        """Reserve what the wait queue's grant pass yields; True if no
-        waiter is left."""
-        reserved_any = False
+    def _drain(self, grew: bool = False) -> None:
+        """Reserve what the wait queue's grant pass yields, then sweep
+        probes once if waiters are left and the wait-for graph changed:
+        new reservations are new holdings, and ``grew`` says a waiter
+        was just added."""
         for entry in self._queue.drain(self.ledger):
             need = self.ledger.reserve(entry.gid, entry.agent,
                                        entry.principal, entry.colors)
             self._send_shard(entry.origin, tm.Prepared(entry.gid, need))
-            reserved_any = True
-        if reserved_any and self._queue:
-            # New reservations are new "holdings" in the wait-for graph.
+            grew = True
+        if grew and self._queue:
             self._probe_sweep()
-        return not self._queue
 
     def _on_commit(self, msg: tm.Commit) -> None:
         # An unknown gid was already aborted; its refund Abort is in flight.
@@ -486,7 +485,7 @@ class TokenShard:
         self._probe_sweep()
 
     def _on_forward_notice(self, msg: tm.ForwardNotice) -> None:
-        target = self._agent_inboxes.get(msg.to_agent)
+        target = self._agents.get(msg.to_agent)
         if target is not None:
             RemoteProxy(self.dapplet, target).invoke(
                 "transferred", msg.from_agent, dict(msg.tokens))

@@ -30,7 +30,7 @@ import itertools
 from typing import Generator
 
 from repro.dapplet.dapplet import Dapplet
-from repro.errors import (AddressError, DappletError, ReproError, RpcError,
+from repro.errors import (AddressError, DappletError, RpcError,
                           SessionError, SessionRejected)
 from repro.net.address import InboxAddress, NodeAddress
 from repro.net.delivery import RELIABLE
@@ -48,8 +48,6 @@ class Initiator(Dapplet):
 
     def setup(self) -> None:
         self._session_ids = itertools.count(1)
-        #: Live session id -> member -> the member's node address.
-        self._records: dict[str, dict[str, NodeAddress]] = {}
         #: Optional :class:`repro.discovery.Resolver`; when set, member
         #: names resolve through the replicated directory (with caching
         #: and failover) instead of the world's own dapplets.
@@ -107,18 +105,14 @@ class Initiator(Dapplet):
         spec.validate()
         spec = _copy_spec(spec)
         session_id = f"{self.name}#s{next(self._session_ids)}"
-        addresses = self._records[session_id] = {}
         deadline = self.kernel.now + timeout
 
         # Resolve every member before preparing any: a dead or
         # unresolvable participant aborts the establishment up front,
         # with no dapplet left half-linked.
-        try:
-            for member, mspec in spec.members.items():
-                addresses[member] = yield from self._resolve_address(mspec)
-        except ReproError:
-            del self._records[session_id]
-            raise
+        addresses: dict[str, NodeAddress] = {}
+        for member, mspec in spec.members.items():
+            addresses[member] = yield from self._resolve_address(mspec)
 
         # Phase 1: prepare.
         prepares = {member: self._prepare(addresses[member], session_id,
@@ -133,7 +127,6 @@ class Initiator(Dapplet):
             # always cleans up. Aborting a rejector is a no-op.
             for member in spec.members:
                 self._invoke(addresses[member], "abort", session_id)
-            del self._records[session_id]
             rejector = _rejector(prepares, error)
             if rejector is not None:
                 raise SessionRejected(
@@ -154,11 +147,10 @@ class Initiator(Dapplet):
             # Members that committed are active; unwind via unlink.
             for member in spec.members:
                 self._invoke(addresses[member], "unlink", session_id)
-            del self._records[session_id]
             raise SessionError(f"session {session_id!r}: not ready: "
                                f"{_unanswered(commits)}") from error
 
-        return Session(self, spec, session_id, ports)
+        return Session(self, spec, session_id, ports, addresses)
 
     # -- growth ---------------------------------------------------------------
 
@@ -179,7 +171,6 @@ class Initiator(Dapplet):
                     f"growth binding {b} references unknown member {other!r}")
 
         sid, member = session.session_id, mspec.member
-        addresses = self._records[sid]
         deadline = self.kernel.now + timeout
         address = yield from self._resolve_address(mspec)
         try:
@@ -198,17 +189,15 @@ class Initiator(Dapplet):
                 f"growth of {sid!r}: no reply from {member!r} within "
                 f"{timeout}s") from error
 
-        addresses[member] = address
-        session.ports[member] = dict(ports)
-        session.spec.members[member] = mspec
-        session.spec.bindings.extend(bindings)
+        ports = dict(ports)
+        grown = {**session.ports, member: ports}
         toward_new = [b for b in bindings if b.dst_member == member]
         try:
             # Commit the new member's own outboxes, and rewire existing
             # members toward it (acknowledged).
             commit = self._commit(address, sid, session.spec, member,
-                                  session.ports, deadline, only=bindings)
-            binds = self._bind_adds(session, toward_new, deadline)
+                                  grown, deadline, only=bindings)
+            binds = self._bind_adds(session, toward_new, grown, deadline)
             error = yield from self._all({**binds, member: commit})
             if error is not None:
                 if _unanswered(binds):
@@ -216,20 +205,18 @@ class Initiator(Dapplet):
                 raise SessionError(f"growth of {sid!r}: {member!r} never "
                                    "became ready") from error
         except SessionError:
-            # Roll the half-grown member back out: unlink it, remove the
-            # channels existing members added toward it, and restore the
-            # session records.
+            # Roll the half-grown member back out: unlink it and remove
+            # the channels existing members added toward it. The session
+            # itself never listed it.
             self._invoke(address, "unlink", sid)
             for b in toward_new:
-                self._invoke(addresses[b.src_member], "bind_remove", sid,
-                             b.outbox, (ports[b.inbox],))
-            del addresses[member]
-            session.ports.pop(member, None)
-            session.spec.members.pop(member, None)
-            session.spec.bindings = [
-                b for b in session.spec.bindings if b not in bindings]
+                self._invoke(session.addresses[b.src_member], "bind_remove",
+                             sid, b.outbox, (ports[b.inbox],))
             raise
-        session.members.add(member)
+        session.addresses[member] = address
+        session.ports[member] = ports
+        session.spec.members[member] = mspec
+        session.spec.bindings.extend(bindings)
         return session
 
     def _add_bindings(self, session: Session, bindings: list[Binding],
@@ -248,7 +235,7 @@ class Initiator(Dapplet):
                 raise SessionError(
                     f"binding {b}: member {b.dst_member!r} has no session "
                     f"inbox {b.inbox!r}")
-        binds = self._bind_adds(session, bindings,
+        binds = self._bind_adds(session, bindings, session.ports,
                                 self.kernel.now + timeout)
         error = yield from self._all(binds)
         if error is not None:
@@ -257,15 +244,16 @@ class Initiator(Dapplet):
         return session
 
     def _bind_adds(self, session: Session, bindings: list[Binding],
+                   ports: dict[str, dict[str, InboxAddress]],
                    deadline: float) -> dict[tuple[str, str], Event]:
-        """One ``bind_add`` call per (member, outbox) ``bindings`` extend."""
-        addresses = self._records[session.session_id]
+        """One ``bind_add`` call per (member, outbox) ``bindings`` extend,
+        targeting the session inboxes in ``ports``."""
         calls = {}
         for member in dict.fromkeys(b.src_member for b in bindings):
-            outboxes, deliveries = _wiring(bindings, member, session.ports)
+            outboxes, deliveries = _wiring(bindings, member, ports)
             for outbox, targets in outboxes.items():
                 calls[(member, outbox)] = self._call(
-                    addresses[member], deadline, "bind_add",
+                    session.addresses[member], deadline, "bind_add",
                     session.session_id, outbox, targets,
                     deliveries.get(outbox, ""))
         return calls
@@ -278,7 +266,7 @@ class Initiator(Dapplet):
             raise SessionError(
                 f"member {member!r} is not in session {session.session_id!r}")
         sid = session.session_id
-        addresses = self._records[sid]
+        addresses = session.addresses
         deadline = self.kernel.now + timeout
 
         # Remove channels pointing at the departing member.
@@ -296,7 +284,6 @@ class Initiator(Dapplet):
         except RpcError:
             pass  # a silent member is unlinked without confirmation
 
-        session.members.discard(member)
         session.ports.pop(member, None)
         session.spec.members.pop(member, None)
         session.spec.bindings = [
@@ -309,7 +296,7 @@ class Initiator(Dapplet):
     def _terminate(self, session: Session, timeout: float) -> Generator:
         if session.terminated:
             return session
-        addresses = self._records[session.session_id]
+        addresses = session.addresses
         deadline = self.kernel.now + timeout
         # Sorted, not set order: unlink order must not depend on string
         # hashing, or same-seed traces differ across interpreter runs.
@@ -319,7 +306,6 @@ class Initiator(Dapplet):
                                session.session_id)
             for member in sorted(session.members)})
         session.terminated = True
-        del self._records[session.session_id]
         return session
 
     # -- plumbing ---------------------------------------------------------------

@@ -13,13 +13,13 @@ Two views of one session:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, KeysView
 
 from repro.dapplet.state import RegionView
 from repro.errors import SessionError
 from repro.mailbox.inbox import Inbox
 from repro.mailbox.outbox import Outbox
-from repro.net.address import InboxAddress
+from repro.net.address import InboxAddress, NodeAddress
 from repro.session.spec import Binding, MemberSpec, SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -109,15 +109,22 @@ class Session:
 
     def __init__(self, initiator: "Initiator", spec: SessionSpec,
                  session_id: str,
-                 ports: dict[str, dict[str, InboxAddress]]) -> None:
+                 ports: dict[str, dict[str, InboxAddress]],
+                 addresses: dict[str, NodeAddress]) -> None:
         self.initiator = initiator
         self.spec = spec
         self.session_id = session_id
         #: member -> {port name -> global inbox address}
         self.ports = ports
-        self.members: set[str] = set(ports)
+        #: member -> the node address its session facet answers on
+        self.addresses = addresses
         self.terminated = False
         self.created_at = initiator.kernel.now
+
+    @property
+    def members(self) -> KeysView[str]:
+        """The members' names: a live view of :attr:`ports`."""
+        return self.ports.keys()
 
     # -- growth and shrinkage ------------------------------------------------
 

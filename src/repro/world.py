@@ -29,6 +29,7 @@ from repro.net.latency import LatencyModel
 from repro.runtime import SimSubstrate, Substrate
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.address import NodeAddress
     from repro.sim.events import Event
 
 D = TypeVar("D", bound=Dapplet)
@@ -107,10 +108,13 @@ class World:
         self.interference_monitor = None
         self.store = store
         self._registry = None
-        #: Hosted catalog -> (replicas, lease config); the key doubles as
-        #: display name and, lower-cased, as the ``host_*`` suffix.
-        self._hosted: dict[str, tuple[list[Dapplet], Any]] = {
-            "directory": ([], None), "DAppStore": ([], None)}
+        #: Hosted catalog -> (replicas, their addresses, lease config);
+        #: the key doubles as display name and, lower-cased, as the
+        #: ``host_*`` suffix. Every agent and client of a catalog holds
+        #: its address list itself, which restart_dapplet updates.
+        self._hosted: dict[str, tuple[list[Dapplet], list[NodeAddress],
+                                      Any]] = {
+            "directory": ([], [], None), "DAppStore": ([], [], None)}
         self._backends: dict[str, Any] = {}
         self._next_port: dict[str, int] = {}
         self._dapplets: dict[str, Dapplet] = {}
@@ -254,7 +258,7 @@ class World:
 
     def dappstore_addresses(self) -> list["NodeAddress"]:
         """Node addresses of the hosted DAppStore replicas."""
-        return [r.address for r in self.dappstore_replicas]
+        return list(self._hosted["DAppStore"][1])
 
     def publish(self, dapplet: Dapplet) -> Any:
         """Publish ``dapplet``'s manifest into the hosted DAppStore.
@@ -293,8 +297,9 @@ class World:
         config = config or LeaseConfig()
         replicas = [self.dapplet(cls, host, f"_{stem}{i}", config=config)
                     for i, host in enumerate(hosts)]
-        _ring(replicas)
-        self._hosted[catalog] = (replicas, config)
+        addresses = [r.address for r in replicas]
+        _ring(replicas, addresses)
+        self._hosted[catalog] = (replicas, addresses, config)
         for dapplet in self.dapplets():
             adopt(dapplet)
         return list(replicas)
@@ -302,15 +307,16 @@ class World:
     def _bind(self, catalog: str, cls: type, dapplet: Dapplet,
               attr: str | None = None) -> Any:
         """A ``cls`` agent or client of a hosted catalog for ``dapplet``;
-        with ``attr``, created once and kept as ``dapplet.<attr>``."""
-        replicas, config = self._hosted[catalog]
-        if not replicas:
+        with ``attr``, created once and kept as ``dapplet.<attr>``. It
+        is handed the catalog's own address list, not a copy, so it
+        follows a restarted replica."""
+        _, addresses, config = self._hosted[catalog]
+        if not addresses:
             raise DappletError(f"no {catalog} hosted; "
                                f"call host_{catalog.lower()}()")
         bound = getattr(dapplet, attr, None) if attr else None
         if bound is None:
-            bound = cls(dapplet, [r.address for r in replicas],
-                        config=config)
+            bound = cls(dapplet, addresses, config=config)
             if attr:
                 setattr(dapplet, attr, bound)
         return bound
@@ -347,7 +353,8 @@ class World:
         prefix`` from the world's store. Sessions the crash interrupted
         can then simply be re-established against the recovered state.
         A hosted directory or DAppStore replica takes its predecessor's
-        place in its catalog's ring.
+        place in its catalog's ring and address list, so every agent and
+        client of the catalog calls it at its new port.
 
         With ``from_checkpoint=T``, the state is additionally rolled to
         the durable time-T checkpoint cut that a
@@ -364,11 +371,12 @@ class World:
             old.stop()
         cls, host, kwargs = spec
         instance = self.dapplet(cls, host, name, **kwargs)
-        for replicas, _ in self._hosted.values():
+        for replicas, addresses, _ in self._hosted.values():
             names = [r.name for r in replicas]
             if name in names:   # a replica: take the old one's place
-                replicas[names.index(name)] = instance
-                _ring(replicas)
+                i = names.index(name)
+                replicas[i], addresses[i] = instance, instance.address
+                _ring(replicas, addresses)
         if from_checkpoint is not None:
             durable = instance.state.durable
             if durable is None:
@@ -447,7 +455,7 @@ class World:
 
     def replica_addresses(self) -> list["NodeAddress"]:
         """Node addresses of the hosted directory replicas."""
-        return [r.address for r in self.directory_replicas]
+        return list(self._hosted["directory"][1])
 
     def enroll(self, dapplet: Dapplet) -> Any:
         """Give ``dapplet`` a lease in the replicated directory.
@@ -510,8 +518,7 @@ class World:
         self.substrate.close()
 
 
-def _ring(replicas: list[Dapplet]) -> None:
+def _ring(replicas: list[Dapplet], addresses: list["NodeAddress"]) -> None:
     """Make every replica of a catalog gossip with every other."""
-    addresses = [r.address for r in replicas]
     for replica in replicas:
         replica.set_peers(a for a in addresses if a != replica.address)

@@ -15,7 +15,8 @@ Two properties:
 * **convergence** — after everything in flight is settled and two quiet
   rounds (every replica pushes to both its peers, nothing else
   happens), every replica holding a name holds it at the same stamp,
-  and a replica lacking it has forgotten it.
+  and a replica lacking it has forgotten it. A tombstone past its
+  expiry counts as forgotten, swept or not.
 """
 
 from collections import deque
@@ -190,10 +191,12 @@ class GossipModel(RuleBasedStateMachine):
             for r in self.replicas:
                 r._push()
                 self._drain()
+        now = self.kernel.now
         held = {}
         for r in self.replicas:
             for name, record in r.store.items():
-                held.setdefault(name, set()).add(record.stamp)
+                if not record.forgotten_at(now):  # else swept in effect
+                    held.setdefault(name, set()).add(record.stamp)
         for name, stamps in held.items():
             assert len(stamps) == 1, (name, stamps)
             for r in self.replicas:
@@ -223,18 +226,24 @@ TestGossipModel.settings = settings(max_examples=200,
 
 
 def test_a_peer_that_relearned_an_older_stamp_is_corrected():
-    """The sequence the random search rarely reaches: every replica
-    knows every peer holds a tombstone; one forgets it and grants the
-    name afresh at a lower stamp. Its push overwrites what its peers'
-    maps say it holds, so their replies bring the tombstone back. (Had
-    the maps kept the higher stamp, the stores would stay split.)"""
+    """The sequence the random search rarely reaches: its peers know a
+    replica holds a tombstone, its own copy lapses first and it grants
+    the name afresh at a lower stamp. Its push overwrites what its
+    peers' maps say it holds, so their replies bring the tombstone,
+    still unexpired there, back. (Had the maps kept the higher stamp,
+    the stores would stay split.)"""
     model = GossipModel()
     model.claim(0, "a", False)
     model.two_quiet_rounds()
-    model.release(0, "a")
-    model.two_quiet_rounds()
-    tombstone = model.replicas[0].store["a"].stamp
     model.tick(1.5)
+    model.sweep(1)          # _dir1's tombstone expires at 3.5 ...
+    model.tick(0.6)
+    model.sweep(0)
+    model.sweep(2)          # ... its peers' at 4.1
+    for _ in range(2):      # both peers learn that _dir1 holds it
+        model.push(1)
+        model._drain()
+    tombstone = model.replicas[0].store["a"].stamp
     model.tick(1.5)
     model.sweep(1)
     assert "a" not in model.replicas[1].store
@@ -242,3 +251,26 @@ def test_a_peer_that_relearned_an_older_stamp_is_corrected():
     assert model.replicas[1].store["a"].stamp < tombstone
     model.two_quiet_rounds()
     assert [r.store["a"].stamp for r in model.replicas] == [tombstone] * 3
+
+
+def test_a_lapsed_tombstone_does_not_outrank_a_fresh_claim():
+    """A counterexample one random run found: ``_dir1`` still holds a
+    tombstone past its expiry (its sweep has not run) when ``_dir2``
+    grants the name afresh at a lower stamp. The lapsed tombstone is
+    swept in effect, so it is neither sent nor kept against the claim,
+    and two quiet rounds converge on the claim. (Gossiped on, it won at
+    two replicas while the third kept the claim.)"""
+    model = GossipModel()
+    model.claim(1, "a", False)
+    model.push(1)
+    model.release(1, "a")
+    model.two_quiet_rounds()
+    model.push(0)
+    model.tick(0.6)
+    model.tick(1.5)
+    model.sweep(0)
+    model.sweep(2)
+    model.claim(2, "a", True)
+    claim = model.replicas[2].store["a"].stamp
+    model.two_quiet_rounds()
+    assert [r.store["a"].stamp for r in model.replicas] == [claim] * 3

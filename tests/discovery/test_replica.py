@@ -287,11 +287,31 @@ def test_a_restarted_replica_takes_its_place_in_the_ring():
     drain(world)
 
 
+def test_agents_follow_a_restarted_replica_to_its_new_port():
+    """Regression: an agent kept the replica addresses it was built
+    with, so after a restart it renewed against the dead instance's
+    port, timed out and failed over."""
+    world, replicas, cfg = make_world(n_replicas=2)
+    bob = world.dapplet(Worker, "host.edu", "bob")
+    agent = bob.lease_agent
+    assert agent.replica == replicas[0].address  # bob's home replica
+    world.run(until=1.0)
+    new = world.restart_dapplet("_dir0")
+    assert new.address != replicas[0].address
+    world.run(until=3.0)
+    assert agent.replicas is world._hosted["directory"][1]
+    assert agent.replicas == [new.address, replicas[1].address]
+    assert agent.replica == new.address
+    assert agent.failovers == 0
+    assert new.store["bob"].live_at(world.kernel.now)
+    drain(world)
+
+
 def test_initiator_gets_a_resolver_automatically():
     world, replicas, cfg = make_world()
     init = world.dapplet(Initiator, "cern.ch", "init")
     assert init.resolver is not None
-    assert init.resolver.replicas == tuple(world.replica_addresses())
+    assert init.resolver.replicas == world.replica_addresses()
     drain(world)
 
 

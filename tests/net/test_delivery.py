@@ -81,8 +81,7 @@ def test_post_opens_reliable_channels():
     b = world.dapplet(_Node, "b.edu", "b")
     inbox = b.create_inbox(name="in")
     a.post(inbox.named_address, Text("hi"))
-    (channel,) = a._posts[inbox.named_address]._channels.values()
-    assert channel.delivery == RELIABLE
+    assert a._posts[inbox.named_address].delivery == RELIABLE
     world.run()
     assert [m.text for m in inbox.queued()] == ["hi"]
     assert a.endpoint.stats.unreliable_sent == 0

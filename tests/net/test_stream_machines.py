@@ -255,6 +255,11 @@ class StreamPair(RuleBasedStateMachine):
         if s.broken:
             assert not s.unacked and not s.queued and s.wake_at is None
 
+    @invariant()
+    def dead_entries_do_not_pile_up_behind_a_live_head(self):
+        s = self.sender
+        assert len(s.agenda) <= 5 * len(s.unacked) + 8
+
 
 StreamPair.TestCase.settings = settings(max_examples=60,
                                         stateful_step_count=50,

@@ -64,3 +64,37 @@ def test_clean_burst_fires_no_more_timers_than_frames(n):
     frames = substrate.datagrams.stats.sent
     assert frames < n  # batching carried the burst
     assert substrate.fired <= frames + 8
+
+
+def test_deadlines_of_acknowledged_packets_do_not_pile_up():
+    """Regression: a ``send(timeout=)`` deadline outlives its packet's
+    acknowledgement by the whole timeout, and dead agenda entries were
+    dropped only off the heap's head. A paced stream always has a live
+    packet at the head, so 2 000 sends at 100 msg/s with ``timeout=60``
+    held ~2 000 entries for 2 unacknowledged packets at t=20 s."""
+    substrate = SimSubstrate(seed=11, latency=ConstantLatency(0.005))
+    rx = Endpoint(substrate, substrate.datagrams, HUB)
+    tx = Endpoint(substrate, substrate.datagrams, SRC)
+    inbox = Inbox(substrate, rx, 0)
+    outbox = Outbox(substrate, tx, 0)
+    outbox.add(inbox.address)
+    excess = []
+
+    def sender():
+        for i in range(2000):
+            outbox.send(Text(f"{i:06d}"), timeout=60.0)
+            yield substrate.timeout(0.01)
+            (stream,) = tx._send_streams.values()
+            excess.append(len(stream.agenda) - 5 * len(stream.unacked))
+
+    def consumer():
+        for _ in range(2000):
+            yield inbox.receive()
+
+    done = substrate.process(consumer())
+    substrate.process(sender())
+    substrate.run(done)
+    assert max(excess) <= 8
+    substrate.run()
+    (stream,) = tx._send_streams.values()
+    assert stream.agenda == [] and not stream.unacked

@@ -24,6 +24,7 @@ from repro.services.tokens import (
     TokenShard,
     resolve_shard,
 )
+from repro.services.tokens.manager import AGENT_INBOX
 from repro.world import World
 
 
@@ -224,12 +225,24 @@ def test_a_restarted_agent_replaces_its_registration():
             yield agent.total_tokens()
 
         world.run(until=world.process(ask()))
-    assert len(service.shard_for("d0")._registered) == 1
+    assert service.shard_for("d0")._agents == {
+        "d0": dapplet.address.inbox(AGENT_INBOX)}
 
 
 def test_cross_shard_transfer_notifies_receiver():
     """Transferred holdings move at the colour's home shard; the notice
-    is forwarded to the *receiver's* home shard, which knows its inbox."""
+    is forwarded to the *receiver's* home shard, which knows its inbox
+    from the receiver's own calls."""
+    _transfer_and_notify(away=False)
+
+
+def test_a_receiver_attached_away_from_home_is_notified():
+    """The shard an agent calls away from its home sends the home one
+    ``AgentRegister``, so the notice still finds the agent."""
+    _transfer_and_notify(away=True)
+
+
+def _transfer_and_notify(away):
     world = World(seed=3, latency=ConstantLatency(0.01))
     service = world.host_token_shards(4, {"red": 3})
     # Agent names chosen to live on different home shards.
@@ -238,7 +251,13 @@ def test_cross_shard_transfer_notifies_receiver():
                       if ring.home(f"d{i}") != ring.home("d0")][:1]
     giver_name, receiver_name = names
     a = service.attach(world.dapplet(Plain, "site0.edu", giver_name))
-    b = service.attach(world.dapplet(Plain, "site1.edu", receiver_name))
+    receiver_node = world.dapplet(Plain, "site1.edu", receiver_name)
+    if away:
+        other = next(s for s in service.shards
+                     if s.name != ring.home(receiver_name))
+        b = TokenAgent(receiver_node, other.pointer)
+    else:
+        b = service.attach(receiver_node)
     log = []
 
     def giver():
@@ -257,6 +276,9 @@ def test_cross_shard_transfer_notifies_receiver():
     world.process(receiver())
     world.run(until=10.0)
     assert log == [{"red": 2}, giver_name]
+    notice_facet = receiver_node.address.inbox(AGENT_INBOX)
+    assert service.shard_for(receiver_name)._agents[receiver_name] \
+        == notice_facet
     service.check_conservation()
 
 
@@ -318,6 +340,35 @@ def test_three_shard_cycle_detected_at_exactly_one_victim():
     assert service.deadlocks == 1
     assert len(granted) == 2
     assert service.probes_sent > 0
+    service.check_conservation()
+    assert service.quiescent
+
+
+def test_a_prepare_granted_beside_a_waiter_sweeps_probes_once():
+    """Regression: when a prepare was reserved while an older waiter
+    stayed queued, the drain swept probes and the prepare swept again,
+    so the waiter's probes went to every shard twice."""
+    world, service, (holder, waiter, other) = make_sharded(
+        {"x": 1, "y": 1}, n_shards=1)
+    swept = []
+
+    def run():
+        yield holder.request({"x": 1})
+        wait = waiter.request({"x": 1})  # queued behind the holder
+        yield world.kernel.timeout(1.0)
+        before = service.probes_sent
+        yield other.request({"y": 1})  # reserved; the waiter stays queued
+        swept.append(service.probes_sent - before)
+        holder.release({"x": 1})
+        yield wait
+        waiter.release({"x": 1})
+        other.release({"y": 1})
+
+    world.run(until=world.process(run()))
+    world.run()
+    # One probe for the one scarce holder at the prepare, one at the
+    # commit (a new holding); three when the prepare swept twice.
+    assert swept == [2]
     service.check_conservation()
     assert service.quiescent
 

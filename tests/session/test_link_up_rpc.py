@@ -219,5 +219,4 @@ def test_no_call_is_left_pending_at_quiescence(world, initiator, path):
     world.run()
     assert initiator._rpc_client._pending == {}
     assert initiator._rpc_client._agenda == []
-    assert initiator._records == {}
     assert a.sessions._entries == {}

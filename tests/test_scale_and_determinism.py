@@ -93,7 +93,7 @@ def test_hundred_sequential_sessions_no_drift():
     # no session ports left behind.
     assert all(not ib.name or not ib.name.startswith("init#")
                for ib in a.inboxes.values())
-    assert len(initiator._records) == 0
+    assert initiator._rpc_client._pending == {}
 
 
 def fan_in_soak(seed, *, senders=50, per_sender=8):
