@@ -22,8 +22,10 @@ Three scenarios against a 3-replica replicated directory:
   rows, and a table of tombstones only, on 3 replicas. Every gossip
   message the replicas send is counted: per replica per round, one
   push and some replies, each with its entries and serialized bytes.
-  A push carries only the rows the peer is not known to hold, so a
-  quiet tombstone-only table pushes empty messages and draws no
+  A push carries only the rows the peer is not known to hold, and a
+  renewal changes no row (only the lease's home keeps its deadline;
+  the pushes' heartbeat vectors keep it alive elsewhere), so a settled
+  table, renewing or not, pushes near-empty messages and draws no
   replies.
 """
 
@@ -203,6 +205,7 @@ def run_gossip_volume(rows: int, *, tombstones: bool = False) -> dict:
         "replies_per_push": len(replies) / per_push,
         "reply_entries": sum(n for n, _ in replies) / per_reply,
         "reply_bytes": sum(size for _, size in replies) / per_reply,
+        "round_bytes": sum(size for _, _, size in sent) / per_push,
     }
 
 
@@ -272,11 +275,16 @@ def test_e14c_gossip_volume():
         "E14c: gossip per replica per round (sim, counted): one push, "
         "some replies",
         ["table", "rows", "entries/push", "bytes/push", "replies",
-         "entries/reply", "bytes/reply"],
+         "entries/reply", "bytes/reply", "bytes/round"],
         [[name, r["rows"], f"{r['push_entries']:.1f}",
           f"{r['push_bytes']:.0f}", f"{r['replies_per_push']:.2f}",
-          f"{r['reply_entries']:.1f}", f"{r['reply_bytes']:.0f}"]
+          f"{r['reply_entries']:.1f}", f"{r['reply_bytes']:.0f}",
+          f"{r['round_bytes']:.0f}"]
          for name, r in tables])
+    # A renewal is not a write: a settled renewing table sends its
+    # heartbeats, not its rows.
+    assert tables[-2][1]["rows"] == 300
+    assert tables[-2][1]["round_bytes"] < 3000
     quiet = tables[-1][1]
     # Every replica still pushes every round ...
     assert quiet["pushes"] >= 3 * (GOSSIP_ROUNDS - 1)

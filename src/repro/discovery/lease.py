@@ -14,8 +14,11 @@ Each lease carries a **version stamp** ``(epoch, version)``:
   picks ``max(known epoch, agent's hint) + 1``, so a dapplet that fails
   over to another replica supersedes its old lease everywhere once
   gossip spreads the new epoch;
-* ``version`` increments on every renewal, expiry or unregistration
-  within an epoch.
+* ``version`` increments on expiry or unregistration within an epoch.
+  A renewal is not a write: it moves the lease's deadline at its
+  *home* (the replica that granted the epoch, :attr:`LeaseRecord.home`)
+  and nowhere else, and other replicas keep the row alive while they
+  hear the home's heartbeat (:mod:`repro.discovery.table`).
 
 Anti-entropy gossip merges replicas' stores by last-writer-wins on the
 stamp (:meth:`LeaseRecord.stamp`; a tombstone outranks a live record
@@ -40,9 +43,9 @@ class LeaseConfig:
 
     All values are in substrate seconds (virtual on the simulator, real
     on asyncio). The defaults keep a comfortable margin between the
-    lease TTL and the renewal heartbeat plus worst-case gossip lag, so a
-    *live* dapplet is never spuriously expired by a replica that only
-    hears about it second-hand.
+    lease TTL and the renewal period plus worst-case gossip lag, so a
+    *live* dapplet is never spuriously lapsed by a replica that only
+    hears its home's heartbeat second-hand.
     """
 
     #: Lifetime granted per registration or renewal.
@@ -79,12 +82,15 @@ class LeaseConfig:
     def staleness_bound(self, replicas: int = 1) -> float:
         """Worst-case time a dead dapplet can still resolve.
 
-        Its lease outlives the last renewal by ``ttl``; a replica that
-        only hears of renewals via gossip lags a further gossip round
-        per intermediate peer; the failure-detector sweep adds at most
-        one period; and a resolver may serve the entry from cache for
-        ``cache_ttl`` more. The E14 benchmark measures the real window
-        against this bound.
+        Its lease outlives the last renewal by ``ttl`` at its home; the
+        home's failure-detector sweep writes the tombstone within one
+        more period; the tombstone reaches every other replica within
+        one gossip round per intermediate peer (until then they keep
+        the row, since the home still beats); and a resolver may serve
+        the entry from cache for ``cache_ttl`` more. A home that dies
+        first lapses its rows everywhere within ``ttl`` plus the same
+        gossip lag. ``docs/DISCOVERY.md`` has the argument; the E14
+        benchmark measures the real window against this bound.
         """
         return (self.ttl + max(0, replicas - 1) * self.gossip_interval
                 + self.sweep_interval + self.cache_ttl)
@@ -94,9 +100,12 @@ class LeaseConfig:
 class LeaseRecord:
     """One version-stamped directory row held by a replica.
 
-    ``expires_at`` is *local* substrate time: the instant this replica's
-    failure detector will declare the lease dead (or, for a tombstone,
-    forget it entirely).
+    ``expires_at`` is *local* substrate time. For a tombstone it is the
+    instant the replica forgets it. For a live row it is the lease's
+    deadline, which only the row's ``home`` (the address of the replica
+    that granted the epoch) keeps: elsewhere it is what the home held
+    when it last sent the row, and liveness follows the home's
+    heartbeat instead.
     """
 
     name: str
@@ -106,17 +115,22 @@ class LeaseRecord:
     version: int
     alive: bool
     expires_at: float
+    home: str = ""
 
     @property
-    def stamp(self) -> tuple[int, int, int]:
+    def stamp(self) -> tuple[int, int, int, str]:
         """Last-writer-wins ordering key.
 
         Higher epoch beats lower; within an epoch higher version beats
         lower; at an identical ``(epoch, version)`` a tombstone beats a
-        live record — two replicas can expire the same lease at the same
-        version independently, and a detected death must win ties.
+        live record, so a detected death is never un-detected by a tie.
+        Last, the home's address tells apart two rows granted at one
+        ``(epoch, version)`` by different replicas: a name claimed
+        afresh at two replicas at once, or at one that forgot a row of
+        a silent home while another still holds it. Every replica then
+        keeps the same one, and the other's agent re-claims.
         """
-        return (self.epoch, self.version, 0 if self.alive else 1)
+        return (self.epoch, self.version, 0 if self.alive else 1, self.home)
 
     def live_at(self, now: float) -> bool:
         return self.alive and self.expires_at > now
@@ -137,7 +151,7 @@ class LeaseRecord:
         """Encode with a *relative* remaining TTL (clock-skew tolerant)."""
         return {"n": self.name, "a": str(self.address), "k": self.kind,
                 "e": self.epoch, "v": self.version, "al": self.alive,
-                "tl": self.expires_at - now}
+                "tl": self.expires_at - now, "h": self.home}
 
     @classmethod
     def from_wire(cls, data: dict, now: float) -> "LeaseRecord":
@@ -150,17 +164,17 @@ def wire_fields(data: dict, now: float) -> dict:
     """The :class:`LeaseRecord` constructor arguments in a wire entry.
     Entries come from outside the program, so nothing is let through
     that could poison a store: names are sorted, deadlines compared."""
-    name, address, kind = data["n"], data["a"], data["k"]
+    name, address, kind, home = data["n"], data["a"], data["k"], data["h"]
     if not (isinstance(name, str) and isinstance(address, str)
-            and isinstance(kind, str)):
-        raise TypeError("lease entry name/address/kind must be strings")
+            and isinstance(kind, str) and isinstance(home, str)):
+        raise TypeError("lease entry name/address/kind/home must be strings")
     ttl_left = float(data["tl"])
     if not math.isfinite(ttl_left):
         raise ValueError("lease entry remaining TTL must be finite")
     return {"name": name, "address": NodeAddress.parse(address),
             "kind": kind, "epoch": int(data["e"]),
             "version": int(data["v"]), "alive": bool(data["al"]),
-            "expires_at": now + ttl_left}
+            "expires_at": now + ttl_left, "home": home}
 
 
 def merge(existing: "LeaseRecord | None",

@@ -47,11 +47,14 @@ class DirectoryReplica(LeaseReplica):
     # -- what a directory row is -----------------------------------------
 
     def _new_record(self, name: str, address: NodeAddress, kind: str,
-                    epoch: int, expires_at: float) -> LeaseRecord:
-        return LeaseRecord(name, address, kind, epoch, 0, True, expires_at)
+                    epoch: int, expires_at: float,
+                    home: str) -> LeaseRecord:
+        return LeaseRecord(name, address, kind, epoch, 0, True, expires_at,
+                           home)
 
     def _row(self, record: LeaseRecord,
-             now: float) -> tuple[NodeAddress, str, float]:
-        """A lookup's answer: address, kind and the lease's remaining
-        TTL (which bounds how long the caller may cache it)."""
-        return record.address, record.kind, record.expires_at - now
+             ttl_left: float) -> tuple[NodeAddress, str, float]:
+        """A lookup's answer: address, kind and how long this replica
+        will still serve the row (which bounds how long the caller may
+        cache it)."""
+        return record.address, record.kind, ttl_left

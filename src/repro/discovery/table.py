@@ -17,8 +17,9 @@ replica anti-entropy is a message of its own, :class:`Gossip`.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -45,12 +46,15 @@ class Gossip(Message):
     ``want_reply`` the receiver answers with every row it holds that is
     strictly newer than (or absent from) what it knows the sender to
     hold, this push included — push-pull, so one round reconciles both
-    directions.
+    directions. ``beats`` is the sender's heartbeat vector: replica
+    address -> counter, its own (bumped for this message) and every
+    other it heard grow within ``ttl``.
     """
 
     origin: NodeAddress
     entries: tuple
     want_reply: bool
+    beats: dict = field(default_factory=dict)
 
 
 class ReplicaStats(Counters):
@@ -82,11 +86,13 @@ class LeaseFacet:
         return self._replica._claim(name, address, row_fields, epoch_hint)
 
     def renew(self, name: str, epoch: int) -> None:
-        """Extend the lease ``name`` holds under ``epoch`` by one TTL."""
+        """Extend the lease ``name`` holds under ``epoch`` by one TTL
+        (only at its home; denied ``not-home`` elsewhere)."""
         self._replica._renew(name, epoch)
 
     def release(self, name: str, epoch: int) -> None:
-        """Tombstone the lease now (callers ``invoke`` it, one-way)."""
+        """Tombstone the lease now, at its home (callers ``invoke`` it,
+        one-way)."""
         self._replica._release(name, epoch)
 
     def lookup(self, name: str) -> "tuple | None":
@@ -99,16 +105,20 @@ class LeaseReplica(Dapplet):
 
     Serves its :class:`LeaseFacet` on the catalog's well-known inbox,
     merges :class:`Gossip` on a second one, and runs two processes: a
-    failure detector sweeping out leases whose TTL ran out, and a
-    gossiper pushing to one peer per round the version-stamped rows
-    that peer is not known to hold.
+    failure detector sweeping out the leases it is home to whose TTL
+    ran out, and a gossiper pushing to one peer per round the
+    version-stamped rows that peer is not known to hold, with its
+    heartbeat vector. A row homed elsewhere is live here while its home
+    was heard within ``ttl`` (``docs/DISCOVERY.md``, *Homes and
+    heartbeats*).
 
     A catalog sets ``inbox_name``, ``category`` and ``subject`` (trace
     category; field naming a row), ``words`` (trace event per grant /
     renew / denied / release / expire), ``process_prefix``,
     ``record_type``, ``facet``, ``error`` and ``noun`` (what its clients
     raise and call a replica); and defines ``_new_record(name, address,
-    row_fields, epoch, expires_at)`` and ``_row(live_record, now)``;
+    row_fields, epoch, expires_at, home)`` and ``_row(live_record,
+    ttl_left)``;
     ``stats_type`` (a :class:`ReplicaStats` twin) names its counters'
     layer.
     """
@@ -139,6 +149,13 @@ class LeaseReplica(Dapplet):
         self._flying: dict[NodeAddress, dict[str, tuple]] = {}
         self._gossip_ix = 0
         self._gossiping = False
+        #: Our address as rows name their home.
+        self._me = str(self.address)
+        #: Our heartbeat counter, bumped for every gossip message sent.
+        self._beat = 0
+        #: replica address -> (highest counter heard or None, local
+        #: instant that counter last grew).
+        self._beats: dict[str, tuple[int | None, float]] = {}
         export(self, self.facet(self), name=self.inbox_name)
         self.gossip_inbox = self.create_inbox(name=f"{self.inbox_name}:gossip")
         self.spawn(self._merge_loop(), name=f"{self.process_prefix}-merge")
@@ -164,7 +181,29 @@ class LeaseReplica(Dapplet):
     def live_records(self) -> list[LeaseRecord]:
         """The rows this replica would currently serve, sorted by name."""
         now = self.kernel.now
-        return [r for _, r in sorted(self.store.items()) if r.live_at(now)]
+        return [r for _, r in sorted(self.store.items())
+                if self._live(r, now)]
+
+    def _lapse(self, record: LeaseRecord) -> float:
+        """The local instant a live ``record`` stops being served here:
+        its deadline at its home, ``ttl`` after its home's heartbeat last
+        grew anywhere else."""
+        if record.home == self._me:
+            return record.expires_at
+        _, heard = self._beats.get(record.home, (None, -math.inf))
+        return heard + self.config.ttl
+
+    def _live(self, record: LeaseRecord, now: float) -> bool:
+        return record.alive and self._lapse(record) > now
+
+    def _forgotten(self, record: LeaseRecord, now: float) -> bool:
+        """Swept in effect, whether or not the sweep has run: a
+        tombstone past its expiry, or a row homed elsewhere whose home
+        has been silent for ``ttl + tombstone_ttl``."""
+        if not record.alive:
+            return record.forgotten_at(now)
+        return record.home != self._me and \
+            self._lapse(record) + self.config.tombstone_ttl <= now
 
     def _grant_fields(self, record: LeaseRecord) -> dict:
         """Extra fields of the grant trace event (a catalog hook)."""
@@ -176,13 +215,13 @@ class LeaseReplica(Dapplet):
                epoch_hint: int) -> int:
         now = self.kernel.now
         existing = self.store.get(name)
-        if existing is not None and existing.live_at(now) \
+        if existing is not None and self._live(existing, now) \
                 and existing.address != address:
             raise self._denial(name, "name-taken")
         epoch = max(existing.epoch if existing is not None else 0,
                     epoch_hint) + 1
         record = self._new_record(name, address, row_fields, epoch,
-                                  now + self.config.ttl)
+                                  now + self.config.ttl, self._me)
         self.store[name] = record
         self.stats.grants += 1
         self._trace_row("grant", name, epoch=epoch,
@@ -196,16 +235,18 @@ class LeaseReplica(Dapplet):
             raise self._denial(name, "unknown")
         if not existing.alive or existing.epoch != epoch:
             raise self._denial(name, "stale-epoch")
+        # Only the home keeps the deadline; the agent re-claims here.
+        if existing.home != self._me:
+            raise self._denial(name, "not-home")
         # Past its TTL but not yet swept: a lookup already answers
-        # "absent", and a peer's tombstone would outrank this renewal.
+        # "absent", and the next sweep tombstones it.
         if not existing.live_at(now):
             raise self._denial(name, "expired")
-        record = replace(existing, version=existing.version + 1,
-                         expires_at=now + self.config.ttl)
-        self.store[name] = record
+        # Not a write: no stamp moves, so nothing is gossiped.
+        self.store[name] = replace(existing,
+                                   expires_at=now + self.config.ttl)
         self.stats.renewals += 1
-        self._trace_row("renew", name, epoch=record.epoch,
-                        version=record.version)
+        self._trace_row("renew", name, epoch=epoch)
 
     def _denial(self, name: str, reason: str) -> LeaseDenied:
         self.stats.denials += 1
@@ -215,7 +256,7 @@ class LeaseReplica(Dapplet):
     def _release(self, name: str, epoch: int) -> None:
         existing = self.store.get(name)
         if existing is None or not existing.alive \
-                or existing.epoch != epoch:
+                or existing.epoch != epoch or existing.home != self._me:
             return
         self.store[name] = existing.expired(
             self.kernel.now, tombstone_ttl=self.config.tombstone_ttl)
@@ -226,10 +267,10 @@ class LeaseReplica(Dapplet):
         now = self.kernel.now
         record = self.store.get(name)
         self.stats.lookups += 1
-        if record is None or not record.live_at(now):
+        if record is None or not self._live(record, now):
             return None
         self.stats.lookup_hits += 1
-        return self._row(record, now)
+        return self._row(record, self._lapse(record) - now)
 
     # -- failure detector ---------------------------------------------------
 
@@ -241,19 +282,26 @@ class LeaseReplica(Dapplet):
             self.sweep()
 
     def sweep(self) -> int:
-        """Expire overdue leases; drop overdue tombstones. Returns the
+        """Expire the overdue leases homed here; forget overdue
+        tombstones, rows whose home fell silent, and the heartbeats of
+        replicas silent past every row they could home. Returns the
         number of leases expired (the failure detector's detections)."""
         now = self.kernel.now
         expired = 0
         for name, record in list(self.store.items()):
-            if record.alive and record.expires_at <= now:
+            if record.alive and record.home == self._me \
+                    and record.expires_at <= now:
                 self.store[name] = record.expired(
                     now, tombstone_ttl=self.config.tombstone_ttl)
                 self.stats.expiries += 1
                 expired += 1
                 self._trace_row("expire", name, epoch=record.epoch)
-            elif record.forgotten_at(now):
+            elif self._forgotten(record, now):
                 self._forget(name)
+        gone = now - self.config.ttl - self.config.tombstone_ttl
+        for key in [k for k, (_, heard) in self._beats.items()
+                    if heard <= gone]:
+            del self._beats[key]
         return expired
 
     def _forget(self, name: str) -> None:
@@ -302,11 +350,13 @@ class LeaseReplica(Dapplet):
         skip = {} if want_reply else flying
         rows = [r for name, r in sorted(self.store.items())
                 if r.stamp > known.get(name, ())
-                and r.stamp > skip.get(name, ()) and not r.forgotten_at(now)]
+                and r.stamp > skip.get(name, ())
+                and not self._forgotten(r, now)]
         if not rows and not want_reply:
             return
         sent = self.post(peer.inbox(self.gossip_inbox.name), Gossip(
-            self.address, tuple(r.to_wire(now) for r in rows), want_reply))
+            self.address, tuple(r.to_wire(now) for r in rows), want_reply,
+            self._vector(now)))
         if rows and peer in self._known:
             for r in rows:
                 flying[r.name] = max(flying.get(r.name, ()), r.stamp)
@@ -329,9 +379,45 @@ class LeaseReplica(Dapplet):
                     and r.stamp > known.get(r.name, ()):
                 known[r.name] = r.stamp
 
+    def _vector(self, now: float) -> dict[str, int]:
+        """Our heartbeat vector for one outgoing message: our own
+        counter, bumped, and every counter we heard grow within ttl."""
+        self._beat += 1
+        fresh = now - self.config.ttl
+        beats = {key: count for key, (count, heard) in self._beats.items()
+                 if heard > fresh and count is not None}
+        beats[self._me] = self._beat
+        return beats
+
+    def _hear(self, origin: str, beats, now: float) -> int:
+        """Fold a message's heartbeat vector into ours; returns the
+        number of malformed items dropped. A replica is heard now when
+        the message is its own, or relays a higher counter than we hold.
+        A counter first learned second-hand may be a dead replica's
+        last word, so it starts lapsed."""
+        if not isinstance(beats, dict):
+            return 1
+        dropped = 0
+        for key, beat in beats.items():
+            if not isinstance(key, str) or type(beat) is not int:
+                dropped += 1
+                continue
+            if key == self._me:
+                continue
+            count, heard = self._beats.get(key,
+                                           (None, now - self.config.ttl))
+            grew = count is not None and beat > count
+            if key == origin or grew:
+                heard = now
+            if count is None or grew:
+                count = beat
+            self._beats[key] = (count, heard)
+        return dropped
+
     def _on_gossip(self, msg: Gossip) -> None:
         now = self.kernel.now
-        merged = dropped = 0
+        merged = 0
+        dropped = self._hear(str(msg.origin), msg.beats, now)
         # A ring peer's entries are evidence of what it holds; an origin
         # outside the ring gets a reply against this message alone.
         seen = self._known.get(msg.origin, {})
@@ -343,13 +429,21 @@ class LeaseReplica(Dapplet):
             except (KeyError, TypeError, ValueError, AddressError):
                 dropped += 1
                 continue
-            if incoming.forgotten_at(now):
+            if incoming.alive and incoming.home != self._me:
+                # A home no vector named yet starts lapsed.
+                self._beats.setdefault(incoming.home,
+                                       (None, now - self.config.ttl))
+            if self._forgotten(incoming, now):
                 continue  # lapsed in flight: as good as swept
             existing = self.store.get(incoming.name)
-            if existing is not None and existing.forgotten_at(now):
+            if existing is not None and self._forgotten(existing, now):
                 self._forget(incoming.name)  # ahead of the sweep
+                existing = None
             seen[incoming.name] = incoming.stamp
-            updated = merge(self.store.get(incoming.name), incoming)
+            if existing is not None and existing.home == self._me \
+                    and incoming.stamp == existing.stamp:
+                continue  # only the home moves its own deadline
+            updated = merge(existing, incoming)
             if updated is not None:
                 self.store[incoming.name] = updated
                 merged += 1

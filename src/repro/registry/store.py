@@ -70,20 +70,21 @@ class DAppStoreReplica(LeaseReplica):
     # -- what a store row is ---------------------------------------------
 
     def _new_record(self, name: str, address: NodeAddress, manifest: dict,
-                    epoch: int, expires_at: float) -> ManifestRecord:
+                    epoch: int, expires_at: float,
+                    home: str) -> ManifestRecord:
         # The row's ``kind`` column holds the owning principal.
         return ManifestRecord(
             name, address, str(manifest.get("owner", "")),
-            epoch, 0, True, expires_at, manifest=dict(manifest))
+            epoch, 0, True, expires_at, home, manifest=dict(manifest))
 
     def _grant_fields(self, record: ManifestRecord) -> dict:
         return {"principal": record.kind}
 
     def _row(self, record: ManifestRecord,
-             now: float) -> tuple[dict, float]:
-        """A lookup's answer: the manifest and the lease's remaining
-        TTL."""
-        return dict(record.manifest), record.expires_at - now
+             ttl_left: float) -> tuple[dict, float]:
+        """A lookup's answer: the manifest and how long this replica
+        will still serve it."""
+        return dict(record.manifest), ttl_left
 
 
 def _under(prefix: str, name: str) -> bool:

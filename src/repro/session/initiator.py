@@ -215,8 +215,7 @@ class Initiator(Dapplet):
             raise
         session.addresses[member] = address
         session.ports[member] = ports
-        session.spec.members[member] = mspec
-        session.spec.bindings.extend(bindings)
+        session.bindings.extend(bindings)
         return session
 
     def _add_bindings(self, session: Session, bindings: list[Binding],
@@ -240,7 +239,7 @@ class Initiator(Dapplet):
         error = yield from self._all(binds)
         if error is not None:
             raise _unbound(session.session_id, binds) from error
-        session.spec.bindings.extend(bindings)
+        session.bindings.extend(bindings)
         return session
 
     def _bind_adds(self, session: Session, bindings: list[Binding],
@@ -271,7 +270,7 @@ class Initiator(Dapplet):
 
         # Remove channels pointing at the departing member.
         removals: dict[tuple[str, str], list[InboxAddress]] = {}
-        for b in session.spec.bindings:
+        for b in session.bindings:
             if b.dst_member == member and b.src_member in session.members:
                 removals.setdefault((b.src_member, b.outbox), []).append(
                     session.port(member, b.inbox))
@@ -285,9 +284,8 @@ class Initiator(Dapplet):
             pass  # a silent member is unlinked without confirmation
 
         session.ports.pop(member, None)
-        session.spec.members.pop(member, None)
-        session.spec.bindings = [
-            b for b in session.spec.bindings
+        session.bindings = [
+            b for b in session.bindings
             if member not in (b.src_member, b.dst_member)]
         return session
 

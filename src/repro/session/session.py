@@ -112,8 +112,12 @@ class Session:
                  ports: dict[str, dict[str, InboxAddress]],
                  addresses: dict[str, NodeAddress]) -> None:
         self.initiator = initiator
+        #: The spec the session was established with; never changed.
         self.spec = spec
         self.session_id = session_id
+        #: The channels now wired: the spec's, plus growth and
+        #: rewiring, less those of removed members.
+        self.bindings: list[Binding] = list(spec.bindings)
         #: member -> {port name -> global inbox address}
         self.ports = ports
         #: member -> the node address its session facet answers on

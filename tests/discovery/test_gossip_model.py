@@ -2,21 +2,27 @@
 
 Three real :class:`~repro.discovery.DirectoryReplica` objects are
 driven by hand: claims, renewals, releases, sweeps, the passing of
-time, gossip pushes, and the fate of every gossip message — delivered,
+time, gossip pushes (each carrying its sender's heartbeat vector), the
+death of a home, and the fate of every gossip message — delivered,
 acknowledged, or lost with its channel. The replicas' own timers are set
 beyond reach and their ``post`` is replaced by a model of the reliable
 FIFO channel it sends on, so hypothesis picks every interleaving.
 
-Two properties:
+Three properties:
 
 * **lower bound** — what a replica's map says a peer holds never
-  exceeds what that peer has held. A peer that forgot a tombstone holds
-  less than it once did; the sender cannot know, and need not;
+  exceeds what that peer has held. A peer that forgot a tombstone, or
+  the row of a home silent for ``ttl + tombstone_ttl``, holds less than
+  it once did; the sender cannot know, and need not;
 * **convergence** — after everything in flight is settled and two quiet
-  rounds (every replica pushes to both its peers, nothing else
+  rounds (every live replica pushes to both its peers, nothing else
   happens), every replica holding a name holds it at the same stamp,
-  and a replica lacking it has forgotten it. A tombstone past its
-  expiry counts as forgotten, swept or not.
+  and a replica lacking it has forgotten it. A row its replica counts
+  as forgotten (a lapsed tombstone, a long-silent home's row) counts
+  as forgotten, swept or not;
+* **one writer of tombstones** — every tombstone was first written by
+  the row's home: a replica never expires or releases a row homed
+  elsewhere.
 """
 
 from collections import deque
@@ -39,16 +45,24 @@ names = st.sampled_from(NAMES)
 
 class Ledger(dict):
     """A replica store that remembers the highest stamp it ever held per
-    name, and which names its sweep forgot (until they come back)."""
+    name, and which names its sweep forgot (until they come back). The
+    first store to hold a tombstone wrote it: ``tombs`` (shared by the
+    three) records who that was."""
 
-    def __init__(self):
+    def __init__(self, address, tombs):
         super().__init__()
         self.high: dict[str, tuple] = {}
         self.gone: set[str] = set()
+        self._address = str(address)
+        self._tombs = tombs
 
     def __setitem__(self, name, record):
         self.high[name] = max(self.high.get(name, ()), record.stamp)
         self.gone.discard(name)
+        if not record.alive:
+            writer = self._tombs.setdefault((name, record.stamp),
+                                            self._address)
+            assert writer == record.home, (name, record.stamp, writer)
         super().__setitem__(name, record)
 
     def __delitem__(self, name):
@@ -78,11 +92,18 @@ class GossipModel(RuleBasedStateMachine):
         self.by_address = {r.address: r for r in self.replicas}
         #: (sender, receiver) -> the channel's unacknowledged messages.
         self.channels: dict[tuple, deque[Sent]] = {}
+        tombs = {}
         for r in self.replicas:
-            r.store = Ledger()
+            r.store = Ledger(r.address, tombs)
             r.post = self._poster(r)
         #: Highest epoch granted per name.
         self.epochs: dict[str, int] = {}
+        #: Replicas that died: they act no more, and what reaches them
+        #: is lost.
+        self.dead: set = set()
+
+    def _alive(self, i):
+        return self.replicas[i].address not in self.dead
 
     def _poster(self, replica):
         def post(to, message):
@@ -107,6 +128,8 @@ class GossipModel(RuleBasedStateMachine):
         """An agent claims with the highest epoch it was granted as its
         hint; a ``fresh`` one (a new dapplet under an old name) with 0,
         which a replica that forgot the name grants at a low epoch."""
+        if not self._alive(i):
+            return
         epoch = self.replicas[i]._claim(
             name, NodeAddress(f"{name}.edu", 1), "worker",
             0 if fresh else self.epochs.get(name, 0))
@@ -114,9 +137,10 @@ class GossipModel(RuleBasedStateMachine):
 
     @rule(i=replica_ix, name=names)
     def renew(self, i, name):
+        """Denied (and changing nothing) anywhere but at the home."""
         replica = self.replicas[i]
         record = replica.store.get(name)
-        if record is not None:
+        if record is not None and self._alive(i):
             try:
                 replica._renew(name, record.epoch)
             except LeaseDenied:
@@ -125,12 +149,20 @@ class GossipModel(RuleBasedStateMachine):
     @rule(i=replica_ix, name=names)
     def release(self, i, name):
         record = self.replicas[i].store.get(name)
-        if record is not None:
+        if record is not None and self._alive(i):
             self.replicas[i]._release(name, record.epoch)
 
     @rule(i=replica_ix)
     def sweep(self, i):
-        self.replicas[i].sweep()
+        if self._alive(i):
+            self.replicas[i].sweep()
+
+    @rule(i=replica_ix)
+    def kill(self, i):
+        """A home dies (one at most: two stay to converge). Its rows
+        lapse at its peers once they have not heard it for ``ttl``."""
+        if not self.dead:
+            self.dead.add(self.replicas[i].address)
 
     @rule(dt=st.sampled_from((0.1, 0.6, 1.5)))
     def tick(self, dt):
@@ -138,7 +170,8 @@ class GossipModel(RuleBasedStateMachine):
 
     @rule(i=replica_ix)
     def push(self, i):
-        self.replicas[i]._push()
+        if self._alive(i):
+            self.replicas[i]._push()
 
     # -- the channel ---------------------------------------------------------
 
@@ -149,7 +182,8 @@ class GossipModel(RuleBasedStateMachine):
         if key is None:
             return
         sent = next((s for s in self.channels[key] if not s.delivered), None)
-        if sent is not None:
+        # Nothing reaches a dead replica, so nothing sent to it is acked.
+        if sent is not None and key[1] not in self.dead:
             sent.delivered = True
             self.by_address[key[1]]._on_gossip(sent.message)
 
@@ -179,6 +213,9 @@ class GossipModel(RuleBasedStateMachine):
             for key, queue in sorted(self.channels.items()):
                 while queue:
                     sent = queue.popleft()
+                    if key[1] in self.dead:
+                        sent.receipt._fail(DeliveryTimeout("peer dead"))
+                        continue
                     if not sent.delivered:
                         self.by_address[key[1]]._on_gossip(sent.message)
                     sent.receipt._ack()
@@ -188,18 +225,19 @@ class GossipModel(RuleBasedStateMachine):
     def two_quiet_rounds(self):
         self._drain()
         for _ in range(2):
-            for r in self.replicas:
-                r._push()
+            for i in range(len(self.replicas)):
+                self.push(i)
                 self._drain()
         now = self.kernel.now
         held = {}
-        for r in self.replicas:
+        live = [r for r in self.replicas if r.address not in self.dead]
+        for r in live:
             for name, record in r.store.items():
-                if not record.forgotten_at(now):  # else swept in effect
+                if not r._forgotten(record, now):  # else swept in effect
                     held.setdefault(name, set()).add(record.stamp)
         for name, stamps in held.items():
             assert len(stamps) == 1, (name, stamps)
-            for r in self.replicas:
+            for r in live:
                 assert name in r.store or name in r.store.gone, name
 
     # -- the lower bound -----------------------------------------------------
@@ -227,30 +265,36 @@ TestGossipModel.settings = settings(max_examples=200,
 
 def test_a_peer_that_relearned_an_older_stamp_is_corrected():
     """The sequence the random search rarely reaches: its peers know a
-    replica holds a tombstone, its own copy lapses first and it grants
-    the name afresh at a lower stamp. Its push overwrites what its
-    peers' maps say it holds, so their replies bring the tombstone,
-    still unexpired there, back. (Had the maps kept the higher stamp,
+    replica holds a row, its own copy is forgotten first and it grants
+    the name afresh at a lower stamp. Here the row's home ``_dir2`` dies,
+    ``_dir0`` last heard it 0.6 s before ``_dir1`` did, so ``_dir0``
+    forgets the row first, and its fresh grant sorts below the old row
+    (same epoch and version, a lower home address). Its push overwrites
+    what its peer's map says it holds, so the reply brings the old row,
+    not yet forgotten there, back. (Had the map kept the higher stamp,
     the stores would stay split.)"""
     model = GossipModel()
-    model.claim(0, "a", False)
+    model.claim(2, "a", False)
     model.two_quiet_rounds()
     model.tick(1.5)
-    model.sweep(1)          # _dir1's tombstone expires at 3.5 ...
+    model.push(2)           # _dir0 hears _dir2 at 1.5 ...
+    model._drain()
     model.tick(0.6)
-    model.sweep(0)
-    model.sweep(2)          # ... its peers' at 4.1
-    for _ in range(2):      # both peers learn that _dir1 holds it
-        model.push(1)
-        model._drain()
-    tombstone = model.replicas[0].store["a"].stamp
+    model.push(2)           # ... _dir1 at 2.1
+    model._drain()
+    model.kill(2)
+    old = model.replicas[1].store["a"].stamp
+    d0, d1 = model.replicas[:2]
+    assert d1._known[d0.address]["a"] == old
     model.tick(1.5)
-    model.sweep(1)
-    assert "a" not in model.replicas[1].store
-    model.claim(1, "a", True)
-    assert model.replicas[1].store["a"].stamp < tombstone
+    model.tick(0.6)
+    model.tick(0.6)         # 4.8: forgotten at _dir0 (4.5), not _dir1 (5.1)
+    model.sweep(0)
+    assert "a" not in d0.store and "a" in d1.store
+    model.claim(0, "a", True)
+    assert d0.store["a"].stamp < old
     model.two_quiet_rounds()
-    assert [r.store["a"].stamp for r in model.replicas] == [tombstone] * 3
+    assert [r.store["a"].stamp for r in (d0, d1)] == [old] * 2
 
 
 def test_a_lapsed_tombstone_does_not_outrank_a_fresh_claim():

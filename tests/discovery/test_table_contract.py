@@ -2,12 +2,16 @@
 
 The address directory and the DAppStore are record types on the same
 lease-replicated table (:mod:`repro.discovery.table`), so every lease
-rule must hold for both: grant, renew, the three denials, expiry of a
-silent owner, tombstone collection, agent failover, the drop-and-count
-rule for malformed gossip, the "absent vs unreachable" rule of the
-client, the hygiene of the one RPC proxy every client calls the
-replicas through, and what anti-entropy sends: only the rows a peer is
-not known to hold. Each test runs once per catalog.
+rule must hold for both: grant, renew (a renewal moves only the home's
+deadline), the four denials, expiry of a silent owner, tombstone
+collection, agent failover, the drop-and-count rule for malformed
+gossip, the "absent vs unreachable" rule of the client, the hygiene of
+the one RPC proxy every client calls the replicas through, what
+anti-entropy sends (only the rows a peer is not known to hold), and
+the liveness rules of homes and heartbeats: a dead home under live
+owners, a partition relayed by the third replica, a restarted home and
+a renewal sent to a replica that is not the home. Each test runs once
+per catalog.
 """
 
 import pytest
@@ -61,12 +65,20 @@ class Deployment:
     def live(self):
         return [r for r in self.replicas if not r.stopped]
 
+    def serving(self, replicas):
+        """{replica name: the rows it serves} for ``replicas``."""
+        return {r.name: {rec.name for rec in r.live_records()}
+                for r in replicas}
+
     def run(self, body):
         self.world.run(until=self.world.process(body()))
         drain(self.world)
 
 
-def test_grant_then_renewals_bump_the_version(catalog):
+def test_grant_then_renewals_move_only_the_home_deadline(catalog):
+    """A renewal is not a write: the home's deadline moves and nothing
+    else does. The peers' copies stay as the grant left them, and they
+    serve the row on the home's heartbeat alone."""
     dep = Deployment(catalog)
     _, agent, row = dep.member("host.edu", "alice")
 
@@ -75,13 +87,21 @@ def test_grant_then_renewals_bump_the_version(catalog):
         home = dep.home_of(agent)
         granted = home.store[row]
         assert (granted.epoch, granted.version, granted.alive) == (1, 0, True)
+        assert granted.home == str(home.address)
+        yield dep.world.kernel.timeout(3 * dep.cfg.gossip_interval)
+        peers = [r for r in dep.replicas if r is not home]
+        copies = [r.store[row] for r in peers]
+        merged = sum(r.stats.gossip_merged for r in dep.replicas)
         yield dep.world.kernel.timeout(3 * dep.cfg.ttl)
         renewed = home.store[row]
-        assert renewed.epoch == 1 and renewed.alive
-        assert renewed.version == agent.renewals > 0
-        assert renewed.stamp > granted.stamp
-        assert sum(r.stats.grants for r in dep.replicas) == 1
+        assert agent.renewals > 0
         assert home.stats.renewals == agent.renewals
+        assert renewed.stamp == granted.stamp
+        assert renewed.expires_at > granted.expires_at + 2 * dep.cfg.ttl
+        assert [r.store[row] for r in peers] == copies
+        assert sum(r.stats.gossip_merged for r in dep.replicas) == merged
+        assert all(row in rows for rows in dep.serving(dep.replicas).values())
+        assert sum(r.stats.grants for r in dep.replicas) == 1
 
     dep.run(director)
 
@@ -244,7 +264,12 @@ def test_no_call_is_left_pending_at_quiescence(catalog):
 
 
 def test_silent_owner_is_tombstoned_then_forgotten(catalog):
-    dep = Deployment(catalog, tombstone_ttl=1.0)
+    """The home writes the tombstone within ``ttl`` + one sweep of the
+    last renewal, and gossip spreads it within the staleness bound. The
+    tombstone lives ``tombstone_ttl`` from its writing, so at the bound
+    (2.1 s after the stop) it has at least 0.65 s, over three sweeps,
+    left everywhere: the check never races its lapse."""
+    dep = Deployment(catalog, tombstone_ttl=2.0)
     owner, agent, row = dep.member("host.edu", "alice")
     kernel = dep.world.kernel
 
@@ -255,7 +280,9 @@ def test_silent_owner_is_tombstoned_then_forgotten(catalog):
         yield kernel.timeout(dep.cfg.staleness_bound(N_REPLICAS))
         for r in dep.replicas:
             assert not r.store[row].alive   # tombstoned, not forgotten
-        assert sum(r.stats.expiries for r in dep.replicas) >= 1
+        # Only the home wrote it.
+        assert dep.home_of(agent).stats.expiries == 1
+        assert sum(r.stats.expiries for r in dep.replicas) == 1
         assert any(row in known for r in dep.replicas
                    for known in r._known.values())
         yield kernel.timeout(dep.cfg.tombstone_ttl
@@ -290,6 +317,145 @@ def test_agent_failover_raises_the_epoch_and_supersedes_everywhere(catalog):
     dep.run(director)
 
 
+def test_a_renew_at_a_replica_that_is_not_the_home_is_denied(catalog):
+    """Only the home extends a lease. A renewal sent to another replica
+    is denied ``not-home``; an agent that gets that answer re-claims
+    there with an epoch bump, and that replica becomes the row's home
+    everywhere."""
+    dep = Deployment(catalog)
+    _, agent, row = dep.member("host.edu", "alice")
+    probe = dep.world.dapplet(Worker, "probe.edu", "probe")
+    kernel = dep.world.kernel
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        home = dep.home_of(agent)
+        other = next(r for r in dep.replicas if r is not home)
+        proxy = RemoteProxy(probe, other.address.inbox(catalog.inbox))
+        copy = other.store[row]
+        assert (yield from _denial(proxy.call(
+            "renew", row, agent.epoch, timeout=1.0))) \
+            == ("LeaseDenied", "not-home")
+        assert other.store[row] == copy
+        # Point the agent at the other replica, as a restart of its
+        # home would: its next renewal is denied, and it re-claims.
+        agent._ix = dep.addresses.index(other.address)
+        yield kernel.timeout(dep.cfg.renew_interval
+                             + 3 * dep.cfg.gossip_interval)
+        assert agent.epoch == 2 and agent.failovers == 0
+        for r in dep.replicas:
+            assert r.store[row].epoch == 2
+            assert r.store[row].home == str(other.address)
+        assert all(row in rows for rows in dep.serving(dep.replicas).values())
+
+    dep.run(director)
+
+
+def test_a_dead_home_keeps_live_owners_rows_until_they_reclaim(catalog):
+    """A home that dies takes no live row with it. Its peers serve the
+    rows homed there while they heard it within ``ttl``, and before
+    that runs out the owners' agents have failed over, re-claimed and
+    spread the new epoch (``ttl`` > renew + request timeout + two
+    spreads; DISCOVERY.md)."""
+    dep = Deployment(catalog, ttl=2.5)
+    members = [dep.member(f"h{i}.edu", f"w{i}") for i in range(6)]
+    kernel = dep.world.kernel
+
+    def director():
+        for _, agent, _ in members:
+            yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        dead = dep.home_of(members[0][1])
+        orphans = [(agent, row) for _, agent, row in members
+                   if agent.replica == dead.address]
+        survivors = [r for r in dep.replicas if r is not dead]
+        rows = {row for _, _, row in members}
+        dead.stop()
+        until = kernel.now + 2 * dep.cfg.ttl
+        while kernel.now < until:
+            for name, serving in dep.serving(survivors).items():
+                assert serving == rows, (kernel.now, name, rows - serving)
+            yield kernel.timeout(0.05)
+        for agent, row in orphans:
+            assert agent.epoch == 2 and agent.failovers == 1
+            for r in survivors:
+                assert r.store[row].home == str(agent.replica)
+
+    dep.run(director)
+
+
+def test_a_partition_relayed_by_the_third_replica_lapses_nothing(catalog):
+    """Two replicas cut off from each other for three ``ttl``, both
+    still talking to the third: each hears the other's heartbeat
+    through it, so no row lapses anywhere and no stamp moves."""
+    dep = Deployment(catalog)
+    members = [dep.member(f"h{i}.edu", f"w{i}") for i in range(6)]
+    kernel, faults = dep.world.kernel, dep.world.network.faults
+
+    def director():
+        for _, agent, _ in members:
+            yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        rows = {row for _, _, row in members}
+        stamps = {r.name: {row: r.store[row].stamp for row in rows}
+                  for r in dep.replicas}
+        a, b = dep.replicas[0].address, dep.replicas[1].address
+        faults.partition(a, b)
+        until = kernel.now + 3 * dep.cfg.ttl
+        while kernel.now < until:
+            for name, serving in dep.serving(dep.replicas).items():
+                assert serving == rows, (kernel.now, name, rows - serving)
+            yield kernel.timeout(0.05)
+        faults.heal(a, b)
+        assert {r.name: {row: r.store[row].stamp for row in rows}
+                for r in dep.replicas} == stamps
+        assert sum(r.stats.expiries for r in dep.replicas) == 0
+
+    dep.run(director)
+
+
+def test_a_restarted_homes_dead_owners_lapse_within_the_bound(catalog):
+    """A restart brings the replica back at a fresh port, so it is a
+    new home: its predecessor's heartbeat stops for good. The rows of
+    owners that died with it lapse at every replica, the reborn one
+    included, within the staleness bound of the restart; a live owner
+    homed there re-claims at the reborn replica."""
+    dep = Deployment(catalog)
+    members = [dep.member(f"h{i}.edu", f"w{i}") for i in range(8)]
+    kernel = dep.world.kernel
+
+    def director():
+        for _, agent, _ in members:
+            yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        old = dep.home_of(members[0][1])
+        homed = [m for m in members if m[1].replica == old.address]
+        assert len(homed) >= 2
+        (_, keeper, kept), dead = homed[0], homed[1:]
+        for dapplet, _, _ in dead:
+            dapplet.stop()
+        start = kernel.now
+        new = dep.world.restart_dapplet(old.name)
+        ring = [r for r in dep.replicas if r is not old] + [new]
+        gone = {row for _, _, row in dead}
+        last_seen = start
+        while kernel.now < start + dep.cfg.staleness_bound(N_REPLICAS) + 1:
+            if any(gone & rows for rows in dep.serving(ring).values()):
+                last_seen = kernel.now
+            yield kernel.timeout(0.05)
+        assert last_seen - start <= dep.cfg.staleness_bound(N_REPLICAS)
+        # Nobody wrote a tombstone for the old home's rows.
+        assert all(r.store[row].alive for r in ring for row in gone
+                   if row in r.store)
+        assert keeper.replica == new.address and keeper.epoch == 2
+        for r in ring:
+            assert r.store[kept].home == str(new.address)
+            assert kept in {rec.name for rec in r.live_records()}
+
+    dep.run(director)
+
+
 def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
     """Regression: one bad entry used to raise inside the merge loop and take
     the replica (on the simulator, the whole world) down with it."""
@@ -301,6 +467,9 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
 
     def director():
         yield dep.claimed(agent)
+        # The target serves a row homed elsewhere only once it has
+        # heard that home's heartbeat.
+        yield dep.world.kernel.timeout(3 * dep.cfg.gossip_interval)
         home = dep.home_of(agent)
         target = next(r for r in dep.replicas if r is not home)
         good = home.store[row].to_wire(dep.world.kernel.now)
@@ -374,7 +543,8 @@ def test_an_unconfirmed_push_teaches_nothing_and_arrives_after_the_heal(
         catalog):
     """A push whose receipt never confirms leaves the sender's map of
     that peer as it was, so every later push repeats its rows until one
-    gets through. The peer is cut off past the retry budget."""
+    gets through. The peer is cut off past the retry budget, and the
+    row changes at its home meanwhile (its owner releases it)."""
     dep = Deployment(catalog, endpoint_options={
         "rto_initial": 0.05, "rto_max": 0.2, "max_retries": 3})
     _, agent, row = dep.member("host.edu", "alice")
@@ -391,9 +561,10 @@ def test_an_unconfirmed_push_teaches_nothing_and_arrives_after_the_heal(
         yield kernel.timeout(0.05)            # nothing left in flight
         before = dict(home._known[cut.address])
         gave_up = home.endpoint.stats.gave_up
+        agent._release()
         yield kernel.timeout(3.0)
-        # Renewals moved the row on at home, and its pushes to the cut
-        # peer ran out of retries: the map still says what it said.
+        # The release moved the row on at home, and its pushes to the
+        # cut peer ran out of retries: the map still says what it said.
         assert home.store[row].stamp > before[row]
         assert home.endpoint.stats.gave_up > gave_up
         assert home._known[cut.address] == before

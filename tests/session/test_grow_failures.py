@@ -58,14 +58,15 @@ def test_grow_rejection_rolls_back_spec():
 
     def director():
         session = yield from initiator.establish(pair_spec())
-        bindings_before = list(session.spec.bindings)
+        bindings_before = list(session.bindings)
         try:
             yield from session.add_member(
                 MemberSpec("c", inboxes=("in",)),
                 [Binding("a", "to_c", "c", "in")])
         except SessionRejected as exc:
             outcomes.append(exc.reason)
-        assert session.spec.bindings == bindings_before
+        assert session.bindings == bindings_before
+        assert "c" not in session.members
         assert "c" not in session.spec.members
         # The existing members' channels are untouched; the session
         # still works end to end.
@@ -81,3 +82,36 @@ def test_grow_rejection_rolls_back_spec():
     world.run(until=p)
     world.run()
     assert outcomes == ["acl", "still alive"]
+
+
+def test_growth_and_shrinkage_move_the_bindings_not_the_spec():
+    """``Session.spec`` stays the spec the session was established
+    with; ``Session.bindings`` follows growth, rewiring and shrinkage."""
+    world = World(seed=103, latency=ConstantLatency(0.01))
+    initiator = world.dapplet(Initiator, "caltech.edu", "init")
+    world.dapplet(PassiveDapplet, "caltech.edu", "a")
+    world.dapplet(PassiveDapplet, "rice.edu", "b")
+    world.dapplet(PassiveDapplet, "utk.edu", "c")
+    to_c = Binding("a", "to_c", "c", "in")
+    from_c = Binding("c", "out", "b", "in")
+    done = []
+
+    def director():
+        session = yield from initiator.establish(pair_spec())
+        established = list(session.spec.bindings)
+        assert session.bindings == established
+        yield from session.add_member(MemberSpec("c", inboxes=("in",)),
+                                      [to_c])
+        yield from session.add_bindings([from_c])
+        assert session.bindings == established + [to_c, from_c]
+        assert sorted(session.members) == ["a", "b", "c"]
+        yield from session.remove_member("b")
+        assert session.bindings == [to_c]
+        assert sorted(session.members) == ["a", "c"]
+        assert session.spec.bindings == established
+        assert sorted(session.spec.members) == ["a", "b"]
+        yield from session.terminate()
+        done.append(True)
+
+    world.run(until=world.process(director()))
+    assert done == [True]

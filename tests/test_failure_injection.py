@@ -324,10 +324,9 @@ def test_lease_rows_come_back_after_a_four_minute_outage():
     agents = (d0.lease_agent, d0.manifest_agent)
 
     def replicas_serving():
-        now = world.now
         return tuple(
             sum(1 for r in ring
-                if row in r.store and r.store[row].live_at(now))
+                if row in {rec.name for rec in r.live_records()})
             for ring, row in ((directory, "d0"),
                               (dappstore, d0.manifest_name)))
 
