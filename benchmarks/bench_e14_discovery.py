@@ -16,7 +16,9 @@ Three scenarios against a 3-replica replicated directory:
   kill and the last successful resolve is the client-observed staleness,
   which must stay under the config's analytic bound
   (:meth:`~repro.discovery.LeaseConfig.staleness_bound`: TTL + gossip
-  lag + one sweep + cache lifetime) on both substrates.
+  lag + one sweep + cache lifetime) on both substrates. Only the
+  dapplet dies here; the bound does not cover its home dying with it
+  before the tombstone left (up to one more TTL and gossip lag).
 
 * **Gossip volume** (simulator, counted): 30, 100 and 300 renewing
   rows, and a table of tombstones only, on 3 replicas. Every gossip

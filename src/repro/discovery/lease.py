@@ -4,9 +4,9 @@ The paper punts on directory maintenance ("We do not address how this
 directory is maintained in this paper"); this subsystem's answer is the
 classic one — a registration is not a fact but a **lease**: a claim with
 a time-to-live that the owning dapplet must keep renewing. A silent
-dapplet's lease runs out and every replica's failure detector turns it
-into a tombstone, so lookups stop returning the dead without anyone ever
-announcing the death.
+dapplet's lease runs out and its home replica's failure detector turns
+it into a tombstone that gossip spreads, so lookups stop returning the
+dead without anyone ever announcing the death.
 
 Each lease carries a **version stamp** ``(epoch, version)``:
 
@@ -80,7 +80,8 @@ class LeaseConfig:
             raise DiscoveryError("LeaseConfig.cache_ttl must be >= 0")
 
     def staleness_bound(self, replicas: int = 1) -> float:
-        """Worst-case time a dead dapplet can still resolve.
+        """Worst-case time a dead dapplet can still resolve, unless
+        its home dies too before the tombstone has left it.
 
         Its lease outlives the last renewal by ``ttl`` at its home; the
         home's failure-detector sweep writes the tombstone within one
@@ -89,8 +90,18 @@ class LeaseConfig:
         the row, since the home still beats); and a resolver may serve
         the entry from cache for ``cache_ttl`` more. A home that dies
         first lapses its rows everywhere within ``ttl`` plus the same
-        gossip lag. ``docs/DISCOVERY.md`` has the argument; the E14
-        benchmark measures the real window against this bound.
+        gossip lag.
+
+        The exception is a double failure: only the home may tombstone
+        a row, so if the home dies within ``ttl + sweep_interval +
+        (replicas - 1) * gossip_interval`` after the dapplet, before its
+        tombstone reached the other replicas, they serve the row until
+        ``ttl`` after they last heard the home. That can add up to
+        ``ttl + (replicas - 1) * gossip_interval`` to this bound.
+        ``docs/DISCOVERY.md`` has the argument; the E14 benchmark
+        measures the real window of a dapplet's death against this
+        bound, and ``tests/discovery/test_table_contract.py`` the
+        double failure against the longer one.
         """
         return (self.ttl + max(0, replicas - 1) * self.gossip_interval
                 + self.sweep_interval + self.cache_ttl)
@@ -103,9 +114,14 @@ class LeaseRecord:
     ``expires_at`` is *local* substrate time. For a tombstone it is the
     instant the replica forgets it. For a live row it is the lease's
     deadline, which only the row's ``home`` (the address of the replica
-    that granted the epoch) keeps: elsewhere it is what the home held
-    when it last sent the row, and liveness follows the home's
-    heartbeat instead.
+    that granted the epoch) keeps and renews. Elsewhere liveness follows
+    the home's heartbeat instead, and the field keeps the deadline the
+    row carried when it arrived. It is still sent, for the one reader it
+    has there: a home that forgot its own row (its tombstone lapsed
+    while a peer was cut off) can get the row back from that peer, and
+    the long-past deadline the row carries makes the home tombstone it
+    at once instead of serving it. It also keeps :func:`merge` one rule
+    for live rows and tombstones.
     """
 
     name: str

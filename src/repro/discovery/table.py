@@ -147,6 +147,9 @@ class LeaseReplica(Dapplet):
         self._known: dict[NodeAddress, dict[str, tuple]] = {}
         #: peer -> {name: stamp} sent to it, receipt not yet settled.
         self._flying: dict[NodeAddress, dict[str, tuple]] = {}
+        #: peer -> the local instant it counts as silent unless it
+        #: speaks to us first (see _silent).
+        self._silent_at: dict[NodeAddress, float] = {}
         self._gossip_ix = 0
         self._gossiping = False
         #: Our address as rows name their home.
@@ -169,6 +172,9 @@ class LeaseReplica(Dapplet):
         self._peer_ring = sorted(set(peers))
         self._known = {p: self._known.get(p, {}) for p in self._peer_ring}
         self._flying = {p: self._flying.get(p, {}) for p in self._peer_ring}
+        joined = self.kernel.now + self.config.ttl + self.config.tombstone_ttl
+        self._silent_at = {p: self._silent_at.get(p, joined)
+                           for p in self._peer_ring}
         if self._peer_ring and not self._gossiping:
             self._gossiping = True
             self.spawn(self._gossip_loop(),
@@ -195,6 +201,16 @@ class LeaseReplica(Dapplet):
 
     def _live(self, record: LeaseRecord, now: float) -> bool:
         return record.alive and self._lapse(record) > now
+
+    def _silent(self, peer: NodeAddress, now: float) -> bool:
+        """Whether ring peer ``peer`` has not spoken to us within
+        ``ttl`` or ``tombstone_ttl``, whichever is shorter (one that
+        never spoke: within ``ttl + tombstone_ttl`` of joining the
+        ring). That is long enough for it to have forgotten rows of a
+        home it stopped hearing, or for a tombstone it never got to
+        have been forgotten everywhere else, so our map of what it
+        holds, or its map of us, may be wrong."""
+        return self._silent_at[peer] <= now
 
     def _forgotten(self, record: LeaseRecord, now: float) -> bool:
         """Swept in effect, whether or not the sweep has run: a
@@ -327,9 +343,13 @@ class LeaseReplica(Dapplet):
         peer = self._peer_ring[self._gossip_ix % len(self._peer_ring)]
         self._gossip_ix += 1
         self.stats.gossip_rounds += 1
+        # A silent peer may hold less than our map says (and, its
+        # store empty, never speak): send it everything until it speaks.
+        known = {} if self._silent(peer, self.kernel.now) \
+            else self._known[peer]
         # Sent even when empty: the reply is how the peer's news comes
         # back, so the exchange schedule never depends on our news.
-        self._send_gossip(peer, self._known[peer], True)
+        self._send_gossip(peer, known, True)
 
     def _merge_loop(self):
         while True:
@@ -417,10 +437,26 @@ class LeaseReplica(Dapplet):
     def _on_gossip(self, msg: Gossip) -> None:
         now = self.kernel.now
         merged = 0
-        dropped = self._hear(str(msg.origin), msg.beats, now)
+        origin = str(msg.origin)
+        # A peer back from silence, or one we had heard before that has
+        # not heard us within ttl (not a first message crossing ours),
+        # was cut off from us: our map of it is dropped, so what we send
+        # it next carries every row. (Rows in flight need no resend:
+        # they arrive, or their receipts fail.)
+        cut_off = msg.origin in self._known and (
+            self._silent(msg.origin, now)
+            or (self._beats.get(origin, (None,))[0] is not None
+                and not (isinstance(msg.beats, dict)
+                         and self._me in msg.beats)))
+        dropped = self._hear(origin, msg.beats, now)
         # A ring peer's entries are evidence of what it holds; an origin
         # outside the ring gets a reply against this message alone.
         seen = self._known.get(msg.origin, {})
+        if msg.origin in self._known:
+            if cut_off:
+                seen.clear()
+            self._silent_at[msg.origin] = now + min(
+                self.config.ttl, self.config.tombstone_ttl)
         for data in msg.entries:
             # Entries arrive from outside the program: one that does not
             # decode is dropped and counted, never raised into the loop.

@@ -2,9 +2,11 @@
 
 Three real :class:`~repro.discovery.DirectoryReplica` objects are
 driven by hand: claims, renewals, releases, sweeps, the passing of
-time, gossip pushes (each carrying its sender's heartbeat vector), the
-death of a home, and the fate of every gossip message — delivered,
-acknowledged, or lost with its channel. The replicas' own timers are set
+time (alone, or with owners renewing and replicas sweeping through
+it), gossip pushes (each carrying its sender's heartbeat vector), the
+death of a home, a partition cutting one replica off and its heal, and
+the fate of every gossip message — delivered, acknowledged, or lost
+with its channel. The replicas' own timers are set
 beyond reach and their ``post`` is replaced by a model of the reliable
 FIFO channel it sends on, so hypothesis picks every interleaving.
 
@@ -14,12 +16,14 @@ Three properties:
   exceeds what that peer has held. A peer that forgot a tombstone, or
   the row of a home silent for ``ttl + tombstone_ttl``, holds less than
   it once did; the sender cannot know, and need not;
-* **convergence** — after everything in flight is settled and two quiet
-  rounds (every live replica pushes to both its peers, nothing else
-  happens), every replica holding a name holds it at the same stamp,
-  and a replica lacking it has forgotten it. A row its replica counts
-  as forgotten (a lapsed tombstone, a long-silent home's row) counts
-  as forgotten, swept or not;
+* **convergence** — after any partition heals, everything in flight is
+  settled and two quiet rounds pass (every live replica pushes to both
+  its peers, nothing else happens), every replica holding a name holds
+  it at the same stamp, and a replica lacking it has forgotten it. A
+  row its replica counts as forgotten (a lapsed tombstone, a
+  long-silent home's row) counts as forgotten, swept or not. And a row
+  live at its live home is held and served by every live replica,
+  however long the peers went without hearing that home;
 * **one writer of tombstones** — every tombstone was first written by
   the row's home: a replica never expires or releases a row homed
   elsewhere.
@@ -101,6 +105,9 @@ class GossipModel(RuleBasedStateMachine):
         #: Replicas that died: they act no more, and what reaches them
         #: is lost.
         self.dead: set = set()
+        #: The replica a partition cuts off: nothing it sends or is sent
+        #: is delivered or acknowledged until the heal.
+        self.cut: set = set()
 
     def _alive(self, i):
         return self.replicas[i].address not in self.dead
@@ -164,9 +171,34 @@ class GossipModel(RuleBasedStateMachine):
         if not self.dead:
             self.dead.add(self.replicas[i].address)
 
+    @rule(i=replica_ix)
+    def partition(self, i):
+        """One replica is cut off from both peers (its owners still
+        reach it: claims, renewals and releases go on)."""
+        self.cut = {self.replicas[i].address}
+
+    @rule()
+    def heal(self):
+        self.cut = set()
+
     @rule(dt=st.sampled_from((0.1, 0.6, 1.5)))
     def tick(self, dt):
         self.world.run(until=self.kernel.now + dt)
+
+    @rule(dt=st.sampled_from((1.5, 3.5)))
+    def owners_renew_through(self, dt):
+        """Time passes while every owner renews at its home and every
+        replica sweeps, each every 0.5 s, and no gossip is exchanged, so
+        peers can go ``ttl + tombstone_ttl`` without a home's heartbeat
+        and forget its rows while they stay live there."""
+        end = self.kernel.now + dt
+        while self.kernel.now < end:
+            self.tick(0.5)
+            for i, replica in enumerate(self.replicas):
+                for name, record in list(replica.store.items()):
+                    if record.home == replica._me:
+                        self.renew(i, name)
+                self.sweep(i)
 
     @rule(i=replica_ix)
     def push(self, i):
@@ -183,7 +215,8 @@ class GossipModel(RuleBasedStateMachine):
             return
         sent = next((s for s in self.channels[key] if not s.delivered), None)
         # Nothing reaches a dead replica, so nothing sent to it is acked.
-        if sent is not None and key[1] not in self.dead:
+        if sent is not None and key[1] not in self.dead \
+                and not self.cut & set(key):
             sent.delivered = True
             self.by_address[key[1]]._on_gossip(sent.message)
 
@@ -191,7 +224,8 @@ class GossipModel(RuleBasedStateMachine):
     def acknowledge(self, ix):
         """The oldest delivered message of one channel is acknowledged."""
         key = self._channel(ix)
-        if key is None or not self.channels[key][0].delivered:
+        if key is None or not self.channels[key][0].delivered \
+                or self.cut & set(key):
             return
         self.channels[key].popleft().receipt._ack()
         self._settle()
@@ -223,6 +257,7 @@ class GossipModel(RuleBasedStateMachine):
 
     @rule()
     def two_quiet_rounds(self):
+        self.heal()
         self._drain()
         for _ in range(2):
             for i in range(len(self.replicas)):
@@ -239,6 +274,12 @@ class GossipModel(RuleBasedStateMachine):
             assert len(stamps) == 1, (name, stamps)
             for r in live:
                 assert name in r.store or name in r.store.gone, name
+        for home in live:
+            for name, record in home.store.items():
+                if record.home == home._me and home._live(record, now):
+                    for r in live:
+                        assert r.store[name].stamp == record.stamp, name
+                        assert r._live(r.store[name], now), (r.name, name)
 
     # -- the lower bound -----------------------------------------------------
 
@@ -295,6 +336,30 @@ def test_a_peer_that_relearned_an_older_stamp_is_corrected():
     assert d0.store["a"].stamp < old
     model.two_quiet_rounds()
     assert [r.store["a"].stamp for r in (d0, d1)] == [old] * 2
+
+
+def test_a_home_unheard_past_forgetting_is_served_again():
+    """The home renews its row while no gossip passes, so its peers go
+    ``ttl + tombstone_ttl`` without its heartbeat and forget the row,
+    while the home's maps still say they hold it (a renewal changes no
+    stamp, so nothing else would resend it). Once gossip resumes, each
+    side counts the other silent and sends every row, and two quiet
+    rounds serve the row everywhere again."""
+    model = GossipModel()
+    model.claim(2, "a", False)
+    model.two_quiet_rounds()
+    d0, d1, d2 = model.replicas
+    assert d2._known[d0.address]["a"] == d2.store["a"].stamp
+    model.partition(2)
+    for _ in range(6):
+        model.tick(0.6)
+        model.renew(2, "a")
+        model.push(2)
+    model.sweep(0)
+    model.sweep(1)
+    assert "a" not in d0.store and "a" not in d1.store
+    model.two_quiet_rounds()
+    assert all(r._live(r.store["a"], model.kernel.now) for r in model.replicas)
 
 
 def test_a_lapsed_tombstone_does_not_outrank_a_fresh_claim():

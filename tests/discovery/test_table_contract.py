@@ -456,6 +456,134 @@ def test_a_restarted_homes_dead_owners_lapse_within_the_bound(catalog):
     dep.run(director)
 
 
+SHORT_RETRIES = {"rto_initial": 0.05, "rto_max": 0.2, "max_retries": 3}
+
+
+@pytest.mark.parametrize("both_ways", [True, False],
+                         ids=["cut-both-ways", "cut-one-way"])
+def test_a_home_cut_off_past_forgetting_is_served_again_after_the_heal(
+        catalog, both_ways):
+    """A home cut off from both peers for longer than ``ttl +
+    tombstone_ttl`` (or unable to send to them) while its owner keeps
+    renewing there: the peers forget its row, and its map of them still
+    says they hold it. Once the cut heals, a peer that was not heard
+    within ``ttl`` (or that had not heard the home) is sent every row,
+    so every replica serves the row again within a few rounds, at its
+    old stamp: no re-claim, no conflicting grant."""
+    dep = Deployment(catalog, tombstone_ttl=1.0,
+                     endpoint_options=SHORT_RETRIES)
+    _, agent, row = dep.member("host.edu", "alice")
+    kernel, faults = dep.world.kernel, dep.world.network.faults
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(3 * dep.cfg.gossip_interval)
+        home = dep.home_of(agent)
+        peers = [r for r in dep.replicas if r is not home]
+        stamp = home.store[row].stamp
+        assert all(row in rows for rows in dep.serving(dep.replicas).values())
+        for peer in peers:
+            faults.partition(home.address, peer.address,
+                             bidirectional=both_ways)
+        yield kernel.timeout(dep.cfg.ttl + dep.cfg.tombstone_ttl
+                             + 4 * dep.cfg.gossip_interval)
+        for peer in peers:
+            assert row not in peer.store
+            assert home._known[peer.address].get(row, stamp) == stamp
+        assert row in dep.serving([home])[home.name]
+        for peer in peers:
+            faults.heal(home.address, peer.address)
+        yield kernel.timeout(4 * dep.cfg.gossip_interval)
+        for r in dep.replicas:
+            assert r.store[row].stamp == stamp
+        assert all(row in rows for rows in dep.serving(dep.replicas).values())
+        assert agent.epoch == 1
+        assert sum(r.stats.grants for r in dep.replicas) == 1
+
+    dep.run(director)
+
+
+def test_a_cut_off_peers_stale_row_is_retired_after_the_heal(catalog):
+    """A peer cut off from both others holds a live row whose owner
+    releases it meanwhile. The home writes the tombstone and, past
+    ``tombstone_ttl``, forgets it everywhere it reached, before the cut
+    peer has gone long enough without the home to forget the row. Once
+    the cut heals the peer hears the home again, and would serve the
+    row for as long as the home lives; instead it resends its rows to a
+    home that had not heard it, the home finds the row's deadline long
+    past and tombstones it again, and within a few rounds nobody serves
+    it."""
+    dep = Deployment(catalog, ttl=2.5, tombstone_ttl=1.0,
+                     endpoint_options=SHORT_RETRIES)
+    _, agent, row = dep.member("host.edu", "alice")
+    kernel, faults = dep.world.kernel, dep.world.network.faults
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(6 * dep.cfg.gossip_interval)
+        home = dep.home_of(agent)
+        cut = next(r for r in dep.replicas if r is not home)
+        others = [r for r in dep.replicas if r is not cut]
+        for r in others:
+            faults.partition(r.address, cut.address)
+        agent._release()
+        yield kernel.timeout(dep.cfg.tombstone_ttl + 0.4)
+        for r in others:
+            assert row not in r.store
+        assert cut.store[row].alive and cut._known[home.address][row]
+        for r in others:
+            faults.heal(r.address, cut.address)
+        yield kernel.timeout(4 * dep.cfg.gossip_interval
+                             + dep.cfg.sweep_interval)
+        assert not any(row in rows
+                       for rows in dep.serving(dep.replicas).values())
+        for r in dep.replicas:
+            assert row not in r.store or not r.store[row].alive
+        assert home.stats.expiries == 1
+        assert sum(r.stats.expiries for r in dep.replicas) == 1
+
+    dep.run(director)
+
+
+def test_a_home_dying_before_its_sweep_stretches_the_window_by_a_ttl(
+        catalog):
+    """The one case the staleness bound does not cover: the owner goes
+    silent, then its home dies before its sweep writes the tombstone.
+    No one else may write it, so the peers serve the row until ``ttl``
+    after they last heard the home, up to ``ttl + (n - 1) *
+    gossip_interval`` past the bound (DISCOVERY.md); then it lapses
+    everywhere, with no tombstone written."""
+    dep = Deployment(catalog)
+    owner, agent, row = dep.member("host.edu", "alice")
+    kernel = dep.world.kernel
+    cfg = dep.cfg
+
+    def director():
+        yield dep.claimed(agent)
+        yield kernel.timeout(3 * cfg.gossip_interval)
+        home = dep.home_of(agent)
+        survivors = [r for r in dep.replicas if r is not home]
+        owner.stop()
+        start = kernel.now
+        yield kernel.timeout(cfg.ttl - cfg.sweep_interval / 2)
+        assert home.store[row].alive
+        home.stop()
+        last_seen = kernel.now
+        limit = (cfg.staleness_bound(N_REPLICAS) - cfg.cache_ttl
+                 + cfg.ttl + (N_REPLICAS - 1) * cfg.gossip_interval)
+        while kernel.now < start + limit + 1:
+            if any(row in rows for rows in dep.serving(survivors).values()):
+                last_seen = kernel.now
+            yield kernel.timeout(0.05)
+        # Past the bound of a single failure (2.19 s against 1.8 s on
+        # this schedule), inside the longer one.
+        single = cfg.staleness_bound(N_REPLICAS) - cfg.cache_ttl
+        assert single < last_seen - start <= limit
+        assert sum(r.stats.expiries for r in dep.replicas) == 0
+
+    dep.run(director)
+
+
 def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
     """Regression: one bad entry used to raise inside the merge loop and take
     the replica (on the simulator, the whole world) down with it."""
@@ -478,12 +606,22 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
                dict(good, n=7),                         # name not a string
                dict(good, a="nowhere"),                 # unparsable address
                dict(good, e="one"),                     # non-numeric epoch
-               dict(good, tl=float("nan")))             # non-finite TTL
+               dict(good, tl=float("nan")),             # non-finite TTL
+               dict(good, h=5))                         # home not a string
         fresh = dict(good, n="fresh/row")
         out.add(target.gossip_inbox.named_address)
         out.send(Gossip(probe.address, bad[:3] + (fresh,) + bad[3:], False))
         yield dep.world.kernel.timeout(0.1)
         assert target.stats.gossip_rejected == len(bad)
+        # A heartbeat vector that is no mapping, and one whose counter
+        # is no int, are each one more drop; their entries still merge.
+        out.send(Gossip(probe.address, (dict(fresh, n="list/beats"),),
+                        False, [1, 2]))
+        out.send(Gossip(probe.address, (), False,
+                        {"x": "one", str(home.address): 10 ** 6}))
+        yield dep.world.kernel.timeout(0.1)
+        assert target.stats.gossip_rejected == len(bad) + 2
+        assert "list/beats" in target.store
         # The probe is no ring peer: it was answered, not remembered.
         assert set(target._known) == set(target._flying) \
             == set(target.peers)
@@ -500,7 +638,8 @@ def test_malformed_gossip_entries_are_dropped_and_counted(catalog):
     dep.run(director)
     rejects = tracer.select(catalog.category, "gossip_reject")
     assert [(ev.fields["peer"], ev.fields["dropped"]) for ev in rejects] \
-        == [(str(probe.address), 6)]
+        == [(str(probe.address), 7), (str(probe.address), 1),
+            (str(probe.address), 1)]
 
 
 def test_a_quiet_tombstone_only_table_pushes_empty_gossip(catalog):
